@@ -1,16 +1,21 @@
 """Shared basis machinery: the leaf tree, decoration alphabets, spans.
 
 A span (:class:`LinComb`) is a finite formal rational-linear combination
-of basis trees, kept normalized: no zero coefficients, no duplicate
-trees, terms sorted by the canonical tree order of the ambient algebra.
-The bare leaf is representable as a tree but is never a span term.
+of basis trees, stored as a map from tree to nonzero coefficient.  Spans
+compare as maps, so term order never affects equality or arithmetic.
+Coefficients are ``int`` whenever they are integral and ``Fraction``
+otherwise; the free products only ever produce integers.  A span carries
+the sort key of its algebra, and the canonical term order is imposed
+only when the ordered view :attr:`LinComb.terms` is first read, which is
+what the printers do.  The bare leaf is representable as a tree but is
+never a span term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Tuple
+from typing import Any, Callable, Iterable, Mapping, Optional, Tuple
 
 from .errors import InvalidElement, LeafOperand
 
@@ -62,59 +67,125 @@ class Alphabet:
             raise InvalidElement(f"{x!r} is not a declared decoration symbol")
 
 
-@dataclass(frozen=True)
-class LinComb:
-    """Normalized linear combination: ordered (coefficient, tree) pairs."""
+def _exact(c):
+    """``c`` as an ``int`` when it is integral, otherwise as a ``Fraction``."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
-    terms: Tuple[Tuple[Fraction, Any], ...] = ()
+
+class LinComb:
+    """A span: a map from basis tree to nonzero coefficient.
+
+    ``map`` holds the terms and must not be mutated; ``key`` is the
+    algebra's canonical sort key (or ``None``).  ``LinComb(pairs, key)``
+    builds a span from (coefficient, tree) pairs: duplicates merged, zeros
+    dropped, the leaf rejected, nothing sorted.
+    """
+
+    __slots__ = ("map", "key", "_terms")
+
+    def __init__(self, terms: Iterable[Tuple[Any, Any]] = (),
+                 key: Optional[Callable[[Any], tuple]] = None):
+        acc: dict = {}
+        for coeff, tree in terms:
+            if tree is LEAF:
+                raise LeafOperand("the leaf | is not a basis element of the free algebra")
+            acc[tree] = acc.get(tree, 0) + coeff
+        self.map = _clean(acc)
+        self.key = key
+        self._terms = None
+
+    @classmethod
+    def from_map(cls, m: Mapping, key) -> "LinComb":
+        # trusted constructor: ``m`` is already free of zeros and duplicates
+        span = cls.__new__(cls)
+        span.map = m
+        span.key = key
+        span._terms = None
+        return span
+
+    @property
+    def terms(self) -> Tuple[Tuple[Any, Any], ...]:
+        """(coefficient, tree) pairs in the canonical order, computed once."""
+        terms = self._terms
+        if terms is None:
+            items = [(c, t) for t, c in self.map.items()]
+            key = self.key
+            if key is not None:
+                items.sort(key=lambda item: key(item[1]))
+            terms = self._terms = tuple(items)
+        return terms
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.map
+
+    def __eq__(self, other):
+        if not isinstance(other, LinComb):
+            return NotImplemented
+        return self.map == other.map
+
+    def __hash__(self):
+        return hash(frozenset(self.map.items()))
 
     def __iter__(self):
         return iter(self.terms)
 
     def __len__(self):
-        return len(self.terms)
+        return len(self.map)
 
-    def __add__(self, other):
-        raise TypeError("spans are added through their algebra, which owns the term order")
+    def __repr__(self):
+        return f"LinComb({self.terms!r})"
 
     def trees(self):
         return [t for _, t in self.terms]
 
-    def scaled(self, c: Fraction) -> "LinComb":
-        c = Fraction(c)
+    def scaled(self, c) -> "LinComb":
+        c = _exact(c)
         if c == 0:
             return ZERO_SPAN
-        return LinComb(tuple((c * coeff, tree) for coeff, tree in self.terms))
+        if c == 1:
+            return self
+        return LinComb.from_map({t: _exact(c * v) for t, v in self.map.items()}, self.key)
+
+
+def _clean(acc: dict) -> dict:
+    # drop cancelled terms; keep integral coefficients as ints
+    return {t: c if type(c) is int else _exact(c) for t, c in acc.items() if c}
 
 
 ZERO_SPAN = LinComb()
 
 
-def span_single(tree, coeff: Fraction = Fraction(1)) -> LinComb:
+def span_single(tree, coeff=1) -> LinComb:
     if tree is LEAF:
         raise LeafOperand("the leaf | is not a basis element of the free algebra")
+    coeff = _exact(coeff)
     if coeff == 0:
         return ZERO_SPAN
-    return LinComb(((Fraction(coeff), tree),))
+    return LinComb.from_map({tree: coeff}, None)
 
 
-def normalize(pairs: Iterable[Tuple[Fraction, Any]], key: Callable[[Any], tuple]) -> LinComb:
-    """Merge duplicate trees, drop zeros, sort by the canonical order."""
-    acc: dict = {}
-    for coeff, tree in pairs:
-        if tree is LEAF:
-            raise LeafOperand("the leaf | is not a basis element of the free algebra")
-        acc[tree] = acc.get(tree, Fraction(0)) + coeff
-    items = [(c, t) for t, c in acc.items() if c != 0]
-    items.sort(key=lambda item: key(item[1]))
-    return LinComb(tuple(items))
+def normalize(pairs: Iterable[Tuple[Any, Any]],
+              key: Optional[Callable[[Any], tuple]] = None) -> LinComb:
+    """Span of (coefficient, tree) pairs: duplicates merged, zeros dropped.
+
+    The terms are not sorted; ``key`` is kept for the ordered view.
+    """
+    return LinComb(pairs, key)
 
 
-def span_sum(spans: Iterable[LinComb], key: Callable[[Any], tuple]) -> LinComb:
-    pairs = []
-    for span in spans:
-        pairs.extend(span.terms)
-    return normalize(pairs, key)
+def merge(maps: Iterable[Mapping]) -> Mapping:
+    """Sum of span maps: coefficients of equal trees added, zeros dropped.
+
+    The result may be one of the arguments itself, so it must not be mutated.
+    """
+    maps = [m for m in maps if m]
+    if len(maps) <= 1:
+        return maps[0] if maps else {}
+    acc = dict(maps[0])
+    for m in maps[1:]:
+        for t, c in m.items():
+            acc[t] = acc.get(t, 0) + c
+    return _clean(acc)

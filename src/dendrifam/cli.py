@@ -5,7 +5,8 @@ products on parsed terms), ``check`` (axiom and identity sweeps) and
 ``extend`` (universal-morphism evaluation into an induced structure).
 
 Exit codes: 0 success, 1 verified counterexample or axiom failure,
-2 usage/config/parse error, 3 semantic misuse.  Sweeps stream progress
+2 usage/config/parse error, 3 semantic misuse, 4 resources exhausted
+(recursion depth or memory) before a result.  Sweeps stream progress
 to stderr; stdout carries only the results.
 """
 
@@ -32,6 +33,7 @@ EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_CONFIG = 2
 EXIT_MISUSE = 3
+EXIT_RESOURCE = 4
 
 _PROGRESS_EVERY = 5000
 
@@ -394,6 +396,10 @@ def main(argv=None) -> int:
     except (AlgebraError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except (RecursionError, MemoryError) as exc:
+        # distinct from EXIT_COUNTEREXAMPLE: nothing was verified
+        print(f"error: resources exhausted ({type(exc).__name__})", file=sys.stderr)
+        return EXIT_RESOURCE
 
 
 if __name__ == "__main__":

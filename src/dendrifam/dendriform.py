@@ -13,11 +13,10 @@ operations take genuine semigroup elements.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, Mapping, Union
 
 from . import axioms
-from .basis import LEAF, Alphabet, LinComb, ZERO_SPAN, normalize, span_single
+from .basis import LEAF, Alphabet, LinComb, ZERO_SPAN, merge, normalize, span_single
 from .errors import AxiomFailure, IdentityMisuse, InvalidElement, LeafOperand
 from .exprs import Expr, Gen, Prec, Succ
 from .pbtrees import BinNode, BinTree, graft_binary, single_vertex, tree_key
@@ -56,23 +55,18 @@ class FreeDendriformFamily:
     def span(self, *trees: BinNode) -> LinComb:
         if len(trees) == 1:
             return span_single(trees[0])
-        return normalize([(Fraction(1), t) for t in trees], self.key)
+        return normalize([(1, t) for t in trees], self.key)
 
     def zero(self) -> LinComb:
         return ZERO_SPAN
 
     def add(self, *spans: LinComb) -> LinComb:
-        spans = [s for s in spans if s.terms]
-        if not spans:
-            return ZERO_SPAN
+        spans = [s for s in spans if s.map]
         if len(spans) == 1:
             return spans[0]
-        pairs = []
-        for s in spans:
-            pairs.extend(s.terms)
-        return normalize(pairs, self.key)
+        return LinComb.from_map(merge([s.map for s in spans]), self.key)
 
-    def scale(self, c: Fraction, s: LinComb) -> LinComb:
+    def scale(self, c, s: LinComb) -> LinComb:
         return s.scaled(c)
 
     # -- the indexed products --------------------------------------------
@@ -127,23 +121,14 @@ class FreeDendriformFamily:
         w = self._family_index(omega)
         return self._bilinear(self._succ_trees, a, b, w)
 
-    def _bilinear(self, product, a: LinComb, b: LinComb, w: ExtElem) -> LinComb:
-        aterms, bterms = a.terms, b.terms
-        if len(aterms) == 1 and len(bterms) == 1:
-            (ca, ta), (cb, tb) = aterms[0], bterms[0]
-            c = ca * cb
-            result = product(ta, tb, w)
-            return result if c == 1 else result.scaled(c)
-        pairs = []
-        for ca, ta in aterms:
-            for cb, tb in bterms:
-                c = ca * cb
-                inner = product(ta, tb, w).terms
-                if c == 1:
-                    pairs.extend(inner)
-                else:
-                    pairs.extend((c * cs, ts) for cs, ts in inner)
-        return normalize(pairs, self.key)
+    def _bilinear(self, product, a: LinComb, b: LinComb, *index) -> LinComb:
+        if len(a.map) == 1 and len(b.map) == 1:
+            (ta, ca), = a.map.items()
+            (tb, cb), = b.map.items()
+            return product(ta, tb, *index).scaled(ca * cb)
+        maps = [product(ta, tb, *index).scaled(ca * cb).map
+                for ta, ca in a.map.items() for tb, cb in b.map.items()]
+        return LinComb.from_map(merge(maps), self.key)
 
     def _prec_trees(self, t: BinTree, u: BinTree, w: ExtElem) -> LinComb:
         assert not (t is LEAF and u is LEAF)
@@ -156,14 +141,14 @@ class FreeDendriformFamily:
         if cached is not None:
             return cached
         assert not w.is_identity
-        inner = self.add(self._prec_trees(t.right, u, w),
-                         self._succ_trees(t.right, u, t.right_type))
+        inner = merge((self._prec_trees(t.right, u, w).map,
+                       self._succ_trees(t.right, u, t.right_type).map))
+        # grafting under a fixed context is injective, so the grafted map
+        # needs no merging
+        left, dec, a1 = t.left, t.dec, t.left_type
         a2w = self.semigroup.mul_ext(t.right_type, w)
-        # grafting a fixed context around each inner term preserves the
-        # canonical order, so the result is already normalized
-        result = LinComb(tuple(
-            (c, graft_binary(t.left, t.dec, t.left_type, a2w, s))
-            for c, s in inner.terms))
+        result = LinComb.from_map({graft_binary(left, dec, a1, a2w, s): c
+                                   for s, c in inner.items()}, self.key)
         self._prec_memo[key] = result
         return result
 
@@ -178,12 +163,12 @@ class FreeDendriformFamily:
         if cached is not None:
             return cached
         assert not w.is_identity
-        inner = self.add(self._prec_trees(t, u.left, u.left_type),
-                         self._succ_trees(t, u.left, w))
+        inner = merge((self._prec_trees(t, u.left, u.left_type).map,
+                       self._succ_trees(t, u.left, w).map))
+        dec, a2, right = u.dec, u.right_type, u.right
         wb1 = self.semigroup.mul_ext(w, u.left_type)
-        result = LinComb(tuple(
-            (c, graft_binary(s, u.dec, wb1, u.right_type, u.right))
-            for c, s in inner.terms))
+        result = LinComb.from_map({graft_binary(s, dec, wb1, a2, right): c
+                                   for s, c in inner.items()}, self.key)
         self._succ_memo[key] = result
         return result
 
@@ -248,7 +233,7 @@ class FreeDendriformFamily:
             return value
 
         total = ops.zero()
-        for c, t in span.terms:
+        for t, c in span.map.items():
             total = ops.add(total, ops.scale(c, image(t)))
         return total
 

@@ -111,11 +111,6 @@ def tree_key(t: BinTree, alphabet: Alphabet, semigroup: Semigroup):
     )
 
 
-def tree_cmp(a: BinTree, b: BinTree, alphabet: Alphabet, semigroup: Semigroup) -> int:
-    ka, kb = tree_key(a, alphabet, semigroup), tree_key(b, alphabet, semigroup)
-    return (ka > kb) - (ka < kb)
-
-
 def enumerate_bin(n: int, alphabet: Alphabet, semigroup: Semigroup,
                   max_word: Optional[int] = None) -> list[BinNode]:
     """All basis trees with n internal vertices (n+1 leaves), canonically ordered.

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Tuple
 
-from .basis import LinComb, ZERO_SPAN, normalize
+from .basis import LinComb, ZERO_SPAN, merge, normalize
 from .errors import AxiomFailure, InvalidElement
 from .semigroups import ExtElem, Semigroup
 
@@ -269,16 +269,13 @@ class TensorRB:
         return (index,) + tuple(self.semigroup.element_key(token))
 
     def basis(self, i: int, omega: str) -> LinComb:
-        return normalize([(Fraction(1), (i, omega))], self._key)
+        return normalize([(1, (i, omega))], self._key)
 
     def zero(self) -> LinComb:
         return ZERO_SPAN
 
     def add(self, *spans: LinComb) -> LinComb:
-        pairs = []
-        for s in spans:
-            pairs.extend(s.terms)
-        return normalize(pairs, self._key)
+        return LinComb.from_map(merge([s.map for s in spans]), self._key)
 
     def scale(self, c: Fraction, s: LinComb) -> LinComb:
         return s.scaled(c)
@@ -286,8 +283,8 @@ class TensorRB:
     def mul(self, u: LinComb, v: LinComb) -> LinComb:
         alg = self.rb.algebra
         pairs = []
-        for cu, (i, a) in u.terms:
-            for cv, (j, b) in v.terms:
+        for (i, a), cu in u.map.items():
+            for (j, b), cv in v.map.items():
                 ab = self.semigroup.mul(a, b)
                 product = alg.mul(alg.basis_vector(i), alg.basis_vector(j))
                 for k, coeff in enumerate(product):
@@ -297,7 +294,7 @@ class TensorRB:
 
     def apply(self, u: LinComb) -> LinComb:
         pairs = []
-        for c, (i, a) in u.terms:
+        for (i, a), c in u.map.items():
             image = self.rb.apply(a, self.rb.algebra.basis_vector(i))
             for j, coeff in enumerate(image):
                 if coeff != 0:
@@ -354,28 +351,25 @@ class TensorDendriform:
 
     def element(self, tree, omega: str) -> LinComb:
         self.semigroup.require(omega)
-        return normalize([(Fraction(1), (tree, omega))], self._key)
+        return normalize([(1, (tree, omega))], self._key)
 
     def zero(self) -> LinComb:
         return ZERO_SPAN
 
     def add(self, *spans: LinComb) -> LinComb:
-        pairs = []
-        for s in spans:
-            pairs.extend(s.terms)
-        return normalize(pairs, self._key)
+        return LinComb.from_map(merge([s.map for s in spans]), self._key)
 
     def scale(self, c: Fraction, s: LinComb) -> LinComb:
         return s.scaled(c)
 
     def _combine(self, product_trees, u: LinComb, v: LinComb, use_left_index: bool):
         pairs = []
-        for cu, (t1, a) in u.terms:
-            for cv, (t2, b) in v.terms:
+        for (t1, a), cu in u.map.items():
+            for (t2, b), cv in v.map.items():
                 ab = self.semigroup.mul(a, b)
                 index = ExtElem(a if use_left_index else b)
                 inner = product_trees(t1, t2, index)
-                pairs.extend((cu * cv * cs, (s, ab)) for cs, s in inner.terms)
+                pairs.extend((cu * cv * cs, (s, ab)) for s, cs in inner.map.items())
         return normalize(pairs, self._key)
 
     def prec(self, u: LinComb, v: LinComb) -> LinComb:
@@ -391,11 +385,11 @@ class TensorTridendriform(TensorDendriform):
 
     def dot(self, u: LinComb, v: LinComb) -> LinComb:
         pairs = []
-        for cu, (t1, a) in u.terms:
-            for cv, (t2, b) in v.terms:
+        for (t1, a), cu in u.map.items():
+            for (t2, b), cv in v.map.items():
                 ab = self.semigroup.mul(a, b)
                 inner = self.family._dot_trees(t1, t2)
-                pairs.extend((cu * cv * cs, (s, ab)) for cs, s in inner.terms)
+                pairs.extend((cu * cv * cs, (s, ab)) for s, cs in inner.map.items())
         return normalize(pairs, self._key)
 
 

@@ -3,7 +3,8 @@
 Three kinds of semigroup are supported:
 
 * ``free``   -- nonempty words over a finite generator set, product is
-  concatenation (infinite);
+  concatenation (infinite); the generators must be uniquely decodable,
+  so that every word is a product of generators in only one way;
 * ``cyclic`` -- integers 0..n-1 under addition mod n;
 * ``table``  -- an explicit finite Cayley table.
 
@@ -49,6 +50,29 @@ def elem(token: str) -> ExtElem:
     return ExtElem(token)
 
 
+def _uniquely_decodable(code) -> bool:
+    """Sardinas-Patterson test: no word splits into codewords in two ways.
+
+    Follows the dangling suffixes left when one factorisation runs ahead
+    of another; the code is ambiguous exactly when one of them is empty.
+    """
+    pending = [y[len(x):] for x in code for y in code if x != y and y.startswith(x)]
+    seen = set()
+    while pending:
+        suffix = pending.pop()
+        if not suffix:
+            return False
+        if suffix in seen:
+            continue
+        seen.add(suffix)
+        for c in code:
+            if suffix.startswith(c):
+                pending.append(suffix[len(c):])
+            elif c.startswith(suffix):
+                pending.append(c[len(suffix):])
+    return True
+
+
 def _check_token(token: str) -> str:
     if not _TOKEN_RE.match(token):
         raise SemigroupViolation(f"bad element token: {token!r}")
@@ -66,6 +90,10 @@ class Semigroup:
             gens = tuple(_check_token(g) for g in generators)
             if not gens or len(set(gens)) != len(gens):
                 raise SemigroupViolation("free semigroup needs distinct nonempty generators")
+            if not _uniquely_decodable(gens):
+                raise SemigroupViolation(
+                    f"free generators {list(gens)} are not uniquely decodable: "
+                    "some word is a product of generators in two ways")
             self.generators = gens
         elif kind == "cyclic":
             if order is None or order < 1:

@@ -13,10 +13,11 @@ semigroup containing an element literally named ``1`` stays parseable.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Union
 
-from .basis import LEAF, Alphabet, LinComb, normalize, span_single
+from .basis import LEAF, Alphabet, LinComb, ZERO_SPAN, normalize, span_single
 from .errors import TermSyntaxError
 from .exprs import Dot, Expr, Gen, Prec, Succ
 from .pbtrees import BinNode, BinTree
@@ -26,6 +27,8 @@ from .schroder import tree_key as sch_key
 from .semigroups import ExtElem, IDENTITY, Semigroup
 
 _SYMBOL_CHARS = set("[];:,*+/()|-")
+# ASCII only, like semigroup element tokens
+_WORD_RE = re.compile(r"[A-Za-z0-9_]+")
 
 
 def _tokenize(text: str):
@@ -48,12 +51,11 @@ def _tokenize(text: str):
             col += 1
             i += 1
             continue
-        if ch.isalnum() or ch == "_":
-            start = i
-            while i < len(text) and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            tokens.append(("word", text[start:i], line, col))
-            col += i - start
+        word = _WORD_RE.match(text, i)
+        if word:
+            tokens.append(("word", word.group(), line, col))
+            col += word.end() - i
+            i = word.end()
             continue
         raise TermSyntaxError(f"unexpected character {ch!r}", line, col)
     tokens.append(("end", "", line, col))
@@ -210,7 +212,7 @@ class _Parser:
         k, value, _, _ = self.peek()
         if k == "word" and value == "0" and self.tokens[self.pos + 1][0] == "end":
             self.advance()
-            return LinComb()
+            return ZERO_SPAN
         pairs = [self.span_term(kind)]
         while self.at_sym("+"):
             self.advance()

@@ -10,11 +10,10 @@ at that fuse).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, Mapping, Union
 
 from . import axioms
-from .basis import LEAF, Alphabet, LinComb, ZERO_SPAN, normalize, span_single
+from .basis import LEAF, Alphabet, LinComb, ZERO_SPAN, merge, normalize, span_single
 from .errors import AxiomFailure, IdentityMisuse, InvalidElement, LeafOperand
 from .exprs import Dot, Expr, Gen, Prec, Succ
 from .schroder import SchNode, SchTree, intern_node, single_vertex, tree_key
@@ -52,23 +51,18 @@ class FreeTridendriformFamily:
     def span(self, *trees: SchNode) -> LinComb:
         if len(trees) == 1:
             return span_single(trees[0])
-        return normalize([(Fraction(1), t) for t in trees], self.key)
+        return normalize([(1, t) for t in trees], self.key)
 
     def zero(self) -> LinComb:
         return ZERO_SPAN
 
     def add(self, *spans: LinComb) -> LinComb:
-        spans = [s for s in spans if s.terms]
-        if not spans:
-            return ZERO_SPAN
+        spans = [s for s in spans if s.map]
         if len(spans) == 1:
             return spans[0]
-        pairs = []
-        for s in spans:
-            pairs.extend(s.terms)
-        return normalize(pairs, self.key)
+        return LinComb.from_map(merge([s.map for s in spans]), self.key)
 
-    def scale(self, c: Fraction, s: LinComb) -> LinComb:
+    def scale(self, c, s: LinComb) -> LinComb:
         return s.scaled(c)
 
     def _operand(self, value: Operand):
@@ -106,7 +100,7 @@ class FreeTridendriformFamily:
                 raise LeafOperand("leaf operand rejected in strict mode")
             return ZERO_SPAN
         w = self._family_index(omega)
-        return self._bilinear_indexed(self._prec_trees, a, b, w)
+        return self._bilinear(self._prec_trees, a, b, w)
 
     def succ(self, a: Operand, b: Operand, omega, *, strict: bool = False) -> LinComb:
         a, b = self._operand(a), self._operand(b)
@@ -121,7 +115,7 @@ class FreeTridendriformFamily:
                 raise LeafOperand("leaf operand rejected in strict mode")
             return ZERO_SPAN
         w = self._family_index(omega)
-        return self._bilinear_indexed(self._succ_trees, a, b, w)
+        return self._bilinear(self._succ_trees, a, b, w)
 
     def dot(self, a: Operand, b: Operand, *, strict: bool = False) -> LinComb:
         a, b = self._operand(a), self._operand(b)
@@ -131,40 +125,16 @@ class FreeTridendriformFamily:
             if strict:
                 raise LeafOperand("leaf operand rejected in strict mode")
             return ZERO_SPAN
-        aterms, bterms = a.terms, b.terms
-        if len(aterms) == 1 and len(bterms) == 1:
-            (ca, ta), (cb, tb) = aterms[0], bterms[0]
-            c = ca * cb
-            result = self._dot_trees(ta, tb)
-            return result if c == 1 else result.scaled(c)
-        pairs = []
-        for ca, ta in aterms:
-            for cb, tb in bterms:
-                c = ca * cb
-                inner = self._dot_trees(ta, tb).terms
-                if c == 1:
-                    pairs.extend(inner)
-                else:
-                    pairs.extend((c * cs, ts) for cs, ts in inner)
-        return normalize(pairs, self.key)
+        return self._bilinear(self._dot_trees, a, b)
 
-    def _bilinear_indexed(self, product, a: LinComb, b: LinComb, w: ExtElem) -> LinComb:
-        aterms, bterms = a.terms, b.terms
-        if len(aterms) == 1 and len(bterms) == 1:
-            (ca, ta), (cb, tb) = aterms[0], bterms[0]
-            c = ca * cb
-            result = product(ta, tb, w)
-            return result if c == 1 else result.scaled(c)
-        pairs = []
-        for ca, ta in aterms:
-            for cb, tb in bterms:
-                c = ca * cb
-                inner = product(ta, tb, w).terms
-                if c == 1:
-                    pairs.extend(inner)
-                else:
-                    pairs.extend((c * cs, ts) for cs, ts in inner)
-        return normalize(pairs, self.key)
+    def _bilinear(self, product, a: LinComb, b: LinComb, *index) -> LinComb:
+        if len(a.map) == 1 and len(b.map) == 1:
+            (ta, ca), = a.map.items()
+            (tb, cb), = b.map.items()
+            return product(ta, tb, *index).scaled(ca * cb)
+        maps = [product(ta, tb, *index).scaled(ca * cb).map
+                for ta, ca in a.map.items() for tb, cb in b.map.items()]
+        return LinComb.from_map(merge(maps), self.key)
 
     def _prec_trees(self, t: SchTree, u: SchTree, w: ExtElem) -> LinComb:
         assert not (t is LEAF and u is LEAF)
@@ -178,15 +148,15 @@ class FreeTridendriformFamily:
             return cached
         assert not w.is_identity
         am, last = t.children[-1]
-        inner = self.add(self._succ_trees(last, u, am),
-                         self._prec_trees(last, u, w),
-                         self._dot_trees(last, u))
+        inner = merge((self._succ_trees(last, u, am).map,
+                       self._prec_trees(last, u, w).map,
+                       self._dot_trees(last, u).map))
+        # replacing one child under a fixed context is injective, so the
+        # grafted map needs no merging
         amw = self.semigroup.mul_ext(am, w)
-        head = t.children[:-1]
-        # replacing one child under a fixed context preserves the canonical
-        # order, so the grafted span is already normalized
-        result = LinComb(tuple(
-            (c, intern_node(t.decs, head + ((amw, s),))) for c, s in inner.terms))
+        decs, head = t.decs, t.children[:-1]
+        result = LinComb.from_map({intern_node(decs, head + ((amw, s),)): c
+                                   for s, c in inner.items()}, self.key)
         self._prec_memo[key] = result
         return result
 
@@ -202,13 +172,13 @@ class FreeTridendriformFamily:
             return cached
         assert not w.is_identity
         b0, first = u.children[0]
-        inner = self.add(self._succ_trees(t, first, w),
-                         self._prec_trees(t, first, b0),
-                         self._dot_trees(t, first))
+        inner = merge((self._succ_trees(t, first, w).map,
+                       self._prec_trees(t, first, b0).map,
+                       self._dot_trees(t, first).map))
         wb0 = self.semigroup.mul_ext(w, b0)
-        tail = u.children[1:]
-        result = LinComb(tuple(
-            (c, intern_node(u.decs, ((wb0, s),) + tail)) for c, s in inner.terms))
+        decs, tail = u.decs, u.children[1:]
+        result = LinComb.from_map({intern_node(decs, ((wb0, s),) + tail): c
+                                   for s, c in inner.items()}, self.key)
         self._succ_memo[key] = result
         return result
 
@@ -227,13 +197,12 @@ class FreeTridendriformFamily:
             # fusing two leaf boundary children keeps a single leaf there
             result = span_single(intern_node(decs, head + ((IDENTITY, LEAF),) + tail))
         else:
-            inner = self.add(self._succ_trees(last, first, am),
-                             self._prec_trees(last, first, b0),
-                             self._dot_trees(last, first))
+            inner = merge((self._succ_trees(last, first, am).map,
+                           self._prec_trees(last, first, b0).map,
+                           self._dot_trees(last, first).map))
             amb0 = self.semigroup.mul_ext(am, b0)
-            result = LinComb(tuple(
-                (c, intern_node(decs, head + ((amb0, s),) + tail))
-                for c, s in inner.terms))
+            result = LinComb.from_map({intern_node(decs, head + ((amb0, s),) + tail): c
+                                       for s, c in inner.items()}, self.key)
         self._dot_memo[key] = result
         return result
 
@@ -320,7 +289,7 @@ class FreeTridendriformFamily:
             return value
 
         total = ops.zero()
-        for c, t in span.terms:
+        for t, c in span.map.items():
             total = ops.add(total, ops.scale(c, image(t)))
         return total
 

@@ -140,6 +140,18 @@ def test_product_parse_and_typing_errors(capsys):
     assert code == 2
 
 
+def test_product_on_too_deep_input_is_not_a_counterexample(capsys):
+    comb = "B[x;1:|,1:|]"
+    for _ in range(1199):
+        comb = f"B[x;1:|,a:{comb}]"
+    code, out, err = run(capsys, "product", "prec", "--omega", "a",
+                         comb, "B[y;1:|,1:|]",
+                         "--alphabet", "x,y", "--semigroup", "free:a")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: resources exhausted") and err.count("\n") == 1
+
+
 def test_product_leaf_operands(capsys):
     code, out, _ = run(capsys, "product", "prec", "--omega", "0",
                        "B[x;1:|,1:|]", "|",

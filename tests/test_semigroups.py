@@ -43,6 +43,18 @@ def test_free_membership_by_segmentation():
     assert not s.contains("")
 
 
+@pytest.mark.parametrize("generators", [["a", "aa"], ["a", "ab", "ba"], ["a", "b", "ab"]])
+def test_free_rejects_generators_that_are_not_uniquely_decodable(generators):
+    # a*a is the generator aa, a*ba == ab*a, a*b is the generator ab
+    with pytest.raises(SemigroupViolation):
+        Semigroup.free(generators)
+
+
+def test_free_accepts_uniquely_decodable_non_prefix_codes():
+    s = Semigroup.free(["a", "ab", "bb"])
+    assert len(s.elements(2)) == 3 + 3 * 3
+
+
 def test_ext_identity_laws():
     s = Semigroup.free(["a"])
     omega = elem("a")

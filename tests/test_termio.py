@@ -70,6 +70,18 @@ def test_syntax_error_carries_position():
     assert info.value.line == 1 and info.value.column > 1
 
 
+@pytest.mark.parametrize("text, column", [
+    ("\u00b2*B[x;1:|,1:|]", 1),
+    ("1*B[\u00e9;1:|,1:|]", 5),
+    ("1*B[x;1:|,1:|] + \u0663*B[y;1:|,1:|]", 18),
+])
+def test_non_ascii_word_characters_are_positioned_syntax_errors(text, column):
+    # word tokens are ASCII only; a Unicode digit or letter is rejected where it stands
+    with pytest.raises(TermSyntaxError) as info:
+        parse_span(text, "binary", X, Z2)
+    assert (info.value.line, info.value.column) == (1, column)
+
+
 def test_arity_mismatch_surfaces():
     with pytest.raises(ArityMismatch):
         parse_tree("S[x,y;1:|,1:|]", "schroder", X, FREE)
