@@ -14,10 +14,10 @@ never a span term.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Any, Callable, Iterable, Mapping, Optional, Tuple
 
 from .errors import InvalidElement, LeafOperand
+from .rationals import exact
 
 
 class Leaf:
@@ -65,14 +65,6 @@ class Alphabet:
             return self.symbols.index(x)
         except ValueError:
             raise InvalidElement(f"{x!r} is not a declared decoration symbol")
-
-
-def _exact(c):
-    """``c`` as an ``int`` when it is integral, otherwise as a ``Fraction``."""
-    if type(c) is int:
-        return c
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
 
 
 class LinComb:
@@ -142,17 +134,17 @@ class LinComb:
         return [t for _, t in self.terms]
 
     def scaled(self, c) -> "LinComb":
-        c = _exact(c)
+        c = exact(c)
         if c == 0:
             return ZERO_SPAN
         if c == 1:
             return self
-        return LinComb.from_map({t: _exact(c * v) for t, v in self.map.items()}, self.key)
+        return LinComb.from_map({t: exact(c * v) for t, v in self.map.items()}, self.key)
 
 
 def _clean(acc: dict) -> dict:
     # drop cancelled terms; keep integral coefficients as ints
-    return {t: c if type(c) is int else _exact(c) for t, c in acc.items() if c}
+    return {t: c if type(c) is int else exact(c) for t, c in acc.items() if c}
 
 
 ZERO_SPAN = LinComb()
@@ -161,7 +153,7 @@ ZERO_SPAN = LinComb()
 def span_single(tree, coeff=1) -> LinComb:
     if tree is LEAF:
         raise LeafOperand("the leaf | is not a basis element of the free algebra")
-    coeff = _exact(coeff)
+    coeff = exact(coeff)
     if coeff == 0:
         return ZERO_SPAN
     return LinComb.from_map({tree: coeff}, None)

@@ -1,9 +1,10 @@
 """Exact rational scalars: the base ring of every linear combination.
 
-Coefficients are arbitrary-precision rationals kept in canonical form
-(gcd(|p|, q) = 1, q >= 1, zero is 0/1), which `fractions.Fraction`
-guarantees.  The textual form is `p/q` with the denominator omitted
-when it equals 1, e.g. `3`, `-2/5`.
+A coefficient or coordinate is an ``int`` whenever it is integral and a
+canonical `fractions.Fraction` otherwise (gcd(|p|, q) = 1, q >= 2);
+:func:`exact` brings any rational into that form.  The textual form is
+`p/q` with the denominator omitted when it equals 1, e.g. `3`, `-2/5`,
+which is what ``str`` prints for both representations.
 """
 
 from __future__ import annotations
@@ -11,20 +12,15 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-Coefficient = Fraction
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 _RATIONAL_RE = re.compile(r"-?\d+(/\d+)?\Z")
 
 
-def add(a: Fraction, b: Fraction) -> Fraction:
-    return a + b
-
-
-def mul(a: Fraction, b: Fraction) -> Fraction:
-    return a * b
+def exact(c):
+    """``c`` as an ``int`` when it is integral, otherwise as a ``Fraction``."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def parse_coefficient(text: str) -> Fraction:
@@ -38,7 +34,3 @@ def parse_coefficient(text: str) -> Fraction:
             raise ValueError(f"zero denominator: {text!r}")
         return Fraction(int(p), int(q))
     return Fraction(int(text))
-
-
-def format_coefficient(c: Fraction) -> str:
-    return str(c)

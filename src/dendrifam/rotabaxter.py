@@ -10,67 +10,92 @@ and a weight.  The family identity
 is checked exhaustively on basis pairs over a caller-supplied,
 product-closed sample of indices; operators outside the sample are an
 error, never silently extended.
+
+A vector is a tuple of exact coordinates: ``int`` when integral and
+``Fraction`` otherwise, the rule spans follow for coefficients.  Callers
+may pass ``Fraction`` coordinates; every operation returns the exact
+form.  Structure constants and operator matrices are compiled at
+construction into tables of their nonzero entries, so products and
+operator applications loop over nonzero entries only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Tuple
+from typing import Iterable, Mapping, Optional, Tuple, Union
 
 from .basis import LinComb, ZERO_SPAN, merge, normalize
 from .errors import AxiomFailure, InvalidElement
+from .rationals import exact, parse_coefficient
 from .semigroups import ExtElem, Semigroup
 
-Vector = Tuple[Fraction, ...]
-Matrix = Tuple[Tuple[Fraction, ...], ...]
+Coordinate = Union[int, Fraction]
+Vector = Tuple[Coordinate, ...]
+Matrix = Tuple[Tuple[Coordinate, ...], ...]
+
+
+def _exact_vector(coords) -> Vector:
+    return tuple(c if type(c) is int else exact(c) for c in coords)
+
+
+def _nonzero(v: Vector):
+    """(index, exact coordinate) for each nonzero coordinate of ``v``."""
+    return [(j, exact(c)) for j, c in enumerate(v) if c]
 
 
 def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
+    return _exact_vector([a + b for a, b in zip(u, v)])
 
 
-def vec_scale(c: Fraction, u: Vector) -> Vector:
-    return tuple(Fraction(c) * a for a in u)
-
-
-def vec_zero(dim: int) -> Vector:
-    return (Fraction(0),) * dim
-
-
-def mat_apply(m: Matrix, v: Vector) -> Vector:
-    return tuple(sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in m)
+def vec_scale(c: Coordinate, u: Vector) -> Vector:
+    c = exact(c)
+    return _exact_vector([c * a for a in u])
 
 
 @dataclass(frozen=True)
 class FiniteAlgebra:
-    """Associative algebra e_i e_j = sum_k c[i][j][k] e_k over the rationals."""
+    """Associative algebra e_i e_j = sum_k c[i][j][k] e_k over the rationals.
 
-    structure: Tuple[Tuple[Tuple[Fraction, ...], ...], ...]
+    ``structure`` must be d x d x d.  It is read once, at construction,
+    into the table of nonzero constants (k, c) per basis pair (i, j)
+    that :meth:`mul` walks.
+    """
+
+    structure: Tuple[Tuple[Tuple[Coordinate, ...], ...], ...]
+    _table: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        d = len(self.structure)
+        if any(len(plane) != d or any(len(constants) != d for constants in plane)
+               for plane in self.structure):
+            raise InvalidElement(f"structure constants must be {d}x{d}x{d}")
+        object.__setattr__(self, "_table", tuple(
+            tuple(tuple((k, exact(c)) for k, c in enumerate(constants) if c)
+                  for constants in plane)
+            for plane in self.structure))
 
     @property
     def dim(self) -> int:
         return len(self.structure)
 
     def basis_vector(self, i: int) -> Vector:
-        return tuple(Fraction(1) if j == i else Fraction(0) for j in range(self.dim))
+        return tuple(1 if j == i else 0 for j in range(self.dim))
 
     def zero(self) -> Vector:
-        return vec_zero(self.dim)
+        return (0,) * self.dim
 
     def mul(self, u: Vector, v: Vector) -> Vector:
-        out = [Fraction(0)] * self.dim
-        for i, ui in enumerate(u):
-            if ui == 0:
-                continue
-            for j, vj in enumerate(v):
-                if vj == 0:
-                    continue
-                c = ui * vj
-                for k, s in enumerate(self.structure[i][j]):
-                    if s != 0:
-                        out[k] += c * s
-        return tuple(out)
+        out = [0] * self.dim
+        table = self._table
+        nonzero_v = _nonzero(v)
+        for i, a in _nonzero(u):
+            row = table[i]
+            for j, b in nonzero_v:
+                ab = a * b
+                for k, c in row[j]:
+                    out[k] += ab * c
+        return _exact_vector(out)
 
     def associativity_counterexample(self) -> Optional[Tuple[int, int, int]]:
         for i in range(self.dim):
@@ -94,43 +119,71 @@ class FiniteAlgebra:
 
 def pointwise_algebra(dim: int) -> FiniteAlgebra:
     """k^dim with the pointwise (diagonal) product."""
-    zero = Fraction(0)
-    one = Fraction(1)
     return FiniteAlgebra(tuple(
-        tuple(tuple(one if i == j == k else zero for k in range(dim))
+        tuple(tuple(1 if i == j == k else 0 for k in range(dim))
               for j in range(dim))
         for i in range(dim)))
 
 
-def scaled_identity_matrix(dim: int, c: Fraction) -> Matrix:
-    c = Fraction(c)
-    return tuple(tuple(c if i == j else Fraction(0) for j in range(dim))
+def scaled_identity_matrix(dim: int, c: Coordinate) -> Matrix:
+    c = exact(c)
+    return tuple(tuple(c if i == j else 0 for j in range(dim))
                  for i in range(dim))
 
 
-def cascading_sum_matrix(dim: int, weight: Fraction) -> Matrix:
+def cascading_sum_matrix(dim: int, weight: Coordinate) -> Matrix:
     """P(a)_i = -weight * sum_{j <= i} a_j, a Rota-Baxter operator on k^dim."""
-    weight = Fraction(weight)
-    return tuple(tuple(-weight if j <= i else Fraction(0) for j in range(dim))
+    weight = exact(weight)
+    return tuple(tuple(-weight if j <= i else 0 for j in range(dim))
                  for i in range(dim))
+
+
+def _no_operator(omega: str) -> InvalidElement:
+    return InvalidElement(f"no operator declared for index {omega!r}")
 
 
 @dataclass(frozen=True)
 class RBFamily:
-    """An algebra with one operator per sampled semigroup element and a weight."""
+    """An algebra with one operator per sampled semigroup element and a weight.
+
+    Each operator must be a d x d matrix over the algebra's dimension d.
+    ``operators`` is read once, at construction, into the nonzero
+    entries (row, c) of each column that :meth:`apply` walks; later
+    changes to the mapping are not seen (use :meth:`mutated`).
+    """
 
     algebra: FiniteAlgebra
-    weight: Fraction
+    weight: Coordinate
     operators: Mapping[str, Matrix]
+    _columns: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        d = self.algebra.dim
+        columns = {}
+        for omega, m in self.operators.items():
+            if len(m) != d or any(len(row) != d for row in m):
+                raise InvalidElement(f"operator for {omega!r} must be {d}x{d}")
+            columns[omega] = tuple(
+                tuple((r, exact(row[j])) for r, row in enumerate(m) if row[j])
+                for j in range(d))
+        object.__setattr__(self, "_columns", columns)
 
     def operator(self, omega: str) -> Matrix:
         try:
             return self.operators[omega]
         except KeyError:
-            raise InvalidElement(f"no operator declared for index {omega!r}")
+            raise _no_operator(omega)
 
     def apply(self, omega: str, v: Vector) -> Vector:
-        return mat_apply(self.operator(omega), v)
+        try:
+            columns = self._columns[omega]
+        except KeyError:
+            raise _no_operator(omega)
+        out = [0] * len(columns)
+        for j, a in _nonzero(v):
+            for r, c in columns[j]:
+                out[r] += c * a
+        return _exact_vector(out)
 
     def mutated(self, omega: str, row: int, col: int, delta: Fraction) -> "RBFamily":
         """Copy with one matrix entry perturbed; used by mutation tests."""
@@ -177,20 +230,12 @@ def validate_rb_family(rb: RBFamily, semigroup: Semigroup,
             counterexample=failure)
 
 
-class EtaOps:
-    """Dendriform structure induced by a Rota-Baxter family:
-    x prec_w y = x P_w(y) + lambda x y,   x succ_w y = P_w(x) y."""
+class _InducedOps:
+    """The vector-space operations shared by the induced structures."""
 
     def __init__(self, rb: RBFamily):
         self.rb = rb
-
-    def prec(self, x: Vector, y: Vector, omega: str) -> Vector:
-        alg = self.rb.algebra
-        return vec_add(alg.mul(x, self.rb.apply(omega, y)),
-                       vec_scale(self.rb.weight, alg.mul(x, y)))
-
-    def succ(self, x: Vector, y: Vector, omega: str) -> Vector:
-        return self.rb.algebra.mul(self.rb.apply(omega, x), y)
+        self.weight = exact(rb.weight)
 
     def add(self, *values: Vector) -> Vector:
         out = self.zero()
@@ -198,19 +243,29 @@ class EtaOps:
             out = vec_add(out, v)
         return out
 
-    def scale(self, c: Fraction, v: Vector) -> Vector:
+    def scale(self, c: Coordinate, v: Vector) -> Vector:
         return vec_scale(c, v)
 
     def zero(self) -> Vector:
         return self.rb.algebra.zero()
 
 
-class EpsilonOps:
+class EtaOps(_InducedOps):
+    """Dendriform structure induced by a Rota-Baxter family:
+    x prec_w y = x P_w(y) + lambda x y,   x succ_w y = P_w(x) y."""
+
+    def prec(self, x: Vector, y: Vector, omega: str) -> Vector:
+        # x (P_w(y) + lambda y): one algebra product instead of two
+        shifted = vec_add(self.rb.apply(omega, y), vec_scale(self.weight, y))
+        return self.rb.algebra.mul(x, shifted)
+
+    def succ(self, x: Vector, y: Vector, omega: str) -> Vector:
+        return self.rb.algebra.mul(self.rb.apply(omega, x), y)
+
+
+class EpsilonOps(_InducedOps):
     """Tridendriform structure induced by a Rota-Baxter family:
     x prec_w y = x P_w(y),  x succ_w y = P_w(x) y,  x . y = lambda x y."""
-
-    def __init__(self, rb: RBFamily):
-        self.rb = rb
 
     def prec(self, x: Vector, y: Vector, omega: str) -> Vector:
         return self.rb.algebra.mul(x, self.rb.apply(omega, y))
@@ -219,19 +274,7 @@ class EpsilonOps:
         return self.rb.algebra.mul(self.rb.apply(omega, x), y)
 
     def dot(self, x: Vector, y: Vector) -> Vector:
-        return vec_scale(self.rb.weight, self.rb.algebra.mul(x, y))
-
-    def add(self, *values: Vector) -> Vector:
-        out = self.zero()
-        for v in values:
-            out = vec_add(out, v)
-        return out
-
-    def scale(self, c: Fraction, v: Vector) -> Vector:
-        return vec_scale(c, v)
-
-    def zero(self) -> Vector:
-        return self.rb.algebra.zero()
+        return vec_scale(self.weight, self.rb.algebra.mul(x, y))
 
 
 def eta(rb: RBFamily) -> EtaOps:
@@ -411,8 +454,6 @@ def parse_rb_text(text: str):
     rationals row-major.  ``#`` comments and blank lines are ignored.
     Returns (FiniteAlgebra, {omega: matrix}).
     """
-    from .rationals import parse_coefficient
-
     dim = None
     constants: dict = {}
     operators: dict = {}
@@ -421,6 +462,8 @@ def parse_rb_text(text: str):
         if not line:
             continue
         if line.startswith("dim="):
+            if dim is not None:
+                raise InvalidElement("dim= may be declared only once")
             dim = int(line[len("dim="):])
             if dim < 1:
                 raise InvalidElement("dim must be >= 1")
@@ -449,9 +492,8 @@ def parse_rb_text(text: str):
         raise InvalidElement(f"unrecognised line in algebra file: {raw!r}")
     if dim is None:
         raise InvalidElement("algebra file must declare dim=")
-    zero = Fraction(0)
     structure = tuple(
-        tuple(tuple(constants.get((i, j, k), zero) for k in range(dim))
+        tuple(tuple(constants.get((i, j, k), 0) for k in range(dim))
               for j in range(dim))
         for i in range(dim))
     return FiniteAlgebra(structure), operators

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,10 @@ op 1 -1 0 0 -1 -1 0 -1 -1 -1
 RB_K3_PERTURBED = RB_K3.replace("op 0 -1 0 0", "op 0 -1 1 0")
 
 MAP_XY = "x 0\ny 1\n"
+
+DATA = Path(__file__).parent / "data"
+RB_HALF = str(DATA / "rb_weight_half.txt")
+MAP_HALF = str(DATA / "map_xy.txt")
 
 
 def run(capsys, *argv):
@@ -312,3 +317,55 @@ def test_extend_missing_generator_image(capsys, rb_file, tmp_path):
                      "--map-file", str(partial), "B[x;1:|,1:|]",
                      "--alphabet", "x,y", "--semigroup", "cyclic:2")
     assert code == 2
+
+
+# -- non-integer values, pinned byte for byte --------------------------------------------------
+
+@pytest.mark.parametrize("suite", ["rb", "tensor-rb"])
+def test_check_rb_weight_half(capsys, suite):
+    code, out, _ = run(capsys, "check", "--suite", suite,
+                       "--alphabet", "x", "--semigroup", "cyclic:2",
+                       "--rb-file", RB_HALF, "--lambda", "1/2")
+    assert (code, out) == (0, "instances=36 failures=0\n")
+
+
+def test_check_rb_weight_half_counterexample(capsys, tmp_path):
+    perturbed = tmp_path / "rb-half-bad.txt"
+    text = Path(RB_HALF).read_text()
+    perturbed.write_text(text.replace("op 0 -1/2 0 0 -1/2 -1/2", "op 0 -1/2 0 0 -1/2 -1/3"))
+    code, out, _ = run(capsys, "check", "--suite", "rb",
+                       "--alphabet", "x", "--semigroup", "cyclic:2",
+                       "--rb-file", str(perturbed), "--lambda", "1/2")
+    assert code == 1
+    assert out == ("counterexample suite=rb alpha=0 beta=0 i=1 j=1 "
+                   "lhs=0 1/9 1/4 rhs=0 1/18 1/12\n")
+
+
+@pytest.mark.parametrize("functor,term,image", [
+    ("eta", "B[y;0:B[x;1:|,1:|],1:|]", "0 -1/2 0"),
+    ("epsilon", "S[y,y;0:S[x,x;1:|,1:|,1:|],1:|,0:S[y;1:|,1:|]]", "0 1/16 0"),
+])
+def test_extend_weight_half(capsys, functor, term, image):
+    code, out, _ = run(capsys, "extend", "--functor", functor,
+                       "--rb-file", RB_HALF, "--lambda", "1/2",
+                       "--map-file", MAP_HALF, term,
+                       "--alphabet", "x,y", "--semigroup", "cyclic:2")
+    assert (code, out) == (0, image + "\n")
+
+
+@pytest.mark.parametrize("command", ["check", "extend"])
+def test_repeated_dim_is_a_config_error(capsys, tmp_path, command):
+    # the operators are 3x3 but the last dim= says 2
+    redeclared = tmp_path / "rb-redim.txt"
+    redeclared.write_text(RB_K3 + "dim=2\n")
+    map_path = tmp_path / "map.txt"
+    map_path.write_text(MAP_XY)
+    common = ("--alphabet", "x,y", "--semigroup", "cyclic:2",
+              "--rb-file", str(redeclared), "--lambda", "1")
+    if command == "check":
+        code, out, err = run(capsys, "check", "--suite", "rb", *common)
+    else:
+        code, out, err = run(capsys, "extend", "--functor", "eta", *common,
+                             "--map-file", str(map_path), "B[x;1:|,1:|]")
+    assert code == 2 and out == ""
+    assert "dim=" in err

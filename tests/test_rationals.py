@@ -4,28 +4,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dendrifam.rationals import add, format_coefficient, mul, parse_coefficient
+from dendrifam.rationals import exact, parse_coefficient
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
-
-
-def test_add_examples():
-    assert add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
-    assert add(Fraction(7, 3), Fraction(0)) == Fraction(7, 3)
-    assert add(Fraction(2, 4), Fraction(0)) == Fraction(1, 2)
-
-
-def test_mul_examples():
-    assert mul(Fraction(2, 3), Fraction(3, 2)) == Fraction(1)
-    assert mul(Fraction(-5, 7), Fraction(1)) == Fraction(-5, 7)
-    assert mul(Fraction(-1, 2), Fraction(-1, 2)) == Fraction(1, 4)
 
 
 def test_canonical_form_uniqueness():
     a, b = Fraction(2, 4), Fraction(1, 2)
     assert a == b
     assert (a.numerator, a.denominator) == (b.numerator, b.denominator)
-    assert format_coefficient(a) == format_coefficient(b) == "1/2"
+    assert str(a) == str(b) == "1/2"
 
 
 @given(rationals, rationals, rationals)
@@ -62,10 +50,18 @@ def test_parse(text, value):
 
 @given(rationals)
 def test_format_parse_round_trip(a):
-    assert parse_coefficient(format_coefficient(a)) == a
+    assert parse_coefficient(str(a)) == a
 
 
 @pytest.mark.parametrize("text", ["", "x", "1.5", "1/0", "--1", "1/-2"])
 def test_parse_rejects(text):
     with pytest.raises(ValueError):
         parse_coefficient(text)
+
+
+@given(rationals)
+def test_exact_is_int_exactly_when_integral(a):
+    c = exact(a)
+    assert c == a and str(c) == str(a)
+    assert (type(c) is int) == (a.denominator == 1)
+    assert type(exact(c)) is type(c)

@@ -93,6 +93,23 @@ def test_one_entry_mutations_are_rejected(cascading, row, col):
         validate_rb_family(mutant, Z2, SAMPLE)
 
 
+def test_operator_of_the_wrong_size_is_rejected():
+    with pytest.raises(InvalidElement):
+        RBFamily(pointwise_algebra(2), ONE, {"0": cascading_sum_matrix(3, ONE)})
+    with pytest.raises(InvalidElement):
+        RBFamily(pointwise_algebra(2), ONE, {"0": ((ONE, ONE), (ONE,))})
+
+
+@pytest.mark.parametrize("structure", [
+    (((1, 0), (0, 0)), ((0, 0),)),
+    (((1, 0), (0, 0)), ((0, 0), (0, 1, 0))),
+    (((1,),), ((1,),)),
+])
+def test_structure_constants_of_the_wrong_shape_are_rejected(structure):
+    with pytest.raises(InvalidElement):
+        FiniteAlgebra(structure)
+
+
 def test_missing_operator_is_an_error(cascading):
     with pytest.raises(InvalidElement):
         cascading.apply("2", cascading.algebra.basis_vector(0))
@@ -269,6 +286,7 @@ def test_parse_rb_text():
     "dim=2\nsc 0 0 5 1\n",
     "dim=2\nop 0 1 2 3\n",
     "dim=2\nbogus line\n",
+    "dim=3\nop 0 1 0 0 0 1 0 0 0 1\ndim=2\n",
 ])
 def test_parse_rb_rejects(text):
     with pytest.raises((InvalidElement, ValueError)):
