@@ -1,15 +1,25 @@
-"""Axiom residuals, generic over any operations object.
+"""The family axioms, stated once per family as a table.
 
 An operations object supplies ``add``, ``scale``, ``zero`` and the
 products (``prec``/``succ`` indexed by a semigroup token, plus ``dot``
-for the tridendriform case; classical variants take no index).  Each
-residual is left-hand side minus right-hand side, so an axiom holds on
-an instance exactly when the residual equals ``zero()``.
+for the tridendriform case).  A table row ``(number, lhs, rhs)`` gives
+both sides of one axiom as functions of ``(ops, x, y, z, alpha, beta,
+alphabeta)``.  The tables :data:`DENDRIFORM` and :data:`TRIDENDRIFORM`
+are the single statement of the axioms: the equality test
+(:func:`hold`), the residuals (left-hand side minus right-hand side, so
+an axiom holds exactly when its residual equals ``zero()``), the
+counterexample search and the classical (index-free) axioms are all
+derived from them.  The tridendriform axioms 1-3 are the dendriform
+ones with ``dot`` added to the sum that meets the index alpha*beta; the
+classical axioms are the family axioms with the index ignored.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
+
+from .errors import AxiomFailure
 
 _MINUS_ONE = Fraction(-1)
 
@@ -18,93 +28,114 @@ def _sub(ops, a, b):
     return ops.add(a, ops.scale(_MINUS_ONE, b))
 
 
-def dendriform_family_hold(ops, x, y, z, alpha, beta, alphabeta) -> bool:
-    """Equality form of the three axioms; cheaper than building residuals."""
-    if ops.prec(ops.prec(x, y, alpha), z, beta) != \
-            ops.prec(x, ops.add(ops.prec(y, z, beta), ops.succ(y, z, alpha)), alphabeta):
-        return False
-    if ops.prec(ops.succ(x, y, alpha), z, beta) != ops.succ(x, ops.prec(y, z, beta), alpha):
-        return False
-    return ops.succ(ops.add(ops.prec(x, y, beta), ops.succ(x, y, alpha)), z, alphabeta) == \
-        ops.succ(x, ops.succ(y, z, beta), alpha)
+def _dendriform_sum(o, a, b, alpha, beta):
+    return o.add(o.prec(a, b, beta), o.succ(a, b, alpha))
 
 
-def tridendriform_family_hold(ops, x, y, z, alpha, beta, alphabeta) -> bool:
-    """Equality form of the seven axioms."""
-    if ops.prec(ops.prec(x, y, alpha), z, beta) != \
-            ops.prec(x, ops.add(ops.add(ops.prec(y, z, beta), ops.succ(y, z, alpha)),
-                                ops.dot(y, z)), alphabeta):
-        return False
-    if ops.prec(ops.succ(x, y, alpha), z, beta) != ops.succ(x, ops.prec(y, z, beta), alpha):
-        return False
-    if ops.succ(ops.add(ops.add(ops.prec(x, y, beta), ops.succ(x, y, alpha)),
-                        ops.dot(x, y)), z, alphabeta) != \
-            ops.succ(x, ops.succ(y, z, beta), alpha):
-        return False
-    if ops.dot(ops.succ(x, y, alpha), z) != ops.succ(x, ops.dot(y, z), alpha):
-        return False
-    if ops.dot(ops.prec(x, y, alpha), z) != ops.dot(x, ops.succ(y, z, alpha)):
-        return False
-    if ops.prec(ops.dot(x, y), z, alpha) != ops.dot(x, ops.prec(y, z, alpha)):
-        return False
-    return ops.dot(ops.dot(x, y), z) == ops.dot(x, ops.dot(y, z))
+def _tridendriform_sum(o, a, b, alpha, beta):
+    return o.add(_dendriform_sum(o, a, b, alpha, beta), o.dot(a, b))
 
 
-def dendriform_family_residuals(ops, x, y, z, alpha, beta, alphabeta):
-    """Residuals of the three dendriform family axioms at (x, y, z, alpha, beta)."""
-    r1 = _sub(ops,
-              ops.prec(ops.prec(x, y, alpha), z, beta),
-              ops.prec(x, ops.add(ops.prec(y, z, beta), ops.succ(y, z, alpha)), alphabeta))
-    r2 = _sub(ops,
-              ops.prec(ops.succ(x, y, alpha), z, beta),
-              ops.succ(x, ops.prec(y, z, beta), alpha))
-    r3 = _sub(ops,
-              ops.succ(ops.add(ops.prec(x, y, beta), ops.succ(x, y, alpha)), z, alphabeta),
-              ops.succ(x, ops.succ(y, z, beta), alpha))
-    return r1, r2, r3
+def _axioms_1_to_3(total):
+    """The three axioms shared by both families; ``total(o, a, b, alpha,
+    beta)`` is the sum that meets the index alpha*beta."""
+    return (
+        (1, lambda o, x, y, z, a, b, ab: o.prec(o.prec(x, y, a), z, b),
+            lambda o, x, y, z, a, b, ab: o.prec(x, total(o, y, z, a, b), ab)),
+        (2, lambda o, x, y, z, a, b, ab: o.prec(o.succ(x, y, a), z, b),
+            lambda o, x, y, z, a, b, ab: o.succ(x, o.prec(y, z, b), a)),
+        (3, lambda o, x, y, z, a, b, ab: o.succ(total(o, x, y, a, b), z, ab),
+            lambda o, x, y, z, a, b, ab: o.succ(x, o.succ(y, z, b), a)),
+    )
 
 
-def tridendriform_family_residuals(ops, x, y, z, alpha, beta, alphabeta):
-    """Residuals of the seven tridendriform family axioms."""
-    r1 = _sub(ops,
-              ops.prec(ops.prec(x, y, alpha), z, beta),
-              ops.prec(x, ops.add(ops.add(ops.prec(y, z, beta), ops.succ(y, z, alpha)),
-                                  ops.dot(y, z)), alphabeta))
-    r2 = _sub(ops,
-              ops.prec(ops.succ(x, y, alpha), z, beta),
-              ops.succ(x, ops.prec(y, z, beta), alpha))
-    r3 = _sub(ops,
-              ops.succ(ops.add(ops.add(ops.prec(x, y, beta), ops.succ(x, y, alpha)),
-                               ops.dot(x, y)), z, alphabeta),
-              ops.succ(x, ops.succ(y, z, beta), alpha))
-    r4 = _sub(ops, ops.dot(ops.succ(x, y, alpha), z), ops.succ(x, ops.dot(y, z), alpha))
-    r5 = _sub(ops, ops.dot(ops.prec(x, y, alpha), z), ops.dot(x, ops.succ(y, z, alpha)))
-    r6 = _sub(ops, ops.prec(ops.dot(x, y), z, alpha), ops.dot(x, ops.prec(y, z, alpha)))
-    r7 = _sub(ops, ops.dot(ops.dot(x, y), z), ops.dot(x, ops.dot(y, z)))
-    return r1, r2, r3, r4, r5, r6, r7
+DENDRIFORM = _axioms_1_to_3(_dendriform_sum)
+
+TRIDENDRIFORM = _axioms_1_to_3(_tridendriform_sum) + (
+    (4, lambda o, x, y, z, a, b, ab: o.dot(o.succ(x, y, a), z),
+        lambda o, x, y, z, a, b, ab: o.succ(x, o.dot(y, z), a)),
+    (5, lambda o, x, y, z, a, b, ab: o.dot(o.prec(x, y, a), z),
+        lambda o, x, y, z, a, b, ab: o.dot(x, o.succ(y, z, a))),
+    (6, lambda o, x, y, z, a, b, ab: o.prec(o.dot(x, y), z, a),
+        lambda o, x, y, z, a, b, ab: o.dot(x, o.prec(y, z, a))),
+    (7, lambda o, x, y, z, a, b, ab: o.dot(o.dot(x, y), z),
+        lambda o, x, y, z, a, b, ab: o.dot(x, o.dot(y, z))),
+)
 
 
-def classical_dendriform_residuals(ops, x, y, z):
-    """Residuals of the three classical dendriform axioms (no family index)."""
-    r1 = _sub(ops,
-              ops.prec(ops.prec(x, y), z),
-              ops.prec(x, ops.add(ops.prec(y, z), ops.succ(y, z))))
-    r2 = _sub(ops, ops.prec(ops.succ(x, y), z), ops.succ(x, ops.prec(y, z)))
-    r3 = _sub(ops,
-              ops.succ(ops.add(ops.prec(x, y), ops.succ(x, y)), z),
-              ops.succ(x, ops.succ(y, z)))
-    return r1, r2, r3
+def hold(table, *instance) -> bool:
+    """Whether every axiom holds at ``instance``, tested in table order and
+    stopping at the first failure; cheaper than building residuals."""
+    for _, lhs, rhs in table:
+        if lhs(*instance) != rhs(*instance):
+            return False
+    return True
 
 
-def classical_tridendriform_residuals(ops, x, y, z):
-    """Residuals of the seven classical tridendriform axioms."""
-    star_xy = ops.add(ops.add(ops.prec(x, y), ops.succ(x, y)), ops.dot(x, y))
-    star_yz = ops.add(ops.add(ops.prec(y, z), ops.succ(y, z)), ops.dot(y, z))
-    r1 = _sub(ops, ops.prec(ops.prec(x, y), z), ops.prec(x, star_yz))
-    r2 = _sub(ops, ops.prec(ops.succ(x, y), z), ops.succ(x, ops.prec(y, z)))
-    r3 = _sub(ops, ops.succ(star_xy, z), ops.succ(x, ops.succ(y, z)))
-    r4 = _sub(ops, ops.dot(ops.succ(x, y), z), ops.succ(x, ops.dot(y, z)))
-    r5 = _sub(ops, ops.dot(ops.prec(x, y), z), ops.dot(x, ops.succ(y, z)))
-    r6 = _sub(ops, ops.prec(ops.dot(x, y), z), ops.dot(x, ops.prec(y, z)))
-    r7 = _sub(ops, ops.dot(ops.dot(x, y), z), ops.dot(x, ops.dot(y, z)))
-    return r1, r2, r3, r4, r5, r6, r7
+def residuals(table, ops, *args) -> tuple:
+    """Left-hand side minus right-hand side of each axiom of ``table``."""
+    return tuple(_sub(ops, lhs(ops, *args), rhs(ops, *args)) for _, lhs, rhs in table)
+
+
+def first_counterexample(table, ops, elements, index_triples):
+    """First instance violating an axiom of ``table``, or None.
+
+    ``index_triples`` lists (alpha, beta, alpha*beta) index combinations;
+    the product is supplied by the caller so the operations object does
+    not need to know the semigroup.
+    """
+    zero = ops.zero()
+    for x in elements:
+        for y in elements:
+            for z in elements:
+                for alpha, beta, alphabeta in index_triples:
+                    args = (ops, x, y, z, alpha, beta, alphabeta)
+                    for number, lhs, rhs in table:
+                        residual = _sub(ops, lhs(*args), rhs(*args))
+                        if residual != zero:
+                            return {"axiom": number, "x": x, "y": y, "z": z,
+                                    "alpha": alpha, "beta": beta,
+                                    "residual": residual}
+    return None
+
+
+def validate(table, family: str, ops, elements, index_triples) -> None:
+    """Raise AxiomFailure at the first counterexample to ``table``."""
+    failure = first_counterexample(table, ops, elements, index_triples)
+    if failure is not None:
+        raise AxiomFailure(
+            f"{family} family axiom ({failure['axiom']}) fails at "
+            f"alpha={failure['alpha']} beta={failure['beta']}",
+            counterexample=failure)
+
+
+class _Unindexed:
+    """Classical (index-free) operations seen as a family that ignores its index."""
+
+    def __init__(self, ops):
+        self.ops = ops
+
+    def __getattr__(self, name):
+        # dot, add, scale and zero take no index
+        return getattr(self.ops, name)
+
+    def prec(self, a, b, _):
+        return self.ops.prec(a, b)
+
+    def succ(self, a, b, _):
+        return self.ops.succ(a, b)
+
+
+def classical_residuals(table, ops, x, y, z) -> tuple:
+    """Residuals of the classical axioms: ``table`` with the index ignored."""
+    return residuals(table, _Unindexed(ops), x, y, z, None, None, None)
+
+
+dendriform_family_hold = partial(hold, DENDRIFORM)
+tridendriform_family_hold = partial(hold, TRIDENDRIFORM)
+classical_dendriform_residuals = partial(classical_residuals, DENDRIFORM)
+classical_tridendriform_residuals = partial(classical_residuals, TRIDENDRIFORM)
+find_dendriform_counterexample = partial(first_counterexample, DENDRIFORM)
+find_tridendriform_counterexample = partial(first_counterexample, TRIDENDRIFORM)
+validate_dendriform_ops = partial(validate, DENDRIFORM, "dendriform")
+validate_tridendriform_ops = partial(validate, TRIDENDRIFORM, "tridendriform")

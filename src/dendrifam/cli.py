@@ -63,6 +63,12 @@ def _vector_text(v) -> str:
     return " ".join(str(c) for c in v)
 
 
+def _tensor_rb_text(span) -> str:
+    if span.is_zero():
+        return "0"
+    return " + ".join(f"{c}*e{i}(x){w}" for c, (i, w) in span.terms)
+
+
 class _Progress:
     def __init__(self, total: int):
         self.total = total
@@ -72,6 +78,13 @@ class _Progress:
         self.done += 1
         if self.done % _PROGRESS_EVERY == 0:
             print(f"progress {self.done}/{self.total}", file=sys.stderr)
+
+
+# kind -> (free family, axiom table, tensor construction, axiom label prefix)
+_FAMILIES = {
+    "binary": (FreeDendriformFamily, axioms.DENDRIFORM, tensor_dendriform, "dd"),
+    "schroder": (FreeTridendriformFamily, axioms.TRIDENDRIFORM, tensor_tridendriform, "td"),
+}
 
 
 def _trees_up_to(kind: str, max_leaves: int, alphabet, semigroup, max_word):
@@ -120,10 +133,7 @@ def cmd_product(args) -> int:
         raise ValueError("dot is defined on Schröder terms only")
     lhs = parse_operand(args.lhs, kind, alphabet, semigroup)
     rhs = parse_operand(args.rhs, kind, alphabet, semigroup)
-    if kind == "binary":
-        algebra = FreeDendriformFamily(alphabet, semigroup)
-    else:
-        algebra = FreeTridendriformFamily(alphabet, semigroup)
+    algebra = _FAMILIES[kind][0](alphabet, semigroup)
     if args.op == "dot":
         result = algebra.dot(lhs, rhs)
     elif args.op == "prec":
@@ -138,12 +148,9 @@ def _check_family_axioms(args, kind: str) -> int:
     alphabet, semigroup = _config(args)
     trees = _trees_up_to(kind, args.max_leaves, alphabet, semigroup, args.max_word)
     omega = semigroup.elements(args.max_word)
-    if kind == "binary":
-        algebra = FreeDendriformFamily(alphabet, semigroup)
-        names = ["ddf1", "ddf2", "ddf3"]
-    else:
-        algebra = FreeTridendriformFamily(alphabet, semigroup)
-        names = [f"tdf{i}" for i in range(1, 8)]
+    family, table, _, prefix = _FAMILIES[kind]
+    algebra = family(alphabet, semigroup)
+    names = [f"{prefix}f{number}" for number, _, _ in table]
     total = len(trees) ** 3 * len(omega) ** 2
     progress = _Progress(total)
     for t in trees:
@@ -188,31 +195,18 @@ def _rb_sample(rb: RBFamily, semigroup: Semigroup) -> list:
     return sample
 
 
-def _check_rb(args) -> int:
+def _check_rb(args, counterexample, text) -> int:
+    """The Rota-Baxter identity of the family (``rb``) or of the tensor
+    operator (``tensor-rb``); ``text`` prints a side of a counterexample."""
     _, semigroup = _config(args)
     rb = _load_rb(args)
     sample = _rb_sample(rb, semigroup)
     total = (len(sample) * rb.algebra.dim) ** 2
-    failure = rb_family_counterexample(rb, semigroup, sample)
+    failure = counterexample(rb, semigroup, sample)
     if failure is not None:
-        print(f"counterexample suite=rb alpha={failure['alpha']} "
+        print(f"counterexample suite={args.suite} alpha={failure['alpha']} "
               f"beta={failure['beta']} i={failure['i']} j={failure['j']} "
-              f"lhs={_vector_text(failure['lhs'])} rhs={_vector_text(failure['rhs'])}")
-        return EXIT_COUNTEREXAMPLE
-    print(f"instances={total} failures=0")
-    return EXIT_OK
-
-
-def _check_tensor_rb(args) -> int:
-    _, semigroup = _config(args)
-    rb = _load_rb(args)
-    sample = _rb_sample(rb, semigroup)
-    total = (len(sample) * rb.algebra.dim) ** 2
-    failure = tensor_rb_counterexample(rb, semigroup, sample)
-    if failure is not None:
-        print(f"counterexample suite=tensor-rb alpha={failure['alpha']} "
-              f"beta={failure['beta']} i={failure['i']} j={failure['j']} "
-              f"lhs={print_span(failure['lhs'])} rhs={print_span(failure['rhs'])}")
+              f"lhs={text(failure['lhs'])} rhs={text(failure['rhs'])}")
         return EXIT_COUNTEREXAMPLE
     print(f"instances={total} failures=0")
     return EXIT_OK
@@ -222,14 +216,9 @@ def _check_tensor_family(args, kind: str) -> int:
     alphabet, semigroup = _config(args)
     trees = _trees_up_to(kind, args.max_leaves, alphabet, semigroup, args.max_word)
     omega = semigroup.elements(args.max_word)
-    if kind == "binary":
-        tensor = tensor_dendriform(FreeDendriformFamily(alphabet, semigroup))
-        residual_fn = axioms.classical_dendriform_residuals
-        names = ["dd1", "dd2", "dd3"]
-    else:
-        tensor = tensor_tridendriform(FreeTridendriformFamily(alphabet, semigroup))
-        residual_fn = axioms.classical_tridendriform_residuals
-        names = [f"td{i}" for i in range(1, 8)]
+    family, table, tensor_of, prefix = _FAMILIES[kind]
+    tensor = tensor_of(family(alphabet, semigroup))
+    names = [f"{prefix}{number}" for number, _, _ in table]
     elements = [(t, w) for t in trees for w in omega]
     total = len(elements) ** 3
     progress = _Progress(total)
@@ -241,7 +230,8 @@ def _check_tensor_family(args, kind: str) -> int:
             for t3, w3 in elements:
                 z = tensor.element(t3, w3)
                 progress.tick()
-                for name, residual in zip(names, residual_fn(tensor, x, y, z)):
+                residuals = axioms.classical_residuals(table, tensor, x, y, z)
+                for name, residual in zip(names, residuals):
                     if residual != zero:
                         print(f"counterexample suite={args.suite} axiom={name} "
                               f"x={print_tree(t1)}(x){w1} y={print_tree(t2)}(x){w2} "
@@ -289,9 +279,9 @@ def cmd_check(args) -> int:
     if suite == "tridendriform":
         return _check_family_axioms(args, "schroder")
     if suite == "rb":
-        return _check_rb(args)
+        return _check_rb(args, rb_family_counterexample, _vector_text)
     if suite == "tensor-rb":
-        return _check_tensor_rb(args)
+        return _check_rb(args, tensor_rb_counterexample, _tensor_rb_text)
     if suite == "tensor-dend":
         return _check_tensor_family(args, "binary")
     if suite == "tensor-tridend":
@@ -312,15 +302,13 @@ def cmd_extend(args) -> int:
     f = {x: rb.algebra.basis_vector(i) for x, i in images.items()}
     index_triples = [(a, b, semigroup.mul(a, b)) for a in sample for b in sample]
     if args.functor == "eta":
-        from .dendriform import validate_dendriform_ops
-
         validate_rb = rb_family_counterexample(rb, semigroup, sample)
         if validate_rb is not None:
             raise AxiomFailure("the supplied family is not Rota-Baxter",
                                counterexample=validate_rb)
         ops = eta(rb)
         elements = [rb.algebra.basis_vector(i) for i in range(rb.algebra.dim)]
-        validate_dendriform_ops(ops, elements, index_triples)
+        axioms.validate_dendriform_ops(ops, elements, index_triples)
         algebra = FreeDendriformFamily(alphabet, semigroup)
         span = parse_operand(args.term, "binary", alphabet, semigroup)
     else:

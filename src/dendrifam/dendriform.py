@@ -13,122 +13,31 @@ operations take genuine semigroup elements.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Union
-
 from . import axioms
-from .basis import LEAF, Alphabet, LinComb, ZERO_SPAN, merge, normalize, span_single
-from .errors import AxiomFailure, IdentityMisuse, InvalidElement, LeafOperand
+from .axioms import find_dendriform_counterexample, validate_dendriform_ops  # noqa: F401
+from .basis import LEAF, LinComb, ZERO_SPAN, merge, span_single
 from .exprs import Expr, Gen, Prec, Succ
+from .family import FreeFamily
 from .pbtrees import BinNode, BinTree, graft_binary, single_vertex, tree_key
-from .semigroups import ExtElem, Semigroup
-
-Operand = Union[LinComb, BinNode, type(LEAF)]
+from .semigroups import ExtElem
 
 
-class FreeDendriformFamily:
+class FreeDendriformFamily(FreeFamily):
     """Spans of binary basis trees with the indexed products prec/succ.
 
     Instances also serve as a dendriform operations object (prec, succ,
     add, scale, zero), so the free algebra can be its own oracle.
     """
 
-    def __init__(self, alphabet: Alphabet, semigroup: Semigroup):
-        self.alphabet = alphabet
-        self.semigroup = semigroup
-        self._key_memo: dict = {}
-        self._prec_memo: dict = {}
-        self._succ_memo: dict = {}
+    node_type = BinNode
+    axiom_table = axioms.DENDRIFORM
+    single_vertex = staticmethod(single_vertex)
+    # re-bound in this class's namespace: the benchmark tracer wraps only a
+    # class's own methods
+    prec, succ, extend = FreeFamily.prec, FreeFamily.succ, FreeFamily.extend
 
-    # -- span plumbing --------------------------------------------------
-
-    def key(self, t: BinTree):
-        cached = self._key_memo.get(t)
-        if cached is None:
-            cached = tree_key(t, self.alphabet, self.semigroup)
-            self._key_memo[t] = cached
-        return cached
-
-    def gen(self, x: str) -> LinComb:
-        self.alphabet.index(x)
-        return span_single(single_vertex(x))
-
-    def span(self, *trees: BinNode) -> LinComb:
-        if len(trees) == 1:
-            return span_single(trees[0])
-        return normalize([(1, t) for t in trees], self.key)
-
-    def zero(self) -> LinComb:
-        return ZERO_SPAN
-
-    def add(self, *spans: LinComb) -> LinComb:
-        spans = [s for s in spans if s.map]
-        if len(spans) == 1:
-            return spans[0]
-        return LinComb.from_map(merge([s.map for s in spans]), self.key)
-
-    def scale(self, c, s: LinComb) -> LinComb:
-        return s.scaled(c)
-
-    # -- the indexed products --------------------------------------------
-
-    def _operand(self, value: Operand):
-        if isinstance(value, LinComb) or value is LEAF:
-            return value
-        if isinstance(value, BinNode):
-            return span_single(value)
-        raise TypeError(f"not a span, tree or leaf: {value!r}")
-
-    def _family_index(self, omega) -> ExtElem:
-        if isinstance(omega, ExtElem):
-            if omega.is_identity:
-                raise IdentityMisuse("the adjoined identity is not a family index")
-            token = omega.token
-        else:
-            token = omega
-        if self.semigroup.contains(token):
-            return ExtElem(token)
-        if token == "1":
-            raise IdentityMisuse("the adjoined identity is not a family index")
-        raise InvalidElement(f"{token!r} is not an element of the semigroup")
-
-    def prec(self, a: Operand, b: Operand, omega, *, strict: bool = False) -> LinComb:
-        a, b = self._operand(a), self._operand(b)
-        if a is LEAF and b is LEAF:
-            raise LeafOperand("prec needs at least one genuine span")
-        if b is LEAF:
-            if strict:
-                raise LeafOperand("leaf operand rejected in strict mode")
-            return a
-        if a is LEAF:
-            if strict:
-                raise LeafOperand("leaf operand rejected in strict mode")
-            return ZERO_SPAN
-        w = self._family_index(omega)
-        return self._bilinear(self._prec_trees, a, b, w)
-
-    def succ(self, a: Operand, b: Operand, omega, *, strict: bool = False) -> LinComb:
-        a, b = self._operand(a), self._operand(b)
-        if a is LEAF and b is LEAF:
-            raise LeafOperand("succ needs at least one genuine span")
-        if a is LEAF:
-            if strict:
-                raise LeafOperand("leaf operand rejected in strict mode")
-            return b
-        if b is LEAF:
-            if strict:
-                raise LeafOperand("leaf operand rejected in strict mode")
-            return ZERO_SPAN
-        w = self._family_index(omega)
-        return self._bilinear(self._succ_trees, a, b, w)
-
-    def _bilinear(self, product, a: LinComb, b: LinComb, *index) -> LinComb:
-        if len(a.map) == 1 and len(b.map) == 1:
-            (ta, ca), = a.map.items()
-            (tb, cb), = b.map.items()
-            return product(ta, tb, *index).scaled(ca * cb)
-        maps = [product(ta, tb, *index).scaled(ca * cb).map
-                for ta, ca in a.map.items() for tb, cb in b.map.items()]
-        return LinComb.from_map(merge(maps), self.key)
+    def tree_key(self, t: BinTree):
+        return tree_key(t, self.alphabet, self.semigroup)
 
     def _prec_trees(self, t: BinTree, u: BinTree, w: ExtElem) -> LinComb:
         assert not (t is LEAF and u is LEAF)
@@ -172,23 +81,10 @@ class FreeDendriformFamily:
         self._succ_memo[key] = result
         return result
 
-    # -- axioms ----------------------------------------------------------
-
-    def axiom_residuals(self, t: BinNode, u: BinNode, w: BinNode,
-                        alpha: str, beta: str):
-        """LHS - RHS of the three family axioms at a basis-tree instance."""
-        alphabeta = self.semigroup.mul(alpha, beta)
-        return axioms.dendriform_family_residuals(
-            self, span_single(t), span_single(u), span_single(w),
-            alpha, beta, alphabeta)
-
     def axioms_hold(self, t: BinNode, u: BinNode, w: BinNode,
                     alpha: str, beta: str) -> bool:
         """Equality form of axiom_residuals, for exhaustive sweeps."""
-        alphabeta = self.semigroup.mul(alpha, beta)
-        return axioms.dendriform_family_hold(
-            self, span_single(t), span_single(u), span_single(w),
-            alpha, beta, alphabeta)
+        return axioms.dendriform_family_hold(*self._instance(t, u, w, alpha, beta))
 
     # -- generators and the universal morphism ----------------------------
 
@@ -204,17 +100,8 @@ class FreeDendriformFamily:
                     Succ(t.left_type.token, self.express(t.left), Gen(t.dec)),
                     self.express(t.right))
 
-    def extend(self, f: Union[Mapping[str, object], Callable[[str], object]],
-               ops, operand: Operand):
-        """The universal morphism determined by the generator images ``f``.
-
-        ``ops`` must be a dendriform operations object already validated on
-        the sample it will be used on.
-        """
-        span = self._operand(operand)
-        if span is LEAF:
-            raise LeafOperand("the leaf has no image under the universal morphism")
-        lookup = f.__getitem__ if hasattr(f, "__getitem__") else f
+    def _imager(self, lookup, ops):
+        """The memoized image of a basis tree, for ``extend``."""
         memo: dict = {}
 
         def image(t: BinNode):
@@ -232,41 +119,4 @@ class FreeDendriformFamily:
             memo[t] = value
             return value
 
-        total = ops.zero()
-        for t, c in span.map.items():
-            total = ops.add(total, ops.scale(c, image(t)))
-        return total
-
-
-def find_dendriform_counterexample(ops, elements, index_triples):
-    """First instance violating the family axioms, or None.
-
-    ``index_triples`` lists (alpha, beta, alpha*beta) index combinations;
-    the product is supplied by the caller so the operations object does
-    not need to know the semigroup.
-    """
-    zero = ops.zero()
-    for x in elements:
-        for y in elements:
-            for z in elements:
-                for alpha, beta, alphabeta in index_triples:
-                    residuals = axioms.dendriform_family_residuals(
-                        ops, x, y, z, alpha, beta, alphabeta)
-                    for axiom_number, residual in enumerate(residuals, start=1):
-                        if residual != zero:
-                            return {
-                                "axiom": axiom_number,
-                                "x": x, "y": y, "z": z,
-                                "alpha": alpha, "beta": beta,
-                                "residual": residual,
-                            }
-    return None
-
-
-def validate_dendriform_ops(ops, elements, index_triples) -> None:
-    failure = find_dendriform_counterexample(ops, elements, index_triples)
-    if failure is not None:
-        raise AxiomFailure(
-            f"dendriform family axiom ({failure['axiom']}) fails at "
-            f"alpha={failure['alpha']} beta={failure['beta']}",
-            counterexample=failure)
+        return image

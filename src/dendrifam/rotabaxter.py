@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
+from .axioms import validate_tridendriform_ops
 from .basis import LinComb, ZERO_SPAN, merge, normalize
 from .errors import AxiomFailure, InvalidElement
 from .rationals import exact, parse_coefficient
@@ -289,8 +290,6 @@ def epsilon(rb: RBFamily, semigroup: Semigroup, sample: Iterable[str]) -> Epsilo
     sampled index pairs before the structure is handed out; a failure
     signals a wrong formula choice and raises AxiomFailure.
     """
-    from .tridendriform import validate_tridendriform_ops
-
     ops = EpsilonOps(rb)
     sample = list(sample)
     elements = [rb.algebra.basis_vector(i) for i in range(rb.algebra.dim)]
@@ -299,7 +298,21 @@ def epsilon(rb: RBFamily, semigroup: Semigroup, sample: Iterable[str]) -> Epsilo
     return ops
 
 
-class TensorRB:
+class _PairSpans:
+    """Vector-space operations on spans of (basis element, semigroup element)
+    pairs, ordered by ``_key``."""
+
+    def zero(self) -> LinComb:
+        return ZERO_SPAN
+
+    def add(self, *spans: LinComb) -> LinComb:
+        return LinComb.from_map(merge([s.map for s in spans]), self._key)
+
+    def scale(self, c: Fraction, s: LinComb) -> LinComb:
+        return s.scaled(c)
+
+
+class TensorRB(_PairSpans):
     """The single Rota-Baxter operator P(x (x) w) = P_w(x) (x) w on spans of
     (basis index, semigroup element) pairs."""
 
@@ -313,15 +326,6 @@ class TensorRB:
 
     def basis(self, i: int, omega: str) -> LinComb:
         return normalize([(1, (i, omega))], self._key)
-
-    def zero(self) -> LinComb:
-        return ZERO_SPAN
-
-    def add(self, *spans: LinComb) -> LinComb:
-        return LinComb.from_map(merge([s.map for s in spans]), self._key)
-
-    def scale(self, c: Fraction, s: LinComb) -> LinComb:
-        return s.scaled(c)
 
     def mul(self, u: LinComb, v: LinComb) -> LinComb:
         alg = self.rb.algebra
@@ -379,7 +383,7 @@ def tensor_rb(rb: RBFamily, semigroup: Semigroup, sample: Iterable[str]) -> Tens
     return TensorRB(rb, semigroup)
 
 
-class TensorDendriform:
+class TensorDendriform(_PairSpans):
     """Classical (index-free) dendriform products on spans of
     (binary tree, semigroup element) pairs over the free family algebra:
     (x (x) a) prec (y (x) b) = (x prec_b y) (x) ab, and mirrored for succ."""
@@ -396,30 +400,23 @@ class TensorDendriform:
         self.semigroup.require(omega)
         return normalize([(1, (tree, omega))], self._key)
 
-    def zero(self) -> LinComb:
-        return ZERO_SPAN
-
-    def add(self, *spans: LinComb) -> LinComb:
-        return LinComb.from_map(merge([s.map for s in spans]), self._key)
-
-    def scale(self, c: Fraction, s: LinComb) -> LinComb:
-        return s.scaled(c)
-
-    def _combine(self, product_trees, u: LinComb, v: LinComb, use_left_index: bool):
+    def _lift(self, kernel, u: LinComb, v: LinComb, side=None) -> LinComb:
+        """(x (x) a) * (y (x) b) = kernel(x, y) (x) ab, extended bilinearly;
+        the kernel is indexed by a (``side=0``), by b (``side=1``) or not at all."""
         pairs = []
         for (t1, a), cu in u.map.items():
             for (t2, b), cv in v.map.items():
                 ab = self.semigroup.mul(a, b)
-                index = ExtElem(a if use_left_index else b)
-                inner = product_trees(t1, t2, index)
+                index = () if side is None else (ExtElem((a, b)[side]),)
+                inner = kernel(t1, t2, *index)
                 pairs.extend((cu * cv * cs, (s, ab)) for s, cs in inner.map.items())
         return normalize(pairs, self._key)
 
     def prec(self, u: LinComb, v: LinComb) -> LinComb:
-        return self._combine(self.family._prec_trees, u, v, use_left_index=False)
+        return self._lift(self.family._prec_trees, u, v, side=1)
 
     def succ(self, u: LinComb, v: LinComb) -> LinComb:
-        return self._combine(self.family._succ_trees, u, v, use_left_index=True)
+        return self._lift(self.family._succ_trees, u, v, side=0)
 
 
 class TensorTridendriform(TensorDendriform):
@@ -427,13 +424,7 @@ class TensorTridendriform(TensorDendriform):
     adding (x (x) a) . (y (x) b) = (x . y) (x) ab."""
 
     def dot(self, u: LinComb, v: LinComb) -> LinComb:
-        pairs = []
-        for (t1, a), cu in u.map.items():
-            for (t2, b), cv in v.map.items():
-                ab = self.semigroup.mul(a, b)
-                inner = self.family._dot_trees(t1, t2)
-                pairs.extend((cu * cv * cs, (s, ab)) for s, cs in inner.map.items())
-        return normalize(pairs, self._key)
+        return self._lift(self.family._dot_trees, u, v)
 
 
 def tensor_dendriform(family) -> TensorDendriform:
@@ -477,16 +468,22 @@ def parse_rb_text(text: str):
             i, j, k = (int(p) for p in parts[1:4])
             if not all(0 <= v < dim for v in (i, j, k)):
                 raise InvalidElement(f"basis index out of range: {raw!r}")
+            if (i, j, k) in constants:
+                raise InvalidElement(
+                    f"structure constant {i} {j} {k} may be declared only once")
             constants[(i, j, k)] = parse_coefficient(parts[4])
             continue
         if parts[0] == "op":
             if dim is None:
                 raise InvalidElement("dim= must precede op lines")
+            omega = parts[1] if len(parts) > 1 else ""
             if len(parts) != 2 + dim * dim:
                 raise InvalidElement(
-                    f"operator for {parts[1]!r} needs {dim * dim} entries")
+                    f"operator for {omega!r} needs {dim * dim} entries")
+            if omega in operators:
+                raise InvalidElement(f"operator for {omega!r} may be declared only once")
             values = [parse_coefficient(p) for p in parts[2:]]
-            operators[parts[1]] = tuple(
+            operators[omega] = tuple(
                 tuple(values[r * dim + c] for c in range(dim)) for r in range(dim))
             continue
         raise InvalidElement(f"unrecognised line in algebra file: {raw!r}")

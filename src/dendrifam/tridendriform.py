@@ -10,131 +10,36 @@ at that fuse).
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Union
-
 from . import axioms
-from .basis import LEAF, Alphabet, LinComb, ZERO_SPAN, merge, normalize, span_single
-from .errors import AxiomFailure, IdentityMisuse, InvalidElement, LeafOperand
+from .axioms import find_tridendriform_counterexample, validate_tridendriform_ops  # noqa: F401
+from .basis import LEAF, LinComb, ZERO_SPAN, merge, span_single
 from .exprs import Dot, Expr, Gen, Prec, Succ
+from .family import FreeFamily
 from .schroder import SchNode, SchTree, intern_node, single_vertex, tree_key
-from .semigroups import ExtElem, IDENTITY, Semigroup
-
-Operand = Union[LinComb, SchNode, type(LEAF)]
+from .semigroups import ExtElem, IDENTITY
 
 
-class FreeTridendriformFamily:
+class FreeTridendriformFamily(FreeFamily):
     """Spans of Schröder basis trees with prec/succ indexed by the semigroup
     and the middle product dot.  Doubles as a tridendriform operations object.
     """
 
-    def __init__(self, alphabet: Alphabet, semigroup: Semigroup):
-        self.alphabet = alphabet
-        self.semigroup = semigroup
-        self._key_memo: dict = {}
-        self._prec_memo: dict = {}
-        self._succ_memo: dict = {}
+    node_type = SchNode
+    axiom_table = axioms.TRIDENDRIFORM
+    single_vertex = staticmethod(single_vertex)
+    # re-bound in this class's namespace: the benchmark tracer wraps only a
+    # class's own methods
+    prec, succ, extend = FreeFamily.prec, FreeFamily.succ, FreeFamily.extend
+
+    def __init__(self, alphabet, semigroup):
+        super().__init__(alphabet, semigroup)
         self._dot_memo: dict = {}
 
-    # -- span plumbing --------------------------------------------------
+    def tree_key(self, t: SchTree):
+        return tree_key(t, self.alphabet, self.semigroup)
 
-    def key(self, t: SchTree):
-        cached = self._key_memo.get(t)
-        if cached is None:
-            cached = tree_key(t, self.alphabet, self.semigroup)
-            self._key_memo[t] = cached
-        return cached
-
-    def gen(self, x: str) -> LinComb:
-        self.alphabet.index(x)
-        return span_single(single_vertex(x))
-
-    def span(self, *trees: SchNode) -> LinComb:
-        if len(trees) == 1:
-            return span_single(trees[0])
-        return normalize([(1, t) for t in trees], self.key)
-
-    def zero(self) -> LinComb:
-        return ZERO_SPAN
-
-    def add(self, *spans: LinComb) -> LinComb:
-        spans = [s for s in spans if s.map]
-        if len(spans) == 1:
-            return spans[0]
-        return LinComb.from_map(merge([s.map for s in spans]), self.key)
-
-    def scale(self, c, s: LinComb) -> LinComb:
-        return s.scaled(c)
-
-    def _operand(self, value: Operand):
-        if isinstance(value, LinComb) or value is LEAF:
-            return value
-        if isinstance(value, SchNode):
-            return span_single(value)
-        raise TypeError(f"not a span, tree or leaf: {value!r}")
-
-    def _family_index(self, omega) -> ExtElem:
-        if isinstance(omega, ExtElem):
-            if omega.is_identity:
-                raise IdentityMisuse("the adjoined identity is not a family index")
-            token = omega.token
-        else:
-            token = omega
-        if self.semigroup.contains(token):
-            return ExtElem(token)
-        if token == "1":
-            raise IdentityMisuse("the adjoined identity is not a family index")
-        raise InvalidElement(f"{token!r} is not an element of the semigroup")
-
-    # -- the three products ----------------------------------------------
-
-    def prec(self, a: Operand, b: Operand, omega, *, strict: bool = False) -> LinComb:
-        a, b = self._operand(a), self._operand(b)
-        if a is LEAF and b is LEAF:
-            raise LeafOperand("prec needs at least one genuine span")
-        if b is LEAF:
-            if strict:
-                raise LeafOperand("leaf operand rejected in strict mode")
-            return a
-        if a is LEAF:
-            if strict:
-                raise LeafOperand("leaf operand rejected in strict mode")
-            return ZERO_SPAN
-        w = self._family_index(omega)
-        return self._bilinear(self._prec_trees, a, b, w)
-
-    def succ(self, a: Operand, b: Operand, omega, *, strict: bool = False) -> LinComb:
-        a, b = self._operand(a), self._operand(b)
-        if a is LEAF and b is LEAF:
-            raise LeafOperand("succ needs at least one genuine span")
-        if a is LEAF:
-            if strict:
-                raise LeafOperand("leaf operand rejected in strict mode")
-            return b
-        if b is LEAF:
-            if strict:
-                raise LeafOperand("leaf operand rejected in strict mode")
-            return ZERO_SPAN
-        w = self._family_index(omega)
-        return self._bilinear(self._succ_trees, a, b, w)
-
-    def dot(self, a: Operand, b: Operand, *, strict: bool = False) -> LinComb:
-        a, b = self._operand(a), self._operand(b)
-        if a is LEAF and b is LEAF:
-            raise LeafOperand("dot needs at least one genuine span")
-        if a is LEAF or b is LEAF:
-            if strict:
-                raise LeafOperand("leaf operand rejected in strict mode")
-            return ZERO_SPAN
-        return self._bilinear(self._dot_trees, a, b)
-
-    def _bilinear(self, product, a: LinComb, b: LinComb, *index) -> LinComb:
-        if len(a.map) == 1 and len(b.map) == 1:
-            (ta, ca), = a.map.items()
-            (tb, cb), = b.map.items()
-            return product(ta, tb, *index).scaled(ca * cb)
-        maps = [product(ta, tb, *index).scaled(ca * cb).map
-                for ta, ca in a.map.items() for tb, cb in b.map.items()]
-        return LinComb.from_map(merge(maps), self.key)
+    def dot(self, a, b, *, strict: bool = False) -> LinComb:
+        return self._product("dot", self._dot_trees, a, b, strict)
 
     def _prec_trees(self, t: SchTree, u: SchTree, w: ExtElem) -> LinComb:
         assert not (t is LEAF and u is LEAF)
@@ -206,23 +111,10 @@ class FreeTridendriformFamily:
         self._dot_memo[key] = result
         return result
 
-    # -- axioms ------------------------------------------------------------
-
-    def axiom_residuals(self, t: SchNode, u: SchNode, w: SchNode,
-                        alpha: str, beta: str):
-        """LHS - RHS of the seven family axioms at a basis-tree instance."""
-        alphabeta = self.semigroup.mul(alpha, beta)
-        return axioms.tridendriform_family_residuals(
-            self, span_single(t), span_single(u), span_single(w),
-            alpha, beta, alphabeta)
-
     def axioms_hold(self, t: SchNode, u: SchNode, w: SchNode,
                     alpha: str, beta: str) -> bool:
         """Equality form of axiom_residuals, for exhaustive sweeps."""
-        alphabeta = self.semigroup.mul(alpha, beta)
-        return axioms.tridendriform_family_hold(
-            self, span_single(t), span_single(u), span_single(w),
-            alpha, beta, alphabeta)
+        return axioms.tridendriform_family_hold(*self._instance(t, u, w, alpha, beta))
 
     # -- generators and the universal morphism ------------------------------
 
@@ -255,13 +147,8 @@ class FreeTridendriformFamily:
             expr = Dot(expr, factor)
         return expr
 
-    def extend(self, f: Union[Mapping[str, object], Callable[[str], object]],
-               ops, operand: Operand):
-        """The universal morphism determined by the generator images ``f``."""
-        span = self._operand(operand)
-        if span is LEAF:
-            raise LeafOperand("the leaf has no image under the universal morphism")
-        lookup = f.__getitem__ if hasattr(f, "__getitem__") else f
+    def _imager(self, lookup, ops):
+        """The memoized image of a basis tree, for ``extend``."""
         memo: dict = {}
 
         def breadth2(x, pair0, pair1):
@@ -288,10 +175,7 @@ class FreeTridendriformFamily:
             memo[t] = value
             return value
 
-        total = ops.zero()
-        for t, c in span.map.items():
-            total = ops.add(total, ops.scale(c, image(t)))
-        return total
+        return image
 
 
 class GammaOps:
@@ -320,32 +204,3 @@ class GammaOps:
 def gamma(tri_ops) -> GammaOps:
     """The forgetful construction from tridendriform to dendriform structure."""
     return GammaOps(tri_ops)
-
-
-def find_tridendriform_counterexample(ops, elements, index_triples):
-    """First instance violating the seven family axioms, or None."""
-    zero = ops.zero()
-    for x in elements:
-        for y in elements:
-            for z in elements:
-                for alpha, beta, alphabeta in index_triples:
-                    residuals = axioms.tridendriform_family_residuals(
-                        ops, x, y, z, alpha, beta, alphabeta)
-                    for axiom_number, residual in enumerate(residuals, start=1):
-                        if residual != zero:
-                            return {
-                                "axiom": axiom_number,
-                                "x": x, "y": y, "z": z,
-                                "alpha": alpha, "beta": beta,
-                                "residual": residual,
-                            }
-    return None
-
-
-def validate_tridendriform_ops(ops, elements, index_triples) -> None:
-    failure = find_tridendriform_counterexample(ops, elements, index_triples)
-    if failure is not None:
-        raise AxiomFailure(
-            f"tridendriform family axiom ({failure['axiom']}) fails at "
-            f"alpha={failure['alpha']} beta={failure['beta']}",
-            counterexample=failure)

@@ -341,6 +341,19 @@ def test_check_rb_weight_half_counterexample(capsys, tmp_path):
                    "lhs=0 1/9 1/4 rhs=0 1/18 1/12\n")
 
 
+def test_check_tensor_rb_weight_half_counterexample(capsys, tmp_path):
+    perturbed = tmp_path / "rb-half-bad.txt"
+    text = Path(RB_HALF).read_text()
+    perturbed.write_text(text.replace("op 0 -1/2 0 0", "op 0 -1/3 0 0"))
+    code, out, _ = run(capsys, "check", "--suite", "tensor-rb",
+                       "--alphabet", "x", "--semigroup", "cyclic:2",
+                       "--rb-file", str(perturbed), "--lambda", "1/2")
+    assert code == 1
+    assert out == ("counterexample suite=tensor-rb alpha=0 beta=0 i=0 j=0 "
+                   "lhs=1/9*e0(x)0 + 1/4*e1(x)0 + 1/4*e2(x)0 "
+                   "rhs=1/18*e0(x)0 + 1/12*e1(x)0 + 1/12*e2(x)0\n")
+
+
 @pytest.mark.parametrize("functor,term,image", [
     ("eta", "B[y;0:B[x;1:|,1:|],1:|]", "0 -1/2 0"),
     ("epsilon", "S[y,y;0:S[x,x;1:|,1:|,1:|],1:|,0:S[y;1:|,1:|]]", "0 1/16 0"),
@@ -369,3 +382,13 @@ def test_repeated_dim_is_a_config_error(capsys, tmp_path, command):
                              "--map-file", str(map_path), "B[x;1:|,1:|]")
     assert code == 2 and out == ""
     assert "dim=" in err
+
+
+def test_repeated_operator_is_a_config_error(capsys, tmp_path):
+    # without the second op line, 5 is reported as a counterexample
+    redeclared = tmp_path / "rb-reop.txt"
+    redeclared.write_text("dim=1\nsc 0 0 0 1\nop 0 5\nop 0 -1\n")
+    code, out, err = run(capsys, "check", "--suite", "rb", "--alphabet", "x",
+                         "--semigroup", "cyclic:2", "--rb-file", str(redeclared))
+    assert code == 2 and out == ""
+    assert "declared only once" in err

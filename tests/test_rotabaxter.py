@@ -287,6 +287,9 @@ def test_parse_rb_text():
     "dim=2\nop 0 1 2 3\n",
     "dim=2\nbogus line\n",
     "dim=3\nop 0 1 0 0 0 1 0 0 0 1\ndim=2\n",
+    "dim=1\nsc 0 0 0 1\nop 0 5\nop 0 -1\n",
+    "dim=1\nsc 0 0 0 1\nsc 0 0 0 2\n",
+    "dim=1\nop\n",
 ])
 def test_parse_rb_rejects(text):
     with pytest.raises((InvalidElement, ValueError)):
