@@ -7,7 +7,7 @@ from .dendriform import FreeDendriformFamily
 from .pbtrees import BinNode, enumerate_bin, graft_binary
 from .rotabaxter import FiniteAlgebra, RBFamily, epsilon, eta, tensor_rb
 from .schroder import SchNode, enumerate_sch, graft_nary
-from .semigroups import IDENTITY, ExtElem, Semigroup
+from .semigroups import IDENTITY, Semigroup
 from .termio import parse_span, parse_tree, print_span, print_tree
 from .tridendriform import FreeTridendriformFamily, gamma
 
@@ -17,6 +17,6 @@ __all__ = [
     "BinNode", "SchNode", "graft_binary", "graft_nary",
     "enumerate_bin", "enumerate_sch",
     "FiniteAlgebra", "RBFamily", "eta", "epsilon", "gamma", "tensor_rb",
-    "IDENTITY", "ExtElem", "Semigroup",
+    "IDENTITY", "Semigroup",
     "parse_tree", "parse_span", "print_tree", "print_span",
 ]

@@ -19,7 +19,7 @@ from .basis import LEAF, LinComb, ZERO_SPAN, merge, span_single
 from .exprs import Expr, Gen, Prec, Succ
 from .family import FreeFamily
 from .pbtrees import BinNode, BinTree, graft_binary, single_vertex, tree_key
-from .semigroups import ExtElem
+from .semigroups import IDENTITY
 
 
 class FreeDendriformFamily(FreeFamily):
@@ -39,7 +39,7 @@ class FreeDendriformFamily(FreeFamily):
     def tree_key(self, t: BinTree):
         return tree_key(t, self.alphabet, self.semigroup)
 
-    def _prec_trees(self, t: BinTree, u: BinTree, w: ExtElem) -> LinComb:
+    def _prec_trees(self, t: BinTree, u: BinTree, w: str) -> LinComb:
         assert not (t is LEAF and u is LEAF)
         if u is LEAF:
             return span_single(t)
@@ -49,7 +49,7 @@ class FreeDendriformFamily(FreeFamily):
         cached = self._prec_memo.get(key)
         if cached is not None:
             return cached
-        assert not w.is_identity
+        assert w is not IDENTITY
         inner = merge((self._prec_trees(t.right, u, w).map,
                        self._succ_trees(t.right, u, t.right_type).map))
         # grafting under a fixed context is injective, so the grafted map
@@ -61,7 +61,7 @@ class FreeDendriformFamily(FreeFamily):
         self._prec_memo[key] = result
         return result
 
-    def _succ_trees(self, t: BinTree, u: BinTree, w: ExtElem) -> LinComb:
+    def _succ_trees(self, t: BinTree, u: BinTree, w: str) -> LinComb:
         assert not (t is LEAF and u is LEAF)
         if t is LEAF:
             return span_single(u)
@@ -71,7 +71,7 @@ class FreeDendriformFamily(FreeFamily):
         cached = self._succ_memo.get(key)
         if cached is not None:
             return cached
-        assert not w.is_identity
+        assert w is not IDENTITY
         inner = merge((self._prec_trees(t, u.left, u.left_type).map,
                        self._succ_trees(t, u.left, w).map))
         dec, a2, right = u.dec, u.right_type, u.right
@@ -93,11 +93,11 @@ class FreeDendriformFamily(FreeFamily):
         if t.left is LEAF and t.right is LEAF:
             return Gen(t.dec)
         if t.left is LEAF:
-            return Prec(t.right_type.token, Gen(t.dec), self.express(t.right))
+            return Prec(t.right_type, Gen(t.dec), self.express(t.right))
         if t.right is LEAF:
-            return Succ(t.left_type.token, self.express(t.left), Gen(t.dec))
-        return Prec(t.right_type.token,
-                    Succ(t.left_type.token, self.express(t.left), Gen(t.dec)),
+            return Succ(t.left_type, self.express(t.left), Gen(t.dec))
+        return Prec(t.right_type,
+                    Succ(t.left_type, self.express(t.left), Gen(t.dec)),
                     self.express(t.right))
 
     def _imager(self, lookup, ops):
@@ -110,12 +110,12 @@ class FreeDendriformFamily(FreeFamily):
             if t.left is LEAF and t.right is LEAF:
                 value = lookup(t.dec)
             elif t.left is LEAF:
-                value = ops.prec(lookup(t.dec), image(t.right), t.right_type.token)
+                value = ops.prec(lookup(t.dec), image(t.right), t.right_type)
             elif t.right is LEAF:
-                value = ops.succ(image(t.left), lookup(t.dec), t.left_type.token)
+                value = ops.succ(image(t.left), lookup(t.dec), t.left_type)
             else:
-                value = ops.prec(ops.succ(image(t.left), lookup(t.dec), t.left_type.token),
-                                 image(t.right), t.right_type.token)
+                value = ops.prec(ops.succ(image(t.left), lookup(t.dec), t.left_type),
+                                 image(t.right), t.right_type)
             memo[t] = value
             return value
 

@@ -24,7 +24,7 @@ from typing import Callable, Mapping, Union
 from . import axioms
 from .basis import LEAF, LinComb, ZERO_SPAN, merge, normalize, span_single
 from .errors import IdentityMisuse, InvalidElement, LeafOperand
-from .semigroups import ExtElem
+from .semigroups import IDENTITY
 
 
 class FreeFamily:
@@ -83,18 +83,13 @@ class FreeFamily:
             return span_single(value)
         raise TypeError(f"not a span, tree or leaf: {value!r}")
 
-    def _family_index(self, omega) -> ExtElem:
-        if isinstance(omega, ExtElem):
-            if omega.is_identity:
-                raise IdentityMisuse("the adjoined identity is not a family index")
-            token = omega.token
-        else:
-            token = omega
-        if self.semigroup.contains(token):
-            return ExtElem(token)
-        if token == "1":
-            raise IdentityMisuse("the adjoined identity is not a family index")
-        raise InvalidElement(f"{token!r} is not an element of the semigroup")
+    def _family_index(self, omega) -> str:
+        if omega is not IDENTITY:
+            if self.semigroup.contains(omega):
+                return omega
+            if omega != "1":
+                raise InvalidElement(f"{omega!r} is not an element of the semigroup")
+        raise IdentityMisuse("the adjoined identity is not a family index")
 
     def prec(self, a, b, omega, *, strict: bool = False) -> LinComb:
         return self._product("prec", self._prec_trees, a, b, strict, omega, unit=1)

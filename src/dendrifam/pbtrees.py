@@ -2,8 +2,13 @@
 family algebra.
 
 Every internal vertex carries one decoration symbol; every edge carries
-an element of the extended monoid, with the invariant that an edge is
-typed by the identity exactly when the child below it is a leaf.
+an element of the extended monoid (a semigroup token, or
+:data:`~dendrifam.semigroups.IDENTITY`), with the invariant that an
+edge is typed by the identity exactly when the child below it is a leaf.
+
+Trees are hash-consed: structurally equal trees are the same object,
+kept in the module table ``_INTERNED``, so trees compare and hash by
+identity.
 """
 
 from __future__ import annotations
@@ -14,63 +19,47 @@ from typing import Optional, Union
 
 from .basis import LEAF, Alphabet, Leaf
 from .errors import InfiniteSemigroup, TypingViolation
-from .semigroups import IDENTITY, ExtElem, Semigroup
+from .semigroups import IDENTITY, Semigroup
 
 BinTree = Union[Leaf, "BinNode"]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False, slots=True)
 class BinNode:
-    """Internal vertex with a decorated symbol and two typed children."""
+    """Internal vertex with a decorated symbol and two typed children.
+
+    Hash-consed: ``BinNode(...)`` returns the one node with these fields,
+    checking the typing only when it is first made, so equality and
+    hashing are those of the object.
+    """
 
     dec: str
-    left_type: ExtElem
+    left_type: object
     left: BinTree
-    right_type: ExtElem
+    right_type: object
     right: BinTree
 
-    def __post_init__(self):
-        if self.left_type.is_identity != (self.left is LEAF):
-            raise TypingViolation(
-                f"left edge {self.left_type} inconsistent with child {self.left!r}")
-        if self.right_type.is_identity != (self.right is LEAF):
-            raise TypingViolation(
-                f"right edge {self.right_type} inconsistent with child {self.right!r}")
-        object.__setattr__(self, "_hash", hash(
-            (self.dec, self.left_type, self.left, self.right_type, self.right)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, BinNode):
-            return NotImplemented
-        return (self._hash == other._hash
-                and self.dec == other.dec
-                and self.left_type == other.left_type
-                and self.right_type == other.right_type
-                and self.left == other.left
-                and self.right == other.right)
+    def __new__(cls, dec, left_type, left, right_type, right):
+        key = (dec, left_type, left, right_type, right)
+        node = _INTERNED.get(key)
+        if node is None:
+            if (left_type is IDENTITY) != (left is LEAF):
+                raise TypingViolation(f"left edge {left_type} inconsistent with child {left!r}")
+            if (right_type is IDENTITY) != (right is LEAF):
+                raise TypingViolation(
+                    f"right edge {right_type} inconsistent with child {right!r}")
+            node = _INTERNED[key] = object.__new__(cls)
+            for name, value in zip(cls.__slots__, key):  # the fields, in order
+                object.__setattr__(node, name, value)
+        return node
 
 
 _INTERNED: dict = {}
 
 
-def graft_binary(left: BinTree, dec: str, left_type: ExtElem,
-                 right_type: ExtElem, right: BinTree) -> BinNode:
-    """Join two trees under a fresh decorated vertex via two typed edges.
-
-    Structurally equal trees are shared, which keeps the memoised product
-    recursions and span normalization cheap.
-    """
-    key = (dec, left_type, left, right_type, right)
-    node = _INTERNED.get(key)
-    if node is None:
-        node = BinNode(dec, left_type, left, right_type, right)
-        _INTERNED[key] = node
-    return node
+def graft_binary(left: BinTree, dec: str, left_type, right_type, right: BinTree) -> BinNode:
+    """Join two trees under a fresh decorated vertex via two typed edges."""
+    return BinNode(dec, left_type, left, right_type, right)
 
 
 def single_vertex(dec: str) -> BinNode:
@@ -122,7 +111,7 @@ def enumerate_bin(n: int, alphabet: Alphabet, semigroup: Semigroup,
         raise ValueError("basis trees need at least one internal vertex")
     if not semigroup.is_finite and max_word is None:
         raise InfiniteSemigroup("cannot enumerate trees over an infinite semigroup")
-    omega = [ExtElem(a) for a in semigroup.elements(max_word)]
+    omega = semigroup.elements(max_word)
     memo: dict[int, list[BinTree]] = {0: [LEAF]}
 
     def build(size: int) -> list[BinTree]:

@@ -29,7 +29,7 @@ from .axioms import validate_tridendriform_ops
 from .basis import LinComb, ZERO_SPAN, merge, normalize
 from .errors import AxiomFailure, InvalidElement
 from .rationals import exact, parse_coefficient
-from .semigroups import ExtElem, Semigroup
+from .semigroups import Semigroup
 
 Coordinate = Union[int, Fraction]
 Vector = Tuple[Coordinate, ...]
@@ -407,7 +407,7 @@ class TensorDendriform(_PairSpans):
         for (t1, a), cu in u.map.items():
             for (t2, b), cv in v.map.items():
                 ab = self.semigroup.mul(a, b)
-                index = () if side is None else (ExtElem((a, b)[side]),)
+                index = () if side is None else ((a, b)[side],)
                 inner = kernel(t1, t2, *index)
                 pairs.extend((cu * cv * cs, (s, ab)) for s, cs in inner.map.items())
         return normalize(pairs, self._key)
@@ -514,6 +514,8 @@ def parse_map_text(text: str, dim: int) -> dict:
         symbol, index = parts[0], int(parts[1])
         if not 0 <= index < dim:
             raise InvalidElement(f"basis index out of range: {raw!r}")
+        if symbol in images:
+            raise InvalidElement(f"image of {symbol!r} may be declared only once")
         images[symbol] = index
     if not images:
         raise InvalidElement("map file declares no generator images")

@@ -4,6 +4,8 @@ tridendriform family algebra.
 An internal vertex of arity k+1 carries k decoration symbols and k+1
 typed edges to its children, ordered left to right.  Edge typing obeys
 the same invariant as for binary trees: identity type iff leaf child.
+Trees are hash-consed in the module table ``_INTERNED``, as binary
+trees are, so equal trees are the same object.
 """
 
 from __future__ import annotations
@@ -15,42 +17,39 @@ from typing import Optional, Sequence, Tuple, Union
 from .basis import LEAF, Alphabet, Leaf
 from .errors import ArityMismatch, InfiniteSemigroup, TypingViolation
 from .pbtrees import graft_binary
-from .semigroups import IDENTITY, ExtElem, Semigroup
+from .semigroups import IDENTITY, Semigroup
 
 SchTree = Union[Leaf, "SchNode"]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False, slots=True)
 class SchNode:
-    """Internal vertex: k decorations and k+1 (edge type, child) pairs, k >= 1."""
+    """Internal vertex: k decorations and k+1 (edge type, child) pairs, k >= 1.
+
+    Hash-consed like :class:`~dendrifam.pbtrees.BinNode`: ``SchNode(...)``
+    returns the one node with these fields, checked when first made.
+    """
 
     decs: Tuple[str, ...]
-    children: Tuple[Tuple[ExtElem, SchTree], ...]
+    children: Tuple[Tuple[object, SchTree], ...]
 
-    def __post_init__(self):
-        if len(self.decs) < 1:
-            raise ArityMismatch("a vertex needs at least one decoration")
-        if len(self.children) != len(self.decs) + 1:
-            raise ArityMismatch(
-                f"{len(self.decs)} decorations require {len(self.decs) + 1} children, "
-                f"got {len(self.children)}")
-        for etype, child in self.children:
-            if etype.is_identity != (child is LEAF):
-                raise TypingViolation(
-                    f"edge {etype} inconsistent with child {child!r}")
-        object.__setattr__(self, "_hash", hash((self.decs, self.children)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, SchNode):
-            return NotImplemented
-        return (self._hash == other._hash
-                and self.decs == other.decs
-                and self.children == other.children)
+    def __new__(cls, decs, children):
+        key = (decs, children)
+        node = _INTERNED.get(key)
+        if node is None:
+            if len(decs) < 1:
+                raise ArityMismatch("a vertex needs at least one decoration")
+            if len(children) != len(decs) + 1:
+                raise ArityMismatch(
+                    f"{len(decs)} decorations require {len(decs) + 1} children, "
+                    f"got {len(children)}")
+            for etype, child in children:
+                if (etype is IDENTITY) != (child is LEAF):
+                    raise TypingViolation(f"edge {etype} inconsistent with child {child!r}")
+            node = _INTERNED[key] = object.__new__(cls)
+            object.__setattr__(node, "decs", decs)
+            object.__setattr__(node, "children", children)
+        return node
 
     @property
     def arity(self) -> int:
@@ -60,18 +59,13 @@ class SchNode:
 _INTERNED: dict = {}
 
 
-def intern_node(decs: Tuple[str, ...], children: Tuple[Tuple[ExtElem, SchTree], ...]) -> SchNode:
-    """Construct a vertex, sharing structurally equal trees."""
-    key = (decs, children)
-    node = _INTERNED.get(key)
-    if node is None:
-        node = SchNode(decs, children)
-        _INTERNED[key] = node
-    return node
+def intern_node(decs: Tuple[str, ...], children: Tuple[Tuple[object, SchTree], ...]) -> SchNode:
+    """Construct a vertex; structurally equal trees are one object."""
+    return SchNode(decs, children)
 
 
 def graft_nary(children: Sequence[SchTree], decs: Sequence[str],
-               types: Sequence[ExtElem]) -> SchNode:
+               types: Sequence) -> SchNode:
     """Join k+1 trees under a fresh vertex decorated by k symbols."""
     children = tuple(children)
     types = tuple(types)
@@ -140,7 +134,7 @@ def enumerate_sch(n: int, alphabet: Alphabet, semigroup: Semigroup,
         raise ValueError("basis trees need at least two leaves")
     if not semigroup.is_finite and max_word is None:
         raise InfiniteSemigroup("cannot enumerate trees over an infinite semigroup")
-    omega = [ExtElem(a) for a in semigroup.elements(max_word)]
+    omega = semigroup.elements(max_word)
     symbols = list(alphabet)
     memo: dict[int, list[SchTree]] = {0: [LEAF]}
 

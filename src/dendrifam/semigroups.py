@@ -8,16 +8,17 @@ Three kinds of semigroup are supported:
 * ``cyclic`` -- integers 0..n-1 under addition mod n;
 * ``table``  -- an explicit finite Cayley table.
 
-Elements are plain string tokens.  A fresh identity is always adjoined
-(:data:`IDENTITY`), distinct from every semigroup element even when
-the semigroup already has a unit; only leaf edges of basis trees ever
-carry it.
+Elements are plain string tokens.  A fresh identity is always adjoined:
+the singleton :data:`IDENTITY`, printed ``1`` but distinct from every
+token (also from an element literally named ``1``) and from every
+semigroup unit.  An element of the extended monoid, the type of a tree
+edge, is therefore a token or ``IDENTITY``; only leaf edges of basis
+trees carry ``IDENTITY``.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Optional
 
@@ -26,28 +27,19 @@ from .errors import InfiniteSemigroup, InvalidElement, SemigroupViolation
 _TOKEN_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
 
-@dataclass(frozen=True)
-class ExtElem:
-    """Element of the extended monoid: a semigroup token, or the identity.
+class _Identity:
+    """The identity adjoined to the semigroup, written ``1``."""
 
-    ``token is None`` encodes the adjoined identity, written ``1``.
-    """
-
-    token: Optional[str] = None
-
-    @property
-    def is_identity(self) -> bool:
-        return self.token is None
+    __slots__ = ()
 
     def __str__(self) -> str:
-        return "1" if self.token is None else self.token
+        return "1"
+
+    def __repr__(self) -> str:
+        return "IDENTITY"
 
 
-IDENTITY = ExtElem(None)
-
-
-def elem(token: str) -> ExtElem:
-    return ExtElem(token)
+IDENTITY = _Identity()
 
 
 def _uniquely_decodable(code) -> bool:
@@ -85,7 +77,6 @@ class Semigroup:
     def __init__(self, kind, *, generators=None, order=None, elements=None, table=None):
         self.kind = kind
         self._mul_cache: dict = {}
-        self._ext_cache: dict = {}
         if kind == "free":
             gens = tuple(_check_token(g) for g in generators)
             if not gens or len(set(gens)) != len(gens):
@@ -188,18 +179,13 @@ class Semigroup:
         self._mul_cache[(a, b)] = value
         return value
 
-    def mul_ext(self, a: ExtElem, b: ExtElem) -> ExtElem:
+    def mul_ext(self, a, b):
         """Product in the extended monoid; the identity is neutral."""
-        if a.is_identity:
+        if a is IDENTITY:
             return b
-        if b.is_identity:
+        if b is IDENTITY:
             return a
-        key = (a.token, b.token)
-        cached = self._ext_cache.get(key)
-        if cached is None:
-            cached = ExtElem(self.mul(a.token, b.token))
-            self._ext_cache[key] = cached
-        return cached
+        return self.mul(a, b)
 
     # -- enumeration and ordering --------------------------------------
 
@@ -213,6 +199,8 @@ class Semigroup:
             return list(self._elements)
         if max_word is None:
             raise InfiniteSemigroup("free semigroup has infinitely many elements")
+        if max_word < 1:
+            raise ValueError(f"word-length bound must be at least 1, got {max_word}")
         words = set()
         for length in range(1, max_word + 1):
             for combo in product(self.generators, repeat=length):
@@ -228,11 +216,11 @@ class Semigroup:
         except ValueError:
             raise InvalidElement(f"{a!r} is not an element of the semigroup")
 
-    def ext_key(self, e: ExtElem):
+    def ext_key(self, e):
         """Sort key on the extended monoid: identity before everything."""
-        if e.is_identity:
+        if e is IDENTITY:
             return (0,)
-        return (1,) + tuple(self.element_key(e.token))
+        return (1,) + tuple(self.element_key(e))
 
     # -- validation -----------------------------------------------------
 

@@ -24,7 +24,7 @@ from .pbtrees import BinNode, BinTree
 from .pbtrees import tree_key as bin_key
 from .schroder import SchNode, SchTree
 from .schroder import tree_key as sch_key
-from .semigroups import ExtElem, IDENTITY, Semigroup
+from .semigroups import IDENTITY, Semigroup
 
 _SYMBOL_CHARS = set("[];:,*+/()|-")
 # ASCII only, like semigroup element tokens
@@ -120,17 +120,13 @@ class _Parser:
             raise TermSyntaxError(f"undeclared semigroup element {word!r}", line, col)
         return word
 
-    def resolve_edge(self, token: str, child) -> ExtElem:
+    def resolve_edge(self, token: str, child):
         # `1` is the adjoined identity on a leaf edge; on an internal edge it
         # can only be the semigroup element of that name (the constructor
         # rejects the identity there anyway).
         if child is LEAF:
-            if token == "1":
-                return IDENTITY
-            return ExtElem(token)
-        if self.semigroup.contains(token):
-            return ExtElem(token)
-        return IDENTITY
+            return IDENTITY if token == "1" else token
+        return token if self.semigroup.contains(token) else IDENTITY
 
     def rational(self) -> Fraction:
         negative = False

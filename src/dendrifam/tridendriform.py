@@ -16,7 +16,7 @@ from .basis import LEAF, LinComb, ZERO_SPAN, merge, span_single
 from .exprs import Dot, Expr, Gen, Prec, Succ
 from .family import FreeFamily
 from .schroder import SchNode, SchTree, intern_node, single_vertex, tree_key
-from .semigroups import ExtElem, IDENTITY
+from .semigroups import IDENTITY
 
 
 class FreeTridendriformFamily(FreeFamily):
@@ -41,7 +41,7 @@ class FreeTridendriformFamily(FreeFamily):
     def dot(self, a, b, *, strict: bool = False) -> LinComb:
         return self._product("dot", self._dot_trees, a, b, strict)
 
-    def _prec_trees(self, t: SchTree, u: SchTree, w: ExtElem) -> LinComb:
+    def _prec_trees(self, t: SchTree, u: SchTree, w: str) -> LinComb:
         assert not (t is LEAF and u is LEAF)
         if u is LEAF:
             return span_single(t)
@@ -51,7 +51,7 @@ class FreeTridendriformFamily(FreeFamily):
         cached = self._prec_memo.get(key)
         if cached is not None:
             return cached
-        assert not w.is_identity
+        assert w is not IDENTITY
         am, last = t.children[-1]
         inner = merge((self._succ_trees(last, u, am).map,
                        self._prec_trees(last, u, w).map,
@@ -65,7 +65,7 @@ class FreeTridendriformFamily(FreeFamily):
         self._prec_memo[key] = result
         return result
 
-    def _succ_trees(self, t: SchTree, u: SchTree, w: ExtElem) -> LinComb:
+    def _succ_trees(self, t: SchTree, u: SchTree, w: str) -> LinComb:
         assert not (t is LEAF and u is LEAF)
         if t is LEAF:
             return span_single(u)
@@ -75,7 +75,7 @@ class FreeTridendriformFamily(FreeFamily):
         cached = self._succ_memo.get(key)
         if cached is not None:
             return cached
-        assert not w.is_identity
+        assert w is not IDENTITY
         b0, first = u.children[0]
         inner = merge((self._succ_trees(t, first, w).map,
                        self._prec_trees(t, first, b0).map,
@@ -123,10 +123,10 @@ class FreeTridendriformFamily(FreeFamily):
         if c0 is LEAF and c1 is LEAF:
             return Gen(x)
         if c0 is LEAF:
-            return Prec(a1.token, Gen(x), self.express(c1))
+            return Prec(a1, Gen(x), self.express(c1))
         if c1 is LEAF:
-            return Succ(a0.token, self.express(c0), Gen(x))
-        return Prec(a1.token, Succ(a0.token, self.express(c0), Gen(x)),
+            return Succ(a0, self.express(c0), Gen(x))
+        return Prec(a1, Succ(a0, self.express(c0), Gen(x)),
                     self.express(c1))
 
     def central_factors(self, t: SchNode) -> list[Expr]:
@@ -136,7 +136,7 @@ class FreeTridendriformFamily(FreeFamily):
             if child is LEAF:
                 factors.append(Gen(x))
             else:
-                factors.append(Prec(a.token, Gen(x), self.express(child)))
+                factors.append(Prec(a, Gen(x), self.express(child)))
         return factors
 
     def express(self, t: SchNode) -> Expr:
@@ -156,11 +156,11 @@ class FreeTridendriformFamily(FreeFamily):
             if c0 is LEAF and c1 is LEAF:
                 return lookup(x)
             if c0 is LEAF:
-                return ops.prec(lookup(x), image(c1), a1.token)
+                return ops.prec(lookup(x), image(c1), a1)
             if c1 is LEAF:
-                return ops.succ(image(c0), lookup(x), a0.token)
-            return ops.prec(ops.succ(image(c0), lookup(x), a0.token),
-                            image(c1), a1.token)
+                return ops.succ(image(c0), lookup(x), a0)
+            return ops.prec(ops.succ(image(c0), lookup(x), a0),
+                            image(c1), a1)
 
         def image(t: SchNode):
             if t in memo:
@@ -170,7 +170,7 @@ class FreeTridendriformFamily(FreeFamily):
                 if child is LEAF:
                     factor = lookup(x)
                 else:
-                    factor = ops.prec(lookup(x), image(child), a.token)
+                    factor = ops.prec(lookup(x), image(child), a)
                 value = ops.dot(value, factor)
             memo[t] = value
             return value

@@ -27,7 +27,7 @@ from dendrifam.rotabaxter import (EpsilonOps, EtaOps, RBFamily,
 from dendrifam.schroder import decoration_count, enumerate_sch, intern_node
 from dendrifam.schroder import leaves as sch_leaves
 from dendrifam.schroder import single_vertex as sch_vertex
-from dendrifam.semigroups import IDENTITY, Semigroup, elem
+from dendrifam.semigroups import IDENTITY, Semigroup
 from dendrifam.termio import parse_span, parse_tree, print_span
 from dendrifam.tridendriform import FreeTridendriformFamily, gamma
 
@@ -57,7 +57,7 @@ def test_criterion_1_golden_examples():
     S = Semigroup.free(["a", "b", "w"])
     dend = FreeDendriformFamily(X, S)
     sx, sy = bin_vertex("x"), bin_vertex("y")
-    deep = graft_binary(bin_vertex("z"), "x", elem("a"), elem("b"), bin_vertex("u"))
+    deep = graft_binary(bin_vertex("z"), "x", "a", "b", bin_vertex("u"))
     binary_cases = [
         (dend.prec(sx, sy, "w"), "1*B[x;1:|,w:B[y;1:|,1:|]]"),
         (dend.succ(sx, sy, "w"), "1*B[y;w:B[x;1:|,1:|],1:|]"),
@@ -75,7 +75,7 @@ def test_criterion_1_golden_examples():
     S3 = Semigroup.free(["a", "b"])
     tri = FreeTridendriformFamily(X3, S3)
     tx, ty, tz = sch_vertex("x"), sch_vertex("y"), sch_vertex("z")
-    tdeep = intern_node(("x",), ((elem("a"), ty), (IDENTITY, LEAF)))
+    tdeep = intern_node(("x",), (("a", ty), (IDENTITY, LEAF)))
     schroder_cases = [
         (tri.prec(tx, ty, "a"), "1*S[x;1:|,a:S[y;1:|,1:|]]"),
         (tri.succ(tx, ty, "a"), "1*S[y;a:S[x;1:|,1:|],1:|]"),

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -392,3 +395,57 @@ def test_repeated_operator_is_a_config_error(capsys, tmp_path):
                          "--semigroup", "cyclic:2", "--rb-file", str(redeclared))
     assert code == 2 and out == ""
     assert "declared only once" in err
+
+
+def test_repeated_generator_image_is_a_config_error(capsys, tmp_path):
+    # without the check, the later `x 2` silently replaced `x 0`
+    redeclared = tmp_path / "map-rex.txt"
+    redeclared.write_text("x 0\ny 1\nx 2\n")
+    code, out, err = run(capsys, "extend", "--functor", "eta", "--alphabet", "x,y",
+                         "--semigroup", "cyclic:2", "--rb-file", RB_HALF,
+                         "--lambda", "1/2", "--map-file", str(redeclared),
+                         "B[x;1:|,0:B[y;1:|,1:|]]")
+    assert code == 2 and out == ""
+    assert "declared only once" in err
+
+
+@pytest.mark.parametrize("bound", ["0", "-1"])
+@pytest.mark.parametrize("command", [
+    ("check", "--suite", "dendriform", "--max-leaves", "3"),
+    ("check", "--suite", "tensor-dend", "--max-leaves", "3"),
+    ("enumerate", "binary", "2"),
+])
+def test_word_bound_below_one_is_a_config_error(capsys, command, bound):
+    # a bound below 1 left no semigroup element, so every sweep passed vacuously
+    code, out, err = run(capsys, *command, "--alphabet", "x", "--semigroup", "free:a",
+                         "--max-word", bound)
+    assert code == 2 and out == ""
+    assert "word-length bound" in err
+
+
+def _comb(n, side):
+    """A right (side 1) or left (side 0) comb of n vertices over x,y and cyclic:2."""
+    tree = "|"
+    for i in range(n):
+        edge = "1" if tree == "|" else str(i % 2)
+        branches = ("1:|", f"{edge}:{tree}")[::1 if side else -1]
+        tree = f"B[{'xy'[i % 2]};{branches[0]},{branches[1]}]"
+    return tree
+
+
+@pytest.mark.parametrize("argv", [
+    ("product", "prec", "--omega", "1", _comb(12, 1), _comb(3, 0)),
+    ("enumerate", "schroder", "3"),
+])
+def test_output_does_not_depend_on_hash_values(capsys, argv):
+    # trees hash by identity, i.e. by memory address, and tokens by the hash
+    # seed: neither may reach the printed order
+    argv = argv + ("--alphabet", "x,y", "--semigroup", "cyclic:2")
+    code, expected, _ = run(capsys, *argv)
+    assert code == 0 and len(expected.split()) > 200
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+        proc = subprocess.run([sys.executable, "-m", "dendrifam", *argv], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout == expected

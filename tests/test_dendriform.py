@@ -11,7 +11,7 @@ from dendrifam.errors import (AxiomFailure, IdentityMisuse, InvalidElement,
                               LeafOperand)
 from dendrifam.exprs import Gen, Prec, Succ, evaluate
 from dendrifam.pbtrees import enumerate_bin, graft_binary, leaves, single_vertex
-from dendrifam.semigroups import IDENTITY, Semigroup, elem
+from dendrifam.semigroups import IDENTITY, Semigroup
 from dendrifam.termio import print_span
 
 from untyped_free import b_span_prec, b_span_succ
@@ -49,7 +49,7 @@ def test_single_vertex_succ(words):
 
 
 def test_depth_two_prec(words):
-    t = graft_binary(sv("z"), "x", elem("a"), elem("b"), sv("u"))
+    t = graft_binary(sv("z"), "x", "a", "b", sv("u"))
     result = words.prec(t, sv("y"), "w")
     assert print_span(result) == (
         "1*B[x;a:B[z;1:|,1:|],bw:B[y;b:B[u;1:|,1:|],1:|]]"
@@ -57,7 +57,7 @@ def test_depth_two_prec(words):
 
 
 def test_depth_two_succ(words):
-    t = graft_binary(sv("z"), "x", elem("a"), elem("b"), sv("u"))
+    t = graft_binary(sv("z"), "x", "a", "b", sv("u"))
     result = words.succ(t, sv("y"), "w")
     assert print_span(result) == "1*B[y;w:B[x;a:B[z;1:|,1:|],b:B[u;1:|,1:|]],1:|]"
 
@@ -105,7 +105,7 @@ def test_identity_token_without_element(words):
 
 
 def test_bilinearity(z2):
-    t, u, w = sv("x"), sv("y"), graft_binary(sv("x"), "y", elem("1"), IDENTITY, LEAF)
+    t, u, w = sv("x"), sv("y"), graft_binary(sv("x"), "y", "1", IDENTITY, LEAF)
     span = z2.add(z2.span(t), z2.span(u).scaled(Fraction(2)))
     single = z2.span(w)
     expected = z2.add(z2.prec(t, w, "1"), z2.prec(u, w, "1").scaled(Fraction(2)))
@@ -154,8 +154,8 @@ def test_axioms_trivial_semigroup_all_small_triples():
 
 def test_axioms_over_free_semigroup(words):
     trees = [sv("x"), sv("y"),
-             graft_binary(sv("x"), "y", elem("a"), IDENTITY, LEAF),
-             graft_binary(LEAF, "z", IDENTITY, elem("b"), sv("u"))]
+             graft_binary(sv("x"), "y", "a", IDENTITY, LEAF),
+             graft_binary(LEAF, "z", IDENTITY, "b", sv("u"))]
     for t, u, w in product(trees, repeat=3):
         for alpha, beta in product(["a", "b"], repeat=2):
             assert all(r.is_zero()
@@ -227,9 +227,9 @@ def test_express_generator(z2):
 
 
 def test_express_right_comb_structure(z2):
-    t = graft_binary(LEAF, "x", IDENTITY, elem("0"), sv("y"))
+    t = graft_binary(LEAF, "x", IDENTITY, "0", sv("y"))
     assert z2.express(t) == Prec("0", Gen("x"), Gen("y"))
-    u = graft_binary(sv("y"), "x", elem("1"), IDENTITY, LEAF)
+    u = graft_binary(sv("y"), "x", "1", IDENTITY, LEAF)
     assert z2.express(u) == Succ("1", Gen("y"), Gen("x"))
 
 

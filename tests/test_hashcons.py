@@ -1,0 +1,128 @@
+"""Hash-consing: structurally equal trees are one object on every path that
+builds a tree (constructors, grafting, the products, the parser)."""
+
+import copy
+from dataclasses import FrozenInstanceError
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dendrifam.basis import LEAF, Alphabet
+from dendrifam.dendriform import FreeDendriformFamily
+from dendrifam.errors import ArityMismatch, TypingViolation
+from dendrifam.pbtrees import BinNode, enumerate_bin, graft_binary
+from dendrifam.schroder import SchNode, enumerate_sch, from_binary, to_binary
+from dendrifam.semigroups import IDENTITY, Semigroup
+from dendrifam.termio import parse_tree, print_tree
+from dendrifam.tridendriform import FreeTridendriformFamily
+
+X = Alphabet(["x", "y"])
+Z2 = Semigroup.cyclic(2)
+DEND = FreeDendriformFamily(X, Z2)
+TRI = FreeTridendriformFamily(X, Z2)
+
+symbols = st.sampled_from(list(X))
+tokens = st.sampled_from(["0", "1"])
+
+
+def edge(draw, child):
+    return IDENTITY if child is LEAF else draw(tokens)
+
+
+@st.composite
+def binary_trees(draw, size=None):
+    size = draw(st.integers(min_value=1, max_value=6)) if size is None else size
+    left_size = draw(st.integers(min_value=0, max_value=size - 1))
+    left = draw(binary_trees(left_size)) if left_size else LEAF
+    right_size = size - 1 - left_size
+    right = draw(binary_trees(right_size)) if right_size else LEAF
+    return graft_binary(left, draw(symbols), edge(draw, left), edge(draw, right), right)
+
+
+@st.composite
+def schroder_trees(draw, depth=3):
+    k = draw(st.integers(min_value=1, max_value=3))
+    children = []
+    for _ in range(k + 1):
+        child = draw(schroder_trees(depth - 1)) if depth > 1 and draw(st.booleans()) else LEAF
+        children.append((edge(draw, child), child))
+    return SchNode(tuple(draw(symbols) for _ in range(k)), tuple(children))
+
+
+def reparsed(t, kind):
+    return parse_tree(print_tree(t), kind, X, Z2)
+
+
+@given(binary_trees())
+@settings(max_examples=150, deadline=None)
+def test_binary_trees_are_shared(t):
+    assert reparsed(t, "binary") is t
+    assert BinNode(t.dec, t.left_type, t.left, t.right_type, t.right) is t
+    assert to_binary(from_binary(t)) is t
+    assert reparsed(from_binary(t), "schroder") is from_binary(t)
+
+
+@given(schroder_trees())
+@settings(max_examples=150, deadline=None)
+def test_schroder_trees_are_shared(t):
+    assert reparsed(t, "schroder") is t
+    assert SchNode(t.decs, t.children) is t
+
+
+@given(binary_trees(), binary_trees(), tokens)
+@settings(max_examples=60, deadline=None)
+def test_binary_product_terms_are_shared(t, u, w):
+    for product in (DEND.prec, DEND.succ):
+        for tree in product(t, u, w).map:
+            assert reparsed(tree, "binary") is tree
+
+
+@given(schroder_trees(depth=2), schroder_trees(depth=2), tokens)
+@settings(max_examples=60, deadline=None)
+def test_schroder_product_terms_are_shared(t, u, w):
+    spans = (TRI.prec(t, u, w), TRI.succ(t, u, w), TRI.dot(t, u))
+    for span in spans:
+        for tree in span.map:
+            assert reparsed(tree, "schroder") is tree
+
+
+@pytest.mark.parametrize("enumerate_fn,kind", [(enumerate_bin, "binary"),
+                                               (enumerate_sch, "schroder")])
+def test_every_enumerated_tree_reparses_to_itself(enumerate_fn, kind):
+    trees = enumerate_fn(3, X, Z2)
+    assert all(reparsed(t, kind) is t for t in trees)
+
+
+@given(binary_trees(), schroder_trees())
+@settings(max_examples=20, deadline=None)
+def test_nodes_are_immutable(t, s):
+    with pytest.raises(FrozenInstanceError):
+        t.dec = "y"
+    with pytest.raises(FrozenInstanceError):
+        t.left_type = "0"
+    with pytest.raises(FrozenInstanceError):
+        s.children = ()
+    with pytest.raises(TypeError):
+        copy.copy(t)
+
+
+def test_edge_token_one_is_the_identity_only_on_a_leaf_edge():
+    t = parse_tree("B[x;1:B[y;1:|,1:|],1:|]", "binary", X, Z2)
+    assert t.left_type == "1" and t.left_type is not IDENTITY
+    assert t.right_type is IDENTITY and t.left.left_type is IDENTITY
+    s = parse_tree("S[x;1:S[y;1:|,1:|],1:|]", "schroder", X, Z2)
+    assert s.children[0][0] == "1" and s.children[1][0] is IDENTITY
+    assert str(IDENTITY) == "1" and IDENTITY != "1"
+
+
+def test_rejected_nodes_stay_rejected():
+    # the checks run when a node is first made; a rejected node is never stored
+    for _ in range(2):
+        with pytest.raises(TypingViolation):
+            BinNode("x", "0", LEAF, IDENTITY, LEAF)
+        with pytest.raises(TypingViolation):
+            inner = SchNode(("y",), ((IDENTITY, LEAF), (IDENTITY, LEAF)))
+            SchNode(("x",), ((IDENTITY, LEAF), (IDENTITY, inner)))
+        with pytest.raises(ArityMismatch):
+            SchNode(("x", "y"), ((IDENTITY, LEAF), (IDENTITY, LEAF)))

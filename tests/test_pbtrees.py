@@ -8,7 +8,7 @@ from dendrifam.basis import LEAF, Alphabet, LinComb, normalize, span_single
 from dendrifam.errors import InfiniteSemigroup, LeafOperand, TypingViolation
 from dendrifam.pbtrees import (decompose, depth, enumerate_bin,
                                graft_binary, leaves, single_vertex, tree_key)
-from dendrifam.semigroups import IDENTITY, Semigroup, elem
+from dendrifam.semigroups import IDENTITY, Semigroup
 
 X1 = Alphabet(["x"])
 X2 = Alphabet(["x", "y"])
@@ -28,26 +28,26 @@ def test_graft_single_vertex():
 
 def test_graft_with_subtree():
     inner = single_vertex("y")
-    t = graft_binary(LEAF, "x", IDENTITY, elem("a"), inner)
-    assert t.right is inner and t.right_type == elem("a")
+    t = graft_binary(LEAF, "x", IDENTITY, "a", inner)
+    assert t.right is inner and t.right_type == "a"
     assert leaves(t) == 3
 
 
 def test_graft_typing_violations():
     with pytest.raises(TypingViolation):
-        graft_binary(LEAF, "x", elem("a"), IDENTITY, LEAF)
+        graft_binary(LEAF, "x", "a", IDENTITY, LEAF)
     with pytest.raises(TypingViolation):
-        graft_binary(LEAF, "x", IDENTITY, elem("a"), LEAF)
+        graft_binary(LEAF, "x", IDENTITY, "a", LEAF)
     with pytest.raises(TypingViolation):
         graft_binary(single_vertex("x"), "x", IDENTITY, IDENTITY, LEAF)
 
 
 def test_decompose_examples():
     assert decompose(single_vertex("x")) == (LEAF, "x", IDENTITY, IDENTITY, LEAF)
-    t = graft_binary(single_vertex("z"), "x", elem("0"), elem("1"), single_vertex("u"))
+    t = graft_binary(single_vertex("z"), "x", "0", "1", single_vertex("u"))
     left, dec, a1, a2, right = decompose(t)
     assert (left, dec, a1, a2, right) == (
-        single_vertex("z"), "x", elem("0"), elem("1"), single_vertex("u"))
+        single_vertex("z"), "x", "0", "1", single_vertex("u"))
 
 
 def test_decompose_round_trip_exhaustive():
@@ -59,7 +59,7 @@ def test_decompose_round_trip_exhaustive():
 def test_depth():
     assert depth(LEAF) == 0
     assert depth(single_vertex("x")) == 1
-    t = graft_binary(single_vertex("y"), "x", elem("0"), IDENTITY, LEAF)
+    t = graft_binary(single_vertex("y"), "x", "0", IDENTITY, LEAF)
     assert depth(t) == 2
 
 
@@ -89,8 +89,8 @@ def test_enumerate_typing_invariant_and_order():
     def check(t):
         if t is LEAF:
             return
-        assert t.left_type.is_identity == (t.left is LEAF)
-        assert t.right_type.is_identity == (t.right is LEAF)
+        assert (t.left_type is IDENTITY) == (t.left is LEAF)
+        assert (t.right_type is IDENTITY) == (t.right is LEAF)
         check(t.left)
         check(t.right)
 
@@ -159,5 +159,5 @@ def test_leaf_sorts_before_everything():
 
 def test_smaller_leaf_count_sorts_first():
     small = single_vertex("y")
-    big = graft_binary(single_vertex("x"), "x", elem("0"), IDENTITY, LEAF)
+    big = graft_binary(single_vertex("x"), "x", "0", IDENTITY, LEAF)
     assert key(small) < key(big)

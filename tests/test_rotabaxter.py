@@ -302,3 +302,5 @@ def test_parse_map_text():
         parse_map_text("x 5\n", 3)
     with pytest.raises(InvalidElement):
         parse_map_text("", 3)
+    with pytest.raises(InvalidElement, match="only once"):
+        parse_map_text("x 0\ny 1\nx 2\n", 3)

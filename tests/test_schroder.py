@@ -10,7 +10,7 @@ from dendrifam.schroder import (SchNode, breadth, corolla, decompose_nary,
                                 decoration_count, depth, enumerate_sch,
                                 from_binary, graft_nary, leaves, single_vertex,
                                 to_binary, tree_key)
-from dendrifam.semigroups import IDENTITY, Semigroup, elem
+from dendrifam.semigroups import IDENTITY, Semigroup
 
 X1 = Alphabet(["x"])
 X2 = Alphabet(["x", "y"])
@@ -30,16 +30,16 @@ def test_graft_corolla():
 def test_graft_three_subtrees():
     sx, sy, sz = single_vertex("x"), single_vertex("y"), single_vertex("z")
     alphabet = Alphabet(["x", "y", "z", "u", "v"])
-    t = graft_nary([sx, sy, sz], ["u", "v"], [elem("a"), elem("b"), elem("c")])
+    t = graft_nary([sx, sy, sz], ["u", "v"], ["a", "b", "c"])
     assert t.decs == ("u", "v")
-    assert t.children == ((elem("a"), sx), (elem("b"), sy), (elem("c"), sz))
+    assert t.children == (("a", sx), ("b", sy), ("c", sz))
     assert leaves(t) == 6 and depth(t) == 2
     assert tree_key(t, alphabet, Semigroup.free(["a", "b", "c"]))
 
 
 def test_graft_typing_and_arity_errors():
     with pytest.raises(TypingViolation):
-        graft_nary([LEAF, LEAF], ["x"], [elem("a"), IDENTITY])
+        graft_nary([LEAF, LEAF], ["x"], ["a", IDENTITY])
     with pytest.raises(ArityMismatch):
         graft_nary([LEAF, LEAF], ["x", "y"], [IDENTITY, IDENTITY])
     with pytest.raises(ArityMismatch):
@@ -61,7 +61,7 @@ def test_breadth_examples():
     assert breadth(corolla(["x", "y"])) == 3
     assert breadth(single_vertex("x")) == 2
     t = graft_nary([LEAF, single_vertex("y"), single_vertex("u")],
-                   ["x", "z"], [IDENTITY, elem("0"), elem("1")])
+                   ["x", "z"], [IDENTITY, "0", "1"])
     assert breadth(t) == 3
 
 

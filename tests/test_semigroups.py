@@ -3,8 +3,7 @@ from itertools import product
 import pytest
 
 from dendrifam.errors import InfiniteSemigroup, InvalidElement, SemigroupViolation
-from dendrifam.semigroups import (IDENTITY, Semigroup, elem,
-                                  from_config_text)
+from dendrifam.semigroups import IDENTITY, Semigroup, from_config_text
 
 Z2_TABLE = Semigroup.table(["e", "g"], [["e", "g"], ["g", "e"]])
 
@@ -57,22 +56,22 @@ def test_free_accepts_uniquely_decodable_non_prefix_codes():
 
 def test_ext_identity_laws():
     s = Semigroup.free(["a"])
-    omega = elem("a")
+    omega = "a"
     assert s.mul_ext(IDENTITY, omega) == omega
     assert s.mul_ext(omega, IDENTITY) == omega
     assert s.mul_ext(IDENTITY, IDENTITY) == IDENTITY
-    assert s.mul_ext(elem("a"), elem("a")) == elem("aa")
+    assert s.mul_ext("a", "a") == "aa"
 
 
 def test_ext_restricted_to_semigroup_is_mul():
     for a, b in product(["0", "1"], repeat=2):
         s = Semigroup.cyclic(2)
-        assert s.mul_ext(elem(a), elem(b)) == elem(s.mul(a, b))
+        assert s.mul_ext(a, b) == s.mul(a, b)
 
 
 def test_identity_is_fresh_even_for_monoids():
     # the table below has a unit e, but the adjoined identity stays distinct
-    assert IDENTITY != elem("e")
+    assert IDENTITY != "e"
     assert str(IDENTITY) == "1"
 
 
@@ -122,10 +121,18 @@ def test_elements_order_and_bounds():
         free.elements()
 
 
+@pytest.mark.parametrize("bound", [0, -1])
+def test_free_word_bound_below_one_rejected(bound):
+    # no words at all would make every sweep over the elements vacuous
+    with pytest.raises(ValueError, match="at least 1"):
+        Semigroup.free(["a"]).elements(bound)
+    assert Semigroup.cyclic(2).elements(bound) == ["0", "1"]
+
+
 def test_element_key_orders():
     s = Z2_TABLE
     assert s.element_key("e") < s.element_key("g")
-    assert s.ext_key(IDENTITY) < s.ext_key(elem("e"))
+    assert s.ext_key(IDENTITY) < s.ext_key("e")
     f = Semigroup.free(["a", "b"])
     assert f.element_key("b") < f.element_key("aa")
 

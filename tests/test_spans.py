@@ -11,7 +11,7 @@ from dendrifam.dendriform import FreeDendriformFamily
 from dendrifam.pbtrees import graft_binary
 from dendrifam.pbtrees import single_vertex as bin_vertex
 from dendrifam.schroder import intern_node
-from dendrifam.semigroups import IDENTITY, Semigroup, elem
+from dendrifam.semigroups import IDENTITY, Semigroup
 from dendrifam.termio import parse_span, print_span
 from dendrifam.tridendriform import FreeTridendriformFamily
 
@@ -19,7 +19,7 @@ from untyped_free import b_span_prec, b_span_succ, t_dot, t_prec, t_span_op, t_s
 
 X = Alphabet(["x", "y"])
 TRIVIAL = Semigroup.trivial()
-ZERO = elem("0")
+ZERO = "0"
 DEND = FreeDendriformFamily(X, TRIVIAL)
 TRI = FreeTridendriformFamily(X, TRIVIAL)
 
@@ -121,7 +121,7 @@ def test_prec_of_long_right_comb_has_one_term_per_vertex():
     alg = FreeDendriformFamily(X, words)
     comb = bin_vertex("x")
     for _ in range(199):
-        comb = graft_binary(LEAF, "x", IDENTITY, elem("a"), comb)
+        comb = graft_binary(LEAF, "x", IDENTITY, "a", comb)
     result = alg.prec(comb, bin_vertex("y"), "a")
     assert len(result) == 200
     assert all(type(c) is int and c == 1 for c in result.map.values())

@@ -9,7 +9,7 @@ from dendrifam.errors import ArityMismatch, TermSyntaxError, TypingViolation
 from dendrifam.exprs import Dot, Gen, Prec, Succ
 from dendrifam.pbtrees import enumerate_bin, single_vertex
 from dendrifam.schroder import corolla, enumerate_sch
-from dendrifam.semigroups import IDENTITY, Semigroup, elem
+from dendrifam.semigroups import IDENTITY, Semigroup
 from dendrifam.termio import (parse_corpus, parse_expr, parse_operand,
                               parse_span, parse_tree, print_expr, print_span,
                               print_tree)
@@ -52,7 +52,7 @@ def test_identity_token_disambiguation_with_cyclic_semigroup():
     # over Z2 the token 1 is an element; on a leaf edge it is the identity
     text = "B[x;1:B[y;1:|,1:|],1:|]"
     t = parse_tree(text, "binary", X, Z2)
-    assert t.left_type == elem("1")
+    assert t.left_type == "1"
     assert t.right_type == IDENTITY
     assert print_tree(t) == text
 
@@ -196,7 +196,7 @@ def random_binary_tree(draw, size=None):
         if n == 0:
             return LEAF, IDENTITY
         tree = draw(random_binary_tree(size=n))
-        return tree, elem(draw(st.sampled_from(["0", "1"])))
+        return tree, draw(st.sampled_from(["0", "1"]))
 
     left, left_type = sub(left_size)
     right, right_type = sub(size - 1 - left_size)

@@ -8,7 +8,7 @@ from dendrifam.errors import AxiomFailure, IdentityMisuse, LeafOperand
 from dendrifam.exprs import Dot, Gen, Prec, Succ, evaluate
 from dendrifam.schroder import (corolla, enumerate_sch, intern_node, leaves,
                                 single_vertex)
-from dendrifam.semigroups import IDENTITY, Semigroup, elem
+from dendrifam.semigroups import IDENTITY, Semigroup
 from dendrifam.termio import print_span
 from dendrifam.tridendriform import (FreeTridendriformFamily, gamma,
                                      find_tridendriform_counterexample,
@@ -47,7 +47,7 @@ def test_single_vertex_products(words):
 
 
 def test_depth_two_products(words):
-    t = intern_node(("x",), ((elem("a"), sv("y")), (IDENTITY, LEAF)))
+    t = intern_node(("x",), (("a", sv("y")), (IDENTITY, LEAF)))
     assert print_span(words.succ(t, sv("z"), "b")) == \
         "1*S[z;b:S[x;a:S[y;1:|,1:|],1:|],1:|]"
     assert print_span(words.prec(t, sv("z"), "b")) == \
@@ -130,7 +130,7 @@ def test_axioms_three_leaves_trivial():
 
 def test_axioms_over_free_semigroup(words):
     trees = [sv("x"), corolla(["x", "y"]),
-             intern_node(("y",), ((elem("a"), sv("z")), (IDENTITY, LEAF)))]
+             intern_node(("y",), (("a", sv("z")), (IDENTITY, LEAF)))]
     for t, u, w in product(trees, repeat=3):
         for alpha, beta in product(["a", "b"], repeat=2):
             assert words.axioms_hold(t, u, w, alpha, beta)
@@ -159,7 +159,7 @@ def test_fuse_convention_is_local(z2):
     # fusing two leaf boundary children gives coefficient exactly one
     assert z2.dot(sv("x"), sv("y")) == z2.span(corolla(["x", "y"]))
     # a non-leaf boundary child never triggers it
-    t = intern_node(("x",), ((IDENTITY, LEAF), (elem("0"), sv("y"))))
+    t = intern_node(("x",), ((IDENTITY, LEAF), ("0", sv("y"))))
     result = z2.dot(t, sv("x"))
     assert all(c == 1 for c, _ in result.terms)
 
@@ -216,7 +216,7 @@ def test_express_corolla(z2):
 
 
 def test_express_breadth_two_cases(z2):
-    t = intern_node(("x",), ((elem("0"), sv("y")), (elem("1"), sv("x"))))
+    t = intern_node(("x",), (("0", sv("y")), ("1", sv("x"))))
     assert z2.express(t) == Prec("1", Succ("0", Gen("y"), Gen("x")), Gen("x"))
 
 
