@@ -18,6 +18,7 @@ from typing import Any, Callable, Iterable, Mapping, Optional, Tuple
 
 from .errors import InvalidElement, LeafOperand
 from .rationals import exact
+from .semigroups import TOKEN_RE
 
 
 class Leaf:
@@ -39,7 +40,8 @@ LEAF = Leaf()
 
 @dataclass(frozen=True)
 class Alphabet:
-    """Ordered set of decoration symbols; declaration order is canonical."""
+    """Ordered set of decoration symbols (term-grammar tokens); declaration
+    order is canonical."""
 
     symbols: Tuple[str, ...]
 
@@ -49,6 +51,9 @@ class Alphabet:
             raise InvalidElement("alphabet must be nonempty")
         if len(set(symbols)) != len(symbols):
             raise InvalidElement("alphabet symbols must be distinct")
+        for x in symbols:
+            if not (isinstance(x, str) and TOKEN_RE.fullmatch(x)):
+                raise InvalidElement(f"bad decoration symbol: {x!r}")
         object.__setattr__(self, "symbols", symbols)
 
     def __iter__(self):

@@ -18,7 +18,7 @@ from .axioms import find_dendriform_counterexample, validate_dendriform_ops  # n
 from .basis import LEAF, LinComb, ZERO_SPAN, merge, span_single
 from .exprs import Expr, Gen, Prec, Succ
 from .family import FreeFamily
-from .pbtrees import BinNode, BinTree, graft_binary, single_vertex, tree_key
+from .pbtrees import BinNode, BinTree, graft_binary, single_vertex, sort_key
 from .semigroups import IDENTITY
 
 
@@ -31,13 +31,10 @@ class FreeDendriformFamily(FreeFamily):
 
     node_type = BinNode
     axiom_table = axioms.DENDRIFORM
-    single_vertex = staticmethod(single_vertex)
+    single_vertex, sort_key = staticmethod(single_vertex), staticmethod(sort_key)
     # re-bound in this class's namespace: the benchmark tracer wraps only a
     # class's own methods
     prec, succ, extend = FreeFamily.prec, FreeFamily.succ, FreeFamily.extend
-
-    def tree_key(self, t: BinTree):
-        return tree_key(t, self.alphabet, self.semigroup)
 
     def _prec_trees(self, t: BinTree, u: BinTree, w: str) -> LinComb:
         assert not (t is LEAF and u is LEAF)

@@ -8,7 +8,7 @@ index check, the leaf conventions of the products, the bilinear lift of
 a tree kernel, the axiom residuals and the outer sum of the universal
 morphism.  A family supplies only what differs:
 
-* ``node_type`` and the methods ``tree_key`` and ``single_vertex``;
+* ``node_type``, ``single_vertex`` and ``sort_key``, whose key function is ``key``;
 * the tree kernels ``_prec_trees(t, u, w)`` and ``_succ_trees(t, u, w)``
   on basis trees or the leaf, memoized in ``_prec_memo``/``_succ_memo``
   (and the tridendriform ``dot`` with its kernel ``_dot_trees``);
@@ -40,18 +40,11 @@ class FreeFamily:
     def __init__(self, alphabet, semigroup):
         self.alphabet = alphabet
         self.semigroup = semigroup
-        self._key_memo: dict = {}
+        self.key = self.sort_key(alphabet, semigroup)
         self._prec_memo: dict = {}
         self._succ_memo: dict = {}
 
     # -- span plumbing --------------------------------------------------
-
-    def key(self, t):
-        cached = self._key_memo.get(t)
-        if cached is None:
-            cached = self.tree_key(t)
-            self._key_memo[t] = cached
-        return cached
 
     def gen(self, x: str) -> LinComb:
         self.alphabet.index(x)

@@ -8,13 +8,13 @@ edge is typed by the identity exactly when the child below it is a leaf.
 
 Trees are hash-consed: structurally equal trees are the same object,
 kept in the module table ``_INTERNED``, so trees compare and hash by
-identity.
+identity; :func:`sort_key` gives their canonical order, keyed once per node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from typing import Optional, Union
 
 from .basis import LEAF, Alphabet, Leaf
@@ -71,14 +71,12 @@ def decompose(t: BinNode):
     return t.left, t.dec, t.left_type, t.right_type, t.right
 
 
-@lru_cache(maxsize=None)
 def leaves(t: BinTree) -> int:
     if t is LEAF:
         return 1
     return leaves(t.left) + leaves(t.right)
 
 
-@lru_cache(maxsize=None)
 def depth(t: BinTree) -> int:
     """Maximal vertex-chain length from the root to a leaf; the leaf has depth 0."""
     if t is LEAF:
@@ -86,18 +84,27 @@ def depth(t: BinTree) -> int:
     return 1 + max(depth(t.left), depth(t.right))
 
 
+def sort_key(alphabet: Alphabet, semigroup: Semigroup):
+    """The canonical order as a key function: leaf count, decoration, left edge
+    type, left subtree, right edge type, right subtree.  Each node is keyed
+    once, from its children's keys; the keys stay in the function, not on
+    the shared nodes, because another alphabet orders them differently."""
+    dec, edge = cache(alphabet.index), cache(semigroup.ext_key)  # rank tables
+    memo = {LEAF: (1,)}
+
+    def key(t: BinTree):
+        k = memo.get(t)
+        if k is None:
+            left, right = key(t.left), key(t.right)
+            k = memo[t] = (left[0] + right[0], dec(t.dec), edge(t.left_type), left,
+                           edge(t.right_type), right)
+        return k
+
+    return key
+
+
 def tree_key(t: BinTree, alphabet: Alphabet, semigroup: Semigroup):
-    """Canonical total order: leaf count first, then structure recursively."""
-    if t is LEAF:
-        return (1,)
-    return (
-        leaves(t),
-        alphabet.index(t.dec),
-        semigroup.ext_key(t.left_type),
-        tree_key(t.left, alphabet, semigroup),
-        semigroup.ext_key(t.right_type),
-        tree_key(t.right, alphabet, semigroup),
-    )
+    return sort_key(alphabet, semigroup)(t)
 
 
 def enumerate_bin(n: int, alphabet: Alphabet, semigroup: Semigroup,
@@ -131,5 +138,5 @@ def enumerate_bin(n: int, alphabet: Alphabet, semigroup: Semigroup,
         return out
 
     trees = build(n)
-    trees.sort(key=lambda t: tree_key(t, alphabet, semigroup))
+    trees.sort(key=sort_key(alphabet, semigroup))
     return trees

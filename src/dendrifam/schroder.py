@@ -5,13 +5,13 @@ An internal vertex of arity k+1 carries k decoration symbols and k+1
 typed edges to its children, ordered left to right.  Edge typing obeys
 the same invariant as for binary trees: identity type iff leaf child.
 Trees are hash-consed in the module table ``_INTERNED``, as binary
-trees are, so equal trees are the same object.
+trees are, so equal trees are the same object; :func:`sort_key` orders them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from typing import Optional, Sequence, Tuple, Union
 
 from .basis import LEAF, Alphabet, Leaf
@@ -94,14 +94,12 @@ def breadth(t: SchNode) -> int:
     return t.arity
 
 
-@lru_cache(maxsize=None)
 def leaves(t: SchTree) -> int:
     if t is LEAF:
         return 1
     return sum(leaves(child) for _, child in t.children)
 
 
-@lru_cache(maxsize=None)
 def depth(t: SchTree) -> int:
     if t is LEAF:
         return 0
@@ -114,17 +112,26 @@ def decoration_count(t: SchTree) -> int:
     return len(t.decs) + sum(decoration_count(child) for _, child in t.children)
 
 
+def sort_key(alphabet: Alphabet, semigroup: Semigroup):
+    """Like :func:`dendrifam.pbtrees.sort_key`: leaf count, breadth, decorations,
+    edge types, children."""
+    dec, edge = cache(alphabet.index), cache(semigroup.ext_key)  # rank tables
+    memo = {LEAF: (1,)}
+
+    def key(t: SchTree):
+        k = memo.get(t)
+        if k is None:
+            children = tuple([key(child) for _, child in t.children])
+            k = memo[t] = (sum([c[0] for c in children]), len(children),
+                           tuple([dec(x) for x in t.decs]),
+                           tuple([edge(etype) for etype, _ in t.children]), children)
+        return k
+
+    return key
+
+
 def tree_key(t: SchTree, alphabet: Alphabet, semigroup: Semigroup):
-    """Canonical order: leaf count, breadth, decorations, edge types, children."""
-    if t is LEAF:
-        return (1,)
-    return (
-        leaves(t),
-        t.arity,
-        tuple(alphabet.index(x) for x in t.decs),
-        tuple(semigroup.ext_key(etype) for etype, _ in t.children),
-        tuple(tree_key(child, alphabet, semigroup) for _, child in t.children),
-    )
+    return sort_key(alphabet, semigroup)(t)
 
 
 def enumerate_sch(n: int, alphabet: Alphabet, semigroup: Semigroup,
@@ -175,7 +182,7 @@ def enumerate_sch(n: int, alphabet: Alphabet, semigroup: Semigroup,
         return out
 
     trees = build(n)
-    trees.sort(key=lambda t: tree_key(t, alphabet, semigroup))
+    trees.sort(key=sort_key(alphabet, semigroup))
     return trees
 
 

@@ -24,7 +24,8 @@ from typing import Iterable, Optional
 
 from .errors import InfiniteSemigroup, InvalidElement, SemigroupViolation
 
-_TOKEN_RE = re.compile(r"[A-Za-z0-9_]+\Z")
+# the token rule of element names, decoration symbols and the term grammar
+TOKEN_RE = re.compile(r"[A-Za-z0-9_]+")
 
 
 class _Identity:
@@ -66,7 +67,7 @@ def _uniquely_decodable(code) -> bool:
 
 
 def _check_token(token: str) -> str:
-    if not _TOKEN_RE.match(token):
+    if not TOKEN_RE.fullmatch(token):
         raise SemigroupViolation(f"bad element token: {token!r}")
     return token
 

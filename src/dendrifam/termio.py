@@ -13,22 +13,18 @@ semigroup containing an element literally named ``1`` stays parseable.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from typing import Union
 
+from . import pbtrees, schroder
 from .basis import LEAF, Alphabet, LinComb, ZERO_SPAN, normalize, span_single
 from .errors import TermSyntaxError
 from .exprs import Dot, Expr, Gen, Prec, Succ
 from .pbtrees import BinNode, BinTree
-from .pbtrees import tree_key as bin_key
 from .schroder import SchNode, SchTree
-from .schroder import tree_key as sch_key
-from .semigroups import IDENTITY, Semigroup
+from .semigroups import IDENTITY, TOKEN_RE, Semigroup
 
 _SYMBOL_CHARS = set("[];:,*+/()|-")
-# ASCII only, like semigroup element tokens
-_WORD_RE = re.compile(r"[A-Za-z0-9_]+")
 
 
 def _tokenize(text: str):
@@ -51,7 +47,7 @@ def _tokenize(text: str):
             col += 1
             i += 1
             continue
-        word = _WORD_RE.match(text, i)
+        word = TOKEN_RE.match(text, i)
         if word:
             tokens.append(("word", word.group(), line, col))
             col += word.end() - i
@@ -104,6 +100,14 @@ class _Parser:
         if self.peek()[0] != "end":
             self.fail("unexpected trailing input")
 
+    def separated(self, read, separator=","):
+        """One or more items read by ``read``, between ``separator`` symbols."""
+        items = [read()]
+        while self.at_sym(separator):
+            self.advance()
+            items.append(read())
+        return items
+
     # -- pieces ----------------------------------------------------------
 
     def decoration(self) -> str:
@@ -128,11 +132,17 @@ class _Parser:
             return IDENTITY if token == "1" else token
         return token if self.semigroup.contains(token) else IDENTITY
 
+    def typed_child(self, read):
+        """``a:T``: the subtree ``T`` read by ``read``, with its edge type."""
+        token = self.edge_token()
+        self.expect_sym(":")
+        child = read()
+        return self.resolve_edge(token, child), child
+
     def rational(self) -> Fraction:
-        negative = False
-        if self.at_sym("-"):
+        negative = self.at_sym("-")
+        if negative:
             self.advance()
-            negative = True
         _, value, line, col = self.peek()
         word = self.expect_word("rational")
         if not word.isdigit():
@@ -159,16 +169,11 @@ class _Parser:
             self.expect_sym("[")
             dec = self.decoration()
             self.expect_sym(";")
-            left_token = self.edge_token()
-            self.expect_sym(":")
-            left = self.bin_tree()
+            left_type, left = self.typed_child(self.bin_tree)
             self.expect_sym(",")
-            right_token = self.edge_token()
-            self.expect_sym(":")
-            right = self.bin_tree()
+            right_type, right = self.typed_child(self.bin_tree)
             self.expect_sym("]")
-            return BinNode(dec, self.resolve_edge(left_token, left), left,
-                           self.resolve_edge(right_token, right), right)
+            return BinNode(dec, left_type, left, right_type, right)
         self.fail("expected a binary tree ('|' or 'B[...]')")
 
     def sch_tree(self) -> SchTree:
@@ -179,22 +184,9 @@ class _Parser:
         if kind == "word" and value == "S":
             self.advance()
             self.expect_sym("[")
-            decs = [self.decoration()]
-            while self.at_sym(","):
-                self.advance()
-                decs.append(self.decoration())
+            decs = self.separated(self.decoration)
             self.expect_sym(";")
-            children = []
-            token = self.edge_token()
-            self.expect_sym(":")
-            child = self.sch_tree()
-            children.append((self.resolve_edge(token, child), child))
-            while self.at_sym(","):
-                self.advance()
-                token = self.edge_token()
-                self.expect_sym(":")
-                child = self.sch_tree()
-                children.append((self.resolve_edge(token, child), child))
+            children = self.separated(lambda: self.typed_child(self.sch_tree))
             self.expect_sym("]")
             return SchNode(tuple(decs), tuple(children))
         self.fail("expected a Schröder tree ('|' or 'S[...]')")
@@ -209,12 +201,16 @@ class _Parser:
         if k == "word" and value == "0" and self.tokens[self.pos + 1][0] == "end":
             self.advance()
             return ZERO_SPAN
-        pairs = [self.span_term(kind)]
-        while self.at_sym("+"):
-            self.advance()
-            pairs.append(self.span_term(kind))
-        key = self._key(kind)
-        return normalize(pairs, key)
+        pairs = self.separated(lambda: self.span_term(kind), "+")
+        sort_key = pbtrees.sort_key if kind == "binary" else schroder.sort_key
+        return normalize(pairs, sort_key(self.alphabet, self.semigroup))
+
+    def operand(self, kind: str):
+        k, value, _, _ = self.peek()
+        if (k == "sym" and value == "|") or (k == "word" and value in ("B", "S")):
+            t = self.tree(kind)
+            return t if t is LEAF else span_single(t)
+        return self.span(kind)
 
     def span_term(self, kind: str):
         coeff = self.rational()
@@ -223,11 +219,6 @@ class _Parser:
         if t is LEAF:
             self.fail("the leaf '|' cannot appear in a span")
         return (coeff, t)
-
-    def _key(self, kind: str):
-        if kind == "binary":
-            return lambda t: bin_key(t, self.alphabet, self.semigroup)
-        return lambda t: sch_key(t, self.alphabet, self.semigroup)
 
     # -- expressions ------------------------------------------------------------
 
@@ -247,57 +238,46 @@ class _Parser:
                 raise TermSyntaxError(
                     f"undeclared semigroup element {omega!r}", oline, ocol)
             self.expect_sym("]")
-            self.expect_sym("(")
-            left = self.expr()
-            self.expect_sym(",")
-            right = self.expr()
-            self.expect_sym(")")
-            cls = Prec if head == "prec" else Succ
-            return cls(omega, left, right)
+            return (Prec if head == "prec" else Succ)(omega, *self.operands())
         if head == "dot":
-            self.expect_sym("(")
-            left = self.expr()
-            self.expect_sym(",")
-            right = self.expr()
-            self.expect_sym(")")
-            return Dot(left, right)
+            return Dot(*self.operands())
         raise TermSyntaxError(f"unknown expression head {head!r}", line, col)
+
+    def operands(self):
+        """``(E1,E2)``: the two operand expressions of a product."""
+        self.expect_sym("(")
+        left = self.expr()
+        self.expect_sym(",")
+        right = self.expr()
+        self.expect_sym(")")
+        return left, right
 
 
 # -- public parse functions -----------------------------------------------
 
-def parse_tree(text: str, kind: str, alphabet: Alphabet, semigroup: Semigroup):
+def _parse(text: str, alphabet: Alphabet, semigroup: Semigroup, read):
+    """``read(parser)`` on ``text``, which it must consume entirely."""
     parser = _Parser(text, alphabet, semigroup)
-    t = parser.tree(kind)
+    value = read(parser)
     parser.expect_end()
-    return t
+    return value
+
+
+def parse_tree(text: str, kind: str, alphabet: Alphabet, semigroup: Semigroup):
+    return _parse(text, alphabet, semigroup, lambda parser: parser.tree(kind))
 
 
 def parse_span(text: str, kind: str, alphabet: Alphabet, semigroup: Semigroup) -> LinComb:
-    parser = _Parser(text, alphabet, semigroup)
-    s = parser.span(kind)
-    parser.expect_end()
-    return s
+    return _parse(text, alphabet, semigroup, lambda parser: parser.span(kind))
 
 
 def parse_expr(text: str, alphabet: Alphabet, semigroup: Semigroup) -> Expr:
-    parser = _Parser(text, alphabet, semigroup)
-    e = parser.expr()
-    parser.expect_end()
-    return e
+    return _parse(text, alphabet, semigroup, _Parser.expr)
 
 
 def parse_operand(text: str, kind: str, alphabet: Alphabet, semigroup: Semigroup):
     """A product operand: a single tree (possibly the leaf) or a span."""
-    parser = _Parser(text, alphabet, semigroup)
-    k, value, _, _ = parser.peek()
-    if (k == "sym" and value == "|") or (k == "word" and value in ("B", "S")):
-        t = parser.tree(kind)
-        parser.expect_end()
-        return t if t is LEAF else span_single(t)
-    s = parser.span(kind)
-    parser.expect_end()
-    return s
+    return _parse(text, alphabet, semigroup, lambda parser: parser.operand(kind))
 
 
 def parse_corpus(text: str, kind: str, alphabet: Alphabet, semigroup: Semigroup):
@@ -313,24 +293,46 @@ def parse_corpus(text: str, kind: str, alphabet: Alphabet, semigroup: Semigroup)
 
 # -- printers -------------------------------------------------------------
 
+def _printer(roots):
+    """A printer for the trees ``roots``: it prints a subtree that occurs more
+    than once among them only once, and keeps no other text."""
+    seen, shared = set(), {LEAF: "|"}
+    stack = list(roots)
+    while stack:
+        t = stack.pop()
+        if t in seen:
+            shared[t] = None
+        elif isinstance(t, (BinNode, SchNode)):
+            seen.add(t)
+            stack += (t.left, t.right) if isinstance(t, BinNode) else [c for _, c in t.children]
+        elif t is not LEAF:
+            raise TypeError(f"not a tree: {t!r}")
+
+    def show(t) -> str:
+        text = shared.get(t)
+        if text is None:
+            if isinstance(t, BinNode):
+                text = (f"B[{t.dec};{t.left_type}:{show(t.left)},"
+                        f"{t.right_type}:{show(t.right)}]")
+            else:
+                children = ",".join([f"{etype}:{show(child)}" for etype, child in t.children])
+                text = f"S[{','.join(t.decs)};{children}]"
+            if t in shared:
+                shared[t] = text
+        return text
+
+    return show
+
+
 def print_tree(t: Union[BinTree, SchTree]) -> str:
-    if t is LEAF:
-        return "|"
-    if isinstance(t, BinNode):
-        return (f"B[{t.dec};{t.left_type}:{print_tree(t.left)},"
-                f"{t.right_type}:{print_tree(t.right)}]")
-    if isinstance(t, SchNode):
-        decs = ",".join(t.decs)
-        children = ",".join(f"{etype}:{print_tree(child)}"
-                            for etype, child in t.children)
-        return f"S[{decs};{children}]"
-    raise TypeError(f"not a tree: {t!r}")
+    return _printer((t,))(t)
 
 
 def print_span(s: LinComb) -> str:
     if s.is_zero():
         return "0"
-    return " + ".join(f"{coeff}*{print_tree(tree)}" for coeff, tree in s.terms)
+    show = _printer(s.map)
+    return " + ".join([f"{coeff}*{show(tree)}" for coeff, tree in s.terms])
 
 
 def print_expr(e: Expr) -> str:

@@ -15,7 +15,7 @@ from .axioms import find_tridendriform_counterexample, validate_tridendriform_op
 from .basis import LEAF, LinComb, ZERO_SPAN, merge, span_single
 from .exprs import Dot, Expr, Gen, Prec, Succ
 from .family import FreeFamily
-from .schroder import SchNode, SchTree, intern_node, single_vertex, tree_key
+from .schroder import SchNode, SchTree, intern_node, single_vertex, sort_key
 from .semigroups import IDENTITY
 
 
@@ -26,7 +26,7 @@ class FreeTridendriformFamily(FreeFamily):
 
     node_type = SchNode
     axiom_table = axioms.TRIDENDRIFORM
-    single_vertex = staticmethod(single_vertex)
+    single_vertex, sort_key = staticmethod(single_vertex), staticmethod(sort_key)
     # re-bound in this class's namespace: the benchmark tracer wraps only a
     # class's own methods
     prec, succ, extend = FreeFamily.prec, FreeFamily.succ, FreeFamily.extend
@@ -34,9 +34,6 @@ class FreeTridendriformFamily(FreeFamily):
     def __init__(self, alphabet, semigroup):
         super().__init__(alphabet, semigroup)
         self._dot_memo: dict = {}
-
-    def tree_key(self, t: SchTree):
-        return tree_key(t, self.alphabet, self.semigroup)
 
     def dot(self, a, b, *, strict: bool = False) -> LinComb:
         return self._product("dot", self._dot_trees, a, b, strict)

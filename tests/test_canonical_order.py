@@ -1,0 +1,251 @@
+"""The canonical tree order and the printer on shared subtrees.
+
+The per-node memoized keys of ``pbtrees.sort_key``/``schroder.sort_key``
+must order trees exactly as the recursive definition below does, in the
+algebras, the parser and the enumerators; the printer must print a span
+exactly as a naive per-term printer does.
+"""
+
+import tracemalloc
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dendrifam.basis import LEAF, Alphabet
+from dendrifam.dendriform import FreeDendriformFamily
+from dendrifam.errors import InvalidElement
+from dendrifam.pbtrees import BinNode, enumerate_bin, graft_binary
+from dendrifam.pbtrees import leaves as bin_leaves
+from dendrifam.pbtrees import single_vertex as bin_vertex
+from dendrifam.pbtrees import sort_key as bin_sort_key
+from dendrifam.schroder import SchNode, enumerate_sch
+from dendrifam.schroder import leaves as sch_leaves
+from dendrifam.schroder import single_vertex as sch_vertex
+from dendrifam.schroder import sort_key as sch_sort_key
+from dendrifam.semigroups import IDENTITY, Semigroup
+from dendrifam.termio import parse_span, print_span, print_tree
+from dendrifam.tridendriform import FreeTridendriformFamily
+
+XY = Alphabet(["x", "y"])
+YX = Alphabet(["y", "x"])
+Z2 = Semigroup.cyclic(2)
+FREE = Semigroup.free(["a", "b"])
+# semigroup, the edge tokens drawn, the word bound of enumerations
+SEMIGROUPS = {
+    "cyclic:2": (Z2, ["0", "1"], None),
+    "free:a,b": (FREE, FREE.elements(3), 2),
+}
+
+
+# -- the reference: the recursive keys the memoized ones replaced ----------
+
+def ref_bin_key(t, alphabet, semigroup):
+    if t is LEAF:
+        return (1,)
+    return (
+        bin_leaves(t),
+        alphabet.index(t.dec),
+        semigroup.ext_key(t.left_type),
+        ref_bin_key(t.left, alphabet, semigroup),
+        semigroup.ext_key(t.right_type),
+        ref_bin_key(t.right, alphabet, semigroup),
+    )
+
+
+def ref_sch_key(t, alphabet, semigroup):
+    if t is LEAF:
+        return (1,)
+    return (
+        sch_leaves(t),
+        t.arity,
+        tuple(alphabet.index(x) for x in t.decs),
+        tuple(semigroup.ext_key(etype) for etype, _ in t.children),
+        tuple(ref_sch_key(child, alphabet, semigroup) for _, child in t.children),
+    )
+
+
+def naive_print(t):
+    if t is LEAF:
+        return "|"
+    if isinstance(t, BinNode):
+        return (f"B[{t.dec};{t.left_type}:{naive_print(t.left)},"
+                f"{t.right_type}:{naive_print(t.right)}]")
+    children = ",".join(f"{etype}:{naive_print(child)}" for etype, child in t.children)
+    return f"S[{','.join(t.decs)};{children}]"
+
+
+def naive_print_span(span):
+    return " + ".join(f"{c}*{naive_print(t)}" for c, t in span.terms) or "0"
+
+
+# -- random trees -------------------------------------------------------------
+
+def edge(draw, tokens, child):
+    return IDENTITY if child is LEAF else draw(st.sampled_from(tokens))
+
+
+@st.composite
+def binary_trees(draw, tokens, size=None):
+    size = draw(st.integers(min_value=1, max_value=6)) if size is None else size
+    left_size = draw(st.integers(min_value=0, max_value=size - 1))
+    left = draw(binary_trees(tokens, left_size)) if left_size else LEAF
+    right_size = size - 1 - left_size
+    right = draw(binary_trees(tokens, right_size)) if right_size else LEAF
+    return graft_binary(left, draw(st.sampled_from(["x", "y"])),
+                        edge(draw, tokens, left), edge(draw, tokens, right), right)
+
+
+@st.composite
+def schroder_trees(draw, tokens, depth=3):
+    k = draw(st.integers(min_value=1, max_value=3))
+    children = []
+    for _ in range(k + 1):
+        use_child = depth > 1 and draw(st.booleans())
+        child = draw(schroder_trees(tokens, depth - 1)) if use_child else LEAF
+        children.append((edge(draw, tokens, child), child))
+    return SchNode(tuple(draw(st.sampled_from(["x", "y"])) for _ in range(k)),
+                   tuple(children))
+
+
+def subtrees(t):
+    if t is LEAF:
+        return []
+    children = [t.left, t.right] if isinstance(t, BinNode) else [c for _, c in t.children]
+    return [t] + [s for child in children for s in subtrees(child)]
+
+
+KINDS = {
+    "binary": (binary_trees, bin_sort_key, ref_bin_key, FreeDendriformFamily),
+    "schroder": (schroder_trees, sch_sort_key, ref_sch_key, FreeTridendriformFamily),
+}
+
+
+def assert_same_order(trees, key, ref):
+    assert sorted(trees, key=key) == sorted(trees, key=ref)
+    for a, b in combinations(trees, 2):
+        assert (key(a) < key(b)) == (ref(a) < ref(b))
+        assert (key(a) == key(b)) == (ref(a) == ref(b)) == (a is b)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("sg_name", SEMIGROUPS)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_memoized_key_orders_as_the_recursive_definition(kind, sg_name, data):
+    draw_trees, sort_key, ref_key, family = KINDS[kind]
+    semigroup, tokens, _ = SEMIGROUPS[sg_name]
+    drawn = data.draw(st.lists(draw_trees(tokens), min_size=1, max_size=6))
+    trees = list({s: None for t in drawn for s in subtrees(t)})
+    for alphabet in (XY, YX):
+        ref = lambda t: ref_key(t, alphabet, semigroup)  # noqa: E731
+        assert_same_order(trees, sort_key(alphabet, semigroup), ref)
+        assert_same_order(trees, family(alphabet, semigroup).key, ref)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("sg_name", SEMIGROUPS)
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_parsed_spans_sort_as_the_recursive_definition(kind, sg_name, data):
+    draw_trees, _, ref_key, _ = KINDS[kind]
+    semigroup, tokens, _ = SEMIGROUPS[sg_name]
+    trees = data.draw(st.lists(draw_trees(tokens), min_size=1, max_size=6, unique=True))
+    text = " + ".join(f"1*{naive_print(t)}" for t in trees)
+    for alphabet in (XY, YX):
+        span = parse_span(text, kind, alphabet, semigroup)
+        assert span.trees() == sorted(trees, key=lambda t: ref_key(t, alphabet, semigroup))
+
+
+@pytest.mark.parametrize("sg_name", SEMIGROUPS)
+@pytest.mark.parametrize("alphabet", [XY, YX])
+def test_enumerations_sort_as_the_recursive_definition(sg_name, alphabet):
+    semigroup, _, max_word = SEMIGROUPS[sg_name]
+    for n in (1, 2, 3):
+        trees = enumerate_bin(n, alphabet, semigroup, max_word)
+        assert trees == sorted(trees, key=lambda t: ref_bin_key(t, alphabet, semigroup))
+    for n in (1, 2, 3):
+        trees = enumerate_sch(n, alphabet, semigroup, max_word)
+        assert trees == sorted(trees, key=lambda t: ref_sch_key(t, alphabet, semigroup))
+
+
+def test_algebras_over_reordered_alphabets_print_shared_trees_each_in_its_order():
+    t = graft_binary(bin_vertex("y"), "x", "1", IDENTITY, LEAF)
+    u = graft_binary(LEAF, "y", IDENTITY, "0", bin_vertex("x"))
+    xy, yx = FreeDendriformFamily(XY, Z2), FreeDendriformFamily(YX, Z2)
+    p_xy, p_yx = (alg.succ(alg.span(t, u), alg.span(u, bin_vertex("x")), "1")
+                  for alg in (xy, yx))
+    assert p_xy.map == p_yx.map  # the very same tree objects
+    # yx keys the shared trees first; keys must not leak between algebras
+    text_yx, text_xy = print_span(p_yx), print_span(p_xy)
+    for alphabet, span, text in ((YX, p_yx, text_yx), (XY, p_xy, text_xy)):
+        assert span.trees() == sorted(span.map, key=lambda s: ref_bin_key(s, alphabet, Z2))
+        assert text == naive_print_span(span)
+    assert text_xy != text_yx
+    assert sorted(text_xy.split(" + ")) == sorted(text_yx.split(" + "))
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_printer_shares_subtrees_exactly_as_a_naive_printer(data):
+    trees = data.draw(st.lists(binary_trees(["0", "1"]), min_size=2, max_size=4))
+    a, b = trees[0], trees[1]
+    shared = [graft_binary(a, "x", "0", "1", b), graft_binary(b, "y", "1", "1", a),
+              graft_binary(a, "y", "0", "0", a)] + trees
+    alg = FreeDendriformFamily(XY, Z2)
+    for span in (alg.span(*shared), alg.prec(alg.span(*trees), b, "1"),
+                 alg.succ(a, alg.span(*shared), "0")):
+        assert print_span(span) == naive_print_span(span)
+    tri = FreeTridendriformFamily(XY, Z2)
+    s = data.draw(schroder_trees(["0", "1"]))
+    for span in (tri.dot(s, s), tri.prec(tri.span(s, sch_vertex("x")), s, "0")):
+        assert print_span(span) == naive_print_span(span)
+
+
+def test_printer_keeps_only_the_text_of_shared_subtrees():
+    # prec(right comb of n, vertex) has n terms and about n^2/2 distinct
+    # nodes; keeping the text of every node would take O(n^3) characters
+    comb = LEAF
+    for i in range(150):
+        comb = graft_binary(LEAF, "xy"[i % 2], IDENTITY, IDENTITY if comb is LEAF else "0", comb)
+    product = FreeDendriformFamily(XY, Z2).prec(comb, bin_vertex("x"), "1")
+    product.terms
+    tracemalloc.start()
+    try:
+        text = print_span(product)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == naive_print_span(product)
+    assert peak < 8 * len(text)
+    with pytest.raises(TypeError):
+        print_tree((1, "0"))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_undeclared_decoration_or_foreign_edge_raises_invalid_element(kind):
+    sort_key, vertex = (bin_sort_key, bin_vertex) if kind == "binary" else (sch_sort_key,
+                                                                            sch_vertex)
+    key = sort_key(Alphabet(["x"]), Z2)
+    for _ in range(2):  # a failed key leaves nothing half-made behind
+        with pytest.raises(InvalidElement):
+            key(vertex("y"))
+    with pytest.raises(InvalidElement):
+        KINDS[kind][3](Alphabet(["x"]), Z2).key(vertex("y"))
+    if kind == "binary":
+        foreign = graft_binary(vertex("x"), "x", "5", IDENTITY, LEAF)
+    else:
+        foreign = SchNode(("x",), (("5", vertex("x")), (IDENTITY, LEAF)))
+    with pytest.raises(InvalidElement):
+        key(foreign)
+
+
+@pytest.mark.parametrize("symbols", [["x y"], ["x", "+"], ["é"], [""], ["x", "1/2"], [3]])
+def test_alphabet_rejects_symbols_the_grammar_cannot_read(symbols):
+    with pytest.raises(InvalidElement):
+        Alphabet(symbols)
+
+
+def test_alphabet_accepts_grammar_tokens():
+    assert list(Alphabet(["x", "Y2", "_a", "1"])) == ["x", "Y2", "_a", "1"]

@@ -449,3 +449,15 @@ def test_output_does_not_depend_on_hash_values(capsys, argv):
         proc = subprocess.run([sys.executable, "-m", "dendrifam", *argv], env=env,
                               capture_output=True, text=True, check=True)
         assert proc.stdout == expected
+
+
+@pytest.mark.parametrize("alphabet", ["x y", "x,+", "é", "x,y/2"])
+@pytest.mark.parametrize("command", [
+    ("enumerate", "binary", "1"),
+    ("product", "prec", "--omega", "0", "B[x;1:|,1:|]", "B[x;1:|,1:|]"),
+])
+def test_alphabet_outside_the_token_rule_is_a_config_error(capsys, command, alphabet):
+    # such a symbol printed a tree that the term grammar could not read back
+    code, out, err = run(capsys, *command, "--alphabet", alphabet, "--semigroup", "cyclic:2")
+    assert code == 2 and out == ""
+    assert "bad decoration symbol" in err

@@ -65,3 +65,19 @@ def test_exact_is_int_exactly_when_integral(a):
     assert c == a and str(c) == str(a)
     assert (type(c) is int) == (a.denominator == 1)
     assert type(exact(c)) is type(c)
+
+
+def test_exact_keeps_a_canonical_fraction():
+    assert exact(Fraction(6, 3)) == 2 and type(exact(Fraction(6, 3))) is int
+    half = Fraction(1, 2)
+    assert exact(half) is half
+
+
+def test_exact_converts_other_rationals():
+    class Sub(Fraction):
+        pass
+
+    assert type(exact(Sub(1, 2))) is Fraction and exact(Sub(1, 2)) == Fraction(1, 2)
+    assert type(exact(Sub(4, 2))) is int and exact(Sub(4, 2)) == 2
+    assert type(exact(True)) is int and exact(True) == 1
+    assert exact(0.5) == Fraction(1, 2)
