@@ -21,9 +21,8 @@ from .dendriform import FreeDendriformFamily
 from .errors import AlgebraError, AxiomFailure, IdentityMisuse, LeafOperand
 from .pbtrees import enumerate_bin
 from .rationals import parse_coefficient
-from .rotabaxter import (RBFamily, eta, epsilon, parse_map_file, parse_rb_file,
-                         rb_family_counterexample, tensor_dendriform,
-                         tensor_rb_counterexample, tensor_tridendriform)
+from .rotabaxter import (RBFamily, TensorFamily, eta, epsilon, parse_map_file,
+                         parse_rb_file, rb_family_counterexample, tensor_rb_counterexample)
 from .schroder import enumerate_sch
 from .semigroups import Semigroup, from_config_file
 from .termio import parse_operand, print_span, print_tree
@@ -80,11 +79,8 @@ class _Progress:
             print(f"progress {self.done}/{self.total}", file=sys.stderr)
 
 
-# kind -> (free family, axiom table, tensor construction, axiom label prefix)
-_FAMILIES = {
-    "binary": (FreeDendriformFamily, axioms.DENDRIFORM, tensor_dendriform, "dd"),
-    "schroder": (FreeTridendriformFamily, axioms.TRIDENDRIFORM, tensor_tridendriform, "td"),
-}
+# kind -> (free family, axiom label prefix)
+_FAMILIES = {"binary": (FreeDendriformFamily, "dd"), "schroder": (FreeTridendriformFamily, "td")}
 
 
 def _trees_up_to(kind: str, max_leaves: int, alphabet, semigroup, max_word):
@@ -148,9 +144,9 @@ def _check_family_axioms(args, kind: str) -> int:
     alphabet, semigroup = _config(args)
     trees = _trees_up_to(kind, args.max_leaves, alphabet, semigroup, args.max_word)
     omega = semigroup.elements(args.max_word)
-    family, table, _, prefix = _FAMILIES[kind]
+    family, prefix = _FAMILIES[kind]
     algebra = family(alphabet, semigroup)
-    names = [f"{prefix}f{number}" for number, _, _ in table]
+    names = [f"{prefix}f{number}" for number, _, _ in family.axiom_table]
     total = len(trees) ** 3 * len(omega) ** 2
     progress = _Progress(total)
     for t in trees:
@@ -216,8 +212,8 @@ def _check_tensor_family(args, kind: str) -> int:
     alphabet, semigroup = _config(args)
     trees = _trees_up_to(kind, args.max_leaves, alphabet, semigroup, args.max_word)
     omega = semigroup.elements(args.max_word)
-    family, table, tensor_of, prefix = _FAMILIES[kind]
-    tensor = tensor_of(family(alphabet, semigroup))
+    family, prefix = _FAMILIES[kind]
+    tensor, table = TensorFamily(family(alphabet, semigroup)), family.axiom_table
     names = [f"{prefix}{number}" for number, _, _ in table]
     elements = [(t, w) for t in trees for w in omega]
     total = len(elements) ** 3

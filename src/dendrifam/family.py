@@ -1,30 +1,44 @@
 """The engine shared by the free dendriform and tridendriform family algebras.
 
 Both free families are spans of typed basis trees with products
-``prec``/``succ`` indexed by a semigroup.  This base holds everything
-the two constructions share: the span plumbing (``key``, ``gen``,
-``span``, ``zero``, ``add``, ``scale``), operand coercion, the family
-index check, the leaf conventions of the products, the bilinear lift of
-a tree kernel, the axiom residuals and the outer sum of the universal
-morphism.  A family supplies only what differs:
+``prec``/``succ`` indexed by a semigroup, and both products are one
+recursion: ``T prec_w U`` replaces the last child C of the root of T,
+on the edge a, by ``C succ_a U + C prec_w U + C . U`` on the edge a*w,
+and ``T succ_w U`` mirrors it on the first child of U.  The dendriform
+family is the case ``dot = 0`` (a dendriform algebra is a tridendriform
+algebra with zero middle product).  This base holds the span plumbing
+(``key``, ``gen``, ``span``, ``zero``, ``add``, ``scale``), operand
+coercion, the family index check, the leaf conventions, the memoized
+tree kernels ``_prec_trees``/``_succ_trees``, the bilinear lift, the
+axiom residuals, and the generator decomposition (``central_factors``,
+``express``) with its image recursion ``_imager`` for ``extend``.  It
+reads a root vertex through the view ``(decorations, (edge type,
+child) pairs)``, in which a binary vertex is the arity-2 case.  A
+family supplies only what differs:
 
-* ``node_type``, ``single_vertex`` and ``sort_key``, whose key function is ``key``;
-* the tree kernels ``_prec_trees(t, u, w)`` and ``_succ_trees(t, u, w)``
-  on basis trees or the leaf, memoized in ``_prec_memo``/``_succ_memo``
-  (and the tridendriform ``dot`` with its kernel ``_dot_trees``);
-* ``express`` and ``_imager``, the per-tree image recursion of ``extend``;
+* ``nodes``, its tree module (:mod:`dendrifam.pbtrees` or
+  :mod:`dendrifam.schroder`), and ``node_type``, its node class;
 * ``axiom_table``, its table in :mod:`dendrifam.axioms`, and
-  ``axioms_hold``.
+  ``axioms_hold``;
+* for the tridendriform family, ``dot`` with its kernel ``_dot_trees``,
+  which is zero here.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Callable, Mapping, Union
 
 from . import axioms
 from .basis import LEAF, LinComb, ZERO_SPAN, merge, normalize, span_single
 from .errors import IdentityMisuse, InvalidElement, LeafOperand
+from .exprs import Dot, Expr, Gen, Prec, Succ
 from .semigroups import IDENTITY
+
+# the products of expressions, so that ``express`` is the image recursion
+# of ``extend`` with expressions as values
+_TERMS = SimpleNamespace(prec=lambda a, b, w: Prec(w, a, b),
+                         succ=lambda a, b, w: Succ(w, a, b), dot=Dot)
 
 
 class FreeFamily:
@@ -34,13 +48,14 @@ class FreeFamily:
     scale, zero), so the free algebra can be its own oracle.
     """
 
+    nodes: object  # the tree module
     node_type: type
     axiom_table: tuple
 
     def __init__(self, alphabet, semigroup):
         self.alphabet = alphabet
         self.semigroup = semigroup
-        self.key = self.sort_key(alphabet, semigroup)
+        self.key = self.nodes.sort_key(alphabet, semigroup)
         self._prec_memo: dict = {}
         self._succ_memo: dict = {}
 
@@ -48,7 +63,7 @@ class FreeFamily:
 
     def gen(self, x: str) -> LinComb:
         self.alphabet.index(x)
-        return span_single(self.single_vertex(x))
+        return span_single(self.nodes.single_vertex(x))
 
     def span(self, *trees) -> LinComb:
         if len(trees) == 1:
@@ -105,6 +120,50 @@ class FreeFamily:
         index = () if omega is None else (self._family_index(omega),)
         return self._bilinear(kernel, a, b, *index)
 
+    def _prec_trees(self, t, u, w: str) -> LinComb:
+        assert not (t is LEAF and u is LEAF)
+        if u is LEAF:
+            return span_single(t)
+        if t is LEAF:
+            return ZERO_SPAN
+        key = (t, u, w)
+        cached = self._prec_memo.get(key)
+        if cached is not None:
+            return cached
+        assert w is not IDENTITY
+        a, last = self.nodes.last_edge(t)
+        inner = merge((self._succ_trees(last, u, a).map, self._prec_trees(last, u, w).map,
+                       self._dot_trees(last, u).map))
+        # replacing one child under a fixed context is injective, so the
+        # grafted map needs no merging
+        result = LinComb.from_map(
+            self.nodes.regraft_last(t, self.semigroup.mul_ext(a, w), inner), self.key)
+        self._prec_memo[key] = result
+        return result
+
+    def _succ_trees(self, t, u, w: str) -> LinComb:
+        assert not (t is LEAF and u is LEAF)
+        if t is LEAF:
+            return span_single(u)
+        if u is LEAF:
+            return ZERO_SPAN
+        key = (t, u, w)
+        cached = self._succ_memo.get(key)
+        if cached is not None:
+            return cached
+        assert w is not IDENTITY
+        b, first = self.nodes.first_edge(u)
+        inner = merge((self._succ_trees(t, first, w).map, self._prec_trees(t, first, b).map,
+                       self._dot_trees(t, first).map))
+        result = LinComb.from_map(
+            self.nodes.regraft_first(u, self.semigroup.mul_ext(w, b), inner), self.key)
+        self._succ_memo[key] = result
+        return result
+
+    def _dot_trees(self, t, u) -> LinComb:
+        """The middle product of trees; zero unless a family defines ``dot``."""
+        return ZERO_SPAN
+
     def _bilinear(self, product, a: LinComb, b: LinComb, *index) -> LinComb:
         if len(a.map) == 1 and len(b.map) == 1:
             (ta, ca), = a.map.items()
@@ -125,7 +184,47 @@ class FreeFamily:
         """LHS - RHS of each family axiom at a basis-tree instance."""
         return axioms.residuals(self.axiom_table, *self._instance(t, u, w, alpha, beta))
 
-    # -- the universal morphism ---------------------------------------------
+    # -- generators and the universal morphism -------------------------------
+
+    def central_factors(self, t) -> list[Expr]:
+        """Factors of the central-product decomposition of ``t``, left to right
+        (a binary vertex has one): the operands of the ``Dot`` chain of
+        ``express(t)``, as no factor is a ``Dot``."""
+        expr, factors = self.express(t), []
+        while isinstance(expr, Dot):
+            expr, right = expr.left, expr.right
+            factors.append(right)
+        return [expr] + factors[::-1]
+
+    def express(self, t) -> Expr:
+        """Expression over generators whose value in the free algebra is 1*t."""
+        return self._imager(Gen, _TERMS)(t)
+
+    def _imager(self, lookup, ops):
+        """The memoized image of a basis tree under ``ops``, for ``extend``: the
+        product by ``dot`` of the central factors of the root vertex, where
+        decoration i has child i+1 on its right and the first also child 0
+        on its left."""
+        vertex, memo = self.nodes.vertex, {}
+
+        def image(t):
+            value = memo.get(t)
+            if value is None:
+                decs, children = vertex(t)
+                a0, left = children[0]
+                for i, x in enumerate(decs):
+                    factor = lookup(x)
+                    if left is not LEAF:
+                        factor = ops.succ(image(left), factor, a0)
+                        left = LEAF
+                    a1, right = children[i + 1]
+                    if right is not LEAF:
+                        factor = ops.prec(factor, image(right), a1)
+                    value = factor if i == 0 else ops.dot(value, factor)
+                memo[t] = value
+            return value
+
+        return image
 
     def extend(self, f: Union[Mapping[str, object], Callable[[str], object]],
                ops, operand):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from operator import attrgetter
 from typing import Optional, Union
 
 from .basis import LEAF, Alphabet, Leaf
@@ -66,9 +67,27 @@ def single_vertex(dec: str) -> BinNode:
     return graft_binary(LEAF, dec, IDENTITY, IDENTITY, LEAF)
 
 
-def decompose(t: BinNode):
-    """The unique decomposition (left, dec, a1, a2, right); inverse of grafting."""
-    return t.left, t.dec, t.left_type, t.right_type, t.right
+def vertex(t: BinNode):
+    """The root vertex as (decorations, (edge type, child) pairs), the view
+    of :func:`dendrifam.schroder.vertex`: a binary vertex has arity 2."""
+    return (t.dec,), ((t.left_type, t.left), (t.right_type, t.right))
+
+
+# the (edge type, child) pair of the last and of the first child of the root
+last_edge, first_edge = attrgetter("right_type", "right"), attrgetter("left_type", "left")
+
+
+def regraft_last(t: BinNode, a, inner) -> dict:
+    """The map ``inner`` with each tree grafted as the last child of ``t``'s
+    root, on an edge typed ``a``, in place of the old last child."""
+    left, dec, a1 = t.left, t.dec, t.left_type
+    return {graft_binary(left, dec, a1, a, s): c for s, c in inner.items()}
+
+
+def regraft_first(t: BinNode, a, inner) -> dict:
+    """Like :func:`regraft_last`, on the first child."""
+    dec, a2, right = t.dec, t.right_type, t.right
+    return {graft_binary(s, dec, a, a2, right): c for s, c in inner.items()}
 
 
 def leaves(t: BinTree) -> int:

@@ -383,10 +383,12 @@ def tensor_rb(rb: RBFamily, semigroup: Semigroup, sample: Iterable[str]) -> Tens
     return TensorRB(rb, semigroup)
 
 
-class TensorDendriform(_PairSpans):
-    """Classical (index-free) dendriform products on spans of
-    (binary tree, semigroup element) pairs over the free family algebra:
-    (x (x) a) prec (y (x) b) = (x prec_b y) (x) ab, and mirrored for succ."""
+class TensorFamily(_PairSpans):
+    """Classical (index-free) products on spans of (basis tree, semigroup
+    element) pairs over a free family algebra:
+    (x (x) a) prec (y (x) b) = (x prec_b y) (x) ab, mirrored for succ, and
+    (x (x) a) . (y (x) b) = (x . y) (x) ab, which is zero over the
+    dendriform family."""
 
     def __init__(self, family):
         self.family = family
@@ -418,21 +420,8 @@ class TensorDendriform(_PairSpans):
     def succ(self, u: LinComb, v: LinComb) -> LinComb:
         return self._lift(self.family._succ_trees, u, v, side=0)
 
-
-class TensorTridendriform(TensorDendriform):
-    """Classical tridendriform products on (Schröder tree, element) pairs,
-    adding (x (x) a) . (y (x) b) = (x . y) (x) ab."""
-
     def dot(self, u: LinComb, v: LinComb) -> LinComb:
         return self._lift(self.family._dot_trees, u, v)
-
-
-def tensor_dendriform(family) -> TensorDendriform:
-    return TensorDendriform(family)
-
-
-def tensor_tridendriform(family) -> TensorTridendriform:
-    return TensorTridendriform(family)
 
 
 # -- the definition file format ------------------------------------------

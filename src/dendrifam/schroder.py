@@ -83,15 +83,32 @@ def corolla(decs: Sequence[str]) -> SchNode:
     return intern_node(decs, tuple((IDENTITY, LEAF) for _ in range(len(decs) + 1)))
 
 
-def decompose_nary(t: SchNode):
-    """Inverse of grafting: (children, decorations, edge types)."""
-    return (tuple(child for _, child in t.children), t.decs,
-            tuple(etype for etype, _ in t.children))
+def vertex(t: SchNode):
+    """The root vertex as (decorations, (edge type, child) pairs)."""
+    return t.decs, t.children
 
 
-def breadth(t: SchNode) -> int:
-    """Arity of the vertex adjacent to the root."""
-    return t.arity
+def last_edge(t: SchNode):
+    """The (edge type, child) pair of the last child of the root."""
+    return t.children[-1]
+
+
+def first_edge(t: SchNode):
+    """The (edge type, child) pair of the first child of the root."""
+    return t.children[0]
+
+
+def regraft_last(t: SchNode, a, inner) -> dict:
+    """The map ``inner`` with each tree put as the last child of ``t``'s
+    root, on an edge typed ``a``, in place of the old last child."""
+    decs, head = t.decs, t.children[:-1]
+    return {intern_node(decs, head + ((a, s),)): c for s, c in inner.items()}
+
+
+def regraft_first(t: SchNode, a, inner) -> dict:
+    """Like :func:`regraft_last`, on the first child."""
+    decs, tail = t.decs, t.children[1:]
+    return {intern_node(decs, ((a, s),) + tail): c for s, c in inner.items()}
 
 
 def leaves(t: SchTree) -> int:
@@ -113,7 +130,7 @@ def decoration_count(t: SchTree) -> int:
 
 
 def sort_key(alphabet: Alphabet, semigroup: Semigroup):
-    """Like :func:`dendrifam.pbtrees.sort_key`: leaf count, breadth, decorations,
+    """Like :func:`dendrifam.pbtrees.sort_key`: leaf count, arity, decorations,
     edge types, children."""
     dec, edge = cache(alphabet.index), cache(semigroup.ext_key)  # rank tables
     memo = {LEAF: (1,)}

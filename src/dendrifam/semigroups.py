@@ -5,7 +5,9 @@ Three kinds of semigroup are supported:
 * ``free``   -- nonempty words over a finite generator set, product is
   concatenation (infinite); the generators must be uniquely decodable,
   so that every word is a product of generators in only one way;
-* ``cyclic`` -- integers 0..n-1 under addition mod n;
+* ``cyclic`` -- integers 0..n-1 under addition mod n, named by their
+  canonical decimal numerals (``0``, ``7``, not ``07``) and never listed
+  unless :meth:`Semigroup.elements` is asked for them;
 * ``table``  -- an explicit finite Cayley table.
 
 Elements are plain string tokens.  A fresh identity is always adjoined:
@@ -91,12 +93,13 @@ class Semigroup:
             if order is None or order < 1:
                 raise SemigroupViolation("cyclic semigroup needs order >= 1")
             self.order = order
-            self._elements = tuple(str(i) for i in range(order))
+            self._ranks: dict = {}  # name -> rank of each name validated so far
         elif kind == "table":
             elems = tuple(_check_token(e) for e in elements)
             if not elems or len(set(elems)) != len(elems):
                 raise SemigroupViolation("table semigroup needs distinct nonempty elements")
             self._elements = elems
+            self._ranks = {e: i for i, e in enumerate(elems)}
             self._table = dict(table)
             for a, b in product(elems, repeat=2):
                 if (a, b) not in self._table:
@@ -143,7 +146,21 @@ class Semigroup:
     def contains(self, a: str) -> bool:
         if self.kind == "free":
             return self._segmentable(a)
-        return a in self._elements
+        try:
+            return a in self._ranks or self._rank(a) is not None
+        except TypeError:  # an unhashable value names no element
+            return False
+
+    def _rank(self, a) -> Optional[int]:
+        """Position of ``a`` in the element order of a finite semigroup, or None."""
+        rank = self._ranks.get(a)
+        # a cyclic element is its canonical numeral; the length test keeps
+        # int() away from long digit strings
+        if (rank is None and self.kind == "cyclic" and isinstance(a, str) and a.isascii()
+                and a.isdigit() and (a == "0" or a[0] != "0")
+                and len(a) <= len(str(self.order)) and int(a) < self.order):
+            rank = self._ranks[a] = int(a)
+        return rank
 
     def _segmentable(self, word: str) -> bool:
         # membership in the free semigroup: the word must split into generators
@@ -196,7 +213,9 @@ class Semigroup:
         For a free semigroup a word-length bound is required; the words of
         at most ``max_word`` generator factors are returned.
         """
-        if self.kind != "free":
+        if self.kind == "cyclic":
+            return [str(i) for i in range(self.order)]
+        if self.kind == "table":
             return list(self._elements)
         if max_word is None:
             raise InfiniteSemigroup("free semigroup has infinitely many elements")
@@ -212,10 +231,10 @@ class Semigroup:
         """Sort key realising the configured element order."""
         if self.kind == "free":
             return (len(a), a)
-        try:
-            return (self._elements.index(a),)
-        except ValueError:
+        rank = self._rank(a)
+        if rank is None:
             raise InvalidElement(f"{a!r} is not an element of the semigroup")
+        return (rank,)
 
     def ext_key(self, e):
         """Sort key on the extended monoid: identity before everything."""

@@ -1,8 +1,24 @@
 """The free tridendriform family algebra on typed valently decorated
 Schröder trees.
 
-The two indexed products rewrite a boundary child of one operand; the
-middle product fuses the two root vertices, concatenating decorations.
+The two indexed products rewrite a boundary child of one operand: for
+basis trees T with root decorations x_1..x_k over the children
+(a_0: T_0, ..., a_k: T_k) and U with root decorations y_1..y_l over
+(b_0: U_0, ..., b_l: U_l),
+
+    T prec_w U = T with a_k: T_k replaced by
+                 a_k w: (T_k succ_{a_k} U + T_k prec_w U + T_k . U)
+    T succ_w U = U with b_0: U_0 replaced by
+                 w b_0: (T succ_w U_0 + T prec_{b_0} U_0 + T . U_0)
+
+with the leaf as a one-sided neutral element, as for binary trees.  The
+dendriform formulas are these with ``dot = 0``; both families run this
+one recursion in :class:`~dendrifam.family.FreeFamily`.  The middle
+product fuses the two root vertices, concatenating decorations, over
+the children T_k and U_0 merged into
+
+    a_k b_0: (T_k succ_{a_k} U_0 + T_k prec_{b_0} U_0 + T_k . U_0).
+
 When the fused boundary children are both leaves the merged middle
 child is the leaf itself (a convention applied strictly locally, only
 at that fuse).
@@ -10,12 +26,11 @@ at that fuse).
 
 from __future__ import annotations
 
-from . import axioms
+from . import axioms, schroder
 from .axioms import find_tridendriform_counterexample, validate_tridendriform_ops  # noqa: F401
 from .basis import LEAF, LinComb, ZERO_SPAN, merge, span_single
-from .exprs import Dot, Expr, Gen, Prec, Succ
 from .family import FreeFamily
-from .schroder import SchNode, SchTree, intern_node, single_vertex, sort_key
+from .schroder import SchNode, SchTree, intern_node
 from .semigroups import IDENTITY
 
 
@@ -24,12 +39,12 @@ class FreeTridendriformFamily(FreeFamily):
     and the middle product dot.  Doubles as a tridendriform operations object.
     """
 
-    node_type = SchNode
-    axiom_table = axioms.TRIDENDRIFORM
-    single_vertex, sort_key = staticmethod(single_vertex), staticmethod(sort_key)
+    nodes, node_type, axiom_table = schroder, SchNode, axioms.TRIDENDRIFORM
     # re-bound in this class's namespace: the benchmark tracer wraps only a
     # class's own methods
     prec, succ, extend = FreeFamily.prec, FreeFamily.succ, FreeFamily.extend
+    _prec_trees, _succ_trees = FreeFamily._prec_trees, FreeFamily._succ_trees
+    express = FreeFamily.express
 
     def __init__(self, alphabet, semigroup):
         super().__init__(alphabet, semigroup)
@@ -37,52 +52,6 @@ class FreeTridendriformFamily(FreeFamily):
 
     def dot(self, a, b, *, strict: bool = False) -> LinComb:
         return self._product("dot", self._dot_trees, a, b, strict)
-
-    def _prec_trees(self, t: SchTree, u: SchTree, w: str) -> LinComb:
-        assert not (t is LEAF and u is LEAF)
-        if u is LEAF:
-            return span_single(t)
-        if t is LEAF:
-            return ZERO_SPAN
-        key = (t, u, w)
-        cached = self._prec_memo.get(key)
-        if cached is not None:
-            return cached
-        assert w is not IDENTITY
-        am, last = t.children[-1]
-        inner = merge((self._succ_trees(last, u, am).map,
-                       self._prec_trees(last, u, w).map,
-                       self._dot_trees(last, u).map))
-        # replacing one child under a fixed context is injective, so the
-        # grafted map needs no merging
-        amw = self.semigroup.mul_ext(am, w)
-        decs, head = t.decs, t.children[:-1]
-        result = LinComb.from_map({intern_node(decs, head + ((amw, s),)): c
-                                   for s, c in inner.items()}, self.key)
-        self._prec_memo[key] = result
-        return result
-
-    def _succ_trees(self, t: SchTree, u: SchTree, w: str) -> LinComb:
-        assert not (t is LEAF and u is LEAF)
-        if t is LEAF:
-            return span_single(u)
-        if u is LEAF:
-            return ZERO_SPAN
-        key = (t, u, w)
-        cached = self._succ_memo.get(key)
-        if cached is not None:
-            return cached
-        assert w is not IDENTITY
-        b0, first = u.children[0]
-        inner = merge((self._succ_trees(t, first, w).map,
-                       self._prec_trees(t, first, b0).map,
-                       self._dot_trees(t, first).map))
-        wb0 = self.semigroup.mul_ext(w, b0)
-        decs, tail = u.decs, u.children[1:]
-        result = LinComb.from_map({intern_node(decs, ((wb0, s),) + tail): c
-                                   for s, c in inner.items()}, self.key)
-        self._succ_memo[key] = result
-        return result
 
     def _dot_trees(self, t: SchTree, u: SchTree) -> LinComb:
         if t is LEAF or u is LEAF:
@@ -112,67 +81,6 @@ class FreeTridendriformFamily(FreeFamily):
                     alpha: str, beta: str) -> bool:
         """Equality form of axiom_residuals, for exhaustive sweeps."""
         return axioms.tridendriform_family_hold(*self._instance(t, u, w, alpha, beta))
-
-    # -- generators and the universal morphism ------------------------------
-
-    def _breadth2_expr(self, x: str, pair0, pair1) -> Expr:
-        (a0, c0), (a1, c1) = pair0, pair1
-        if c0 is LEAF and c1 is LEAF:
-            return Gen(x)
-        if c0 is LEAF:
-            return Prec(a1, Gen(x), self.express(c1))
-        if c1 is LEAF:
-            return Succ(a0, self.express(c0), Gen(x))
-        return Prec(a1, Succ(a0, self.express(c0), Gen(x)),
-                    self.express(c1))
-
-    def central_factors(self, t: SchNode) -> list[Expr]:
-        """Breadth-2 factors of the central-product decomposition, left to right."""
-        factors = [self._breadth2_expr(t.decs[0], t.children[0], t.children[1])]
-        for x, (a, child) in zip(t.decs[1:], t.children[2:]):
-            if child is LEAF:
-                factors.append(Gen(x))
-            else:
-                factors.append(Prec(a, Gen(x), self.express(child)))
-        return factors
-
-    def express(self, t: SchNode) -> Expr:
-        """Expression over generators whose value in the free algebra is 1*t."""
-        factors = self.central_factors(t)
-        expr = factors[0]
-        for factor in factors[1:]:
-            expr = Dot(expr, factor)
-        return expr
-
-    def _imager(self, lookup, ops):
-        """The memoized image of a basis tree, for ``extend``."""
-        memo: dict = {}
-
-        def breadth2(x, pair0, pair1):
-            (a0, c0), (a1, c1) = pair0, pair1
-            if c0 is LEAF and c1 is LEAF:
-                return lookup(x)
-            if c0 is LEAF:
-                return ops.prec(lookup(x), image(c1), a1)
-            if c1 is LEAF:
-                return ops.succ(image(c0), lookup(x), a0)
-            return ops.prec(ops.succ(image(c0), lookup(x), a0),
-                            image(c1), a1)
-
-        def image(t: SchNode):
-            if t in memo:
-                return memo[t]
-            value = breadth2(t.decs[0], t.children[0], t.children[1])
-            for x, (a, child) in zip(t.decs[1:], t.children[2:]):
-                if child is LEAF:
-                    factor = lookup(x)
-                else:
-                    factor = ops.prec(lookup(x), image(child), a)
-                value = ops.dot(value, factor)
-            memo[t] = value
-            return value
-
-        return image
 
 
 class GammaOps:

@@ -18,12 +18,10 @@ from dendrifam.errors import ArityMismatch, TermSyntaxError, TypingViolation
 from dendrifam.exprs import evaluate
 from dendrifam.pbtrees import enumerate_bin, graft_binary
 from dendrifam.pbtrees import single_vertex as bin_vertex
-from dendrifam.rotabaxter import (EpsilonOps, EtaOps, RBFamily,
+from dendrifam.rotabaxter import (EpsilonOps, EtaOps, RBFamily, TensorFamily,
                                   cascading_sum_matrix, epsilon, eta,
                                   pointwise_algebra, rb_family_counterexample,
-                                  scaled_identity_matrix, tensor_dendriform,
-                                  tensor_rb_counterexample,
-                                  tensor_tridendriform)
+                                  scaled_identity_matrix, tensor_rb_counterexample)
 from dendrifam.schroder import decoration_count, enumerate_sch, intern_node
 from dendrifam.schroder import leaves as sch_leaves
 from dendrifam.schroder import single_vertex as sch_vertex
@@ -312,14 +310,14 @@ def test_criterion_7_rota_baxter_constructions():
             assert through.prec(x, y, w) == direct.prec(x, y, w)
             assert through.succ(x, y, w) == direct.succ(x, y, w)
 
-    dend_tensor = tensor_dendriform(FreeDendriformFamily(X2, Z2))
+    dend_tensor = TensorFamily(FreeDendriformFamily(X2, Z2))
     delements = [dend_tensor.element(t, w)
                  for t in enumerate_bin(1, X2, Z2) for w in sample]
     for x, y, z in product(delements, repeat=3):
         for r in axioms.classical_dendriform_residuals(dend_tensor, x, y, z):
             assert r == dend_tensor.zero()
 
-    tri_tensor = tensor_tridendriform(FreeTridendriformFamily(X2, Z2))
+    tri_tensor = TensorFamily(FreeTridendriformFamily(X2, Z2))
     telements = [tri_tensor.element(t, w)
                  for t in enumerate_sch(1, X2, Z2) for w in sample]
     for x, y, z in product(telements, repeat=3):

@@ -116,6 +116,21 @@ def test_product_dot_golden(capsys):
     assert out.strip() == "1*S[x,y;1:|,1:|,1:|]"
 
 
+def test_product_over_a_huge_cyclic_semigroup(capsys):
+    # cyclic elements are numerals checked by arithmetic, never listed
+    code, out, _ = run(capsys, "product", "succ", "--omega", "999999999999",
+                       "B[x;1:|,1:|]", "B[y;5:B[x;1:|,1:|],1:|]",
+                       "--alphabet", "x,y", "--semigroup", "cyclic:1000000000000")
+    assert code == 0
+    assert out.strip() == ("1*B[y;4:B[x;1:|,5:B[x;1:|,1:|]],1:|] + "
+                           "1*B[y;4:B[x;999999999999:B[x;1:|,1:|],1:|],1:|]")
+    for omega in ("1000000000000", "01"):
+        code, _, _ = run(capsys, "product", "succ", "--omega", omega,
+                         "B[x;1:|,1:|]", "B[y;1:|,1:|]",
+                         "--alphabet", "x,y", "--semigroup", "cyclic:1000000000000")
+        assert code == 2
+
+
 def test_product_dot_rejects_omega(capsys):
     code, _, _ = run(capsys, "product", "dot", "--omega", "0",
                      "S[x;1:|,1:|]", "S[y;1:|,1:|]",

@@ -6,8 +6,9 @@ import pytest
 
 from dendrifam.basis import LEAF, Alphabet, LinComb, normalize, span_single
 from dendrifam.errors import InfiniteSemigroup, LeafOperand, TypingViolation
-from dendrifam.pbtrees import (decompose, depth, enumerate_bin,
-                               graft_binary, leaves, single_vertex, tree_key)
+from dendrifam.pbtrees import (BinNode, depth, enumerate_bin, first_edge,
+                               graft_binary, last_edge, leaves, single_vertex,
+                               tree_key, vertex)
 from dendrifam.semigroups import IDENTITY, Semigroup
 
 X1 = Alphabet(["x"])
@@ -42,18 +43,19 @@ def test_graft_typing_violations():
         graft_binary(single_vertex("x"), "x", IDENTITY, IDENTITY, LEAF)
 
 
-def test_decompose_examples():
-    assert decompose(single_vertex("x")) == (LEAF, "x", IDENTITY, IDENTITY, LEAF)
+def test_vertex_examples():
+    assert vertex(single_vertex("x")) == (("x",), ((IDENTITY, LEAF), (IDENTITY, LEAF)))
     t = graft_binary(single_vertex("z"), "x", "0", "1", single_vertex("u"))
-    left, dec, a1, a2, right = decompose(t)
-    assert (left, dec, a1, a2, right) == (
-        single_vertex("z"), "x", "0", "1", single_vertex("u"))
+    assert vertex(t) == (("x",), (("0", single_vertex("z")), ("1", single_vertex("u"))))
+    assert first_edge(t) == ("0", single_vertex("z"))
+    assert last_edge(t) == ("1", single_vertex("u"))
 
 
-def test_decompose_round_trip_exhaustive():
+def test_vertex_round_trip_exhaustive():
     for t in enumerate_bin(3, X1, Z2):
-        left, dec, a1, a2, right = decompose(t)
-        assert graft_binary(left, dec, a1, a2, right) == t
+        (dec,), ((a1, left), (a2, right)) = vertex(t)
+        assert BinNode(dec, a1, left, a2, right) is t
+        assert (first_edge(t), last_edge(t)) == vertex(t)[1]
 
 
 def test_depth():
@@ -149,7 +151,7 @@ def test_tree_order_is_strict_total_order():
         if keys[a] < keys[b] and keys[b] < keys[c]:
             assert keys[a] < keys[c]
     for t in trees:
-        rebuilt = graft_binary(*(decompose(t)[i] for i in (0, 1, 2, 3, 4)))
+        rebuilt = graft_binary(t.left, t.dec, t.left_type, t.right_type, t.right)
         assert keys[t] == key(rebuilt)
 
 

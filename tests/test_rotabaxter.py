@@ -10,12 +10,11 @@ from dendrifam.dendriform import (FreeDendriformFamily,
 from dendrifam.errors import AxiomFailure, InvalidElement
 from dendrifam.pbtrees import enumerate_bin, single_vertex as bin_vertex
 from dendrifam.rotabaxter import (EpsilonOps, EtaOps, FiniteAlgebra, RBFamily,
-                                  cascading_sum_matrix, epsilon, eta,
-                                  parse_map_text, parse_rb_text,
+                                  TensorFamily, cascading_sum_matrix, epsilon,
+                                  eta, parse_map_text, parse_rb_text,
                                   pointwise_algebra, rb_family_counterexample,
-                                  scaled_identity_matrix, tensor_dendriform,
-                                  tensor_rb, tensor_rb_counterexample,
-                                  tensor_tridendriform, validate_rb_family)
+                                  scaled_identity_matrix, tensor_rb,
+                                  tensor_rb_counterexample, validate_rb_family)
 from dendrifam.schroder import enumerate_sch
 from dendrifam.semigroups import Semigroup
 from dendrifam.tridendriform import (FreeTridendriformFamily, gamma,
@@ -202,18 +201,19 @@ def test_tensor_rb_flags_broken_family(cascading):
 def test_tensor_dendriform_definition():
     X2 = Alphabet(["x", "y"])
     family = FreeDendriformFamily(X2, Z2)
-    tensor = tensor_dendriform(family)
+    tensor = TensorFamily(family)
     x = tensor.element(bin_vertex("x"), "0")
     y = tensor.element(bin_vertex("y"), "1")
     result = tensor.prec(x, y)
     inner = family.prec(bin_vertex("x"), bin_vertex("y"), "1")
     assert result.terms == tuple((c, (t, "1")) for c, t in inner.terms)
+    assert tensor.dot(x, y) == tensor.zero()  # zero middle product
 
 
 def test_tensor_dendriform_classical_axioms():
     X2 = Alphabet(["x", "y"])
     family = FreeDendriformFamily(X2, Z2)
-    tensor = tensor_dendriform(family)
+    tensor = TensorFamily(family)
     elements = [tensor.element(t, w)
                 for t in enumerate_bin(1, X2, Z2) for w in SAMPLE]
     zero = tensor.zero()
@@ -225,7 +225,7 @@ def test_tensor_dendriform_classical_axioms():
 def test_tensor_tridendriform_classical_axioms():
     X2 = Alphabet(["x", "y"])
     family = FreeTridendriformFamily(X2, Z2)
-    tensor = tensor_tridendriform(family)
+    tensor = TensorFamily(family)
     elements = [tensor.element(t, w)
                 for t in enumerate_sch(1, X2, Z2) for w in SAMPLE]
     zero = tensor.zero()
@@ -237,7 +237,7 @@ def test_tensor_tridendriform_classical_axioms():
 def test_tensor_star_products_are_associative():
     # summing the split operations yields an associative product
     X2 = Alphabet(["x", "y"])
-    dend = tensor_dendriform(FreeDendriformFamily(X2, Z2))
+    dend = TensorFamily(FreeDendriformFamily(X2, Z2))
     delements = [dend.element(t, w)
                  for t in enumerate_bin(1, X2, Z2) for w in SAMPLE]
 
@@ -247,7 +247,7 @@ def test_tensor_star_products_are_associative():
     for x, y, z in product(delements, repeat=3):
         assert dstar(dstar(x, y), z) == dstar(x, dstar(y, z))
 
-    tri = tensor_tridendriform(FreeTridendriformFamily(X2, Z2))
+    tri = TensorFamily(FreeTridendriformFamily(X2, Z2))
     telements = [tri.element(t, w)
                  for t in enumerate_sch(1, X2, Z2) for w in SAMPLE]
 

@@ -6,10 +6,11 @@ from dendrifam.basis import LEAF, Alphabet
 from dendrifam.errors import ArityMismatch, InfiniteSemigroup, TypingViolation
 from dendrifam.pbtrees import enumerate_bin
 from dendrifam.pbtrees import tree_key as bin_tree_key
-from dendrifam.schroder import (SchNode, breadth, corolla, decompose_nary,
-                                decoration_count, depth, enumerate_sch,
-                                from_binary, graft_nary, leaves, single_vertex,
-                                to_binary, tree_key)
+from dendrifam.pbtrees import vertex as bin_root
+from dendrifam.schroder import (SchNode, corolla, decoration_count, depth,
+                                enumerate_sch, first_edge, from_binary,
+                                graft_nary, last_edge, leaves, single_vertex,
+                                to_binary, tree_key, vertex)
 from dendrifam.semigroups import IDENTITY, Semigroup
 
 X1 = Alphabet(["x"])
@@ -24,7 +25,7 @@ LITTLE_SCHRODER = {1: 1, 2: 3, 3: 11, 4: 45}
 def test_graft_corolla():
     t = graft_nary([LEAF, LEAF, LEAF], ["x", "y"], [IDENTITY, IDENTITY, IDENTITY])
     assert t == corolla(["x", "y"])
-    assert breadth(t) == 3 and leaves(t) == 3 and depth(t) == 1
+    assert t.arity == 3 and leaves(t) == 3 and depth(t) == 1
 
 
 def test_graft_three_subtrees():
@@ -48,21 +49,25 @@ def test_graft_typing_and_arity_errors():
         SchNode((), ((IDENTITY, LEAF),))
 
 
-def test_decompose_round_trip():
+def test_vertex_round_trip():
     t = corolla(["x", "y"])
-    children, decs, types = decompose_nary(t)
-    assert graft_nary(children, decs, types) == t
+    assert vertex(t) == (("x", "y"), ((IDENTITY, LEAF),) * 3)
     for t in enumerate_sch(3, X1, Z2):
-        children, decs, types = decompose_nary(t)
-        assert graft_nary(children, decs, types) == t
+        decs, children = vertex(t)
+        assert SchNode(decs, children) is t
+        assert (first_edge(t), last_edge(t)) == (children[0], children[-1])
+    for t in enumerate_bin(2, X2, Z2):  # a binary vertex is the arity-2 case
+        decs, children = bin_root(t)
+        assert vertex(from_binary(t)) == (
+            decs, tuple((a, from_binary(child)) for a, child in children))
 
 
-def test_breadth_examples():
-    assert breadth(corolla(["x", "y"])) == 3
-    assert breadth(single_vertex("x")) == 2
+def test_arity_examples():
+    assert corolla(["x", "y"]).arity == 3
+    assert single_vertex("x").arity == 2
     t = graft_nary([LEAF, single_vertex("y"), single_vertex("u")],
                    ["x", "z"], [IDENTITY, "0", "1"])
-    assert breadth(t) == 3
+    assert t.arity == 3 == len(vertex(t)[1])
 
 
 @pytest.mark.parametrize("n,alphabet,semigroup,count", [

@@ -20,6 +20,20 @@ def test_cyclic_addition():
     assert s.mul("0", "1") == "1"
 
 
+def test_cyclic_elements_are_canonical_numerals_below_the_order():
+    s = Semigroup.cyclic(10**12)
+    assert s.contains("999999999999") and s.contains("0")
+    for name in ["1000000000000", "01", "00", "-1", "+1", "1.0", " 1", "", "x",
+                 "\u0661", "9" * 5000, IDENTITY, 7, ["0"]]:
+        assert not s.contains(name), name
+        assert not Z2_TABLE.contains(name)
+    assert s.mul("999999999999", "2") == "1"
+    assert s.element_key("999999999999") > s.element_key("1000")
+    with pytest.raises(InvalidElement):
+        s.element_key("01")
+    assert Semigroup.cyclic(12).elements()[9:] == ["9", "10", "11"]
+
+
 def test_table_product():
     assert Z2_TABLE.mul("g", "g") == "e"
     Z2_TABLE.validate()
