@@ -4,11 +4,12 @@ A span (:class:`LinComb`) is a finite formal rational-linear combination
 of basis trees, stored as a map from tree to nonzero coefficient.  Spans
 compare as maps, so term order never affects equality or arithmetic.
 Coefficients are ``int`` whenever they are integral and ``Fraction``
-otherwise; the free products only ever produce integers.  A span carries
-the sort key of its algebra, and the canonical term order is imposed
-only when the ordered view :attr:`LinComb.terms` is first read, which is
-what the printers do.  The bare leaf is representable as a tree but is
-never a span term.
+otherwise; the free products of integral spans only produce integers.
+A span carries the sort key of its algebra, and the canonical term order
+is imposed only when the ordered view :attr:`LinComb.terms` is first
+read, which is what the printers do.  The bare leaf is representable as
+a tree but is never a span term.  The free products build spans only
+in their bilinear lifts, from the tuples of trees their kernels return.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ class LinComb:
             if tree is LEAF:
                 raise LeafOperand("the leaf | is not a basis element of the free algebra")
             acc[tree] = acc.get(tree, 0) + coeff
-        self.map = _clean(acc)
+        self.map = clean(acc)
         self.key = key
         self._terms = None
 
@@ -147,8 +148,8 @@ class LinComb:
         return LinComb.from_map({t: exact(c * v) for t, v in self.map.items()}, self.key)
 
 
-def _clean(acc: dict) -> dict:
-    # drop cancelled terms; keep integral coefficients as ints
+def clean(acc: dict) -> dict:
+    """``acc`` without its cancelled terms, integral coefficients as ints."""
     return {t: c if type(c) is int else exact(c) for t, c in acc.items() if c}
 
 
@@ -185,4 +186,4 @@ def merge(maps: Iterable[Mapping]) -> Mapping:
     for m in maps[1:]:
         for t, c in m.items():
             acc[t] = acc.get(t, 0) + c
-    return _clean(acc)
+    return clean(acc)

@@ -13,7 +13,10 @@ tree kernels ``_prec_trees``/``_succ_trees``, the bilinear lift, the
 axiom residuals, and the generator decomposition (``central_factors``,
 ``express``) with its image recursion ``_imager`` for ``extend``.  It
 reads a root vertex through the view ``(decorations, (edge type,
-child) pairs)``, in which a binary vertex is the arity-2 case.  A
+child) pairs)``, in which a binary vertex is the arity-2 case.  A kernel
+returns a tuple of basis trees, a sum with multiplicity, so the recursion
+adds by concatenation; coefficients enter only when ``_product`` lifts
+it bilinearly, adding up a tree repeated within or across the sums.  A
 family supplies only what differs:
 
 * ``nodes``, its tree module (:mod:`dendrifam.pbtrees` or
@@ -30,7 +33,7 @@ from types import SimpleNamespace
 from typing import Callable, Mapping, Union
 
 from . import axioms
-from .basis import LEAF, LinComb, ZERO_SPAN, merge, normalize, span_single
+from .basis import LEAF, LinComb, ZERO_SPAN, clean, merge, normalize, span_single
 from .errors import IdentityMisuse, InvalidElement, LeafOperand
 from .exprs import Dot, Expr, Gen, Prec, Succ
 from .semigroups import IDENTITY
@@ -106,8 +109,8 @@ class FreeFamily:
         return self._product("succ", self._succ_trees, a, b, strict, omega, unit=0)
 
     def _product(self, name, kernel, a, b, strict, omega=None, unit=None) -> LinComb:
-        """``kernel`` lifted to spans, after the leaf conventions: the leaf is
-        neutral as operand ``unit`` (0 left, 1 right) and gives zero elsewhere."""
+        """``kernel`` lifted bilinearly to spans, after the leaf conventions: the
+        leaf is neutral as operand ``unit`` (0 left, 1 right), zero elsewhere."""
         a, b = self._operand(a), self._operand(b)
         if a is LEAF and b is LEAF:
             raise LeafOperand(f"{name} needs at least one genuine span")
@@ -118,60 +121,53 @@ class FreeFamily:
                 return (a, b)[1 - unit]
             return ZERO_SPAN
         index = () if omega is None else (self._family_index(omega),)
-        return self._bilinear(kernel, a, b, *index)
+        acc: dict = {}
+        for ta, ca in a.map.items():
+            for tb, cb in b.map.items():
+                c = ca * cb
+                for t in kernel(ta, tb, *index):
+                    acc[t] = acc.get(t, 0) + c
+        return LinComb.from_map(clean(acc), self.key)
 
-    def _prec_trees(self, t, u, w: str) -> LinComb:
+    def _prec_trees(self, t, u, w: str) -> tuple:
+        """``t prec_w u`` on trees, as a tuple of basis trees; memoized."""
         assert not (t is LEAF and u is LEAF)
         if u is LEAF:
-            return span_single(t)
+            return (t,)
         if t is LEAF:
-            return ZERO_SPAN
-        key = (t, u, w)
-        cached = self._prec_memo.get(key)
+            return ()
+        cached = self._prec_memo.get((t, u, w))
         if cached is not None:
             return cached
         assert w is not IDENTITY
         a, last = self.nodes.last_edge(t)
-        inner = merge((self._succ_trees(last, u, a).map, self._prec_trees(last, u, w).map,
-                       self._dot_trees(last, u).map))
-        # replacing one child under a fixed context is injective, so the
-        # grafted map needs no merging
-        result = LinComb.from_map(
-            self.nodes.regraft_last(t, self.semigroup.mul_ext(a, w), inner), self.key)
-        self._prec_memo[key] = result
+        inner = self._succ_trees(last, u, a) + self._prec_trees(last, u, w) + \
+            self._dot_trees(last, u)
+        result = self._prec_memo[t, u, w] = self.nodes.regraft_last(
+            t, self.semigroup.mul_ext(a, w), inner)
         return result
 
-    def _succ_trees(self, t, u, w: str) -> LinComb:
+    def _succ_trees(self, t, u, w: str) -> tuple:
+        """``t succ_w u`` on trees, like :meth:`_prec_trees`."""
         assert not (t is LEAF and u is LEAF)
         if t is LEAF:
-            return span_single(u)
+            return (u,)
         if u is LEAF:
-            return ZERO_SPAN
-        key = (t, u, w)
-        cached = self._succ_memo.get(key)
+            return ()
+        cached = self._succ_memo.get((t, u, w))
         if cached is not None:
             return cached
         assert w is not IDENTITY
         b, first = self.nodes.first_edge(u)
-        inner = merge((self._succ_trees(t, first, w).map, self._prec_trees(t, first, b).map,
-                       self._dot_trees(t, first).map))
-        result = LinComb.from_map(
-            self.nodes.regraft_first(u, self.semigroup.mul_ext(w, b), inner), self.key)
-        self._succ_memo[key] = result
+        inner = self._succ_trees(t, first, w) + self._prec_trees(t, first, b) + \
+            self._dot_trees(t, first)
+        result = self._succ_memo[t, u, w] = self.nodes.regraft_first(
+            u, self.semigroup.mul_ext(w, b), inner)
         return result
 
-    def _dot_trees(self, t, u) -> LinComb:
-        """The middle product of trees; zero unless a family defines ``dot``."""
-        return ZERO_SPAN
-
-    def _bilinear(self, product, a: LinComb, b: LinComb, *index) -> LinComb:
-        if len(a.map) == 1 and len(b.map) == 1:
-            (ta, ca), = a.map.items()
-            (tb, cb), = b.map.items()
-            return product(ta, tb, *index).scaled(ca * cb)
-        maps = [product(ta, tb, *index).scaled(ca * cb).map
-                for ta, ca in a.map.items() for tb, cb in b.map.items()]
-        return LinComb.from_map(merge(maps), self.key)
+    def _dot_trees(self, t, u) -> tuple:
+        """The middle product of trees; empty unless a family defines ``dot``."""
+        return ()
 
     # -- axioms ----------------------------------------------------------
 

@@ -14,7 +14,7 @@ identity; :func:`sort_key` gives their canonical order, keyed once per node.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from operator import attrgetter
 from typing import Optional, Union
 
@@ -77,17 +77,17 @@ def vertex(t: BinNode):
 last_edge, first_edge = attrgetter("right_type", "right"), attrgetter("left_type", "left")
 
 
-def regraft_last(t: BinNode, a, inner) -> dict:
-    """The map ``inner`` with each tree grafted as the last child of ``t``'s
-    root, on an edge typed ``a``, in place of the old last child."""
+def regraft_last(t: BinNode, a, inner: tuple) -> tuple:
+    """The trees ``inner``, each grafted as the last child of ``t``'s root
+    on an edge typed ``a``, in place of the old last child, as a tuple."""
     left, dec, a1 = t.left, t.dec, t.left_type
-    return {graft_binary(left, dec, a1, a, s): c for s, c in inner.items()}
+    return tuple([graft_binary(left, dec, a1, a, s) for s in inner])
 
 
-def regraft_first(t: BinNode, a, inner) -> dict:
+def regraft_first(t: BinNode, a, inner: tuple) -> tuple:
     """Like :func:`regraft_last`, on the first child."""
     dec, a2, right = t.dec, t.right_type, t.right
-    return {graft_binary(s, dec, a, a2, right): c for s, c in inner.items()}
+    return tuple([graft_binary(s, dec, a, a2, right) for s in inner])
 
 
 def leaves(t: BinTree) -> int:
@@ -137,7 +137,10 @@ def enumerate_bin(n: int, alphabet: Alphabet, semigroup: Semigroup,
         raise ValueError("basis trees need at least one internal vertex")
     if not semigroup.is_finite and max_word is None:
         raise InfiniteSemigroup("cannot enumerate trees over an infinite semigroup")
-    omega = semigroup.elements(max_word)
+    # listed when an internal edge needs them; a free semigroup's at once, to check its bound
+    omega = cache(partial(semigroup.elements, max_word))
+    if not semigroup.is_finite:
+        omega()
     memo: dict[int, list[BinTree]] = {0: [LEAF]}
 
     def build(size: int) -> list[BinTree]:
@@ -146,9 +149,9 @@ def enumerate_bin(n: int, alphabet: Alphabet, semigroup: Semigroup,
         out = []
         for left_size in range(size):
             for left in build(left_size):
-                left_types = [IDENTITY] if left is LEAF else omega
+                left_types = [IDENTITY] if left is LEAF else omega()
                 for right in build(size - 1 - left_size):
-                    right_types = [IDENTITY] if right is LEAF else omega
+                    right_types = [IDENTITY] if right is LEAF else omega()
                     for x in alphabet:
                         for a1 in left_types:
                             for a2 in right_types:

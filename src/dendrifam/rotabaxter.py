@@ -410,8 +410,8 @@ class TensorFamily(_PairSpans):
             for (t2, b), cv in v.map.items():
                 ab = self.semigroup.mul(a, b)
                 index = () if side is None else ((a, b)[side],)
-                inner = kernel(t1, t2, *index)
-                pairs.extend((cu * cv * cs, (s, ab)) for s, cs in inner.map.items())
+                c = cu * cv
+                pairs.extend((c, (s, ab)) for s in kernel(t1, t2, *index))
         return normalize(pairs, self._key)
 
     def prec(self, u: LinComb, v: LinComb) -> LinComb:

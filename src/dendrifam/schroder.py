@@ -11,7 +11,7 @@ trees are, so equal trees are the same object; :func:`sort_key` orders them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from typing import Optional, Sequence, Tuple, Union
 
 from .basis import LEAF, Alphabet, Leaf
@@ -98,17 +98,17 @@ def first_edge(t: SchNode):
     return t.children[0]
 
 
-def regraft_last(t: SchNode, a, inner) -> dict:
-    """The map ``inner`` with each tree put as the last child of ``t``'s
-    root, on an edge typed ``a``, in place of the old last child."""
+def regraft_last(t: SchNode, a, inner: tuple) -> tuple:
+    """The trees ``inner``, each put as the last child of ``t``'s root on
+    an edge typed ``a``, in place of the old last child, as a tuple."""
     decs, head = t.decs, t.children[:-1]
-    return {intern_node(decs, head + ((a, s),)): c for s, c in inner.items()}
+    return tuple([intern_node(decs, head + ((a, s),)) for s in inner])
 
 
-def regraft_first(t: SchNode, a, inner) -> dict:
+def regraft_first(t: SchNode, a, inner: tuple) -> tuple:
     """Like :func:`regraft_last`, on the first child."""
     decs, tail = t.decs, t.children[1:]
-    return {intern_node(decs, ((a, s),) + tail): c for s, c in inner.items()}
+    return tuple([intern_node(decs, ((a, s),) + tail) for s in inner])
 
 
 def leaves(t: SchTree) -> int:
@@ -158,7 +158,10 @@ def enumerate_sch(n: int, alphabet: Alphabet, semigroup: Semigroup,
         raise ValueError("basis trees need at least two leaves")
     if not semigroup.is_finite and max_word is None:
         raise InfiniteSemigroup("cannot enumerate trees over an infinite semigroup")
-    omega = semigroup.elements(max_word)
+    # listed when an internal edge needs them; a free semigroup's at once, to check its bound
+    omega = cache(partial(semigroup.elements, max_word))
+    if not semigroup.is_finite:
+        omega()
     symbols = list(alphabet)
     memo: dict[int, list[SchTree]] = {0: [LEAF]}
 
@@ -191,7 +194,7 @@ def enumerate_sch(n: int, alphabet: Alphabet, semigroup: Semigroup,
                             out.append(intern_node(tuple(decs), tuple(acc)))
                         return
                     for child in child_lists[i]:
-                        types = [IDENTITY] if child is LEAF else omega
+                        types = [IDENTITY] if child is LEAF else omega()
                         for etype in types:
                             attach(i + 1, acc + [(etype, child)])
                 attach(0, [])

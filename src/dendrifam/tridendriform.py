@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from . import axioms, schroder
 from .axioms import find_tridendriform_counterexample, validate_tridendriform_ops  # noqa: F401
-from .basis import LEAF, LinComb, ZERO_SPAN, merge, span_single
+from .basis import LEAF, LinComb
 from .family import FreeFamily
 from .schroder import SchNode, SchTree, intern_node
 from .semigroups import IDENTITY
@@ -53,28 +53,23 @@ class FreeTridendriformFamily(FreeFamily):
     def dot(self, a, b, *, strict: bool = False) -> LinComb:
         return self._product("dot", self._dot_trees, a, b, strict)
 
-    def _dot_trees(self, t: SchTree, u: SchTree) -> LinComb:
+    def _dot_trees(self, t: SchTree, u: SchTree) -> tuple:
         if t is LEAF or u is LEAF:
-            return ZERO_SPAN
-        key = (t, u)
-        cached = self._dot_memo.get(key)
+            return ()
+        cached = self._dot_memo.get((t, u))
         if cached is not None:
             return cached
-        am, last = t.children[-1]
-        b0, first = u.children[0]
-        decs = t.decs + u.decs
-        head, tail = t.children[:-1], u.children[1:]
+        (am, last), (b0, first) = t.children[-1], u.children[0]
+        decs, head, tail = t.decs + u.decs, t.children[:-1], u.children[1:]
         if last is LEAF and first is LEAF:
             # fusing two leaf boundary children keeps a single leaf there
-            result = span_single(intern_node(decs, head + ((IDENTITY, LEAF),) + tail))
+            result = (intern_node(decs, head + ((IDENTITY, LEAF),) + tail),)
         else:
-            inner = merge((self._succ_trees(last, first, am).map,
-                           self._prec_trees(last, first, b0).map,
-                           self._dot_trees(last, first).map))
+            inner = self._succ_trees(last, first, am) + self._prec_trees(last, first, b0) + \
+                self._dot_trees(last, first)
             amb0 = self.semigroup.mul_ext(am, b0)
-            result = LinComb.from_map({intern_node(decs, head + ((amb0, s),) + tail): c
-                                       for s, c in inner.items()}, self.key)
-        self._dot_memo[key] = result
+            result = tuple([intern_node(decs, head + ((amb0, s),) + tail) for s in inner])
+        self._dot_memo[t, u] = result
         return result
 
     def axioms_hold(self, t: SchNode, u: SchNode, w: SchNode,

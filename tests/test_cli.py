@@ -98,6 +98,14 @@ def test_enumerate_semigroup_config_file(capsys, tmp_path):
     assert code == 0 and out.strip().splitlines()[-1] == "count=4"
 
 
+@pytest.mark.parametrize("kind", ["binary", "schroder"])
+def test_enumerate_one_vertex_over_a_huge_cyclic_semigroup(capsys, kind):
+    # a single vertex has no internal edge, so no element is ever listed
+    code, out, _ = run(capsys, "enumerate", kind, "1",
+                       "--alphabet", "x", "--semigroup", "cyclic:1000000000000")
+    assert code == 0 and out.strip().splitlines()[-1] == "count=1"
+
+
 # -- product --------------------------------------------------------------------
 
 def test_product_prec_golden(capsys):

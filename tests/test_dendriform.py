@@ -192,19 +192,17 @@ class _SwappedSucc(FreeDendriformFamily):
 
     def _succ_trees(self, t, u, w):
         if t is LEAF:
-            return span_single(u)
+            return (u,)
         if u is LEAF:
-            return LinComb()
+            return ()
         key = (t, u, w)
         cached = self._succ_memo.get(key)
         if cached is not None:
             return cached
-        inner = self.add(self._prec_trees(t, u.left, u.left_type),
-                         self._succ_trees(t, u.left, w))
+        inner = self._prec_trees(t, u.left, u.left_type) + self._succ_trees(t, u.left, w)
         swapped = self.semigroup.mul_ext(u.left_type, w)
-        result = LinComb(tuple(
-            (c, graft_binary(s, u.dec, swapped, u.right_type, u.right))
-            for c, s in inner.terms))
+        result = tuple([graft_binary(s, u.dec, swapped, u.right_type, u.right)
+                        for s in inner])
         self._succ_memo[key] = result
         return result
 

@@ -166,11 +166,11 @@ def test_fuse_convention_is_local(z2):
 
 class _DroppedFuse(FreeTridendriformFamily):
     """Naive reading without the fuse rule: the merged leaf child comes out
-    with coefficient two."""
+    twice, with coefficient two."""
 
     def _dot_trees(self, t, u):
         if t is LEAF or u is LEAF:
-            return LinComb()
+            return ()
         key = (t, u)
         cached = self._dot_memo.get(key)
         if cached is not None:
@@ -180,16 +180,12 @@ class _DroppedFuse(FreeTridendriformFamily):
         decs = t.decs + u.decs
         head, tail = t.children[:-1], u.children[1:]
         if last is LEAF and first is LEAF:
-            result = span_single(intern_node(decs, head + ((IDENTITY, LEAF),) + tail),
-                                 Fraction(2))
+            result = (intern_node(decs, head + ((IDENTITY, LEAF),) + tail),) * 2
         else:
-            inner = self.add(self._succ_trees(last, first, am),
-                             self._prec_trees(last, first, b0),
-                             self._dot_trees(last, first))
+            inner = self._succ_trees(last, first, am) + self._prec_trees(last, first, b0) + \
+                self._dot_trees(last, first)
             amb0 = self.semigroup.mul_ext(am, b0)
-            result = LinComb(tuple(
-                (c, intern_node(decs, head + ((amb0, s),) + tail))
-                for c, s in inner.terms))
+            result = tuple([intern_node(decs, head + ((amb0, s),) + tail) for s in inner])
         self._dot_memo[key] = result
         return result
 
