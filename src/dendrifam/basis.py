@@ -10,16 +10,21 @@ is imposed only when the ordered view :attr:`LinComb.terms` is first
 read, which is what the printers do.  The bare leaf is representable as
 a tree but is never a span term.  The free products build spans only
 in their bilinear lifts, from the tuples of trees their kernels return.
+
+:func:`enumerate_trees` lists the basis trees of both free families; a
+binary vertex is the case of one decoration over two typed children.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, partial
+from itertools import combinations, product
 from typing import Any, Callable, Iterable, Mapping, Optional, Tuple
 
-from .errors import InvalidElement, LeafOperand
+from .errors import InfiniteSemigroup, InvalidElement, LeafOperand
 from .rationals import exact
-from .semigroups import TOKEN_RE
+from .semigroups import IDENTITY, TOKEN_RE
 
 
 class Leaf:
@@ -187,3 +192,32 @@ def merge(maps: Iterable[Mapping]) -> Mapping:
         for t, c in m.items():
             acc[t] = acc.get(t, 0) + c
     return clean(acc)
+
+
+def enumerate_trees(n: int, alphabet: Alphabet, semigroup, max_word, max_decs, make, key):
+    """All basis trees with n+1 leaves, each once, sorted by ``key``.
+
+    A vertex has k decorations, 1 <= k <= ``max_decs``, over k+1 typed
+    children and is built by ``make(decorations, (edge type, child)
+    pairs)``.  A free semigroup needs a word-length bound.
+    """
+    if not semigroup.is_finite and max_word is None:
+        raise InfiniteSemigroup("cannot enumerate trees over an infinite semigroup")
+    # listed when an internal edge needs them; a free semigroup's at once, to check its bound
+    omega = cache(partial(semigroup.elements, max_word))
+    if not semigroup.is_finite:
+        omega()
+    edges = [[(IDENTITY, LEAF)]]  # size s -> the typed edges to the trees with s+1 leaves
+    for size in range(1, n + 1):
+        trees = []
+        for k in range(1, min(size, max_decs) + 1):
+            words = list(product(alphabet, repeat=k))
+            # the k cuts split the other size - k leaves among the k+1 children
+            for cuts in combinations(range(size), k):
+                bounds = (-1,) + cuts + (size,)
+                for children in product(*[edges[b - a - 1] for a, b in zip(bounds, bounds[1:])]):
+                    trees.extend([make(decs, children) for decs in words])
+        if size < n:
+            edges.append([(a, t) for t in trees for a in omega()])
+    trees.sort(key=key)
+    return trees

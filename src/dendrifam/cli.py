@@ -215,16 +215,13 @@ def _check_tensor_family(args, kind: str) -> int:
     family, prefix = _FAMILIES[kind]
     tensor, table = TensorFamily(family(alphabet, semigroup)), family.axiom_table
     names = [f"{prefix}{number}" for number, _, _ in table]
-    elements = [(t, w) for t in trees for w in omega]
+    elements = [(t, w, tensor.element(t, w)) for t in trees for w in omega]
     total = len(elements) ** 3
     progress = _Progress(total)
     zero = tensor.zero()
-    for t1, w1 in elements:
-        x = tensor.element(t1, w1)
-        for t2, w2 in elements:
-            y = tensor.element(t2, w2)
-            for t3, w3 in elements:
-                z = tensor.element(t3, w3)
+    for t1, w1, x in elements:
+        for t2, w2, y in elements:
+            for t3, w3, z in elements:
                 progress.tick()
                 residuals = axioms.classical_residuals(table, tensor, x, y, z)
                 for name, residual in zip(names, residuals):

@@ -9,17 +9,18 @@ edge is typed by the identity exactly when the child below it is a leaf.
 Trees are hash-consed: structurally equal trees are the same object,
 kept in the module table ``_INTERNED``, so trees compare and hash by
 identity; :func:`sort_key` gives their canonical order, keyed once per node.
+:func:`enumerate_bin` lists them through :func:`dendrifam.basis.enumerate_trees`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from operator import attrgetter
 from typing import Optional, Union
 
-from .basis import LEAF, Alphabet, Leaf
-from .errors import InfiniteSemigroup, TypingViolation
+from .basis import LEAF, Alphabet, Leaf, enumerate_trees
+from .errors import TypingViolation
 from .semigroups import IDENTITY, Semigroup
 
 BinTree = Union[Leaf, "BinNode"]
@@ -131,34 +132,15 @@ def enumerate_bin(n: int, alphabet: Alphabet, semigroup: Semigroup,
     """All basis trees with n internal vertices (n+1 leaves), canonically ordered.
 
     The count is Catalan(n) * |X|^n * |Omega|^(n-1).  A free semigroup needs
-    a word-length bound, otherwise InfiniteSemigroup is raised.
+    a word-length bound, otherwise InfiniteSemigroup is raised.  The trees are
+    those of :func:`~dendrifam.basis.enumerate_trees` with one decoration per vertex.
     """
     if n < 1:
         raise ValueError("basis trees need at least one internal vertex")
-    if not semigroup.is_finite and max_word is None:
-        raise InfiniteSemigroup("cannot enumerate trees over an infinite semigroup")
-    # listed when an internal edge needs them; a free semigroup's at once, to check its bound
-    omega = cache(partial(semigroup.elements, max_word))
-    if not semigroup.is_finite:
-        omega()
-    memo: dict[int, list[BinTree]] = {0: [LEAF]}
 
-    def build(size: int) -> list[BinTree]:
-        if size in memo:
-            return memo[size]
-        out = []
-        for left_size in range(size):
-            for left in build(left_size):
-                left_types = [IDENTITY] if left is LEAF else omega()
-                for right in build(size - 1 - left_size):
-                    right_types = [IDENTITY] if right is LEAF else omega()
-                    for x in alphabet:
-                        for a1 in left_types:
-                            for a2 in right_types:
-                                out.append(graft_binary(left, x, a1, a2, right))
-        memo[size] = out
-        return out
+    def make(decs, children):
+        (a1, left), (a2, right) = children
+        return graft_binary(left, decs[0], a1, a2, right)
 
-    trees = build(n)
-    trees.sort(key=sort_key(alphabet, semigroup))
-    return trees
+    return enumerate_trees(n, alphabet, semigroup, max_word, 1, make,
+                           sort_key(alphabet, semigroup))

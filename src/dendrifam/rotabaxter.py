@@ -7,9 +7,11 @@ and a weight.  The family identity
 
     P_a(x) P_b(y) = P_{ab}( P_a(x) y + x P_b(y) + lambda x y )
 
-is checked exhaustively on basis pairs over a caller-supplied,
-product-closed sample of indices; operators outside the sample are an
-error, never silently extended.
+is stated once and checked exhaustively on basis pairs over a
+caller-supplied, product-closed sample of indices, for the family and
+for the operator it induces on A (x) k Omega; operators outside the
+sample are an error, never silently extended.  :class:`TensorSpans`
+holds the spans of A (x) k Omega for both tensor constructions.
 
 A vector is a tuple of exact coordinates: ``int`` when integral and
 ``Fraction`` otherwise, the rule spans follow for coefficients.  Callers
@@ -23,11 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
 from .axioms import validate_tridendriform_ops
-from .basis import LinComb, ZERO_SPAN, merge, normalize
-from .errors import AxiomFailure, InvalidElement
+from .basis import LEAF, LinComb, ZERO_SPAN, clean, merge, normalize
+from .errors import AxiomFailure, InvalidElement, LeafOperand
 from .rationals import exact, parse_coefficient
 from .semigroups import Semigroup
 
@@ -195,40 +198,41 @@ class RBFamily:
         return RBFamily(self.algebra, self.weight, operators)
 
 
+def _rb_identity_counterexample(instances, mul, add, scale, weight) -> Optional[dict]:
+    """The first instance of P_a(x) P_b(y) = P_ab(P_a(x) y + x P_b(y) + weight x y)
+    that fails, or None.  ``instances`` yields (fields of the counterexample,
+    P_ab as a map, x, P_a(x), y, P_b(y))."""
+    for fields, pab, x, px, y, py in instances:
+        lhs = mul(px, py)
+        rhs = pab(add(add(mul(px, y), mul(x, py)), scale(weight, mul(x, y))))
+        if lhs != rhs:
+            return dict(fields, lhs=lhs, rhs=rhs)
+    return None
+
+
+def _require_identity(name: str, failure: Optional[dict]) -> None:
+    if failure is not None:
+        raise AxiomFailure(
+            f"{name} identity fails at alpha={failure['alpha']} beta={failure['beta']} "
+            f"(e_{failure['i']}, e_{failure['j']})",
+            counterexample=failure)
+
+
 def rb_family_counterexample(rb: RBFamily, semigroup: Semigroup,
                              sample: Iterable[str]) -> Optional[dict]:
     """First (alpha, beta, i, j) violating the family identity, or None."""
-    sample = list(sample)
-    alg = rb.algebra
-    lam = rb.weight
-    for alpha in sample:
-        for beta in sample:
-            alphabeta = semigroup.mul(alpha, beta)
-            for i in range(alg.dim):
-                a = alg.basis_vector(i)
-                pa = rb.apply(alpha, a)
-                for j in range(alg.dim):
-                    b = alg.basis_vector(j)
-                    pb = rb.apply(beta, b)
-                    lhs = alg.mul(pa, pb)
-                    inner = vec_add(vec_add(alg.mul(pa, b), alg.mul(a, pb)),
-                                    vec_scale(lam, alg.mul(a, b)))
-                    rhs = rb.apply(alphabeta, inner)
-                    if lhs != rhs:
-                        return {"alpha": alpha, "beta": beta, "i": i, "j": j,
-                                "lhs": lhs, "rhs": rhs}
-    return None
+    sample, alg = list(sample), rb.algebra
+    basis = [(i, alg.basis_vector(i)) for i in range(alg.dim)]
+    instances = (({"alpha": alpha, "beta": beta, "i": i, "j": j},
+                  partial(rb.apply, semigroup.mul(alpha, beta)),
+                  x, rb.apply(alpha, x), y, rb.apply(beta, y))
+                 for alpha in sample for beta in sample for i, x in basis for j, y in basis)
+    return _rb_identity_counterexample(instances, alg.mul, vec_add, vec_scale, rb.weight)
 
 
 def validate_rb_family(rb: RBFamily, semigroup: Semigroup,
                        sample: Iterable[str]) -> None:
-    failure = rb_family_counterexample(rb, semigroup, sample)
-    if failure is not None:
-        raise AxiomFailure(
-            "Rota-Baxter family identity fails at "
-            f"alpha={failure['alpha']} beta={failure['beta']} "
-            f"(e_{failure['i']}, e_{failure['j']})",
-            counterexample=failure)
+    _require_identity("Rota-Baxter family", rb_family_counterexample(rb, semigroup, sample))
 
 
 class _InducedOps:
@@ -298,9 +302,21 @@ def epsilon(rb: RBFamily, semigroup: Semigroup, sample: Iterable[str]) -> Epsilo
     return ops
 
 
-class _PairSpans:
-    """Vector-space operations on spans of (basis element, semigroup element)
-    pairs, ordered by ``_key``."""
+class TensorSpans:
+    """Spans of pairs (basis element of A, semigroup element), the tensor
+    product A (x) k Omega, ordered by ``_key``.  A subclass sets ``semigroup``,
+    keys the basis of A by ``_basis_key``, which raises for anything outside
+    it, and lifts its products from A by :meth:`_lift`."""
+
+    def _key(self, pair):
+        b, token = pair
+        return (self._basis_key(b),) + tuple(self.semigroup.element_key(token))
+
+    def element(self, b, omega: str) -> LinComb:
+        """1 * (b (x) omega), for a basis element b of A."""
+        self._basis_key(b)
+        self.semigroup.require(omega)
+        return LinComb.from_map({(b, omega): 1}, self._key)
 
     def zero(self) -> LinComb:
         return ZERO_SPAN
@@ -311,79 +327,59 @@ class _PairSpans:
     def scale(self, c: Fraction, s: LinComb) -> LinComb:
         return s.scaled(c)
 
+    def _lift(self, kernel, u: LinComb, v: LinComb, side=None) -> LinComb:
+        """(x (x) a) * (y (x) b) = kernel(x, y) (x) ab, extended bilinearly.  The
+        kernel gives (basis element, coefficient) pairs and is indexed by a
+        (``side=0``), by b (``side=1``) or not at all."""
+        acc: dict = {}
+        for (x, a), cu in u.map.items():
+            for (y, b), cv in v.map.items():
+                ab, c = self.semigroup.mul(a, b), cu * cv
+                index = () if side is None else ((a, b)[side],)
+                for z, cz in kernel(x, y, *index):
+                    acc[z, ab] = acc.get((z, ab), 0) + c * cz
+        return LinComb.from_map(clean(acc), self._key)
 
-class TensorRB(_PairSpans):
+
+class TensorRB(TensorSpans):
     """The single Rota-Baxter operator P(x (x) w) = P_w(x) (x) w on spans of
     (basis index, semigroup element) pairs."""
 
     def __init__(self, rb: RBFamily, semigroup: Semigroup):
-        self.rb = rb
-        self.semigroup = semigroup
+        self.rb, self.semigroup = rb, semigroup
 
-    def _key(self, pair):
-        index, token = pair
-        return (index,) + tuple(self.semigroup.element_key(token))
-
-    def basis(self, i: int, omega: str) -> LinComb:
-        return normalize([(1, (i, omega))], self._key)
+    def _basis_key(self, i) -> int:
+        if not (type(i) is int and 0 <= i < self.rb.algebra.dim):
+            raise InvalidElement(f"no basis element e_{i!r} in dimension {self.rb.algebra.dim}")
+        return i
 
     def mul(self, u: LinComb, v: LinComb) -> LinComb:
-        alg = self.rb.algebra
-        pairs = []
-        for (i, a), cu in u.map.items():
-            for (j, b), cv in v.map.items():
-                ab = self.semigroup.mul(a, b)
-                product = alg.mul(alg.basis_vector(i), alg.basis_vector(j))
-                for k, coeff in enumerate(product):
-                    if coeff != 0:
-                        pairs.append((cu * cv * coeff, (k, ab)))
-        return normalize(pairs, self._key)
+        return self._lift(lambda i, j: self.rb.algebra._table[i][j], u, v)
 
     def apply(self, u: LinComb) -> LinComb:
-        pairs = []
-        for (i, a), c in u.map.items():
-            image = self.rb.apply(a, self.rb.algebra.basis_vector(i))
-            for j, coeff in enumerate(image):
-                if coeff != 0:
-                    pairs.append((c * coeff, (j, a)))
-        return normalize(pairs, self._key)
+        basis_vector = self.rb.algebra.basis_vector
+        return normalize([(c * cj, (j, a)) for (i, a), c in u.map.items()
+                          for j, cj in _nonzero(self.rb.apply(a, basis_vector(i)))], self._key)
 
 
 def tensor_rb_counterexample(rb: RBFamily, semigroup: Semigroup,
                              sample: Iterable[str]) -> Optional[dict]:
     """First sampled basis pair violating the weight-lambda identity, or None."""
     op = TensorRB(rb, semigroup)
-    sample = list(sample)
-    lam = rb.weight
-    basis = [(i, a) for a in sample for i in range(rb.algebra.dim)]
-    for i, a in basis:
-        u = op.basis(i, a)
-        pu = op.apply(u)
-        for j, b in basis:
-            v = op.basis(j, b)
-            pv = op.apply(v)
-            lhs = op.mul(pu, pv)
-            inner = op.add(op.mul(pu, v), op.mul(u, pv), op.scale(lam, op.mul(u, v)))
-            rhs = op.apply(inner)
-            if lhs != rhs:
-                return {"alpha": a, "beta": b, "i": i, "j": j,
-                        "lhs": lhs, "rhs": rhs}
-    return None
+    basis = [(i, a, op.element(i, a)) for a in sample for i in range(rb.algebra.dim)]
+    instances = (({"alpha": a, "beta": b, "i": i, "j": j},
+                  op.apply, u, op.apply(u), v, op.apply(v))
+                 for i, a, u in basis for j, b, v in basis)
+    return _rb_identity_counterexample(instances, op.mul, op.add, op.scale, rb.weight)
 
 
 def tensor_rb(rb: RBFamily, semigroup: Semigroup, sample: Iterable[str]) -> TensorRB:
     """Construct and verify the tensor Rota-Baxter operator on the sample."""
-    failure = tensor_rb_counterexample(rb, semigroup, sample)
-    if failure is not None:
-        raise AxiomFailure(
-            "tensor Rota-Baxter identity fails at "
-            f"alpha={failure['alpha']} beta={failure['beta']} "
-            f"(e_{failure['i']}, e_{failure['j']})",
-            counterexample=failure)
+    _require_identity("tensor Rota-Baxter", tensor_rb_counterexample(rb, semigroup, sample))
     return TensorRB(rb, semigroup)
 
 
-class TensorFamily(_PairSpans):
+class TensorFamily(TensorSpans):
     """Classical (index-free) products on spans of (basis tree, semigroup
     element) pairs over a free family algebra:
     (x (x) a) prec (y (x) b) = (x prec_b y) (x) ab, mirrored for succ, and
@@ -391,37 +387,27 @@ class TensorFamily(_PairSpans):
     dendriform family."""
 
     def __init__(self, family):
-        self.family = family
-        self.semigroup = family.semigroup
+        self.family, self.semigroup = family, family.semigroup
 
-    def _key(self, pair):
-        tree, token = pair
-        return (self.family.key(tree),) + tuple(self.semigroup.element_key(token))
+    def _basis_key(self, tree):
+        if tree is LEAF:
+            raise LeafOperand("the leaf | is not a basis element of the free algebra")
+        if not isinstance(tree, self.family.node_type):
+            raise TypeError(f"not a basis tree of this family: {tree!r}")
+        return self.family.key(tree)
 
-    def element(self, tree, omega: str) -> LinComb:
-        self.semigroup.require(omega)
-        return normalize([(1, (tree, omega))], self._key)
-
-    def _lift(self, kernel, u: LinComb, v: LinComb, side=None) -> LinComb:
-        """(x (x) a) * (y (x) b) = kernel(x, y) (x) ab, extended bilinearly;
-        the kernel is indexed by a (``side=0``), by b (``side=1``) or not at all."""
-        pairs = []
-        for (t1, a), cu in u.map.items():
-            for (t2, b), cv in v.map.items():
-                ab = self.semigroup.mul(a, b)
-                index = () if side is None else ((a, b)[side],)
-                c = cu * cv
-                pairs.extend((c, (s, ab)) for s in kernel(t1, t2, *index))
-        return normalize(pairs, self._key)
+    def _lift_trees(self, kernel, u: LinComb, v: LinComb, side=None) -> LinComb:
+        # a tree kernel gives basis trees, each with coefficient 1
+        return self._lift(lambda *args: [(s, 1) for s in kernel(*args)], u, v, side)
 
     def prec(self, u: LinComb, v: LinComb) -> LinComb:
-        return self._lift(self.family._prec_trees, u, v, side=1)
+        return self._lift_trees(self.family._prec_trees, u, v, side=1)
 
     def succ(self, u: LinComb, v: LinComb) -> LinComb:
-        return self._lift(self.family._succ_trees, u, v, side=0)
+        return self._lift_trees(self.family._succ_trees, u, v, side=0)
 
     def dot(self, u: LinComb, v: LinComb) -> LinComb:
-        return self._lift(self.family._dot_trees, u, v)
+        return self._lift_trees(self.family._dot_trees, u, v)
 
 
 # -- the definition file format ------------------------------------------

@@ -6,16 +6,17 @@ typed edges to its children, ordered left to right.  Edge typing obeys
 the same invariant as for binary trees: identity type iff leaf child.
 Trees are hash-consed in the module table ``_INTERNED``, as binary
 trees are, so equal trees are the same object; :func:`sort_key` orders them.
+:func:`enumerate_sch` lists them through :func:`dendrifam.basis.enumerate_trees`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from typing import Optional, Sequence, Tuple, Union
 
-from .basis import LEAF, Alphabet, Leaf
-from .errors import ArityMismatch, InfiniteSemigroup, TypingViolation
+from .basis import LEAF, Alphabet, Leaf, enumerate_trees
+from .errors import ArityMismatch, TypingViolation
 from .pbtrees import graft_binary
 from .semigroups import IDENTITY, Semigroup
 
@@ -153,57 +154,12 @@ def tree_key(t: SchTree, alphabet: Alphabet, semigroup: Semigroup):
 
 def enumerate_sch(n: int, alphabet: Alphabet, semigroup: Semigroup,
                   max_word: Optional[int] = None) -> list[SchNode]:
-    """All basis trees with n+1 leaves, each exactly once, canonically ordered."""
+    """All basis trees with n+1 leaves, each exactly once, canonically ordered:
+    those of :func:`~dendrifam.basis.enumerate_trees` with any arity."""
     if n < 1:
         raise ValueError("basis trees need at least two leaves")
-    if not semigroup.is_finite and max_word is None:
-        raise InfiniteSemigroup("cannot enumerate trees over an infinite semigroup")
-    # listed when an internal edge needs them; a free semigroup's at once, to check its bound
-    omega = cache(partial(semigroup.elements, max_word))
-    if not semigroup.is_finite:
-        omega()
-    symbols = list(alphabet)
-    memo: dict[int, list[SchTree]] = {0: [LEAF]}
-
-    def compositions(total: int, parts: int):
-        if parts == 1:
-            yield (total,)
-            return
-        for head in range(total + 1):
-            for rest in compositions(total - head, parts - 1):
-                yield (head,) + rest
-
-    def dec_tuples(k: int):
-        if k == 0:
-            yield ()
-            return
-        for rest in dec_tuples(k - 1):
-            for x in symbols:
-                yield rest + (x,)
-
-    def build(size: int) -> list[SchTree]:
-        if size in memo:
-            return memo[size]
-        out = []
-        for k in range(1, size + 1):
-            for split in compositions(size - k, k + 1):
-                child_lists = [build(part) for part in split]
-                def attach(i, acc):
-                    if i == k + 1:
-                        for decs in dec_tuples(k):
-                            out.append(intern_node(tuple(decs), tuple(acc)))
-                        return
-                    for child in child_lists[i]:
-                        types = [IDENTITY] if child is LEAF else omega()
-                        for etype in types:
-                            attach(i + 1, acc + [(etype, child)])
-                attach(0, [])
-        memo[size] = out
-        return out
-
-    trees = build(n)
-    trees.sort(key=sort_key(alphabet, semigroup))
-    return trees
+    return enumerate_trees(n, alphabet, semigroup, max_word, n, intern_node,
+                           sort_key(alphabet, semigroup))
 
 
 def from_binary(t) -> SchTree:

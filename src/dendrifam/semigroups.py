@@ -69,7 +69,7 @@ def _uniquely_decodable(code) -> bool:
 
 
 def _check_token(token: str) -> str:
-    if not TOKEN_RE.fullmatch(token):
+    if not (isinstance(token, str) and TOKEN_RE.fullmatch(token)):
         raise SemigroupViolation(f"bad element token: {token!r}")
     return token
 
@@ -145,7 +145,7 @@ class Semigroup:
 
     def contains(self, a: str) -> bool:
         if self.kind == "free":
-            return self._segmentable(a)
+            return isinstance(a, str) and self._segmentable(a)
         try:
             return a in self._ranks or self._rank(a) is not None
         except TypeError:  # an unhashable value names no element

@@ -484,3 +484,29 @@ def test_alphabet_outside_the_token_rule_is_a_config_error(capsys, command, alph
     code, out, err = run(capsys, *command, "--alphabet", alphabet, "--semigroup", "cyclic:2")
     assert code == 2 and out == ""
     assert "bad decoration symbol" in err
+
+
+# -- Rota-Baxter failures, pinned byte for byte -------------------------------------------
+
+def test_check_diagram_counterexample_line(capsys, bad_rb_file):
+    code, out, _ = run(capsys, "check", "--suite", "diagram",
+                       "--alphabet", "x", "--semigroup", "cyclic:2",
+                       "--rb-file", bad_rb_file, "--lambda", "1")
+    assert (code, out) == (1, "counterexample suite=diagram alpha=0 beta=0 i=0 j=1 "
+                              "reason=not-a-Rota-Baxter-family\n")
+
+
+def test_extend_eta_rejects_invalid_family_line(capsys, bad_rb_file, map_file):
+    code, out, _ = run(capsys, "extend", "--functor", "eta",
+                       "--rb-file", bad_rb_file, "--lambda", "1",
+                       "--map-file", map_file, "B[x;1:|,1:|]",
+                       "--alphabet", "x,y", "--semigroup", "cyclic:2")
+    assert (code, out) == (1, "axiom failure: the supplied family is not Rota-Baxter\n")
+
+
+def test_check_tensor_rb_counterexample_line(capsys, bad_rb_file):
+    code, out, _ = run(capsys, "check", "--suite", "tensor-rb",
+                       "--alphabet", "x", "--semigroup", "cyclic:2",
+                       "--rb-file", bad_rb_file, "--lambda", "1")
+    assert (code, out) == (1, "counterexample suite=tensor-rb alpha=0 beta=0 i=0 j=1 "
+                              "lhs=-1*e0(x)0 + 1*e1(x)0 + 1*e2(x)0 rhs=-2*e0(x)0\n")

@@ -4,10 +4,10 @@ from itertools import product
 import pytest
 
 from dendrifam import axioms
-from dendrifam.basis import Alphabet
+from dendrifam.basis import LEAF, Alphabet
 from dendrifam.dendriform import (FreeDendriformFamily,
                                   find_dendriform_counterexample)
-from dendrifam.errors import AxiomFailure, InvalidElement
+from dendrifam.errors import AxiomFailure, InvalidElement, LeafOperand
 from dendrifam.pbtrees import enumerate_bin, single_vertex as bin_vertex
 from dendrifam.rotabaxter import (EpsilonOps, EtaOps, FiniteAlgebra, RBFamily,
                                   TensorFamily, cascading_sum_matrix, epsilon,
@@ -15,7 +15,7 @@ from dendrifam.rotabaxter import (EpsilonOps, EtaOps, FiniteAlgebra, RBFamily,
                                   pointwise_algebra, rb_family_counterexample,
                                   scaled_identity_matrix, tensor_rb,
                                   tensor_rb_counterexample, validate_rb_family)
-from dendrifam.schroder import enumerate_sch
+from dendrifam.schroder import enumerate_sch, single_vertex as sch_vertex
 from dendrifam.semigroups import Semigroup
 from dendrifam.tridendriform import (FreeTridendriformFamily, gamma,
                                      find_tridendriform_counterexample)
@@ -90,6 +90,17 @@ def test_one_entry_mutations_are_rejected(cascading, row, col):
     assert failure is not None
     with pytest.raises(AxiomFailure):
         validate_rb_family(mutant, Z2, SAMPLE)
+
+
+@pytest.mark.parametrize("check,name", [(validate_rb_family, "Rota-Baxter family"),
+                                        (tensor_rb, "tensor Rota-Baxter")])
+def test_identity_failure_text(cascading, check, name):
+    mutant = cascading.mutated("0", 0, 1, ONE)
+    with pytest.raises(AxiomFailure) as failure:
+        check(mutant, Z2, SAMPLE)
+    assert str(failure.value) == f"{name} identity fails at alpha=0 beta=0 (e_0, e_1)"
+    assert {k: failure.value.counterexample[k] for k in ("alpha", "beta", "i", "j")} == \
+        {"alpha": "0", "beta": "0", "i": 0, "j": 1}
 
 
 def test_operator_of_the_wrong_size_is_rejected():
@@ -175,7 +186,7 @@ def test_tensor_rb_one_dimensional_negative_identity():
     rb = constant_family(1, scaled_identity_matrix(1, -ONE))
     assert tensor_rb_counterexample(rb, Z2, SAMPLE) is None
     op = tensor_rb(rb, Z2, SAMPLE)
-    u = op.basis(0, "1")
+    u = op.element(0, "1")
     assert op.apply(u) == op.scale(-ONE, u)
 
 
@@ -256,6 +267,35 @@ def test_tensor_star_products_are_associative():
 
     for x, y, z in product(telements, repeat=3):
         assert tstar(tstar(x, y), z) == tstar(x, tstar(y, z))
+
+
+@pytest.mark.parametrize("family,tree,error", [
+    (FreeDendriformFamily, LEAF, LeafOperand),
+    (FreeDendriformFamily, sch_vertex("x"), TypeError),
+    (FreeTridendriformFamily, LEAF, LeafOperand),
+    (FreeTridendriformFamily, bin_vertex("x"), TypeError),
+], ids=["dend-leaf", "dend-schroder", "tri-leaf", "tri-binary"])
+def test_tensor_family_element_rejects_non_basis_trees(family, tree, error):
+    # the leaf was read as a unit by succ and broke prec; a tree of the other
+    # kind died in a product with an AttributeError
+    tensor = TensorFamily(family(Alphabet(["x"]), Z2))
+    with pytest.raises(error):
+        tensor.element(tree, "0")
+
+
+@pytest.mark.parametrize("index", [-1, 3, 7, "0"])
+def test_tensor_rb_element_rejects_index_outside_the_basis(cascading, index):
+    # an index past the dimension was silently read as zero by mul and apply
+    op = tensor_rb(cascading, Z2, SAMPLE)
+    with pytest.raises(InvalidElement):
+        op.element(index, "0")
+
+
+def test_tensor_elements_require_a_semigroup_element(cascading):
+    with pytest.raises(InvalidElement):
+        tensor_rb(cascading, Z2, SAMPLE).element(0, "2")
+    with pytest.raises(InvalidElement):
+        TensorFamily(FreeDendriformFamily(Alphabet(["x"]), Z2)).element(bin_vertex("x"), "2")
 
 
 # -- the definition file format --------------------------------------------------------------

@@ -187,3 +187,23 @@ def test_bad_tokens_rejected():
         Semigroup.table(["e", "e"], [["e", "e"], ["e", "e"]])
     with pytest.raises(SemigroupViolation):
         Semigroup.cyclic(0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Semigroup.free([1]),
+    lambda: Semigroup.free([None]),
+    lambda: Semigroup.table([1], [[1]]),
+], ids=["free-int", "free-none", "table-int"])
+def test_non_string_tokens_rejected(build):
+    # a non-str token used to leak a raw TypeError from the token pattern
+    with pytest.raises(SemigroupViolation, match="bad element token"):
+        build()
+
+
+@pytest.mark.parametrize("value", [5, 1.5])
+def test_free_membership_of_non_strings(value):
+    # segmenting an int leaked a raw TypeError from len()
+    free = Semigroup.free(["a"])
+    assert not free.contains(value)
+    with pytest.raises(InvalidElement):
+        free.require(value)
