@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
 from .axioms import validate_tridendriform_ops
@@ -223,10 +223,12 @@ def rb_family_counterexample(rb: RBFamily, semigroup: Semigroup,
     """First (alpha, beta, i, j) violating the family identity, or None."""
     sample, alg = list(sample), rb.algebra
     basis = [(i, alg.basis_vector(i)) for i in range(alg.dim)]
-    instances = (({"alpha": alpha, "beta": beta, "i": i, "j": j},
-                  partial(rb.apply, semigroup.mul(alpha, beta)),
-                  x, rb.apply(alpha, x), y, rb.apply(beta, y))
-                 for alpha in sample for beta in sample for i, x in basis for j, y in basis)
+    # (i, e_i, P_alpha(e_i)) for each i, computed once per alpha on first use
+    images = lru_cache(maxsize=None)(lambda alpha: [(i, x, rb.apply(alpha, x)) for i, x in basis])
+    instances = (({"alpha": alpha, "beta": beta, "i": i, "j": j}, pab, x, px, y, py)
+                 for alpha in sample for beta in sample
+                 for pab in [partial(rb.apply, semigroup.mul(alpha, beta))]
+                 for i, x, px in images(alpha) for j, y, py in images(beta))
     return _rb_identity_counterexample(instances, alg.mul, vec_add, vec_scale, rb.weight)
 
 
@@ -366,10 +368,11 @@ def tensor_rb_counterexample(rb: RBFamily, semigroup: Semigroup,
                              sample: Iterable[str]) -> Optional[dict]:
     """First sampled basis pair violating the weight-lambda identity, or None."""
     op = TensorRB(rb, semigroup)
-    basis = [(i, a, op.element(i, a)) for a in sample for i in range(rb.algebra.dim)]
-    instances = (({"alpha": a, "beta": b, "i": i, "j": j},
-                  op.apply, u, op.apply(u), v, op.apply(v))
-                 for i, a, u in basis for j, b, v in basis)
+    basis = [(i, a) for a in sample for i in range(rb.algebra.dim)]
+    # (e_i (x) a, its image) for the n-th basis pair, built once on first use
+    image = lru_cache(maxsize=None)(lambda n: (u := op.element(*basis[n]), op.apply(u)))
+    instances = (({"alpha": a, "beta": b, "i": i, "j": j}, op.apply, *image(m), *image(n))
+                 for m, (i, a) in enumerate(basis) for n, (j, b) in enumerate(basis))
     return _rb_identity_counterexample(instances, op.mul, op.add, op.scale, rb.weight)
 
 

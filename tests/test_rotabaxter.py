@@ -103,6 +103,20 @@ def test_identity_failure_text(cascading, check, name):
         {"alpha": "0", "beta": "0", "i": 0, "j": 1}
 
 
+@pytest.mark.parametrize("check", [rb_family_counterexample, tensor_rb_counterexample])
+@pytest.mark.parametrize("late", ["2", "7"])
+def test_first_failure_precedes_a_bad_later_sample_element(cascading, check, late):
+    # the first failing instance is returned before a later sample element
+    # without an operator ("2" in Z3) or outside the semigroup ("7") is reached
+    mutant = cascading.mutated("0", 0, 1, ONE)
+    semigroup = Semigroup.cyclic(3)
+    failure = check(mutant, semigroup, ["0", late])
+    assert {k: failure[k] for k in ("alpha", "beta", "i", "j")} == \
+        {"alpha": "0", "beta": "0", "i": 0, "j": 1}
+    with pytest.raises(InvalidElement):
+        check(cascading, semigroup, ["0", late])
+
+
 def test_operator_of_the_wrong_size_is_rejected():
     with pytest.raises(InvalidElement):
         RBFamily(pointwise_algebra(2), ONE, {"0": cascading_sum_matrix(3, ONE)})
