@@ -293,13 +293,12 @@ def cmd_extend(args) -> int:
     if missing:
         raise ValueError(f"map file has no image for generators: {missing}")
     f = {x: rb.algebra.basis_vector(i) for x, i in images.items()}
-    index_triples = [(a, b, semigroup.mul(a, b)) for a in sample for b in sample]
+    validate_rb = rb_family_counterexample(rb, semigroup, sample)
+    if validate_rb is not None:
+        raise AxiomFailure("the supplied family is not Rota-Baxter", counterexample=validate_rb)
     if args.functor == "eta":
-        validate_rb = rb_family_counterexample(rb, semigroup, sample)
-        if validate_rb is not None:
-            raise AxiomFailure("the supplied family is not Rota-Baxter",
-                               counterexample=validate_rb)
         ops = eta(rb)
+        index_triples = [(a, b, semigroup.mul(a, b)) for a in sample for b in sample]
         elements = [rb.algebra.basis_vector(i) for i in range(rb.algebra.dim)]
         axioms.validate_dendriform_ops(ops, elements, index_triples)
         algebra = FreeDendriformFamily(alphabet, semigroup)

@@ -43,25 +43,35 @@ class BinNode:
 
     def __new__(cls, dec, left_type, left, right_type, right):
         key = (dec, left_type, left, right_type, right)
-        node = _INTERNED.get(key)
-        if node is None:
-            if (left_type is IDENTITY) != (left is LEAF):
-                raise TypingViolation(f"left edge {left_type} inconsistent with child {left!r}")
-            if (right_type is IDENTITY) != (right is LEAF):
-                raise TypingViolation(
-                    f"right edge {right_type} inconsistent with child {right!r}")
-            node = _INTERNED[key] = object.__new__(cls)
-            for name, value in zip(cls.__slots__, key):  # the fields, in order
-                object.__setattr__(node, name, value)
-        return node
+        return _INTERNED.get(key) or _intern(key)
 
 
 _INTERNED: dict = {}
+# the slots' own setters, which store a new node's fields past the frozen __setattr__
+_set_dec, _set_left_type, _set_left, _set_right_type, _set_right = (
+    BinNode.__dict__[name].__set__ for name in BinNode.__slots__)
+
+
+def _intern(key: tuple) -> BinNode:
+    """Check, make and store the node with the fields ``key``, on a table miss."""
+    dec, left_type, left, right_type, right = key
+    if (left_type is IDENTITY) != (left is LEAF):
+        raise TypingViolation(f"left edge {left_type} inconsistent with child {left!r}")
+    if (right_type is IDENTITY) != (right is LEAF):
+        raise TypingViolation(f"right edge {right_type} inconsistent with child {right!r}")
+    node = _INTERNED[key] = object.__new__(BinNode)
+    _set_dec(node, dec)
+    _set_left_type(node, left_type)
+    _set_left(node, left)
+    _set_right_type(node, right_type)
+    _set_right(node, right)
+    return node
 
 
 def graft_binary(left: BinTree, dec: str, left_type, right_type, right: BinTree) -> BinNode:
     """Join two trees under a fresh decorated vertex via two typed edges."""
-    return BinNode(dec, left_type, left, right_type, right)
+    key = (dec, left_type, left, right_type, right)
+    return _INTERNED.get(key) or _intern(key)
 
 
 def single_vertex(dec: str) -> BinNode:

@@ -36,21 +36,7 @@ class SchNode:
 
     def __new__(cls, decs, children):
         key = (decs, children)
-        node = _INTERNED.get(key)
-        if node is None:
-            if len(decs) < 1:
-                raise ArityMismatch("a vertex needs at least one decoration")
-            if len(children) != len(decs) + 1:
-                raise ArityMismatch(
-                    f"{len(decs)} decorations require {len(decs) + 1} children, "
-                    f"got {len(children)}")
-            for etype, child in children:
-                if (etype is IDENTITY) != (child is LEAF):
-                    raise TypingViolation(f"edge {etype} inconsistent with child {child!r}")
-            node = _INTERNED[key] = object.__new__(cls)
-            object.__setattr__(node, "decs", decs)
-            object.__setattr__(node, "children", children)
-        return node
+        return _INTERNED.get(key) or _intern(key)
 
     @property
     def arity(self) -> int:
@@ -58,11 +44,31 @@ class SchNode:
 
 
 _INTERNED: dict = {}
+# the slots' own setters, as for BinNode
+_set_decs, _set_children = (SchNode.__dict__[name].__set__ for name in SchNode.__slots__)
+
+
+def _intern(key: tuple) -> SchNode:
+    """Check, make and store the node with the fields ``key``, on a table miss."""
+    decs, children = key
+    if len(decs) < 1:
+        raise ArityMismatch("a vertex needs at least one decoration")
+    if len(children) != len(decs) + 1:
+        raise ArityMismatch(
+            f"{len(decs)} decorations require {len(decs) + 1} children, got {len(children)}")
+    for etype, child in children:
+        if (etype is IDENTITY) != (child is LEAF):
+            raise TypingViolation(f"edge {etype} inconsistent with child {child!r}")
+    node = _INTERNED[key] = object.__new__(SchNode)
+    _set_decs(node, decs)
+    _set_children(node, children)
+    return node
 
 
 def intern_node(decs: Tuple[str, ...], children: Tuple[Tuple[object, SchTree], ...]) -> SchNode:
     """Construct a vertex; structurally equal trees are one object."""
-    return SchNode(decs, children)
+    key = (decs, children)
+    return _INTERNED.get(key) or _intern(key)
 
 
 def graft_nary(children: Sequence[SchTree], decs: Sequence[str],

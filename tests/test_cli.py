@@ -323,6 +323,7 @@ def test_extend_epsilon_rejects_invalid_family(capsys, bad_rb_file, map_file):
                        "--map-file", map_file, "S[x;1:|,1:|]",
                        "--alphabet", "x,y", "--semigroup", "cyclic:2")
     assert code == 1 and "axiom failure" in out
+    assert "the supplied family is not Rota-Baxter" in out
 
 
 def test_extend_malformed_map_file(capsys, rb_file, tmp_path):

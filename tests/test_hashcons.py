@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dendrifam import pbtrees, schroder
 from dendrifam.basis import LEAF, Alphabet
 from dendrifam.dendriform import FreeDendriformFamily
 from dendrifam.errors import ArityMismatch, TypingViolation
 from dendrifam.pbtrees import BinNode, enumerate_bin, graft_binary
-from dendrifam.schroder import SchNode, enumerate_sch, from_binary, to_binary
+from dendrifam.schroder import SchNode, enumerate_sch, from_binary, intern_node, to_binary
 from dendrifam.semigroups import IDENTITY, Semigroup
 from dendrifam.termio import parse_tree, print_tree
 from dendrifam.tridendriform import FreeTridendriformFamily
@@ -116,13 +117,68 @@ def test_edge_token_one_is_the_identity_only_on_a_leaf_edge():
     assert str(IDENTITY) == "1" and IDENTITY != "1"
 
 
+SV = ((IDENTITY, LEAF), (IDENTITY, LEAF))  # the children of a single vertex
+INNER = SchNode(("y",), SV)
+BAD_SCHRODER = [(TypingViolation, ("x",), ((IDENTITY, LEAF), (IDENTITY, INNER))),
+                (ArityMismatch, ("x", "y"), SV),
+                (ArityMismatch, (), ((IDENTITY, LEAF),))]
+
+
 def test_rejected_nodes_stay_rejected():
-    # the checks run when a node is first made; a rejected node is never stored
+    # the checks run when a node is first made, on every entry point; a
+    # rejected node is never stored
+    sizes = len(pbtrees._INTERNED), len(schroder._INTERNED)
     for _ in range(2):
         with pytest.raises(TypingViolation):
             BinNode("x", "0", LEAF, IDENTITY, LEAF)
         with pytest.raises(TypingViolation):
-            inner = SchNode(("y",), ((IDENTITY, LEAF), (IDENTITY, LEAF)))
-            SchNode(("x",), ((IDENTITY, LEAF), (IDENTITY, inner)))
-        with pytest.raises(ArityMismatch):
-            SchNode(("x", "y"), ((IDENTITY, LEAF), (IDENTITY, LEAF)))
+            graft_binary(LEAF, "x", "0", IDENTITY, LEAF)
+        for error, decs, children in BAD_SCHRODER:
+            with pytest.raises(error):
+                SchNode(decs, children)
+            with pytest.raises(error):
+                intern_node(decs, children)
+        assert (len(pbtrees._INTERNED), len(schroder._INTERNED)) == sizes
+
+
+def fresh_nodes(token, class_first):
+    """A binary and a Schröder node on an edge typed ``token``, each made
+    through the class call and through the module function, in the order
+    ``class_first`` says, as (first result, second result) pairs.  Every
+    token passed here is new, so the first call takes the table-miss path."""
+    edge_types = {key[i] for key in pbtrees._INTERNED for i in (1, 3)}
+    edge_types |= {a for _, children in schroder._INTERNED for a, _ in children}
+    assert token not in edge_types
+    sv = graft_binary(LEAF, "x", IDENTITY, IDENTITY, LEAF)
+    decs, children = ("y",), ((token, from_binary(sv)), (IDENTITY, LEAF))
+    ways = [(lambda: BinNode("y", token, sv, IDENTITY, LEAF),
+             lambda: graft_binary(sv, "y", token, IDENTITY, LEAF)),
+            (lambda: SchNode(decs, children), lambda: intern_node(decs, children))]
+    if not class_first:
+        ways = [(by_function, by_class) for by_class, by_function in ways]
+    return [(first(), second()) for first, second in ways]
+
+
+@pytest.mark.parametrize("token,class_first", [("q7", True), ("q8", False)])
+def test_entry_points_agree_on_a_miss(token, class_first):
+    for node, again in fresh_nodes(token, class_first):
+        assert again is node
+
+
+def test_table_keys_are_the_fields_in_order():
+    fresh_nodes("q5", True)
+    fresh_nodes("q6", False)
+    for key, node in pbtrees._INTERNED.items():
+        assert type(node) is BinNode
+        assert key == (node.dec, node.left_type, node.left, node.right_type, node.right)
+    for key, node in schroder._INTERNED.items():
+        assert type(node) is SchNode and key == (node.decs, node.children)
+
+
+def test_nodes_made_on_a_miss_are_frozen():
+    (t, _), (s, _) = fresh_nodes("q4", False)
+    with pytest.raises(FrozenInstanceError):
+        t.left_type = "q3"
+    with pytest.raises(FrozenInstanceError):
+        s.decs = ("x",)
+    assert t.left_type == "q4" and s.decs == ("y",)
