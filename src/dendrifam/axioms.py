@@ -12,12 +12,18 @@ counterexample search and the classical (index-free) axioms are all
 derived from them.  The tridendriform axioms 1-3 are the dendriform
 ones with ``dot`` added to the sum that meets the index alpha*beta; the
 classical axioms are the family axioms with the index ignored.
+
+:func:`hold` tests one instance; the free families' ``axioms_hold`` runs
+on it.  :func:`search` is the one search over many instances: the CLI
+axiom suites, family and tensor, and the validation of induced
+operations (:func:`validate`) only list their instances for it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
+from itertools import product
 
 from .errors import AxiomFailure
 
@@ -77,26 +83,29 @@ def residuals(table, ops, *args) -> tuple:
     return tuple(_sub(ops, lhs(ops, *args), rhs(ops, *args)) for _, lhs, rhs in table)
 
 
-def first_counterexample(table, ops, elements, index_triples):
-    """First instance violating an axiom of ``table``, or None.
+def search(table, ops, instances):
+    """The first instance violating an axiom of ``table``, or None.
 
-    ``index_triples`` lists (alpha, beta, alpha*beta) index combinations;
-    the product is supplied by the caller so the operations object does
-    not need to know the semigroup.
+    ``instances`` yields ``(x, y, z, (alpha, beta, alphabeta))``; the caller
+    supplies the index product, so the operations object does not need to
+    know the semigroup.  Each axiom is tested by equality, as in
+    :func:`hold`, and the residual is built only for the one that fails.
+    This is the one loop that searches an axiom table over many instances.
     """
-    zero = ops.zero()
-    for x in elements:
-        for y in elements:
-            for z in elements:
-                for alpha, beta, alphabeta in index_triples:
-                    args = (ops, x, y, z, alpha, beta, alphabeta)
-                    for number, lhs, rhs in table:
-                        residual = _sub(ops, lhs(*args), rhs(*args))
-                        if residual != zero:
-                            return {"axiom": number, "x": x, "y": y, "z": z,
-                                    "alpha": alpha, "beta": beta,
-                                    "residual": residual}
+    for x, y, z, (alpha, beta, alphabeta) in instances:
+        args = (ops, x, y, z, alpha, beta, alphabeta)
+        for number, lhs, rhs in table:
+            left, right = lhs(*args), rhs(*args)
+            if left != right:
+                return {"axiom": number, "x": x, "y": y, "z": z,
+                        "alpha": alpha, "beta": beta, "residual": _sub(ops, left, right)}
     return None
+
+
+def first_counterexample(table, ops, elements, index_triples):
+    """:func:`search` over every triple of ``elements`` and every
+    (alpha, beta, alpha*beta) of ``index_triples``, in that order."""
+    return search(table, ops, product(elements, elements, elements, index_triples))
 
 
 def validate(table, family: str, ops, elements, index_triples) -> None:

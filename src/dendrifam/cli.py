@@ -13,7 +13,9 @@ to stderr; stdout carries only the results.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
+from functools import partial
 
 from . import axioms
 from .basis import LEAF, Alphabet
@@ -68,15 +70,13 @@ def _tensor_rb_text(span) -> str:
     return " + ".join(f"{c}*e{i}(x){w}" for c, (i, w) in span.terms)
 
 
-class _Progress:
-    def __init__(self, total: int):
-        self.total = total
-        self.done = 0
-
-    def tick(self):
-        self.done += 1
-        if self.done % _PROGRESS_EVERY == 0:
-            print(f"progress {self.done}/{self.total}", file=sys.stderr)
+def _counted(instances, total: int):
+    """``instances`` passed through, with a progress line every
+    ``_PROGRESS_EVERY`` of them on stderr."""
+    for done, instance in enumerate(instances, 1):
+        if done % _PROGRESS_EVERY == 0:
+            print(f"progress {done}/{total}", file=sys.stderr)
+        yield instance
 
 
 # kind -> (free family, axiom label prefix)
@@ -140,33 +140,37 @@ def cmd_product(args) -> int:
     return EXIT_OK
 
 
-def _check_family_axioms(args, kind: str) -> int:
+def _check_axioms(args, kind: str, tensor: bool) -> int:
+    """The family axioms of ``kind`` on every triple of enumerated trees and
+    pair of indices, or (``tensor``) the classical axioms on every triple of
+    tree (x) element tensors of A (x) kOmega, through :func:`axioms.search`."""
     alphabet, semigroup = _config(args)
     trees = _trees_up_to(kind, args.max_leaves, alphabet, semigroup, args.max_word)
     omega = semigroup.elements(args.max_word)
     family, prefix = _FAMILIES[kind]
     algebra = family(alphabet, semigroup)
-    names = [f"{prefix}f{number}" for number, _, _ in family.axiom_table]
-    total = len(trees) ** 3 * len(omega) ** 2
-    progress = _Progress(total)
-    for t in trees:
-        for u in trees:
-            for w in trees:
-                for alpha in omega:
-                    for beta in omega:
-                        progress.tick()
-                        if algebra.axioms_hold(t, u, w, alpha, beta):
-                            continue
-                        residuals = algebra.axiom_residuals(t, u, w, alpha, beta)
-                        for name, residual in zip(names, residuals):
-                            if not residual.is_zero():
-                                print(f"counterexample suite={args.suite} axiom={name} "
-                                      f"T={print_tree(t)} U={print_tree(u)} "
-                                      f"W={print_tree(w)} alpha={alpha} beta={beta} "
-                                      f"residual={print_span(residual)}")
-                                return EXIT_COUNTEREXAMPLE
-    print(f"instances={total} failures=0")
-    return EXIT_OK
+    if tensor:
+        ops = TensorFamily(algebra)
+        elements = [ops.element(t, w) for t in trees for w in omega]
+        ops, triples = axioms._Unindexed(ops), [(None, None, None)]
+    else:
+        ops, elements, prefix = algebra, [algebra.span(t) for t in trees], prefix + "f"
+        triples = [(a, b, semigroup.mul(a, b)) for a in omega for b in omega]
+    total = len(elements) ** 3 * len(triples)
+    instances = itertools.product(elements, elements, elements, triples)
+    failure = axioms.search(family.axiom_table, ops, _counted(instances, total))
+    if failure is None:
+        print(f"instances={total} failures=0")
+        return EXIT_OK
+    terms = [next(iter(failure[name].map)) for name in "xyz"]  # each operand's one term
+    if tensor:
+        shown = " ".join(f"{name}={print_tree(t)}(x){w}" for name, (t, w) in zip("xyz", terms))
+    else:
+        shown = " ".join(f"{name}={print_tree(t)}" for name, t in zip("TUW", terms))
+        shown += (f" alpha={failure['alpha']} beta={failure['beta']} "
+                  f"residual={print_span(failure['residual'])}")
+    print(f"counterexample suite={args.suite} axiom={prefix}{failure['axiom']} {shown}")
+    return EXIT_COUNTEREXAMPLE
 
 
 def _load_rb(args) -> RBFamily:
@@ -208,32 +212,6 @@ def _check_rb(args, counterexample, text) -> int:
     return EXIT_OK
 
 
-def _check_tensor_family(args, kind: str) -> int:
-    alphabet, semigroup = _config(args)
-    trees = _trees_up_to(kind, args.max_leaves, alphabet, semigroup, args.max_word)
-    omega = semigroup.elements(args.max_word)
-    family, prefix = _FAMILIES[kind]
-    tensor, table = TensorFamily(family(alphabet, semigroup)), family.axiom_table
-    names = [f"{prefix}{number}" for number, _, _ in table]
-    elements = [(t, w, tensor.element(t, w)) for t in trees for w in omega]
-    total = len(elements) ** 3
-    progress = _Progress(total)
-    zero = tensor.zero()
-    for t1, w1, x in elements:
-        for t2, w2, y in elements:
-            for t3, w3, z in elements:
-                progress.tick()
-                residuals = axioms.classical_residuals(table, tensor, x, y, z)
-                for name, residual in zip(names, residuals):
-                    if residual != zero:
-                        print(f"counterexample suite={args.suite} axiom={name} "
-                              f"x={print_tree(t1)}(x){w1} y={print_tree(t2)}(x){w2} "
-                              f"z={print_tree(t3)}(x){w3}")
-                        return EXIT_COUNTEREXAMPLE
-    print(f"instances={total} failures=0")
-    return EXIT_OK
-
-
 def _check_diagram(args) -> int:
     _, semigroup = _config(args)
     rb = _load_rb(args)
@@ -265,23 +243,20 @@ def _check_diagram(args) -> int:
     return EXIT_OK
 
 
+_SUITES = {
+    "dendriform": partial(_check_axioms, kind="binary", tensor=False),
+    "tridendriform": partial(_check_axioms, kind="schroder", tensor=False),
+    "rb": partial(_check_rb, counterexample=rb_family_counterexample, text=_vector_text),
+    "tensor-rb": partial(_check_rb, counterexample=tensor_rb_counterexample,
+                         text=_tensor_rb_text),
+    "tensor-dend": partial(_check_axioms, kind="binary", tensor=True),
+    "tensor-tridend": partial(_check_axioms, kind="schroder", tensor=True),
+    "diagram": _check_diagram,
+}
+
+
 def cmd_check(args) -> int:
-    suite = args.suite
-    if suite == "dendriform":
-        return _check_family_axioms(args, "binary")
-    if suite == "tridendriform":
-        return _check_family_axioms(args, "schroder")
-    if suite == "rb":
-        return _check_rb(args, rb_family_counterexample, _vector_text)
-    if suite == "tensor-rb":
-        return _check_rb(args, tensor_rb_counterexample, _tensor_rb_text)
-    if suite == "tensor-dend":
-        return _check_tensor_family(args, "binary")
-    if suite == "tensor-tridend":
-        return _check_tensor_family(args, "schroder")
-    if suite == "diagram":
-        return _check_diagram(args)
-    raise ValueError(f"unknown suite {suite!r}")
+    return _SUITES[args.suite](args)
 
 
 def cmd_extend(args) -> int:
@@ -297,10 +272,7 @@ def cmd_extend(args) -> int:
     if validate_rb is not None:
         raise AxiomFailure("the supplied family is not Rota-Baxter", counterexample=validate_rb)
     if args.functor == "eta":
-        ops = eta(rb)
-        index_triples = [(a, b, semigroup.mul(a, b)) for a in sample for b in sample]
-        elements = [rb.algebra.basis_vector(i) for i in range(rb.algebra.dim)]
-        axioms.validate_dendriform_ops(ops, elements, index_triples)
+        ops = eta(rb).validated(semigroup, sample)
         algebra = FreeDendriformFamily(alphabet, semigroup)
         span = parse_operand(args.term, "binary", alphabet, semigroup)
     else:
@@ -343,8 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", parents=[common], help="run an axiom or identity sweep")
     p.add_argument("--suite", required=True,
-                   choices=["dendriform", "tridendriform", "rb", "tensor-rb",
-                            "tensor-dend", "tensor-tridend", "diagram"])
+                   choices=list(_SUITES))
     p.add_argument("--max-leaves", type=int, default=2)
     p.add_argument("--rb-file", default=None)
     p.add_argument("--lambda", dest="weight", default="1")

@@ -16,7 +16,6 @@ family runs on that one recursion in :class:`~dendrifam.family.FreeFamily`.
 from __future__ import annotations
 
 from . import axioms, pbtrees
-from .axioms import find_dendriform_counterexample, validate_dendriform_ops  # noqa: F401
 from .family import FreeFamily
 from .pbtrees import BinNode
 

@@ -10,8 +10,10 @@ algebra with zero middle product).  This base holds the span plumbing
 (``key``, ``gen``, ``span``, ``zero``, ``add``, ``scale``), operand
 coercion, the family index check, the leaf conventions, the memoized
 tree kernels ``_prec_trees``/``_succ_trees``, the bilinear lift, the
-axiom residuals, and the generator decomposition (``central_factors``,
-``express``) with its image recursion ``_imager`` for ``extend``.  It
+axiom residuals at one instance, and the generator decomposition
+``express`` with its image recursion ``_imager`` for ``extend``.  An
+algebra is its own operations object, so the CLI's family suites search
+it with :func:`dendrifam.axioms.search` on spans of single trees.  It
 reads a root vertex through the view ``(decorations, (edge type,
 child) pairs)``, in which a binary vertex is the arity-2 case.  A kernel
 returns a tuple of basis trees, a sum with multiplicity, so the recursion
@@ -181,16 +183,6 @@ class FreeFamily:
         return axioms.residuals(self.axiom_table, *self._instance(t, u, w, alpha, beta))
 
     # -- generators and the universal morphism -------------------------------
-
-    def central_factors(self, t) -> list[Expr]:
-        """Factors of the central-product decomposition of ``t``, left to right
-        (a binary vertex has one): the operands of the ``Dot`` chain of
-        ``express(t)``, as no factor is a ``Dot``."""
-        expr, factors = self.express(t), []
-        while isinstance(expr, Dot):
-            expr, right = expr.left, expr.right
-            factors.append(right)
-        return [expr] + factors[::-1]
 
     def express(self, t) -> Expr:
         """Expression over generators whose value in the free algebra is 1*t."""

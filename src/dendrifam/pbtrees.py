@@ -101,19 +101,6 @@ def regraft_first(t: BinNode, a, inner: tuple) -> tuple:
     return tuple([graft_binary(s, dec, a, a2, right) for s in inner])
 
 
-def leaves(t: BinTree) -> int:
-    if t is LEAF:
-        return 1
-    return leaves(t.left) + leaves(t.right)
-
-
-def depth(t: BinTree) -> int:
-    """Maximal vertex-chain length from the root to a leaf; the leaf has depth 0."""
-    if t is LEAF:
-        return 0
-    return 1 + max(depth(t.left), depth(t.right))
-
-
 def sort_key(alphabet: Alphabet, semigroup: Semigroup):
     """The canonical order as a key function: leaf count, decoration, left edge
     type, left subtree, right edge type, right subtree.  Each node is keyed

@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
-from .axioms import validate_tridendriform_ops
+from .axioms import validate_dendriform_ops, validate_tridendriform_ops
 from .basis import LEAF, LinComb, ZERO_SPAN, clean, merge, normalize
 from .errors import AxiomFailure, InvalidElement, LeafOperand
 from .rationals import exact, parse_coefficient
@@ -153,7 +153,7 @@ class RBFamily:
     Each operator must be a d x d matrix over the algebra's dimension d.
     ``operators`` is read once, at construction, into the nonzero
     entries (row, c) of each column that :meth:`apply` walks; later
-    changes to the mapping are not seen (use :meth:`mutated`).
+    changes to the mapping are not seen (build a new family instead).
     """
 
     algebra: FiniteAlgebra
@@ -172,12 +172,6 @@ class RBFamily:
                 for j in range(d))
         object.__setattr__(self, "_columns", columns)
 
-    def operator(self, omega: str) -> Matrix:
-        try:
-            return self.operators[omega]
-        except KeyError:
-            raise _no_operator(omega)
-
     def apply(self, omega: str, v: Vector) -> Vector:
         try:
             columns = self._columns[omega]
@@ -188,14 +182,6 @@ class RBFamily:
             for r, c in columns[j]:
                 out[r] += c * a
         return _exact_vector(out)
-
-    def mutated(self, omega: str, row: int, col: int, delta: Fraction) -> "RBFamily":
-        """Copy with one matrix entry perturbed; used by mutation tests."""
-        m = [list(r) for r in self.operator(omega)]
-        m[row][col] += Fraction(delta)
-        operators = dict(self.operators)
-        operators[omega] = tuple(tuple(r) for r in m)
-        return RBFamily(self.algebra, self.weight, operators)
 
 
 def _rb_identity_counterexample(instances, mul, add, scale, weight) -> Optional[dict]:
@@ -232,17 +218,22 @@ def rb_family_counterexample(rb: RBFamily, semigroup: Semigroup,
     return _rb_identity_counterexample(instances, alg.mul, vec_add, vec_scale, rb.weight)
 
 
-def validate_rb_family(rb: RBFamily, semigroup: Semigroup,
-                       sample: Iterable[str]) -> None:
-    _require_identity("Rota-Baxter family", rb_family_counterexample(rb, semigroup, sample))
-
-
 class _InducedOps:
-    """The vector-space operations shared by the induced structures."""
+    """The vector-space operations shared by the induced structures, and
+    their validation by ``check``, the axiom check that each structure
+    sets for its kind."""
 
     def __init__(self, rb: RBFamily):
         self.rb = rb
         self.weight = exact(rb.weight)
+
+    def validated(self, semigroup: Semigroup, sample: Iterable[str]):
+        """This structure, once its axioms hold on every triple of basis
+        vectors over every sampled index pair; AxiomFailure otherwise."""
+        alg, sample = self.rb.algebra, list(sample)
+        self.check(self, [alg.basis_vector(i) for i in range(alg.dim)],
+                   [(a, b, semigroup.mul(a, b)) for a in sample for b in sample])
+        return self
 
     def add(self, *values: Vector) -> Vector:
         out = self.zero()
@@ -261,6 +252,8 @@ class EtaOps(_InducedOps):
     """Dendriform structure induced by a Rota-Baxter family:
     x prec_w y = x P_w(y) + lambda x y,   x succ_w y = P_w(x) y."""
 
+    check = staticmethod(validate_dendriform_ops)
+
     def prec(self, x: Vector, y: Vector, omega: str) -> Vector:
         # x (P_w(y) + lambda y): one algebra product instead of two
         shifted = vec_add(self.rb.apply(omega, y), vec_scale(self.weight, y))
@@ -273,6 +266,8 @@ class EtaOps(_InducedOps):
 class EpsilonOps(_InducedOps):
     """Tridendriform structure induced by a Rota-Baxter family:
     x prec_w y = x P_w(y),  x succ_w y = P_w(x) y,  x . y = lambda x y."""
+
+    check = staticmethod(validate_tridendriform_ops)
 
     def prec(self, x: Vector, y: Vector, omega: str) -> Vector:
         return self.rb.algebra.mul(x, self.rb.apply(omega, y))
@@ -296,12 +291,7 @@ def epsilon(rb: RBFamily, semigroup: Semigroup, sample: Iterable[str]) -> Epsilo
     sampled index pairs before the structure is handed out; a failure
     signals a wrong formula choice and raises AxiomFailure.
     """
-    ops = EpsilonOps(rb)
-    sample = list(sample)
-    elements = [rb.algebra.basis_vector(i) for i in range(rb.algebra.dim)]
-    triples = [(a, b, semigroup.mul(a, b)) for a in sample for b in sample]
-    validate_tridendriform_ops(ops, elements, triples)
-    return ops
+    return EpsilonOps(rb).validated(semigroup, sample)
 
 
 class TensorSpans:

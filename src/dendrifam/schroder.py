@@ -85,11 +85,6 @@ def single_vertex(dec: str) -> SchNode:
     return intern_node((dec,), ((IDENTITY, LEAF), (IDENTITY, LEAF)))
 
 
-def corolla(decs: Sequence[str]) -> SchNode:
-    decs = tuple(decs)
-    return intern_node(decs, tuple((IDENTITY, LEAF) for _ in range(len(decs) + 1)))
-
-
 def vertex(t: SchNode):
     """The root vertex as (decorations, (edge type, child) pairs)."""
     return t.decs, t.children
@@ -116,24 +111,6 @@ def regraft_first(t: SchNode, a, inner: tuple) -> tuple:
     """Like :func:`regraft_last`, on the first child."""
     decs, tail = t.decs, t.children[1:]
     return tuple([intern_node(decs, ((a, s),) + tail) for s in inner])
-
-
-def leaves(t: SchTree) -> int:
-    if t is LEAF:
-        return 1
-    return sum(leaves(child) for _, child in t.children)
-
-
-def depth(t: SchTree) -> int:
-    if t is LEAF:
-        return 0
-    return 1 + max(depth(child) for _, child in t.children)
-
-
-def decoration_count(t: SchTree) -> int:
-    if t is LEAF:
-        return 0
-    return len(t.decs) + sum(decoration_count(child) for _, child in t.children)
 
 
 def sort_key(alphabet: Alphabet, semigroup: Semigroup):

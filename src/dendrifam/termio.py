@@ -280,17 +280,6 @@ def parse_operand(text: str, kind: str, alphabet: Alphabet, semigroup: Semigroup
     return _parse(text, alphabet, semigroup, lambda parser: parser.operand(kind))
 
 
-def parse_corpus(text: str, kind: str, alphabet: Alphabet, semigroup: Semigroup):
-    """Corpus wire format: one term (tree or span) per line, ``#`` comments."""
-    terms = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        terms.append(parse_operand(line, kind, alphabet, semigroup))
-    return terms
-
-
 # -- printers -------------------------------------------------------------
 
 def _printer(roots):

@@ -27,7 +27,6 @@ at that fuse).
 from __future__ import annotations
 
 from . import axioms, schroder
-from .axioms import find_tridendriform_counterexample, validate_tridendriform_ops  # noqa: F401
 from .basis import LEAF, LinComb
 from .family import FreeFamily
 from .schroder import SchNode, SchTree, intern_node

@@ -1,0 +1,78 @@
+"""Helpers that only the tests call: tree measures, the corolla, corpus
+parsing, the central factors of a tree, and the Rota-Baxter family
+check and mutant."""
+
+from fractions import Fraction
+
+from dendrifam import pbtrees, schroder
+from dendrifam.basis import LEAF
+from dendrifam.exprs import Dot
+from dendrifam.rotabaxter import RBFamily, _require_identity, rb_family_counterexample
+from dendrifam.semigroups import IDENTITY
+from dendrifam.termio import parse_operand
+
+
+def children(t) -> list:
+    """The children of the root of a binary or Schröder tree, left to right."""
+    nodes = pbtrees if isinstance(t, pbtrees.BinNode) else schroder
+    return [child for _, child in nodes.vertex(t)[1]]
+
+
+def leaves(t) -> int:
+    if t is LEAF:
+        return 1
+    return sum(leaves(child) for child in children(t))
+
+
+def depth(t) -> int:
+    """Maximal vertex-chain length from the root to a leaf; the leaf has depth 0."""
+    if t is LEAF:
+        return 0
+    return 1 + max(depth(child) for child in children(t))
+
+
+def decoration_count(t) -> int:
+    if t is LEAF:
+        return 0
+    return len(schroder.vertex(t)[0]) + sum(decoration_count(child) for child in children(t))
+
+
+def corolla(decs) -> schroder.SchNode:
+    """The Schröder vertex decorated by ``decs`` over leaves only."""
+    decs = tuple(decs)
+    return schroder.intern_node(decs, tuple((IDENTITY, LEAF) for _ in range(len(decs) + 1)))
+
+
+def parse_corpus(text: str, kind: str, alphabet, semigroup) -> list:
+    """Corpus wire format: one term (tree or span) per line, ``#`` comments."""
+    terms = []
+    for line in text.splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line:
+            terms.append(parse_operand(line, kind, alphabet, semigroup))
+    return terms
+
+
+def central_factors(alg, t) -> list:
+    """Factors of the central-product decomposition of ``t``, left to right
+    (a binary vertex has one): the operands of the ``Dot`` chain of
+    ``alg.express(t)``, as no factor is a ``Dot``."""
+    expr, factors = alg.express(t), []
+    while isinstance(expr, Dot):
+        expr, right = expr.left, expr.right
+        factors.append(right)
+    return [expr] + factors[::-1]
+
+
+def validate_rb_family(rb: RBFamily, semigroup, sample) -> None:
+    """Raise AxiomFailure unless the Rota-Baxter family identity holds."""
+    _require_identity("Rota-Baxter family", rb_family_counterexample(rb, semigroup, sample))
+
+
+def mutated(rb: RBFamily, omega: str, row: int, col: int, delta) -> RBFamily:
+    """Copy of ``rb`` with one entry of the operator for ``omega`` perturbed."""
+    m = [list(r) for r in rb.operators[omega]]
+    m[row][col] += Fraction(delta)
+    operators = dict(rb.operators)
+    operators[omega] = tuple(tuple(r) for r in m)
+    return RBFamily(rb.algebra, rb.weight, operators)

@@ -12,8 +12,9 @@ from math import comb
 import pytest
 
 from dendrifam import axioms
+from dendrifam.axioms import validate_dendriform_ops
 from dendrifam.basis import LEAF, Alphabet
-from dendrifam.dendriform import FreeDendriformFamily, validate_dendriform_ops
+from dendrifam.dendriform import FreeDendriformFamily
 from dendrifam.errors import ArityMismatch, TermSyntaxError, TypingViolation
 from dendrifam.exprs import evaluate
 from dendrifam.pbtrees import enumerate_bin, graft_binary
@@ -22,13 +23,13 @@ from dendrifam.rotabaxter import (EpsilonOps, EtaOps, RBFamily, TensorFamily,
                                   cascading_sum_matrix, epsilon, eta,
                                   pointwise_algebra, rb_family_counterexample,
                                   scaled_identity_matrix, tensor_rb_counterexample)
-from dendrifam.schroder import decoration_count, enumerate_sch, intern_node
-from dendrifam.schroder import leaves as sch_leaves
+from dendrifam.schroder import enumerate_sch, intern_node
 from dendrifam.schroder import single_vertex as sch_vertex
 from dendrifam.semigroups import IDENTITY, Semigroup
 from dendrifam.termio import parse_span, parse_tree, print_span
 from dendrifam.tridendriform import FreeTridendriformFamily, gamma
 
+from helpers import decoration_count, leaves, mutated
 from untyped_free import (b_span_prec, b_span_succ, t_dot, t_prec, t_span_op,
                           t_succ)
 
@@ -175,7 +176,7 @@ def test_criterion_4_counting_oracles():
             assert len(set(strees)) == len(strees)
             for t in strees:
                 assert decoration_count(t) == n
-                assert sch_leaves(t) == n + 1
+                assert leaves(t) == n + 1
     _report(4, "binary counts match the closed form for n<=5; "
                "Schröder counts match the shape oracle for n<=4")
 
@@ -298,7 +299,7 @@ def test_criterion_7_rota_baxter_constructions():
         assert tensor_rb_counterexample(rb, Z2, sample) is None, name
     for name, rb in families.items():
         for row, col in [(0, 0), (2, 1)]:
-            mutant = rb.mutated("1", row, col, ONE)
+            mutant = mutated(rb, "1", row, col, ONE)
             assert rb_family_counterexample(mutant, Z2, sample) is not None, name
 
     cascading = families["cascading-sum"]

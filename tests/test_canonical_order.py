@@ -17,16 +17,16 @@ from dendrifam.basis import LEAF, Alphabet
 from dendrifam.dendriform import FreeDendriformFamily
 from dendrifam.errors import InvalidElement
 from dendrifam.pbtrees import BinNode, enumerate_bin, graft_binary
-from dendrifam.pbtrees import leaves as bin_leaves
 from dendrifam.pbtrees import single_vertex as bin_vertex
 from dendrifam.pbtrees import sort_key as bin_sort_key
 from dendrifam.schroder import SchNode, enumerate_sch
-from dendrifam.schroder import leaves as sch_leaves
 from dendrifam.schroder import single_vertex as sch_vertex
 from dendrifam.schroder import sort_key as sch_sort_key
 from dendrifam.semigroups import IDENTITY, Semigroup
 from dendrifam.termio import parse_span, print_span, print_tree
 from dendrifam.tridendriform import FreeTridendriformFamily
+
+from helpers import leaves
 
 XY = Alphabet(["x", "y"])
 YX = Alphabet(["y", "x"])
@@ -45,7 +45,7 @@ def ref_bin_key(t, alphabet, semigroup):
     if t is LEAF:
         return (1,)
     return (
-        bin_leaves(t),
+        leaves(t),
         alphabet.index(t.dec),
         semigroup.ext_key(t.left_type),
         ref_bin_key(t.left, alphabet, semigroup),
@@ -58,7 +58,7 @@ def ref_sch_key(t, alphabet, semigroup):
     if t is LEAF:
         return (1,)
     return (
-        sch_leaves(t),
+        leaves(t),
         t.arity,
         tuple(alphabet.index(x) for x in t.decs),
         tuple(semigroup.ext_key(etype) for etype, _ in t.children),

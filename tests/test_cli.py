@@ -8,6 +8,7 @@ import pytest
 
 from dendrifam.cli import main
 from dendrifam.rotabaxter import EtaOps, RBFamily, cascading_sum_matrix, pointwise_algebra
+from dendrifam.semigroups import Semigroup
 
 RB_K3 = """\
 dim=3
@@ -511,3 +512,33 @@ def test_check_tensor_rb_counterexample_line(capsys, bad_rb_file):
                        "--rb-file", bad_rb_file, "--lambda", "1")
     assert (code, out) == (1, "counterexample suite=tensor-rb alpha=0 beta=0 i=0 j=1 "
                               "lhs=-1*e0(x)0 + 1*e1(x)0 + 1*e2(x)0 rhs=-2*e0(x)0\n")
+
+
+# -- axiom failures, pinned byte for byte --------------------------------------------------
+
+_SWAPPED_AXIOM_LINES = {
+    "dendriform": "counterexample suite=dendriform axiom=ddf1 T=B[x;1:|,1:|] U=B[x;1:|,1:|] "
+                  "W=B[x;1:|,1:|] alpha=a beta=b residual=-1*B[x;1:|,ab:B[x;1:|,b:B[x;1:|,1:|]]] "
+                  "+ -1*B[x;1:|,ab:B[x;a:B[x;1:|,1:|],1:|]] + 1*B[x;1:|,ba:B[x;1:|,b:B[x;1:|,1:|]]] "
+                  "+ 1*B[x;1:|,ba:B[x;a:B[x;1:|,1:|],1:|]]\n",
+    "tridendriform": "counterexample suite=tridendriform axiom=tdf1 T=S[x;1:|,1:|] U=S[x;1:|,1:|] "
+                     "W=S[x;1:|,1:|] alpha=a beta=b "
+                     "residual=-1*S[x;1:|,ab:S[x;1:|,b:S[x;1:|,1:|]]] "
+                     "+ -1*S[x;1:|,ab:S[x;a:S[x;1:|,1:|],1:|]] + -1*S[x;1:|,ab:S[x,x;1:|,1:|,1:|]] "
+                     "+ 1*S[x;1:|,ba:S[x;1:|,b:S[x;1:|,1:|]]] "
+                     "+ 1*S[x;1:|,ba:S[x;a:S[x;1:|,1:|],1:|]] + 1*S[x;1:|,ba:S[x,x;1:|,1:|,1:|]]\n",
+    "tensor-dend": "counterexample suite=tensor-dend axiom=dd1 x=B[x;1:|,1:|](x)a "
+                   "y=B[x;1:|,1:|](x)a z=B[x;1:|,1:|](x)b\n",
+    "tensor-tridend": "counterexample suite=tensor-tridend axiom=td1 x=S[x;1:|,1:|](x)a "
+                      "y=S[x;1:|,1:|](x)a z=S[x;1:|,1:|](x)b\n",
+}
+
+
+@pytest.mark.parametrize("suite", list(_SWAPPED_AXIOM_LINES))
+def test_axiom_counterexample_line(capsys, monkeypatch, suite):
+    # edge types multiplied in the wrong order break axiom 1 over a free semigroup
+    mul_ext = Semigroup.mul_ext
+    monkeypatch.setattr(Semigroup, "mul_ext", lambda self, a, b: mul_ext(self, b, a))
+    code, out, _ = run(capsys, "check", "--suite", suite, "--alphabet", "x",
+                       "--semigroup", "free:a,b", "--max-word", "1", "--max-leaves", "3")
+    assert (code, out) == (1, _SWAPPED_AXIOM_LINES[suite])

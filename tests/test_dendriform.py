@@ -3,17 +3,17 @@ from itertools import product
 
 import pytest
 
+from dendrifam.axioms import find_dendriform_counterexample, validate_dendriform_ops
 from dendrifam.basis import LEAF, Alphabet, LinComb, span_single
-from dendrifam.dendriform import (FreeDendriformFamily,
-                                  find_dendriform_counterexample,
-                                  validate_dendriform_ops)
+from dendrifam.dendriform import FreeDendriformFamily
 from dendrifam.errors import (AxiomFailure, IdentityMisuse, InvalidElement,
                               LeafOperand)
 from dendrifam.exprs import Gen, Prec, Succ, evaluate
-from dendrifam.pbtrees import enumerate_bin, graft_binary, leaves, single_vertex
+from dendrifam.pbtrees import enumerate_bin, graft_binary, single_vertex
 from dendrifam.semigroups import IDENTITY, Semigroup
 from dendrifam.termio import print_span
 
+from helpers import leaves
 from untyped_free import b_span_prec, b_span_succ
 
 X2 = Alphabet(["x", "y"])
@@ -164,7 +164,7 @@ def test_axioms_over_free_semigroup(words):
 
 def test_axioms_on_deep_trees(z2):
     # the exhaustive sweeps stop at depth two; exercise depth-three chains
-    from dendrifam.pbtrees import depth
+    from helpers import depth
 
     deep = [t for t in enumerate_bin(3, X2, Z2) if depth(t) == 3]
     sample = deep[::23][:6]

@@ -6,10 +6,12 @@ import pytest
 
 from dendrifam.basis import LEAF, Alphabet, LinComb, normalize, span_single
 from dendrifam.errors import InfiniteSemigroup, LeafOperand, TypingViolation
-from dendrifam.pbtrees import (BinNode, depth, enumerate_bin, first_edge,
-                               graft_binary, last_edge, leaves, single_vertex,
+from dendrifam.pbtrees import (BinNode, enumerate_bin, first_edge,
+                               graft_binary, last_edge, single_vertex,
                                tree_key, vertex)
 from dendrifam.semigroups import IDENTITY, Semigroup
+
+from helpers import depth, leaves
 
 X1 = Alphabet(["x"])
 X2 = Alphabet(["x", "y"])

@@ -4,9 +4,9 @@ from itertools import product
 import pytest
 
 from dendrifam import axioms
+from dendrifam.axioms import find_dendriform_counterexample, find_tridendriform_counterexample
 from dendrifam.basis import LEAF, Alphabet
-from dendrifam.dendriform import (FreeDendriformFamily,
-                                  find_dendriform_counterexample)
+from dendrifam.dendriform import FreeDendriformFamily
 from dendrifam.errors import AxiomFailure, InvalidElement, LeafOperand
 from dendrifam.pbtrees import enumerate_bin, single_vertex as bin_vertex
 from dendrifam.rotabaxter import (EpsilonOps, EtaOps, FiniteAlgebra, RBFamily,
@@ -14,11 +14,12 @@ from dendrifam.rotabaxter import (EpsilonOps, EtaOps, FiniteAlgebra, RBFamily,
                                   eta, parse_map_text, parse_rb_text,
                                   pointwise_algebra, rb_family_counterexample,
                                   scaled_identity_matrix, tensor_rb,
-                                  tensor_rb_counterexample, validate_rb_family)
+                                  tensor_rb_counterexample)
 from dendrifam.schroder import enumerate_sch, single_vertex as sch_vertex
 from dendrifam.semigroups import Semigroup
-from dendrifam.tridendriform import (FreeTridendriformFamily, gamma,
-                                     find_tridendriform_counterexample)
+from dendrifam.tridendriform import FreeTridendriformFamily, gamma
+
+from helpers import mutated, validate_rb_family
 
 Z2 = Semigroup.cyclic(2)
 SAMPLE = ["0", "1"]
@@ -85,7 +86,7 @@ def test_cascading_sum_family_is_rb(cascading):
 
 @pytest.mark.parametrize("row,col", [(0, 0), (1, 2), (2, 0)])
 def test_one_entry_mutations_are_rejected(cascading, row, col):
-    mutant = cascading.mutated("0", row, col, ONE)
+    mutant = mutated(cascading, "0", row, col, ONE)
     failure = rb_family_counterexample(mutant, Z2, SAMPLE)
     assert failure is not None
     with pytest.raises(AxiomFailure):
@@ -95,7 +96,7 @@ def test_one_entry_mutations_are_rejected(cascading, row, col):
 @pytest.mark.parametrize("check,name", [(validate_rb_family, "Rota-Baxter family"),
                                         (tensor_rb, "tensor Rota-Baxter")])
 def test_identity_failure_text(cascading, check, name):
-    mutant = cascading.mutated("0", 0, 1, ONE)
+    mutant = mutated(cascading, "0", 0, 1, ONE)
     with pytest.raises(AxiomFailure) as failure:
         check(mutant, Z2, SAMPLE)
     assert str(failure.value) == f"{name} identity fails at alpha=0 beta=0 (e_0, e_1)"
@@ -108,7 +109,7 @@ def test_identity_failure_text(cascading, check, name):
 def test_first_failure_precedes_a_bad_later_sample_element(cascading, check, late):
     # the first failing instance is returned before a later sample element
     # without an operator ("2" in Z3) or outside the semigroup ("7") is reached
-    mutant = cascading.mutated("0", 0, 1, ONE)
+    mutant = mutated(cascading, "0", 0, 1, ONE)
     semigroup = Semigroup.cyclic(3)
     failure = check(mutant, semigroup, ["0", late])
     assert {k: failure[k] for k in ("alpha", "beta", "i", "j")} == \
@@ -180,7 +181,7 @@ def test_epsilon_validates_seven_axioms(cascading):
 
 
 def test_epsilon_rejects_non_rb_family(cascading):
-    mutant = cascading.mutated("0", 0, 1, ONE)
+    mutant = mutated(cascading, "0", 0, 1, ONE)
     with pytest.raises(AxiomFailure):
         epsilon(mutant, Z2, SAMPLE)
 
@@ -218,7 +219,7 @@ def test_tensor_rb_cascading_free_semigroup_truncation():
 
 
 def test_tensor_rb_flags_broken_family(cascading):
-    mutant = cascading.mutated("1", 2, 2, ONE)
+    mutant = mutated(cascading, "1", 2, 2, ONE)
     with pytest.raises(AxiomFailure):
         tensor_rb(mutant, Z2, SAMPLE)
 

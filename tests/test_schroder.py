@@ -7,11 +7,12 @@ from dendrifam.errors import ArityMismatch, InfiniteSemigroup, TypingViolation
 from dendrifam.pbtrees import enumerate_bin
 from dendrifam.pbtrees import tree_key as bin_tree_key
 from dendrifam.pbtrees import vertex as bin_root
-from dendrifam.schroder import (SchNode, corolla, decoration_count, depth,
-                                enumerate_sch, first_edge, from_binary,
-                                graft_nary, last_edge, leaves, single_vertex,
-                                to_binary, tree_key, vertex)
+from dendrifam.schroder import (SchNode, enumerate_sch, first_edge, from_binary,
+                                graft_nary, last_edge, single_vertex, to_binary,
+                                tree_key, vertex)
 from dendrifam.semigroups import IDENTITY, Semigroup
+
+from helpers import corolla, decoration_count, depth, leaves
 
 X1 = Alphabet(["x"])
 X2 = Alphabet(["x", "y"])

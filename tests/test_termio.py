@@ -8,11 +8,13 @@ from dendrifam.basis import LEAF, Alphabet
 from dendrifam.errors import ArityMismatch, TermSyntaxError, TypingViolation
 from dendrifam.exprs import Dot, Gen, Prec, Succ
 from dendrifam.pbtrees import enumerate_bin, single_vertex
-from dendrifam.schroder import corolla, enumerate_sch
+from dendrifam.schroder import enumerate_sch
 from dendrifam.semigroups import IDENTITY, Semigroup
-from dendrifam.termio import (parse_corpus, parse_expr, parse_operand,
+from dendrifam.termio import (parse_expr, parse_operand,
                               parse_span, parse_tree, print_expr, print_span,
                               print_tree)
+
+from helpers import corolla, parse_corpus
 
 X = Alphabet(["x", "y"])
 Z2 = Semigroup.cyclic(2)

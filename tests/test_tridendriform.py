@@ -3,17 +3,16 @@ from itertools import product
 
 import pytest
 
+from dendrifam.axioms import find_tridendriform_counterexample, validate_tridendriform_ops
 from dendrifam.basis import LEAF, Alphabet, LinComb, span_single
 from dendrifam.errors import AxiomFailure, IdentityMisuse, LeafOperand
 from dendrifam.exprs import Dot, Gen, Prec, Succ, evaluate
-from dendrifam.schroder import (corolla, enumerate_sch, intern_node, leaves,
-                                single_vertex)
+from dendrifam.schroder import enumerate_sch, intern_node, single_vertex
 from dendrifam.semigroups import IDENTITY, Semigroup
 from dendrifam.termio import print_span
-from dendrifam.tridendriform import (FreeTridendriformFamily, gamma,
-                                     find_tridendriform_counterexample,
-                                     validate_tridendriform_ops)
+from dendrifam.tridendriform import FreeTridendriformFamily, gamma
 
+from helpers import central_factors, corolla, leaves
 from untyped_free import t_dot, t_prec, t_span_op, t_succ
 
 X2 = Alphabet(["x", "y"])
@@ -137,7 +136,7 @@ def test_axioms_over_free_semigroup(words):
 
 
 def test_axioms_on_deep_trees(z2):
-    from dendrifam.schroder import depth
+    from helpers import depth
 
     deep = [t for t in enumerate_sch(3, X2, Z2) if depth(t) >= 2]
     sample = deep[::17][:5]
@@ -227,7 +226,7 @@ def test_factorization_order_agreement(z2):
     # joined right-to-left must agree because dot is associative
     for n in range(1, 4):
         for t in enumerate_sch(n, X2, Z2):
-            factors = z2.central_factors(t)
+            factors = central_factors(z2, t)
             right = evaluate(factors[-1], z2, z2.gen)
             for factor in reversed(factors[:-1]):
                 right = z2.dot(evaluate(factor, z2, z2.gen), right)
@@ -281,7 +280,7 @@ def test_gamma_preserves_succ(z2):
 
 
 def test_gamma_of_free_tridendriform_is_dendriform(z2):
-    from dendrifam.dendriform import find_dendriform_counterexample
+    from dendrifam.axioms import find_dendriform_counterexample
 
     g = gamma(z2)
     elements = [z2.span(t) for t in enumerate_sch(1, X2, Z2)]
