@@ -8,10 +8,11 @@ alphabeta)``.  The tables :data:`DENDRIFORM` and :data:`TRIDENDRIFORM`
 are the single statement of the axioms: the equality test
 (:func:`hold`), the residuals (left-hand side minus right-hand side, so
 an axiom holds exactly when its residual equals ``zero()``), the
-counterexample search and the classical (index-free) axioms are all
-derived from them.  The tridendriform axioms 1-3 are the dendriform
-ones with ``dot`` added to the sum that meets the index alpha*beta; the
-classical axioms are the family axioms with the index ignored.
+counterexample search and the classical (index-free) axioms, seen
+through :class:`_Unindexed`, are all derived from them.  The
+tridendriform axioms 1-3 are the dendriform ones with ``dot`` added to
+the sum that meets the index alpha*beta; the classical axioms are the
+family axioms with the index ignored.
 
 :func:`hold` tests one instance; the free families' ``axioms_hold`` runs
 on it.  :func:`search` is the one search over many instances: the CLI
@@ -135,16 +136,7 @@ class _Unindexed:
         return self.ops.succ(a, b)
 
 
-def classical_residuals(table, ops, x, y, z) -> tuple:
-    """Residuals of the classical axioms: ``table`` with the index ignored."""
-    return residuals(table, _Unindexed(ops), x, y, z, None, None, None)
-
-
 dendriform_family_hold = partial(hold, DENDRIFORM)
 tridendriform_family_hold = partial(hold, TRIDENDRIFORM)
-classical_dendriform_residuals = partial(classical_residuals, DENDRIFORM)
-classical_tridendriform_residuals = partial(classical_residuals, TRIDENDRIFORM)
-find_dendriform_counterexample = partial(first_counterexample, DENDRIFORM)
-find_tridendriform_counterexample = partial(first_counterexample, TRIDENDRIFORM)
 validate_dendriform_ops = partial(validate, DENDRIFORM, "dendriform")
 validate_tridendriform_ops = partial(validate, TRIDENDRIFORM, "tridendriform")

@@ -1,16 +1,20 @@
-"""Shared basis machinery: the leaf tree, decoration alphabets, spans.
+"""Shared basis machinery: the leaf tree, decoration alphabets, spans,
+the ranked canonical order and the enumeration of basis trees.
 
 A span (:class:`LinComb`) is a finite formal rational-linear combination
 of basis trees, stored as a map from tree to nonzero coefficient.  Spans
 compare as maps, so term order never affects equality or arithmetic.
 Coefficients are ``int`` whenever they are integral and ``Fraction``
 otherwise; the free products of integral spans only produce integers.
-A span carries the sort key of its algebra, and the canonical term order
-is imposed only when the ordered view :attr:`LinComb.terms` is first
-read, which is what the printers do.  The bare leaf is representable as
-a tree but is never a span term.  The free products build spans only
-in their bilinear lifts, from the tuples of trees their kernels return.
+A span carries the order of its algebra, and the canonical term order
+is imposed only when it is read (:meth:`LinComb.ordered`, which the
+printers call).  The bare leaf is representable as a tree but is never
+a span term.  The free products build spans only in their bilinear
+lifts, from the tuples of trees their kernels return.
 
+Trees are ordered by ranks, per collection: a tree module walks the
+nodes reachable from the collection once, without recursion, giving
+each its leaf count, and :func:`rank_levels` ranks them by level.
 :func:`enumerate_trees` lists the basis trees of both free families; a
 binary vertex is the case of one decoration over two typed children.
 """
@@ -81,45 +85,47 @@ class Alphabet:
 class LinComb:
     """A span: a map from basis tree to nonzero coefficient.
 
-    ``map`` holds the terms and must not be mutated; ``key`` is the
-    algebra's canonical sort key (or ``None``).  ``LinComb(pairs, key)``
-    builds a span from (coefficient, tree) pairs: duplicates merged, zeros
-    dropped, the leaf rejected, nothing sorted.
+    ``map`` holds the terms and must not be mutated; ``order`` is the
+    algebra's canonical order (or ``None``): called on the span's keys and
+    an optional set ``repeated``, it returns a mapping from each key to its
+    place, and a tree order adds to ``repeated`` the subtrees it reached
+    more than once.  ``LinComb(pairs, order)`` builds a span from
+    (coefficient, tree) pairs: duplicates merged, zeros dropped, the leaf
+    rejected, nothing sorted.
     """
 
-    __slots__ = ("map", "key", "_terms")
+    __slots__ = ("map", "order")
 
-    def __init__(self, terms: Iterable[Tuple[Any, Any]] = (),
-                 key: Optional[Callable[[Any], tuple]] = None):
+    def __init__(self, terms: Iterable[Tuple[Any, Any]] = (), order: Optional[Callable] = None):
         acc: dict = {}
         for coeff, tree in terms:
             if tree is LEAF:
                 raise LeafOperand("the leaf | is not a basis element of the free algebra")
             acc[tree] = acc.get(tree, 0) + coeff
         self.map = clean(acc)
-        self.key = key
-        self._terms = None
+        self.order = order
 
     @classmethod
-    def from_map(cls, m: Mapping, key) -> "LinComb":
+    def from_map(cls, m: Mapping, order) -> "LinComb":
         # trusted constructor: ``m`` is already free of zeros and duplicates
         span = cls.__new__(cls)
         span.map = m
-        span.key = key
-        span._terms = None
+        span.order = order
         return span
+
+    def ordered(self, repeated: Optional[set] = None) -> list:
+        """(coefficient, tree) pairs in the canonical order, ranked afresh;
+        ``repeated`` is handed to the order."""
+        items = [(c, t) for t, c in self.map.items()]
+        if self.order is not None:
+            rank = self.order(self.map, repeated)
+            items.sort(key=lambda item: rank[item[1]])
+        return items
 
     @property
     def terms(self) -> Tuple[Tuple[Any, Any], ...]:
-        """(coefficient, tree) pairs in the canonical order, computed once."""
-        terms = self._terms
-        if terms is None:
-            items = [(c, t) for t, c in self.map.items()]
-            key = self.key
-            if key is not None:
-                items.sort(key=lambda item: key(item[1]))
-            terms = self._terms = tuple(items)
-        return terms
+        """(coefficient, tree) pairs in the canonical order."""
+        return tuple(self.ordered())
 
     def is_zero(self) -> bool:
         return not self.map
@@ -150,7 +156,7 @@ class LinComb:
             return ZERO_SPAN
         if c == 1:
             return self
-        return LinComb.from_map({t: exact(c * v) for t, v in self.map.items()}, self.key)
+        return LinComb.from_map({t: exact(c * v) for t, v in self.map.items()}, self.order)
 
 
 def clean(acc: dict) -> dict:
@@ -170,13 +176,12 @@ def span_single(tree, coeff=1) -> LinComb:
     return LinComb.from_map({tree: coeff}, None)
 
 
-def normalize(pairs: Iterable[Tuple[Any, Any]],
-              key: Optional[Callable[[Any], tuple]] = None) -> LinComb:
+def normalize(pairs: Iterable[Tuple[Any, Any]], order: Optional[Callable] = None) -> LinComb:
     """Span of (coefficient, tree) pairs: duplicates merged, zeros dropped.
 
-    The terms are not sorted; ``key`` is kept for the ordered view.
+    The terms are not sorted; ``order`` is kept for the ordered view.
     """
-    return LinComb(pairs, key)
+    return LinComb(pairs, order)
 
 
 def merge(maps: Iterable[Mapping]) -> Mapping:
@@ -194,8 +199,30 @@ def merge(maps: Iterable[Mapping]) -> Mapping:
     return clean(acc)
 
 
-def enumerate_trees(n: int, alphabet: Alphabet, semigroup, max_word, max_decs, make, key):
-    """All basis trees with n+1 leaves, each once, sorted by ``key``.
+def rank_levels(rank: dict, flat: Callable) -> dict:
+    """Turn a map from tree to leaf count into ranks, in place, level by
+    level in increasing leaf count.  A level is sorted by ``flat(t)``,
+    which reads from ``rank`` the ranks of ``t``'s children, ranked
+    already as they have fewer leaves.  The leaf gets rank 0."""
+    levels: dict = {}
+    for t, n in rank.items():
+        level = levels.get(n)
+        if level is None:
+            levels[n] = [t]
+        else:
+            level.append(t)
+    r = 0
+    for n in sorted(levels):
+        level = levels.pop(n)
+        level.sort(key=flat if n > 1 else None)
+        for t in level:
+            rank[t] = r
+            r += 1
+    return rank
+
+
+def enumerate_trees(n: int, alphabet: Alphabet, semigroup, max_word, max_decs, make, order):
+    """All basis trees with n+1 leaves, each once, in the order ``order``.
 
     A vertex has k decorations, 1 <= k <= ``max_decs``, over k+1 typed
     children and is built by ``make(decorations, (edge type, child)
@@ -219,5 +246,5 @@ def enumerate_trees(n: int, alphabet: Alphabet, semigroup, max_word, max_decs, m
                     trees.extend([make(decs, children) for decs in words])
         if size < n:
             edges.append([(a, t) for t in trees for a in omega()])
-    trees.sort(key=key)
+    trees.sort(key=order(trees).__getitem__)
     return trees

@@ -7,7 +7,7 @@ on the edge a, by ``C succ_a U + C prec_w U + C . U`` on the edge a*w,
 and ``T succ_w U`` mirrors it on the first child of U.  The dendriform
 family is the case ``dot = 0`` (a dendriform algebra is a tridendriform
 algebra with zero middle product).  This base holds the span plumbing
-(``key``, ``gen``, ``span``, ``zero``, ``add``, ``scale``), operand
+(``order``, ``gen``, ``span``, ``zero``, ``add``, ``scale``), operand
 coercion, the family index check, the leaf conventions, the memoized
 tree kernels ``_prec_trees``/``_succ_trees``, the bilinear lift, the
 axiom residuals at one instance, and the generator decomposition
@@ -31,6 +31,7 @@ family supplies only what differs:
 
 from __future__ import annotations
 
+from functools import partial
 from types import SimpleNamespace
 from typing import Callable, Mapping, Union
 
@@ -60,7 +61,7 @@ class FreeFamily:
     def __init__(self, alphabet, semigroup):
         self.alphabet = alphabet
         self.semigroup = semigroup
-        self.key = self.nodes.sort_key(alphabet, semigroup)
+        self.order = partial(self.nodes.ranks, alphabet, semigroup)
         self._prec_memo: dict = {}
         self._succ_memo: dict = {}
 
@@ -71,9 +72,12 @@ class FreeFamily:
         return span_single(self.nodes.single_vertex(x))
 
     def span(self, *trees) -> LinComb:
+        for t in trees:
+            if not isinstance(t, self.node_type) and t is not LEAF:
+                raise TypeError(f"not a basis tree of this family: {t!r}")
         if len(trees) == 1:
             return span_single(trees[0])
-        return normalize([(1, t) for t in trees], self.key)
+        return normalize([(1, t) for t in trees], self.order)
 
     def zero(self) -> LinComb:
         return ZERO_SPAN
@@ -82,7 +86,7 @@ class FreeFamily:
         spans = [s for s in spans if s.map]
         if len(spans) == 1:
             return spans[0]
-        return LinComb.from_map(merge([s.map for s in spans]), self.key)
+        return LinComb.from_map(merge([s.map for s in spans]), self.order)
 
     def scale(self, c, s: LinComb) -> LinComb:
         return s.scaled(c)
@@ -129,7 +133,7 @@ class FreeFamily:
                 c = ca * cb
                 for t in kernel(ta, tb, *index):
                     acc[t] = acc.get(t, 0) + c
-        return LinComb.from_map(clean(acc), self.key)
+        return LinComb.from_map(clean(acc), self.order)
 
     def _prec_trees(self, t, u, w: str) -> tuple:
         """``t prec_w u`` on trees, as a tuple of basis trees; memoized."""

@@ -8,18 +8,21 @@ edge is typed by the identity exactly when the child below it is a leaf.
 
 Trees are hash-consed: structurally equal trees are the same object,
 kept in the module table ``_INTERNED``, so trees compare and hash by
-identity; :func:`sort_key` gives their canonical order, keyed once per node.
-:func:`enumerate_bin` lists them through :func:`dendrifam.basis.enumerate_trees`.
+identity.  :func:`ranks` gives their canonical order per collection of
+trees, and stores nothing on the shared nodes: another alphabet orders
+them differently.  :func:`tree_key` gives the same order as one flat
+tuple per tree.  :func:`enumerate_bin` lists them through
+:func:`dendrifam.basis.enumerate_trees`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from operator import attrgetter
 from typing import Optional, Union
 
-from .basis import LEAF, Alphabet, Leaf, enumerate_trees
+from .basis import LEAF, Alphabet, Leaf, enumerate_trees, rank_levels
 from .errors import TypingViolation
 from .semigroups import IDENTITY, Semigroup
 
@@ -101,27 +104,60 @@ def regraft_first(t: BinNode, a, inner: tuple) -> tuple:
     return tuple([graft_binary(s, dec, a, a2, right) for s in inner])
 
 
-def sort_key(alphabet: Alphabet, semigroup: Semigroup):
-    """The canonical order as a key function: leaf count, decoration, left edge
-    type, left subtree, right edge type, right subtree.  Each node is keyed
-    once, from its children's keys; the keys stay in the function, not on
-    the shared nodes, because another alphabet orders them differently."""
-    dec, edge = cache(alphabet.index), cache(semigroup.ext_key)  # rank tables
-    memo = {LEAF: (1,)}
+def leaf_counts(roots, repeated=None) -> dict:
+    """Each tree reachable from ``roots``, the leaf too, mapped to its leaf
+    count by one iterative post-order walk: a node is counted when popped
+    the second time, after its children.  A tree reached more than once,
+    the leaf too, goes into the set ``repeated``.  A non-tree raises
+    TypeError."""
+    count = {LEAF: 1}
+    get, add = count.get, (set() if repeated is None else repeated).add
+    stack = list(roots)
+    pop = stack.pop
+    while stack:
+        t = pop()
+        n = get(t)
+        if n is None:
+            if type(t) is not BinNode:
+                raise TypeError(f"not a binary tree: {t!r}")
+            count[t] = 0
+            stack += (t, t.right, t.left)
+        elif n:
+            add(t)
+        else:
+            count[t] = count[t.left] + count[t.right]
+    return count
 
-    def key(t: BinTree):
-        k = memo.get(t)
-        if k is None:
-            left, right = key(t.left), key(t.right)
-            k = memo[t] = (left[0] + right[0], dec(t.dec), edge(t.left_type), left,
-                           edge(t.right_type), right)
-        return k
 
-    return key
+def ranks(alphabet: Alphabet, semigroup: Semigroup, roots, repeated=None) -> dict:
+    """Each tree reachable from ``roots`` mapped to its rank in the canonical
+    order: leaf count, decoration, left edge type, left subtree, right edge
+    type, right subtree.  A level of equal leaf count is sorted by the flat
+    tuple (decoration, left edge type, left rank, right edge type, right rank)."""
+    rank = leaf_counts(roots, repeated)
+    dec, edge = cache(alphabet.index), cache(semigroup.ext_key)
+    return rank_levels(rank, lambda t: (dec(t.dec), edge(t.left_type), rank[t.left],
+                                        edge(t.right_type), rank[t.right]))
 
 
-def tree_key(t: BinTree, alphabet: Alphabet, semigroup: Semigroup):
-    return sort_key(alphabet, semigroup)(t)
+def tree_key(t: BinTree, alphabet: Alphabet, semigroup: Semigroup) -> tuple:
+    """The canonical order as a key: the fields of :func:`ranks` in
+    preorder, each subtree in place of its rank.  A key starts with its
+    leaf count, so none is a prefix of another, and flat keys compare as
+    the nested ones would."""
+    count = leaf_counts((t,))
+    dec, edge = cache(alphabet.index), cache(semigroup.ext_key)
+    key, stack = [], [t]
+    while stack:
+        s = stack.pop()
+        if type(s) is tuple:  # the key of a right edge, between the subtrees
+            key.append(s)
+        elif s is LEAF:
+            key.append(1)
+        else:
+            key += (count[s], dec(s.dec), edge(s.left_type))
+            stack += (s.right, edge(s.right_type), s.left)
+    return tuple(key)
 
 
 def enumerate_bin(n: int, alphabet: Alphabet, semigroup: Semigroup,
@@ -140,4 +176,4 @@ def enumerate_bin(n: int, alphabet: Alphabet, semigroup: Semigroup,
         return graft_binary(left, decs[0], a1, a2, right)
 
     return enumerate_trees(n, alphabet, semigroup, max_word, 1, make,
-                           sort_key(alphabet, semigroup))
+                           partial(ranks, alphabet, semigroup))

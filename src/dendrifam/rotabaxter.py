@@ -296,25 +296,28 @@ def epsilon(rb: RBFamily, semigroup: Semigroup, sample: Iterable[str]) -> Epsilo
 
 class TensorSpans:
     """Spans of pairs (basis element of A, semigroup element), the tensor
-    product A (x) k Omega, ordered by ``_key``.  A subclass sets ``semigroup``,
-    keys the basis of A by ``_basis_key``, which raises for anything outside
-    it, and lifts its products from A by :meth:`_lift`."""
+    product A (x) k Omega, in the order ``_order``.  A subclass sets
+    ``semigroup``, ranks the basis elements of A by ``_ranks``, which raises
+    for anything outside that basis, and lifts its products from A by
+    :meth:`_lift`."""
 
-    def _key(self, pair):
-        b, token = pair
-        return (self._basis_key(b),) + tuple(self.semigroup.element_key(token))
+    def _order(self, pairs, repeated=None) -> dict:
+        """Each pair (b, w) mapped to its place: the rank of b among the basis
+        elements of the pairs, then the element key of w."""
+        rank, key = self._ranks([b for b, _ in pairs]), self.semigroup.element_key
+        return {(b, w): (rank[b], *key(w)) for b, w in pairs}
 
     def element(self, b, omega: str) -> LinComb:
         """1 * (b (x) omega), for a basis element b of A."""
-        self._basis_key(b)
+        self._ranks((b,))
         self.semigroup.require(omega)
-        return LinComb.from_map({(b, omega): 1}, self._key)
+        return LinComb.from_map({(b, omega): 1}, self._order)
 
     def zero(self) -> LinComb:
         return ZERO_SPAN
 
     def add(self, *spans: LinComb) -> LinComb:
-        return LinComb.from_map(merge([s.map for s in spans]), self._key)
+        return LinComb.from_map(merge([s.map for s in spans]), self._order)
 
     def scale(self, c: Fraction, s: LinComb) -> LinComb:
         return s.scaled(c)
@@ -330,7 +333,7 @@ class TensorSpans:
                 index = () if side is None else ((a, b)[side],)
                 for z, cz in kernel(x, y, *index):
                     acc[z, ab] = acc.get((z, ab), 0) + c * cz
-        return LinComb.from_map(clean(acc), self._key)
+        return LinComb.from_map(clean(acc), self._order)
 
 
 class TensorRB(TensorSpans):
@@ -340,10 +343,12 @@ class TensorRB(TensorSpans):
     def __init__(self, rb: RBFamily, semigroup: Semigroup):
         self.rb, self.semigroup = rb, semigroup
 
-    def _basis_key(self, i) -> int:
-        if not (type(i) is int and 0 <= i < self.rb.algebra.dim):
-            raise InvalidElement(f"no basis element e_{i!r} in dimension {self.rb.algebra.dim}")
-        return i
+    def _ranks(self, indices) -> dict:
+        """Each basis index is its own rank."""
+        for i in indices:
+            if not (type(i) is int and 0 <= i < self.rb.algebra.dim):
+                raise InvalidElement(f"no basis element e_{i!r} in dimension {self.rb.algebra.dim}")
+        return {i: i for i in indices}
 
     def mul(self, u: LinComb, v: LinComb) -> LinComb:
         return self._lift(lambda i, j: self.rb.algebra._table[i][j], u, v)
@@ -351,7 +356,7 @@ class TensorRB(TensorSpans):
     def apply(self, u: LinComb) -> LinComb:
         basis_vector = self.rb.algebra.basis_vector
         return normalize([(c * cj, (j, a)) for (i, a), c in u.map.items()
-                          for j, cj in _nonzero(self.rb.apply(a, basis_vector(i)))], self._key)
+                          for j, cj in _nonzero(self.rb.apply(a, basis_vector(i)))], self._order)
 
 
 def tensor_rb_counterexample(rb: RBFamily, semigroup: Semigroup,
@@ -382,12 +387,12 @@ class TensorFamily(TensorSpans):
     def __init__(self, family):
         self.family, self.semigroup = family, family.semigroup
 
-    def _basis_key(self, tree):
-        if tree is LEAF:
+    def _ranks(self, trees) -> dict:
+        """The family's ranks of the trees; a tree of the other kind raises
+        TypeError from the ranking."""
+        if LEAF in trees:
             raise LeafOperand("the leaf | is not a basis element of the free algebra")
-        if not isinstance(tree, self.family.node_type):
-            raise TypeError(f"not a basis tree of this family: {tree!r}")
-        return self.family.key(tree)
+        return self.family.order(trees)
 
     def _lift_trees(self, kernel, u: LinComb, v: LinComb, side=None) -> LinComb:
         # a tree kernel gives basis trees, each with coefficient 1

@@ -5,17 +5,19 @@ An internal vertex of arity k+1 carries k decoration symbols and k+1
 typed edges to its children, ordered left to right.  Edge typing obeys
 the same invariant as for binary trees: identity type iff leaf child.
 Trees are hash-consed in the module table ``_INTERNED``, as binary
-trees are, so equal trees are the same object; :func:`sort_key` orders them.
+trees are, so equal trees are the same object.  :func:`ranks` orders a
+collection of them as :func:`dendrifam.pbtrees.ranks` does binary trees,
+and :func:`tree_key` gives the same order as one flat tuple per tree.
 :func:`enumerate_sch` lists them through :func:`dendrifam.basis.enumerate_trees`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from typing import Optional, Sequence, Tuple, Union
 
-from .basis import LEAF, Alphabet, Leaf, enumerate_trees
+from .basis import LEAF, Alphabet, Leaf, enumerate_trees, rank_levels
 from .errors import ArityMismatch, TypingViolation
 from .pbtrees import graft_binary
 from .semigroups import IDENTITY, Semigroup
@@ -113,26 +115,58 @@ def regraft_first(t: SchNode, a, inner: tuple) -> tuple:
     return tuple([intern_node(decs, ((a, s),) + tail) for s in inner])
 
 
-def sort_key(alphabet: Alphabet, semigroup: Semigroup):
-    """Like :func:`dendrifam.pbtrees.sort_key`: leaf count, arity, decorations,
-    edge types, children."""
-    dec, edge = cache(alphabet.index), cache(semigroup.ext_key)  # rank tables
-    memo = {LEAF: (1,)}
+def leaf_counts(roots, repeated=None) -> dict:
+    """Like :func:`dendrifam.pbtrees.leaf_counts`, on Schröder trees."""
+    count = {LEAF: 1}
+    get, add = count.get, (set() if repeated is None else repeated).add
+    stack = list(roots)
+    pop = stack.pop
+    while stack:
+        t = pop()
+        n = get(t)
+        if n is None:
+            if type(t) is not SchNode:
+                raise TypeError(f"not a Schröder tree: {t!r}")
+            count[t] = 0
+            stack.append(t)
+            stack += [child for _, child in t.children]
+        elif n:
+            add(t)
+        else:
+            count[t] = sum([count[child] for _, child in t.children])
+    return count
 
-    def key(t: SchTree):
-        k = memo.get(t)
-        if k is None:
-            children = tuple([key(child) for _, child in t.children])
-            k = memo[t] = (sum([c[0] for c in children]), len(children),
-                           tuple([dec(x) for x in t.decs]),
-                           tuple([edge(etype) for etype, _ in t.children]), children)
-        return k
 
-    return key
+def ranks(alphabet: Alphabet, semigroup: Semigroup, roots, repeated=None) -> dict:
+    """Like :func:`dendrifam.pbtrees.ranks`: leaf count, arity, decorations,
+    edge types, children.  A level is sorted by the flat tuple of the arity,
+    the decorations, the edge types and the ranks of the children."""
+    rank = leaf_counts(roots, repeated)
+    dec, edge = cache(alphabet.index), cache(semigroup.ext_key)
+
+    def flat(t):
+        children = t.children
+        return (len(children), *map(dec, t.decs), *[edge(etype) for etype, _ in children],
+                *[rank[child] for _, child in children])
+
+    return rank_levels(rank, flat)
 
 
-def tree_key(t: SchTree, alphabet: Alphabet, semigroup: Semigroup):
-    return sort_key(alphabet, semigroup)(t)
+def tree_key(t: SchTree, alphabet: Alphabet, semigroup: Semigroup) -> tuple:
+    """Like :func:`dendrifam.pbtrees.tree_key`: the flat preorder sequence of
+    leaf count, arity, decorations and edge types, then the children's."""
+    count = leaf_counts((t,))
+    dec, edge = cache(alphabet.index), cache(semigroup.ext_key)
+    key, stack = [], [t]
+    while stack:
+        s = stack.pop()
+        if s is LEAF:
+            key.append(1)
+        else:
+            key += (count[s], s.arity, tuple(map(dec, s.decs)),
+                    tuple([edge(etype) for etype, _ in s.children]))
+            stack += [child for _, child in reversed(s.children)]
+    return tuple(key)
 
 
 def enumerate_sch(n: int, alphabet: Alphabet, semigroup: Semigroup,
@@ -142,7 +176,7 @@ def enumerate_sch(n: int, alphabet: Alphabet, semigroup: Semigroup,
     if n < 1:
         raise ValueError("basis trees need at least two leaves")
     return enumerate_trees(n, alphabet, semigroup, max_word, n, intern_node,
-                           sort_key(alphabet, semigroup))
+                           partial(ranks, alphabet, semigroup))
 
 
 def from_binary(t) -> SchTree:

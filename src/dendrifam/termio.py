@@ -9,11 +9,17 @@ tokens must be declared up front; anything undeclared is a parse error.
 The edge token ``1`` denotes the adjoined identity exactly when the
 child below it is a leaf (forced by the typing invariant), so a
 semigroup containing an element literally named ``1`` stays parseable.
+
+A parsed span carries the ranked order of its tree kind, and
+:func:`print_span` prints the terms in that order.  The walk that ranks
+the span also finds the subtrees it repeats; the printer keeps the text
+of those only, and prints each once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from typing import Union
 
 from . import pbtrees, schroder
@@ -202,8 +208,8 @@ class _Parser:
             self.advance()
             return ZERO_SPAN
         pairs = self.separated(lambda: self.span_term(kind), "+")
-        sort_key = pbtrees.sort_key if kind == "binary" else schroder.sort_key
-        return normalize(pairs, sort_key(self.alphabet, self.semigroup))
+        nodes = pbtrees if kind == "binary" else schroder
+        return normalize(pairs, partial(nodes.ranks, self.alphabet, self.semigroup))
 
     def operand(self, kind: str):
         k, value, _, _ = self.peek()
@@ -282,46 +288,47 @@ def parse_operand(text: str, kind: str, alphabet: Alphabet, semigroup: Semigroup
 
 # -- printers -------------------------------------------------------------
 
-def _printer(roots):
-    """A printer for the trees ``roots``: it prints a subtree that occurs more
-    than once among them only once, and keeps no other text."""
-    seen, shared = set(), {LEAF: "|"}
-    stack = list(roots)
-    while stack:
-        t = stack.pop()
-        if t in seen:
-            shared[t] = None
-        elif isinstance(t, (BinNode, SchNode)):
-            seen.add(t)
-            stack += (t.left, t.right) if isinstance(t, BinNode) else [c for _, c in t.children]
-        elif t is not LEAF:
-            raise TypeError(f"not a tree: {t!r}")
+def _printer(repeated):
+    """A printer that prints a subtree in ``repeated``, one that occurs more
+    than once among the trees it prints, only once, and keeps no other text."""
+    texts = dict.fromkeys(repeated)
+    texts[LEAF] = "|"
 
     def show(t) -> str:
-        text = shared.get(t)
+        text = texts.get(t)
         if text is None:
             if isinstance(t, BinNode):
                 text = (f"B[{t.dec};{t.left_type}:{show(t.left)},"
                         f"{t.right_type}:{show(t.right)}]")
-            else:
+            elif isinstance(t, SchNode):
                 children = ",".join([f"{etype}:{show(child)}" for etype, child in t.children])
                 text = f"S[{','.join(t.decs)};{children}]"
-            if t in shared:
-                shared[t] = text
+            else:
+                raise TypeError(f"not a tree: {t!r}")
+            if t in texts:
+                texts[t] = text
         return text
 
     return show
 
 
 def print_tree(t: Union[BinTree, SchTree]) -> str:
-    return _printer((t,))(t)
+    repeated = set()
+    if t is not LEAF:
+        nodes = pbtrees if isinstance(t, BinNode) else schroder
+        nodes.leaf_counts((t,), repeated)  # raises TypeError on a non-tree
+    return _printer(repeated)(t)
 
 
 def print_span(s: LinComb) -> str:
+    """The terms in canonical order; ordering the span also finds the subtrees
+    it repeats, which are printed once."""
     if s.is_zero():
         return "0"
-    show = _printer(s.map)
-    return " + ".join([f"{coeff}*{show(tree)}" for coeff, tree in s.terms])
+    repeated = set()
+    terms = s.ordered(repeated)
+    show = _printer(repeated)
+    return " + ".join([f"{coeff}*{show(tree)}" for coeff, tree in terms])
 
 
 def print_expr(e: Expr) -> str:

@@ -1,10 +1,12 @@
 """Helpers that only the tests call: tree measures, the corolla, corpus
-parsing, the central factors of a tree, and the Rota-Baxter family
-check and mutant."""
+parsing, the central factors of a tree, the Rota-Baxter family check and
+mutant, the classical residuals and the counterexample search per table."""
 
 from fractions import Fraction
+from functools import partial
 
 from dendrifam import pbtrees, schroder
+from dendrifam.axioms import DENDRIFORM, TRIDENDRIFORM, _Unindexed, first_counterexample, residuals
 from dendrifam.basis import LEAF
 from dendrifam.exprs import Dot
 from dendrifam.rotabaxter import RBFamily, _require_identity, rb_family_counterexample
@@ -76,3 +78,14 @@ def mutated(rb: RBFamily, omega: str, row: int, col: int, delta) -> RBFamily:
     operators = dict(rb.operators)
     operators[omega] = tuple(tuple(r) for r in m)
     return RBFamily(rb.algebra, rb.weight, operators)
+
+
+def classical_residuals(table, ops, x, y, z) -> tuple:
+    """Residuals of the classical axioms: ``table`` with the index ignored."""
+    return residuals(table, _Unindexed(ops), x, y, z, None, None, None)
+
+
+classical_dendriform_residuals = partial(classical_residuals, DENDRIFORM)
+classical_tridendriform_residuals = partial(classical_residuals, TRIDENDRIFORM)
+find_dendriform_counterexample = partial(first_counterexample, DENDRIFORM)
+find_tridendriform_counterexample = partial(first_counterexample, TRIDENDRIFORM)

@@ -11,7 +11,6 @@ from math import comb
 
 import pytest
 
-from dendrifam import axioms
 from dendrifam.axioms import validate_dendriform_ops
 from dendrifam.basis import LEAF, Alphabet
 from dendrifam.dendriform import FreeDendriformFamily
@@ -29,7 +28,8 @@ from dendrifam.semigroups import IDENTITY, Semigroup
 from dendrifam.termio import parse_span, parse_tree, print_span
 from dendrifam.tridendriform import FreeTridendriformFamily, gamma
 
-from helpers import decoration_count, leaves, mutated
+from helpers import (classical_dendriform_residuals, classical_tridendriform_residuals,
+                     decoration_count, leaves, mutated)
 from untyped_free import (b_span_prec, b_span_succ, t_dot, t_prec, t_span_op,
                           t_succ)
 
@@ -315,14 +315,14 @@ def test_criterion_7_rota_baxter_constructions():
     delements = [dend_tensor.element(t, w)
                  for t in enumerate_bin(1, X2, Z2) for w in sample]
     for x, y, z in product(delements, repeat=3):
-        for r in axioms.classical_dendriform_residuals(dend_tensor, x, y, z):
+        for r in classical_dendriform_residuals(dend_tensor, x, y, z):
             assert r == dend_tensor.zero()
 
     tri_tensor = TensorFamily(FreeTridendriformFamily(X2, Z2))
     telements = [tri_tensor.element(t, w)
                  for t in enumerate_sch(1, X2, Z2) for w in sample]
     for x, y, z in product(telements, repeat=3):
-        for r in axioms.classical_tridendriform_residuals(tri_tensor, x, y, z):
+        for r in classical_tridendriform_residuals(tri_tensor, x, y, z):
             assert r == tri_tensor.zero()
 
     elapsed = time.monotonic() - start

@@ -23,6 +23,8 @@ from dendrifam.rotabaxter import (EpsilonOps, EtaOps, RBFamily, cascading_sum_ma
 from dendrifam.semigroups import Semigroup
 from dendrifam.tridendriform import gamma
 
+import helpers
+
 Z2 = Semigroup.cyclic(2)
 SAMPLE = ["0", "1"]
 
@@ -205,11 +207,11 @@ def test_classical_residuals(case):
     dend = FixedIndex(EtaOps(rb), alpha)
     expected = classical_dendriform_residuals(dend, x, y, z)
     assume(nonzero(dend, expected))
-    assert axioms.classical_dendriform_residuals(dend, x, y, z) == expected
+    assert helpers.classical_dendriform_residuals(dend, x, y, z) == expected
     tri = FixedIndex(EpsilonOps(rb), alpha)
     expected = classical_tridendriform_residuals(tri, x, y, z)
     assume(nonzero(tri, expected))
-    assert axioms.classical_tridendriform_residuals(tri, x, y, z) == expected
+    assert helpers.classical_tridendriform_residuals(tri, x, y, z) == expected
 
 
 @settings(max_examples=25, deadline=None)
@@ -218,9 +220,9 @@ def test_first_counterexample_reports_the_reference_axiom(rb, data):
     elements = [data.draw(vectors(rb.algebra.dim)) for _ in range(2)]
     triples = [(a, b, Z2.mul(a, b)) for a in SAMPLE for b in SAMPLE]
     for find, reference, ops in (
-            (axioms.find_dendriform_counterexample, dendriform_family_residuals,
+            (helpers.find_dendriform_counterexample, dendriform_family_residuals,
              EtaOps(rb)),
-            (axioms.find_tridendriform_counterexample, tridendriform_family_residuals,
+            (helpers.find_tridendriform_counterexample, tridendriform_family_residuals,
              EpsilonOps(rb))):
         expected = reference_first_counterexample(reference, ops, elements, triples)
         found = find(ops, elements, triples)

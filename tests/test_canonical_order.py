@@ -1,27 +1,29 @@
 """The canonical tree order and the printer on shared subtrees.
 
-The per-node memoized keys of ``pbtrees.sort_key``/``schroder.sort_key``
-must order trees exactly as the recursive definition below does, in the
-algebras, the parser and the enumerators; the printer must print a span
-exactly as a naive per-term printer does.
+The ranks of ``pbtrees.ranks``/``schroder.ranks`` and the flat keys of
+``tree_key`` must order trees exactly as the recursive definition below
+does, in the algebras, the parser and the enumerators, also on trees too
+deep for a recursion; the printer must print a span exactly as a naive
+per-term printer does.
 """
 
 import tracemalloc
+from functools import partial
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dendrifam.basis import LEAF, Alphabet
+from dendrifam.basis import LEAF, Alphabet, LinComb
 from dendrifam.dendriform import FreeDendriformFamily
 from dendrifam.errors import InvalidElement
+from dendrifam import pbtrees, schroder
 from dendrifam.pbtrees import BinNode, enumerate_bin, graft_binary
 from dendrifam.pbtrees import single_vertex as bin_vertex
-from dendrifam.pbtrees import sort_key as bin_sort_key
-from dendrifam.schroder import SchNode, enumerate_sch
+from dendrifam.rotabaxter import TensorFamily
+from dendrifam.schroder import SchNode, enumerate_sch, intern_node
 from dendrifam.schroder import single_vertex as sch_vertex
-from dendrifam.schroder import sort_key as sch_sort_key
 from dendrifam.semigroups import IDENTITY, Semigroup
 from dendrifam.termio import parse_span, print_span, print_tree
 from dendrifam.tridendriform import FreeTridendriformFamily
@@ -39,7 +41,7 @@ SEMIGROUPS = {
 }
 
 
-# -- the reference: the recursive keys the memoized ones replaced ----------
+# -- the reference: the recursive keys that the ranks replaced ------------
 
 def ref_bin_key(t, alphabet, semigroup):
     if t is LEAF:
@@ -117,8 +119,8 @@ def subtrees(t):
 
 
 KINDS = {
-    "binary": (binary_trees, bin_sort_key, ref_bin_key, FreeDendriformFamily),
-    "schroder": (schroder_trees, sch_sort_key, ref_sch_key, FreeTridendriformFamily),
+    "binary": (binary_trees, pbtrees, ref_bin_key, FreeDendriformFamily),
+    "schroder": (schroder_trees, schroder, ref_sch_key, FreeTridendriformFamily),
 }
 
 
@@ -134,14 +136,33 @@ def assert_same_order(trees, key, ref):
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_memoized_key_orders_as_the_recursive_definition(kind, sg_name, data):
-    draw_trees, sort_key, ref_key, family = KINDS[kind]
+    # the ranks of the collection, of the algebra's order and the flat keys
+    draw_trees, nodes, ref_key, family = KINDS[kind]
     semigroup, tokens, _ = SEMIGROUPS[sg_name]
     drawn = data.draw(st.lists(draw_trees(tokens), min_size=1, max_size=6))
     trees = list({s: None for t in drawn for s in subtrees(t)})
     for alphabet in (XY, YX):
         ref = lambda t: ref_key(t, alphabet, semigroup)  # noqa: E731
-        assert_same_order(trees, sort_key(alphabet, semigroup), ref)
-        assert_same_order(trees, family(alphabet, semigroup).key, ref)
+        assert_same_order(trees, nodes.ranks(alphabet, semigroup, trees).__getitem__, ref)
+        assert_same_order(trees, family(alphabet, semigroup).order(trees).__getitem__, ref)
+        assert_same_order(trees, lambda t: nodes.tree_key(t, alphabet, semigroup), ref)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("sg_name", SEMIGROUPS)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_ranked_order_of_a_sub_collection_is_the_restriction_of_the_whole(kind, sg_name, data):
+    draw_trees, nodes, _, _ = KINDS[kind]
+    semigroup, tokens, _ = SEMIGROUPS[sg_name]
+    drawn = data.draw(st.lists(draw_trees(tokens), min_size=1, max_size=6))
+    trees = list({s: None for t in drawn for s in subtrees(t)})
+    part = data.draw(st.lists(st.sampled_from(trees), max_size=len(trees), unique=True))
+    for alphabet in (XY, YX):
+        whole = nodes.ranks(alphabet, semigroup, trees)
+        ranked = nodes.ranks(alphabet, semigroup, part)
+        assert (sorted(part, key=ranked.__getitem__)
+                == [t for t in sorted(trees, key=whole.__getitem__) if t in part])
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -177,7 +198,7 @@ def test_algebras_over_reordered_alphabets_print_shared_trees_each_in_its_order(
     p_xy, p_yx = (alg.succ(alg.span(t, u), alg.span(u, bin_vertex("x")), "1")
                   for alg in (xy, yx))
     assert p_xy.map == p_yx.map  # the very same tree objects
-    # yx keys the shared trees first; keys must not leak between algebras
+    # yx ranks the shared trees first; ranks must not leak between algebras
     text_yx, text_xy = print_span(p_yx), print_span(p_xy)
     for alphabet, span, text in ((YX, p_yx, text_yx), (XY, p_xy, text_xy)):
         assert span.trees() == sorted(span.map, key=lambda s: ref_bin_key(s, alphabet, Z2))
@@ -223,22 +244,58 @@ def test_printer_keeps_only_the_text_of_shared_subtrees():
         print_tree((1, "0"))
 
 
+def test_printer_rejects_a_term_that_is_not_a_tree():
+    # a span without an order is printed without the ranking walk
+    for order in (None, FreeDendriformFamily(XY, Z2).order):
+        with pytest.raises(TypeError):
+            print_span(LinComb([(1, (1, "0"))], order))
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_undeclared_decoration_or_foreign_edge_raises_invalid_element(kind):
-    sort_key, vertex = (bin_sort_key, bin_vertex) if kind == "binary" else (sch_sort_key,
-                                                                            sch_vertex)
-    key = sort_key(Alphabet(["x"]), Z2)
-    for _ in range(2):  # a failed key leaves nothing half-made behind
+    nodes, family = KINDS[kind][1], KINDS[kind][3]
+    vertex = nodes.single_vertex
+    order = partial(nodes.ranks, Alphabet(["x"]), Z2)
+    for _ in range(2):  # a failed ordering leaves nothing half-made behind
         with pytest.raises(InvalidElement):
-            key(vertex("y"))
+            order([vertex("y")])
     with pytest.raises(InvalidElement):
-        KINDS[kind][3](Alphabet(["x"]), Z2).key(vertex("y"))
+        family(Alphabet(["x"]), Z2).order([vertex("y")])
+    with pytest.raises(InvalidElement):
+        TensorFamily(family(Alphabet(["x"]), Z2)).element(vertex("y"), "0")
     if kind == "binary":
         foreign = graft_binary(vertex("x"), "x", "5", IDENTITY, LEAF)
     else:
         foreign = SchNode(("x",), (("5", vertex("x")), (IDENTITY, LEAF)))
+    for key in (order, lambda t: nodes.tree_key(t[0], Alphabet(["x"]), Z2)):
+        with pytest.raises(InvalidElement):
+            key([foreign])
     with pytest.raises(InvalidElement):
-        key(foreign)
+        TensorFamily(family(Alphabet(["x"]), Z2)).element(foreign, "0")
+
+
+def right_combs(n, bottom):
+    """Two right combs of ``n`` vertices, one built with ``graft_binary`` and
+    one with ``intern_node``, whose lowest vertex is decorated ``bottom``."""
+    comb, sch = bin_vertex(bottom), sch_vertex(bottom)
+    for i in range(n - 1):
+        dec = "xy"[i % 2]
+        comb = graft_binary(LEAF, dec, IDENTITY, "0", comb)
+        sch = intern_node((dec,), ((IDENTITY, LEAF), ("0", sch)))
+    return comb, sch
+
+
+def test_combs_of_5000_vertices_are_ordered_without_recursion():
+    # the nested keys recursed once per level; these combs differ only at the bottom
+    (bx, sx), (by, sy) = right_combs(5000, "x"), right_combs(5000, "y")
+    for nodes, family, low, high in ((pbtrees, FreeDendriformFamily, bx, by),
+                                     (schroder, FreeTridendriformFamily, sx, sy)):
+        for alphabet in (XY, YX):
+            keys = [nodes.tree_key(t, alphabet, Z2) for t in (low, high)]
+            assert (keys[0] < keys[1]) == (alphabet is XY)
+            assert keys[0][0] == keys[1][0] == 5001  # the leaf count
+            trees = family(alphabet, Z2).span(high, low).trees()
+            assert trees == ([low, high] if alphabet is XY else [high, low])
 
 
 @pytest.mark.parametrize("symbols", [["x y"], ["x", "+"], ["é"], [""], ["x", "1/2"], [3]])

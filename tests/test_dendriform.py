@@ -3,17 +3,17 @@ from itertools import product
 
 import pytest
 
-from dendrifam.axioms import find_dendriform_counterexample, validate_dendriform_ops
+from dendrifam.axioms import validate_dendriform_ops
 from dendrifam.basis import LEAF, Alphabet, LinComb, span_single
 from dendrifam.dendriform import FreeDendriformFamily
 from dendrifam.errors import (AxiomFailure, IdentityMisuse, InvalidElement,
                               LeafOperand)
 from dendrifam.exprs import Gen, Prec, Succ, evaluate
-from dendrifam.pbtrees import enumerate_bin, graft_binary, single_vertex
+from dendrifam.pbtrees import enumerate_bin, graft_binary, single_vertex, tree_key
 from dendrifam.semigroups import IDENTITY, Semigroup
 from dendrifam.termio import print_span
 
-from helpers import leaves
+from helpers import find_dendriform_counterexample, leaves
 from untyped_free import b_span_prec, b_span_succ
 
 X2 = Alphabet(["x", "y"])
@@ -129,7 +129,7 @@ def test_product_outputs_are_normalized(z2):
     for t, u in product(trees, repeat=2):
         for omega in "01":
             for span in (z2.prec(t, u, omega), z2.succ(t, u, omega)):
-                keys = [z2.key(term) for _, term in span.terms]
+                keys = [tree_key(term, X2, Z2) for _, term in span.terms]
                 assert keys == sorted(keys)
                 assert len(set(keys)) == len(keys)
                 assert all(c != 0 for c, _ in span.terms)

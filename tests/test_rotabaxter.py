@@ -3,8 +3,6 @@ from itertools import product
 
 import pytest
 
-from dendrifam import axioms
-from dendrifam.axioms import find_dendriform_counterexample, find_tridendriform_counterexample
 from dendrifam.basis import LEAF, Alphabet
 from dendrifam.dendriform import FreeDendriformFamily
 from dendrifam.errors import AxiomFailure, InvalidElement, LeafOperand
@@ -19,7 +17,9 @@ from dendrifam.schroder import enumerate_sch, single_vertex as sch_vertex
 from dendrifam.semigroups import Semigroup
 from dendrifam.tridendriform import FreeTridendriformFamily, gamma
 
-from helpers import mutated, validate_rb_family
+from helpers import (classical_dendriform_residuals, classical_tridendriform_residuals,
+                     find_dendriform_counterexample, find_tridendriform_counterexample, mutated,
+                     validate_rb_family)
 
 Z2 = Semigroup.cyclic(2)
 SAMPLE = ["0", "1"]
@@ -244,7 +244,7 @@ def test_tensor_dendriform_classical_axioms():
                 for t in enumerate_bin(1, X2, Z2) for w in SAMPLE]
     zero = tensor.zero()
     for x, y, z in product(elements, repeat=3):
-        for r in axioms.classical_dendriform_residuals(tensor, x, y, z):
+        for r in classical_dendriform_residuals(tensor, x, y, z):
             assert r == zero
 
 
@@ -256,7 +256,7 @@ def test_tensor_tridendriform_classical_axioms():
                 for t in enumerate_sch(1, X2, Z2) for w in SAMPLE]
     zero = tensor.zero()
     for x, y, z in product(elements, repeat=3):
-        for r in axioms.classical_tridendriform_residuals(tensor, x, y, z):
+        for r in classical_tridendriform_residuals(tensor, x, y, z):
             assert r == zero
 
 

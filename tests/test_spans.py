@@ -3,14 +3,17 @@ and the free products against the untyped oracle on random rational spans."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dendrifam.basis import LEAF, Alphabet, LinComb, normalize
 from dendrifam.dendriform import FreeDendriformFamily
+from dendrifam.errors import LeafOperand
 from dendrifam.pbtrees import graft_binary
 from dendrifam.pbtrees import single_vertex as bin_vertex
 from dendrifam.schroder import intern_node
+from dendrifam.schroder import single_vertex as sch_vertex
 from dendrifam.semigroups import IDENTITY, Semigroup
 from dendrifam.termio import parse_span, print_span
 from dendrifam.tridendriform import FreeTridendriformFamily
@@ -81,12 +84,12 @@ def test_printing_ignores_term_order_and_round_trips(data, kind):
     alg, trees = (DEND, binary_trees()) if kind == "binary" else (TRI, schroder_trees())
     pairs = data.draw(pair_lists(trees))
     shuffled = data.draw(st.permutations(pairs))
-    span = normalize(pairs, alg.key)
+    span = normalize(pairs, alg.order)
     assert_exact(span)
-    assert normalize(shuffled, alg.key) == span
-    assert LinComb(shuffled, alg.key) == span
+    assert normalize(shuffled, alg.order) == span
+    assert LinComb(shuffled, alg.order) == span
     text = print_span(span)
-    assert print_span(normalize(shuffled, alg.key)) == text
+    assert print_span(normalize(shuffled, alg.order)) == text
     assert print_span(alg.add(*(alg.span(t).scaled(c) for c, t in shuffled))) == text
     parsed = parse_span(text, kind, X, TRIVIAL)
     assert parsed == span
@@ -96,7 +99,7 @@ def test_printing_ignores_term_order_and_round_trips(data, kind):
 @given(pair_lists(binary_trees()), pair_lists(binary_trees()))
 @settings(max_examples=80, deadline=None)
 def test_binary_products_match_untyped_oracle(a_pairs, b_pairs):
-    a, b = normalize(a_pairs, DEND.key), normalize(b_pairs, DEND.key)
+    a, b = normalize(a_pairs, DEND.order), normalize(b_pairs, DEND.order)
     ua, ub = untyped(a, strip_binary), untyped(b, strip_binary)
     for ours, oracle in ((DEND.prec(a, b, "0"), b_span_prec),
                          (DEND.succ(a, b, "0"), b_span_succ)):
@@ -107,7 +110,7 @@ def test_binary_products_match_untyped_oracle(a_pairs, b_pairs):
 @given(pair_lists(schroder_trees()), pair_lists(schroder_trees()))
 @settings(max_examples=60, deadline=None)
 def test_schroder_products_match_untyped_oracle(a_pairs, b_pairs):
-    a, b = normalize(a_pairs, TRI.key), normalize(b_pairs, TRI.key)
+    a, b = normalize(a_pairs, TRI.order), normalize(b_pairs, TRI.order)
     ua, ub = untyped(a, strip_schroder), untyped(b, strip_schroder)
     for ours, op in ((TRI.prec(a, b, "0"), t_prec),
                      (TRI.succ(a, b, "0"), t_succ),
@@ -125,3 +128,19 @@ def test_prec_of_long_right_comb_has_one_term_per_vertex():
     result = alg.prec(comb, bin_vertex("y"), "a")
     assert len(result) == 200
     assert all(type(c) is int and c == 1 for c in result.map.values())
+
+
+@pytest.mark.parametrize("kind", ["binary", "schroder"])
+def test_span_accepts_only_trees_of_its_family(kind):
+    # a Schröder vertex in a dendriform span died later in prec and in the
+    # printer with an AttributeError
+    alg, own, other = ((DEND, bin_vertex("x"), sch_vertex("x")) if kind == "binary"
+                       else (TRI, sch_vertex("x"), bin_vertex("x")))
+    for bad in (other, 1, "x", (1, "0")):
+        with pytest.raises(TypeError):
+            alg.span(bad)
+        with pytest.raises(TypeError):
+            alg.span(own, bad)
+    with pytest.raises(LeafOperand):
+        alg.span(own, LEAF)
+    assert alg.span(own, own) == alg.span(own).scaled(2)

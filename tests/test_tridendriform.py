@@ -3,16 +3,17 @@ from itertools import product
 
 import pytest
 
-from dendrifam.axioms import find_tridendriform_counterexample, validate_tridendriform_ops
+from dendrifam.axioms import validate_tridendriform_ops
 from dendrifam.basis import LEAF, Alphabet, LinComb, span_single
 from dendrifam.errors import AxiomFailure, IdentityMisuse, LeafOperand
 from dendrifam.exprs import Dot, Gen, Prec, Succ, evaluate
-from dendrifam.schroder import enumerate_sch, intern_node, single_vertex
+from dendrifam.schroder import enumerate_sch, intern_node, single_vertex, tree_key
 from dendrifam.semigroups import IDENTITY, Semigroup
 from dendrifam.termio import print_span
 from dendrifam.tridendriform import FreeTridendriformFamily, gamma
 
-from helpers import central_factors, corolla, leaves
+from helpers import (central_factors, corolla, find_dendriform_counterexample,
+                     find_tridendriform_counterexample, leaves)
 from untyped_free import t_dot, t_prec, t_span_op, t_succ
 
 X2 = Alphabet(["x", "y"])
@@ -103,7 +104,7 @@ def test_product_outputs_are_normalized(z2):
             spans.append(z2.prec(t, u, omega))
             spans.append(z2.succ(t, u, omega))
         for span in spans:
-            keys = [z2.key(term) for _, term in span.terms]
+            keys = [tree_key(term, X2, Z2) for _, term in span.terms]
             assert keys == sorted(keys)
             assert len(set(keys)) == len(keys)
             assert all(c != 0 for c, _ in span.terms)
@@ -280,8 +281,6 @@ def test_gamma_preserves_succ(z2):
 
 
 def test_gamma_of_free_tridendriform_is_dendriform(z2):
-    from dendrifam.axioms import find_dendriform_counterexample
-
     g = gamma(z2)
     elements = [z2.span(t) for t in enumerate_sch(1, X2, Z2)]
     triples = [(a, b, Z2.mul(a, b)) for a in "01" for b in "01"]
