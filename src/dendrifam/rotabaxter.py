@@ -32,7 +32,7 @@ from .axioms import validate_dendriform_ops, validate_tridendriform_ops
 from .basis import LEAF, LinComb, ZERO_SPAN, clean, merge, normalize
 from .errors import AxiomFailure, InvalidElement, LeafOperand
 from .rationals import exact, parse_coefficient
-from .semigroups import Semigroup
+from .semigroups import Semigroup, content_lines
 
 Coordinate = Union[int, Fraction]
 Vector = Tuple[Coordinate, ...]
@@ -421,10 +421,7 @@ def parse_rb_text(text: str):
     dim = None
     constants: dict = {}
     operators: dict = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line in content_lines(text):
         if line.startswith("dim="):
             if dim is not None:
                 raise InvalidElement("dim= may be declared only once")
@@ -437,10 +434,10 @@ def parse_rb_text(text: str):
             if dim is None:
                 raise InvalidElement("dim= must precede sc lines")
             if len(parts) != 5:
-                raise InvalidElement(f"bad structure-constant line: {raw!r}")
+                raise InvalidElement(f"bad structure-constant line: {line!r}")
             i, j, k = (int(p) for p in parts[1:4])
             if not all(0 <= v < dim for v in (i, j, k)):
-                raise InvalidElement(f"basis index out of range: {raw!r}")
+                raise InvalidElement(f"basis index out of range: {line!r}")
             if (i, j, k) in constants:
                 raise InvalidElement(
                     f"structure constant {i} {j} {k} may be declared only once")
@@ -459,7 +456,7 @@ def parse_rb_text(text: str):
             operators[omega] = tuple(
                 tuple(values[r * dim + c] for c in range(dim)) for r in range(dim))
             continue
-        raise InvalidElement(f"unrecognised line in algebra file: {raw!r}")
+        raise InvalidElement(f"unrecognised line in algebra file: {line!r}")
     if dim is None:
         raise InvalidElement("algebra file must declare dim=")
     structure = tuple(
@@ -475,18 +472,16 @@ def parse_rb_file(path):
 
 
 def parse_map_text(text: str, dim: int) -> dict:
-    """Parse a generator-image map: one ``<symbol> <basis index>`` per line."""
+    """Parse a generator-image map: one ``<symbol> <basis index>`` per line.
+    ``#`` comments and blank lines are ignored."""
     images = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line in content_lines(text):
         parts = line.split()
         if len(parts) != 2:
-            raise InvalidElement(f"bad map line: {raw!r}")
+            raise InvalidElement(f"bad map line: {line!r}")
         symbol, index = parts[0], int(parts[1])
         if not 0 <= index < dim:
-            raise InvalidElement(f"basis index out of range: {raw!r}")
+            raise InvalidElement(f"basis index out of range: {line!r}")
         if symbol in images:
             raise InvalidElement(f"image of {symbol!r} may be declared only once")
         images[symbol] = index

@@ -30,6 +30,15 @@ from .errors import InfiniteSemigroup, InvalidElement, SemigroupViolation
 TOKEN_RE = re.compile(r"[A-Za-z0-9_]+")
 
 
+def content_lines(text: str):
+    """The nonblank lines of a definition file, each stripped of its ``#``
+    comment and of surrounding whitespace."""
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield line
+
+
 class _Identity:
     """The identity adjoined to the semigroup, written ``1``."""
 
@@ -278,10 +287,9 @@ def from_config_text(text: str) -> Semigroup:
 
     ``kind=free|cyclic|table`` first, then ``generators=a,b`` or ``order=n``
     or a CSV Cayley table whose header row and column list element names.
-    Blank lines and ``#`` comments are ignored.
+    Blank lines and ``#`` comments, also after content, are ignored.
     """
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = list(content_lines(text))
     if not lines or not lines[0].startswith("kind="):
         raise SemigroupViolation("config must start with kind=free|cyclic|table")
     kind = lines[0][len("kind="):].strip()

@@ -10,6 +10,12 @@ The edge token ``1`` denotes the adjoined identity exactly when the
 child below it is a leaf (forced by the typing invariant), so a
 semigroup containing an element literally named ``1`` stays parseable.
 
+One regular expression scans the text into tokens, each with its offset;
+a line and column are worked out only for an error.  Both tree kinds are
+read by one loop over a stack of open vertices, so trees and spans of
+any depth parse.  Expressions are read, and trees printed, by recursion,
+one stack frame per level.
+
 A parsed span carries the ranked order of its tree kind, and
 :func:`print_span` prints the terms in that order.  The walk that ranks
 the span also finds the subtrees it repeats; the printer keeps the text
@@ -18,6 +24,7 @@ of those only, and prints each once.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import partial
 from typing import Union
@@ -30,42 +37,33 @@ from .pbtrees import BinNode, BinTree
 from .schroder import SchNode, SchTree
 from .semigroups import IDENTITY, TOKEN_RE, Semigroup
 
-_SYMBOL_CHARS = set("[];:,*+/()|-")
+# whitespace (``\s`` is ``str.isspace``), then a symbol, a word, or a character
+# the grammar has no use for; only trailing whitespace goes unmatched
+_SCANNER = re.compile(
+    rf"\s*(?:(?P<sym>[][;:,*+/()|-])|(?P<word>{TOKEN_RE.pattern})|(?P<bad>\S))")
+
+
+def _position(text: str, offset: int):
+    """The line and column of ``offset`` in ``text``, both counted from 1."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 def _tokenize(text: str):
+    """A ``(kind, value, offset)`` triple per token, then an ``end`` token."""
     tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch in _SYMBOL_CHARS:
-            tokens.append(("sym", ch, line, col))
-            col += 1
-            i += 1
-            continue
-        word = TOKEN_RE.match(text, i)
-        if word:
-            tokens.append(("word", word.group(), line, col))
-            col += word.end() - i
-            i = word.end()
-            continue
-        raise TermSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(("end", "", line, col))
+    for match in _SCANNER.finditer(text):
+        kind = match.lastgroup
+        if kind == "bad":
+            raise TermSyntaxError(f"unexpected character {match[kind]!r}",
+                                  *_position(text, match.start(kind)))
+        tokens.append((kind, match[kind], match.start(kind)))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str, alphabet: Alphabet, semigroup: Semigroup):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.alphabet = alphabet
@@ -76,59 +74,50 @@ class _Parser:
     def peek(self):
         return self.tokens[self.pos]
 
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def raise_at(self, message, offset):
+        raise TermSyntaxError(message, *_position(self.text, offset))
 
     def fail(self, message):
-        _, value, line, col = self.peek()
-        raise TermSyntaxError(f"{message}, found {value!r}" if value else message,
-                              line, col)
-
-    def expect_sym(self, symbol):
-        kind, value, _, _ = self.peek()
-        if kind != "sym" or value != symbol:
-            self.fail(f"expected {symbol!r}")
-        return self.advance()
-
-    def expect_word(self, what="token"):
-        kind, value, _, _ = self.peek()
-        if kind != "word":
-            self.fail(f"expected {what}")
-        return self.advance()[1]
+        _, value, offset = self.peek()
+        self.raise_at(f"{message}, found {value!r}" if value else message, offset)
 
     def at_sym(self, symbol):
-        kind, value, _, _ = self.peek()
-        return kind == "sym" and value == symbol
+        # no word, and not the end token, equals a symbol character
+        return self.tokens[self.pos][1] == symbol
+
+    def expect_sym(self, symbol):
+        if not self.at_sym(symbol):
+            self.fail(f"expected {symbol!r}")
+        self.pos += 1
+
+    def expect_word(self, what, valid=None, rejection=""):
+        """The next word; ``rejection`` (a format of its repr) is raised at
+        the word when ``valid`` refuses it."""
+        kind, value, offset = self.peek()
+        if kind != "word":
+            self.fail(f"expected {what}")
+        if valid is not None and not valid(value):
+            self.raise_at(rejection.format(repr(value)), offset)
+        self.pos += 1
+        return value
 
     def expect_end(self):
         if self.peek()[0] != "end":
             self.fail("unexpected trailing input")
 
-    def separated(self, read, separator=","):
-        """One or more items read by ``read``, between ``separator`` symbols."""
-        items = [read()]
-        while self.at_sym(separator):
-            self.advance()
-            items.append(read())
-        return items
-
     # -- pieces ----------------------------------------------------------
 
     def decoration(self) -> str:
-        _, value, line, col = self.peek()
-        word = self.expect_word("decoration symbol")
-        if word not in self.alphabet:
-            raise TermSyntaxError(f"undeclared decoration symbol {word!r}", line, col)
-        return word
+        return self.expect_word("decoration symbol", self.alphabet.__contains__,
+                                "undeclared decoration symbol {}")
 
-    def edge_token(self) -> str:
-        _, value, line, col = self.peek()
-        word = self.expect_word("edge type")
-        if word != "1" and not self.semigroup.contains(word):
-            raise TermSyntaxError(f"undeclared semigroup element {word!r}", line, col)
-        return word
+    def child_edge(self) -> str:
+        """``a:``, the edge token above the next child."""
+        token = self.expect_word("edge type",
+                                 lambda word: word == "1" or self.semigroup.contains(word),
+                                 "undeclared semigroup element {}")
+        self.expect_sym(":")
+        return token
 
     def resolve_edge(self, token: str, child):
         # `1` is the adjoined identity on a leaf edge; on an internal edge it
@@ -138,82 +127,78 @@ class _Parser:
             return IDENTITY if token == "1" else token
         return token if self.semigroup.contains(token) else IDENTITY
 
-    def typed_child(self, read):
-        """``a:T``: the subtree ``T`` read by ``read``, with its edge type."""
-        token = self.edge_token()
-        self.expect_sym(":")
-        child = read()
-        return self.resolve_edge(token, child), child
-
     def rational(self) -> Fraction:
         negative = self.at_sym("-")
         if negative:
-            self.advance()
-        _, value, line, col = self.peek()
-        word = self.expect_word("rational")
-        if not word.isdigit():
-            raise TermSyntaxError(f"expected integer digits, found {word!r}", line, col)
+            self.pos += 1
+        word = self.expect_word("rational", str.isdigit, "expected integer digits, found {}")
         numerator = -int(word) if negative else int(word)
         if self.at_sym("/"):
-            self.advance()
-            _, value, line, col = self.peek()
-            den = self.expect_word("denominator")
-            if not den.isdigit() or int(den) == 0:
-                raise TermSyntaxError(f"bad denominator {den!r}", line, col)
+            self.pos += 1
+            den = self.expect_word("denominator", lambda d: d.isdigit() and int(d) != 0,
+                                   "bad denominator {}")
             return Fraction(numerator, int(den))
         return Fraction(numerator)
 
     # -- trees -------------------------------------------------------------
 
-    def bin_tree(self) -> BinTree:
-        if self.at_sym("|"):
-            self.advance()
-            return LEAF
-        kind, value, line, col = self.peek()
-        if kind == "word" and value == "B":
-            self.advance()
-            self.expect_sym("[")
-            dec = self.decoration()
-            self.expect_sym(";")
-            left_type, left = self.typed_child(self.bin_tree)
-            self.expect_sym(",")
-            right_type, right = self.typed_child(self.bin_tree)
-            self.expect_sym("]")
-            return BinNode(dec, left_type, left, right_type, right)
-        self.fail("expected a binary tree ('|' or 'B[...]')")
-
-    def sch_tree(self) -> SchTree:
-        if self.at_sym("|"):
-            self.advance()
-            return LEAF
-        kind, value, line, col = self.peek()
-        if kind == "word" and value == "S":
-            self.advance()
-            self.expect_sym("[")
-            decs = self.separated(self.decoration)
-            self.expect_sym(";")
-            children = self.separated(lambda: self.typed_child(self.sch_tree))
-            self.expect_sym("]")
-            return SchNode(tuple(decs), tuple(children))
-        self.fail("expected a Schröder tree ('|' or 'S[...]')")
-
     def tree(self, kind: str):
-        return self.bin_tree() if kind == "binary" else self.sch_tree()
+        """A tree read in one loop: a ``B[`` or ``S[`` vertex opens, each
+        finished subtree goes to the open vertex above it, and a ``]``
+        closes that vertex into the next finished subtree."""
+        binary = kind == "binary"
+        head, name = ("B", "binary") if binary else ("S", "Schröder")
+        # the open vertices, each [decorations, typed children, next edge token]
+        stack = []
+        while True:
+            if self.at_sym("|"):
+                self.pos += 1
+                t = LEAF
+            elif self.peek()[1] == head:
+                self.pos += 1
+                self.expect_sym("[")
+                decs = [self.decoration()]
+                while not binary and self.at_sym(","):
+                    self.pos += 1
+                    decs.append(self.decoration())
+                self.expect_sym(";")
+                stack.append([decs, [], self.child_edge()])
+                continue
+            else:
+                self.fail(f"expected a {name} tree ('|' or '{head}[...]')")
+            while stack:
+                vertex = stack[-1]
+                decs, children, token = vertex
+                children.append((self.resolve_edge(token, t), t))
+                # a binary vertex needs its second child; a Schröder one may go on
+                if (len(children) == 1) if binary else self.at_sym(","):
+                    self.expect_sym(",")
+                    vertex[2] = self.child_edge()
+                    break
+                self.expect_sym("]")
+                stack.pop()
+                if binary:
+                    t = BinNode(decs[0], *children[0], *children[1])
+                else:
+                    t = SchNode(tuple(decs), tuple(children))
+            if not stack:
+                return t
 
     # -- spans ---------------------------------------------------------------
 
     def span(self, kind: str) -> LinComb:
-        k, value, _, _ = self.peek()
-        if k == "word" and value == "0" and self.tokens[self.pos + 1][0] == "end":
-            self.advance()
+        if self.peek()[1] == "0" and self.tokens[self.pos + 1][0] == "end":
+            self.pos += 1
             return ZERO_SPAN
-        pairs = self.separated(lambda: self.span_term(kind), "+")
+        pairs = [self.span_term(kind)]
+        while self.at_sym("+"):
+            self.pos += 1
+            pairs.append(self.span_term(kind))
         nodes = pbtrees if kind == "binary" else schroder
         return normalize(pairs, partial(nodes.ranks, self.alphabet, self.semigroup))
 
     def operand(self, kind: str):
-        k, value, _, _ = self.peek()
-        if (k == "sym" and value == "|") or (k == "word" and value in ("B", "S")):
+        if self.peek()[1] in ("|", "B", "S"):
             t = self.tree(kind)
             return t if t is LEAF else span_single(t)
         return self.span(kind)
@@ -229,25 +214,20 @@ class _Parser:
     # -- expressions ------------------------------------------------------------
 
     def expr(self) -> Expr:
-        _, value, line, col = self.peek()
-        head = self.expect_word("expression head")
+        head = self.expect_word("expression head", ("gen", "prec", "succ", "dot").__contains__,
+                                "unknown expression head {}")
         if head == "gen":
             self.expect_sym("(")
             symbol = self.decoration()
             self.expect_sym(")")
             return Gen(symbol)
-        if head in ("prec", "succ"):
-            self.expect_sym("[")
-            _, _, oline, ocol = self.peek()
-            omega = self.expect_word("family index")
-            if not self.semigroup.contains(omega):
-                raise TermSyntaxError(
-                    f"undeclared semigroup element {omega!r}", oline, ocol)
-            self.expect_sym("]")
-            return (Prec if head == "prec" else Succ)(omega, *self.operands())
         if head == "dot":
             return Dot(*self.operands())
-        raise TermSyntaxError(f"unknown expression head {head!r}", line, col)
+        self.expect_sym("[")
+        omega = self.expect_word("family index", self.semigroup.contains,
+                                 "undeclared semigroup element {}")
+        self.expect_sym("]")
+        return (Prec if head == "prec" else Succ)(omega, *self.operands())
 
     def operands(self):
         """``(E1,E2)``: the two operand expressions of a product."""
@@ -301,8 +281,12 @@ def _printer(repeated):
                 text = (f"B[{t.dec};{t.left_type}:{show(t.left)},"
                         f"{t.right_type}:{show(t.right)}]")
             elif isinstance(t, SchNode):
-                children = ",".join([f"{etype}:{show(child)}" for etype, child in t.children])
-                text = f"S[{','.join(t.decs)};{children}]"
+                # a loop, not a comprehension: before Python 3.12 a comprehension
+                # is one more stack frame per level
+                children = []
+                for etype, child in t.children:
+                    children.append(f"{etype}:{show(child)}")
+                text = f"S[{','.join(t.decs)};{','.join(children)}]"
             else:
                 raise TypeError(f"not a tree: {t!r}")
             if t in texts:

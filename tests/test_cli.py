@@ -99,6 +99,14 @@ def test_enumerate_semigroup_config_file(capsys, tmp_path):
     assert code == 0 and out.strip().splitlines()[-1] == "count=4"
 
 
+def test_enumerate_semigroup_config_file_with_trailing_comments(capsys, tmp_path):
+    cfg = tmp_path / "sg.cfg"
+    cfg.write_text("kind=cyclic  # Z2\norder=2  # two elements\n")
+    code, out, _ = run(capsys, "enumerate", "binary", "2",
+                       "--alphabet", "x", "--semigroup", str(cfg))
+    assert code == 0 and out.strip().splitlines()[-1] == "count=4"
+
+
 @pytest.mark.parametrize("kind", ["binary", "schroder"])
 def test_enumerate_one_vertex_over_a_huge_cyclic_semigroup(capsys, kind):
     # a single vertex has no internal edge, so no element is ever listed

@@ -353,6 +353,7 @@ def test_parse_rb_rejects(text):
 
 def test_parse_map_text():
     assert parse_map_text("x 0\ny 2\n", 3) == {"x": 0, "y": 2}
+    assert parse_map_text("x 0  # first\n  # none\ny 2\n", 3) == {"x": 0, "y": 2}
     with pytest.raises(InvalidElement):
         parse_map_text("x 5\n", 3)
     with pytest.raises(InvalidElement):

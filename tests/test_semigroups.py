@@ -168,6 +168,17 @@ def test_config_table_csv():
     assert s.mul("g", "g") == "e"
 
 
+@pytest.mark.parametrize("text, check", [
+    ("kind=cyclic  # Z3\norder=3\n", lambda s: s.kind == "cyclic" and s.order == 3),
+    ("kind=cyclic\norder=3  # three\n", lambda s: s.kind == "cyclic" and s.order == 3),
+    ("kind=free\ngenerators=a,b # two\n", lambda s: s.generators == ("a", "b")),
+    ("kind=table\n,e,g\ne,e,g  # e is the unit\ng,g,e\n", lambda s: s.mul("e", "g") == "g"),
+], ids=["kind", "order", "generators", "table-row"])
+def test_config_ignores_a_trailing_comment(text, check):
+    # a comment after the content of a line is ignored, as in the algebra files
+    assert check(from_config_text(text))
+
+
 @pytest.mark.parametrize("text", [
     "",
     "kind=ring\n",

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from dendrifam.basis import LEAF, Alphabet
 from dendrifam.errors import ArityMismatch, TermSyntaxError, TypingViolation
 from dendrifam.exprs import Dot, Gen, Prec, Succ
-from dendrifam.pbtrees import enumerate_bin, single_vertex
-from dendrifam.schroder import enumerate_sch
+from dendrifam.pbtrees import enumerate_bin, graft_binary, single_vertex
+from dendrifam.schroder import enumerate_sch, intern_node
 from dendrifam.semigroups import IDENTITY, Semigroup
 from dendrifam.termio import (parse_expr, parse_operand,
                               parse_span, parse_tree, print_expr, print_span,
@@ -84,6 +84,22 @@ def test_non_ascii_word_characters_are_positioned_syntax_errors(text, column):
     assert (info.value.line, info.value.column) == (1, column)
 
 
+@pytest.mark.parametrize("text, kind, message", [
+    ("1*B[x;1:|,1:|]\n + \t2*B[q;1:|,1:|]", "binary",
+     "undeclared decoration symbol 'q' (line 2, column 9)"),
+    ("B[x;1:|,\n\tzz:B[y;1:|,1:|]]", "binary",
+     "undeclared semigroup element 'zz' (line 2, column 2)"),
+    ("S[x;1:|,1:|\n\n   ", "schroder", "expected ']' (line 3, column 4)"),
+    ("B[x,y;1:|,1:|]", "binary", "expected ';', found ',' (line 1, column 4)"),
+    ("B[x;1:|,1:|,1:|]", "binary", "expected ']', found ',' (line 1, column 12)"),
+])
+def test_syntax_errors_report_line_and_column(text, kind, message):
+    # a tab counts as one column; a newline starts the next line at column 1
+    with pytest.raises(TermSyntaxError) as info:
+        parse_operand(text, kind, X, FREE)
+    assert str(info.value) == message
+
+
 def test_arity_mismatch_surfaces():
     with pytest.raises(ArityMismatch):
         parse_tree("S[x,y;1:|,1:|]", "schroder", X, FREE)
@@ -115,6 +131,34 @@ def test_round_trip_enumerated_schroder():
     for n in range(1, 4):
         for t in enumerate_sch(n, X, Z2):
             assert parse_tree(print_tree(t), "schroder", X, Z2) == t
+
+
+def right_comb_and_text(kind, n):
+    """The right comb of ``n`` vertices over x and Z2, and its text."""
+    head = "B" if kind == "binary" else "S"
+    comb = single_vertex("x") if kind == "binary" else corolla(["x"])
+    for _ in range(n - 1):
+        if kind == "binary":
+            comb = graft_binary(LEAF, "x", IDENTITY, "0", comb)
+        else:
+            comb = intern_node(("x",), ((IDENTITY, LEAF), ("0", comb)))
+    text = f"{head}[x;1:|,0:" * (n - 1) + f"{head}[x;1:|,1:|]" + "]" * (n - 1)
+    return comb, text
+
+
+@pytest.mark.parametrize("kind", ["binary", "schroder"])
+def test_combs_of_10000_vertices_parse_without_recursion(kind):
+    comb, text = right_comb_and_text(kind, 10000)
+    assert parse_tree(text, kind, X, Z2) is comb
+    assert parse_span("1*" + text, kind, X, Z2).terms == ((Fraction(1), comb),)
+
+
+@pytest.mark.parametrize("kind", ["binary", "schroder"])
+def test_combs_of_800_vertices_print_and_parse_back(kind):
+    # the printer recurses once per level of either kind
+    comb, text = right_comb_and_text(kind, 800)
+    assert print_tree(comb) == text
+    assert parse_tree(print_tree(comb), kind, X, Z2) is comb
 
 
 def test_span_printing_and_parsing():
@@ -192,7 +236,6 @@ def random_binary_tree(draw, size=None):
     if size == 1:
         return single_vertex(draw(st.sampled_from(["x", "y"])))
     left_size = draw(st.integers(min_value=0, max_value=size - 1))
-    from dendrifam.pbtrees import graft_binary
 
     def sub(n):
         if n == 0:
