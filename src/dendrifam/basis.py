@@ -26,7 +26,7 @@ from functools import cache, partial
 from itertools import combinations, product
 from typing import Any, Callable, Iterable, Mapping, Optional, Tuple
 
-from .errors import InfiniteSemigroup, InvalidElement, LeafOperand
+from .errors import InfiniteSemigroup, InvalidElement, LeafOperand, TypingViolation
 from .rationals import exact
 from .semigroups import IDENTITY, TOKEN_RE
 
@@ -46,6 +46,13 @@ class Leaf:
 
 
 LEAF = Leaf()
+
+
+def edge_violation(edge: str, etype, child) -> TypingViolation:
+    """The error for an edge whose type breaks the typing invariant; it names
+    the kind of child, never its repr, which is as deep as the child."""
+    kind = "a leaf" if child is LEAF else "a vertex"
+    return TypingViolation(f"{edge} {etype} inconsistent with {kind} child")
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import sys
 from functools import partial
 
 from . import axioms
-from .basis import LEAF, Alphabet
+from .basis import Alphabet
 from .dendriform import FreeDendriformFamily
 from .errors import AlgebraError, AxiomFailure, IdentityMisuse, LeafOperand
 from .pbtrees import enumerate_bin
@@ -130,13 +130,8 @@ def cmd_product(args) -> int:
     lhs = parse_operand(args.lhs, kind, alphabet, semigroup)
     rhs = parse_operand(args.rhs, kind, alphabet, semigroup)
     algebra = _FAMILIES[kind][0](alphabet, semigroup)
-    if args.op == "dot":
-        result = algebra.dot(lhs, rhs)
-    elif args.op == "prec":
-        result = algebra.prec(lhs, rhs, args.omega)
-    else:
-        result = algebra.succ(lhs, rhs, args.omega)
-    print(print_span(result))
+    index = () if args.op == "dot" else (args.omega,)
+    print(print_span(getattr(algebra, args.op)(lhs, rhs, *index)))
     return EXIT_OK
 
 
@@ -226,19 +221,14 @@ def _check_diagram(args) -> int:
     direct = eta(rb)
     dim = rb.algebra.dim
     total = dim * dim * len(sample)
-    for i in range(dim):
-        x = rb.algebra.basis_vector(i)
-        for j in range(dim):
-            y = rb.algebra.basis_vector(j)
-            for w in sample:
-                for name in ("prec", "succ"):
-                    left = getattr(through_epsilon, name)(x, y, w)
-                    right = getattr(direct, name)(x, y, w)
-                    if left != right:
-                        print(f"counterexample suite=diagram op={name} i={i} j={j} "
-                              f"omega={w} gamma.epsilon={_vector_text(left)} "
-                              f"eta={_vector_text(right)}")
-                        return EXIT_COUNTEREXAMPLE
+    for i, j, w, name in itertools.product(range(dim), range(dim), sample, ("prec", "succ")):
+        x, y = rb.algebra.basis_vector(i), rb.algebra.basis_vector(j)
+        left = getattr(through_epsilon, name)(x, y, w)
+        right = getattr(direct, name)(x, y, w)
+        if left != right:
+            print(f"counterexample suite=diagram op={name} i={i} j={j} "
+                  f"omega={w} gamma.epsilon={_vector_text(left)} eta={_vector_text(right)}")
+            return EXIT_COUNTEREXAMPLE
     print(f"instances={total} failures=0")
     return EXIT_OK
 
@@ -272,16 +262,11 @@ def cmd_extend(args) -> int:
     if validate_rb is not None:
         raise AxiomFailure("the supplied family is not Rota-Baxter", counterexample=validate_rb)
     if args.functor == "eta":
-        ops = eta(rb).validated(semigroup, sample)
-        algebra = FreeDendriformFamily(alphabet, semigroup)
-        span = parse_operand(args.term, "binary", alphabet, semigroup)
+        ops, family, kind = eta(rb).validated(semigroup, sample), FreeDendriformFamily, "binary"
     else:
-        ops = epsilon(rb, semigroup, sample)
-        algebra = FreeTridendriformFamily(alphabet, semigroup)
-        span = parse_operand(args.term, "schroder", alphabet, semigroup)
-    if span is LEAF:
-        raise LeafOperand("the leaf has no image under the universal morphism")
-    print(_vector_text(algebra.extend(f, ops, span)))
+        ops, family, kind = epsilon(rb, semigroup, sample), FreeTridendriformFamily, "schroder"
+    span = parse_operand(args.term, kind, alphabet, semigroup)
+    print(_vector_text(family(alphabet, semigroup).extend(f, ops, span)))
     return EXIT_OK
 
 

@@ -230,7 +230,4 @@ class FreeFamily:
             raise LeafOperand("the leaf has no image under the universal morphism")
         lookup = f.__getitem__ if hasattr(f, "__getitem__") else f
         image = self._imager(lookup, ops)
-        total = ops.zero()
-        for t, c in span.map.items():
-            total = ops.add(total, ops.scale(c, image(t)))
-        return total
+        return ops.add(*[ops.scale(c, image(t)) for t, c in span.map.items()])

@@ -22,8 +22,7 @@ from functools import cache, partial
 from operator import attrgetter
 from typing import Optional, Union
 
-from .basis import LEAF, Alphabet, Leaf, enumerate_trees, rank_levels
-from .errors import TypingViolation
+from .basis import LEAF, Alphabet, Leaf, edge_violation, enumerate_trees, rank_levels
 from .semigroups import IDENTITY, Semigroup
 
 BinTree = Union[Leaf, "BinNode"]
@@ -59,9 +58,9 @@ def _intern(key: tuple) -> BinNode:
     """Check, make and store the node with the fields ``key``, on a table miss."""
     dec, left_type, left, right_type, right = key
     if (left_type is IDENTITY) != (left is LEAF):
-        raise TypingViolation(f"left edge {left_type} inconsistent with child {left!r}")
+        raise edge_violation("left edge", left_type, left)
     if (right_type is IDENTITY) != (right is LEAF):
-        raise TypingViolation(f"right edge {right_type} inconsistent with child {right!r}")
+        raise edge_violation("right edge", right_type, right)
     node = _INTERNED[key] = object.__new__(BinNode)
     _set_dec(node, dec)
     _set_left_type(node, left_type)

@@ -16,9 +16,13 @@ holds the spans of A (x) k Omega for both tensor constructions.
 A vector is a tuple of exact coordinates: ``int`` when integral and
 ``Fraction`` otherwise, the rule spans follow for coefficients.  Callers
 may pass ``Fraction`` coordinates; every operation returns the exact
-form.  Structure constants and operator matrices are compiled at
-construction into tables of their nonzero entries, so products and
-operator applications loop over nonzero entries only.
+form.  A vector of any length other than the algebra's dimension is
+rejected with InvalidElement wherever it enters ``mul``, ``apply`` or
+the induced ``add``/``scale``.  Structure constants and operator
+matrices are compiled at construction into tables of their nonzero
+entries, so products and operator applications loop over nonzero entries
+only; ``eta`` compiles P_w + lambda id once, so each induced product is
+one operator walk and one algebra product.
 """
 
 from __future__ import annotations
@@ -40,12 +44,33 @@ Matrix = Tuple[Tuple[Coordinate, ...], ...]
 
 
 def _exact_vector(coords) -> Vector:
-    return tuple(c if type(c) is int else exact(c) for c in coords)
+    return tuple([c if type(c) is int else exact(c) for c in coords])
 
 
-def _nonzero(v: Vector):
-    """(index, exact coordinate) for each nonzero coordinate of ``v``."""
-    return [(j, exact(c)) for j, c in enumerate(v) if c]
+def _checked(v: Vector, dim: int) -> Vector:
+    """``v``, once it has ``dim`` coordinates; InvalidElement otherwise."""
+    if len(v) != dim:
+        raise InvalidElement(f"expected a vector of dimension {dim}, got {len(v)} coordinates")
+    return v
+
+
+def _nonzero(v: Vector, dim: int):
+    """(index, exact coordinate) for each nonzero coordinate of a ``dim``-vector ``v``."""
+    return [(j, c if type(c) is int else exact(c))
+            for j, c in enumerate(_checked(v, dim)) if c]
+
+
+def _apply(operators: dict, omega: str, v: Vector) -> Vector:
+    """P(v) for the operator P of the index ``omega`` among ``operators``,
+    compiled by :meth:`RBFamily._compiled`."""
+    columns = operators.get(omega)
+    if columns is None:
+        raise InvalidElement(f"no operator declared for index {omega!r}")
+    out = [0] * len(columns)
+    for j, a in _nonzero(v, len(columns)):
+        for r, c in columns[j]:
+            out[r] += c * a
+    return _exact_vector(out)
 
 
 def vec_add(u: Vector, v: Vector) -> Vector:
@@ -54,6 +79,8 @@ def vec_add(u: Vector, v: Vector) -> Vector:
 
 def vec_scale(c: Coordinate, u: Vector) -> Vector:
     c = exact(c)
+    if c == 1:
+        return _exact_vector(u)
     return _exact_vector([c * a for a in u])
 
 
@@ -90,10 +117,11 @@ class FiniteAlgebra:
         return (0,) * self.dim
 
     def mul(self, u: Vector, v: Vector) -> Vector:
-        out = [0] * self.dim
         table = self._table
-        nonzero_v = _nonzero(v)
-        for i, a in _nonzero(u):
+        d = len(table)
+        out = [0] * d
+        nonzero_v = _nonzero(v, d)
+        for i, a in _nonzero(u, d):
             row = table[i]
             for j, b in nonzero_v:
                 ab = a * b
@@ -142,18 +170,14 @@ def cascading_sum_matrix(dim: int, weight: Coordinate) -> Matrix:
                  for i in range(dim))
 
 
-def _no_operator(omega: str) -> InvalidElement:
-    return InvalidElement(f"no operator declared for index {omega!r}")
-
-
 @dataclass(frozen=True)
 class RBFamily:
     """An algebra with one operator per sampled semigroup element and a weight.
 
     Each operator must be a d x d matrix over the algebra's dimension d.
-    ``operators`` is read once, at construction, into the nonzero
-    entries (row, c) of each column that :meth:`apply` walks; later
-    changes to the mapping are not seen (build a new family instead).
+    ``operators`` is read when the family, or :func:`eta` over it, is built,
+    into the nonzero entries (row, c) of each column that :meth:`apply`
+    walks; mutating the mapping later is not supported (build a new family).
     """
 
     algebra: FiniteAlgebra
@@ -163,25 +187,21 @@ class RBFamily:
 
     def __post_init__(self):
         d = self.algebra.dim
-        columns = {}
         for omega, m in self.operators.items():
             if len(m) != d or any(len(row) != d for row in m):
                 raise InvalidElement(f"operator for {omega!r} must be {d}x{d}")
-            columns[omega] = tuple(
-                tuple((r, exact(row[j])) for r, row in enumerate(m) if row[j])
-                for j in range(d))
-        object.__setattr__(self, "_columns", columns)
+        object.__setattr__(self, "_columns", self._compiled())
+
+    def _compiled(self, shift: Coordinate = 0) -> dict:
+        """The nonzero entries (row, c) of each column of P_w + shift * id, for
+        each index w, as :meth:`apply` walks them."""
+        return {omega: tuple(tuple((r, c) for r, row in enumerate(m)
+                                   if (c := exact(row[j] + shift if r == j else row[j])))
+                             for j in range(len(m)))
+                for omega, m in self.operators.items()}
 
     def apply(self, omega: str, v: Vector) -> Vector:
-        try:
-            columns = self._columns[omega]
-        except KeyError:
-            raise _no_operator(omega)
-        out = [0] * len(columns)
-        for j, a in _nonzero(v):
-            for r, c in columns[j]:
-                out[r] += c * a
-        return _exact_vector(out)
+        return _apply(self._columns, omega, v)
 
 
 def _rb_identity_counterexample(instances, mul, add, scale, weight) -> Optional[dict]:
@@ -236,13 +256,13 @@ class _InducedOps:
         return self
 
     def add(self, *values: Vector) -> Vector:
-        out = self.zero()
-        for v in values:
-            out = vec_add(out, v)
-        return out
+        if not values:
+            return self.zero()
+        d = self.rb.algebra.dim
+        return _exact_vector([sum(column) for column in zip(*[_checked(v, d) for v in values])])
 
     def scale(self, c: Coordinate, v: Vector) -> Vector:
-        return vec_scale(c, v)
+        return vec_scale(c, _checked(v, self.rb.algebra.dim))
 
     def zero(self) -> Vector:
         return self.rb.algebra.zero()
@@ -254,10 +274,13 @@ class EtaOps(_InducedOps):
 
     check = staticmethod(validate_dendriform_ops)
 
+    def __init__(self, rb: RBFamily):
+        super().__init__(rb)
+        self._shifted = rb._compiled(self.weight)
+
     def prec(self, x: Vector, y: Vector, omega: str) -> Vector:
-        # x (P_w(y) + lambda y): one algebra product instead of two
-        shifted = vec_add(self.rb.apply(omega, y), vec_scale(self.weight, y))
-        return self.rb.algebra.mul(x, shifted)
+        # x (P_w + lambda id)(y): one algebra product instead of two
+        return self.rb.algebra.mul(x, _apply(self._shifted, omega, y))
 
     def succ(self, x: Vector, y: Vector, omega: str) -> Vector:
         return self.rb.algebra.mul(self.rb.apply(omega, x), y)
@@ -356,7 +379,8 @@ class TensorRB(TensorSpans):
     def apply(self, u: LinComb) -> LinComb:
         basis_vector = self.rb.algebra.basis_vector
         return normalize([(c * cj, (j, a)) for (i, a), c in u.map.items()
-                          for j, cj in _nonzero(self.rb.apply(a, basis_vector(i)))], self._order)
+                          for j, cj in enumerate(self.rb.apply(a, basis_vector(i))) if cj],
+                         self._order)
 
 
 def tensor_rb_counterexample(rb: RBFamily, semigroup: Semigroup,

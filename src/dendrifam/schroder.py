@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from functools import cache, partial
 from typing import Optional, Sequence, Tuple, Union
 
-from .basis import LEAF, Alphabet, Leaf, enumerate_trees, rank_levels
-from .errors import ArityMismatch, TypingViolation
+from .basis import LEAF, Alphabet, Leaf, edge_violation, enumerate_trees, rank_levels
+from .errors import ArityMismatch
 from .pbtrees import graft_binary
 from .semigroups import IDENTITY, Semigroup
 
@@ -60,7 +60,7 @@ def _intern(key: tuple) -> SchNode:
             f"{len(decs)} decorations require {len(decs) + 1} children, got {len(children)}")
     for etype, child in children:
         if (etype is IDENTITY) != (child is LEAF):
-            raise TypingViolation(f"edge {etype} inconsistent with child {child!r}")
+            raise edge_violation("edge", etype, child)
     node = _INTERNED[key] = object.__new__(SchNode)
     _set_decs(node, decs)
     _set_children(node, children)

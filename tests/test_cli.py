@@ -192,6 +192,18 @@ def test_product_on_too_deep_input_is_not_a_counterexample(capsys):
     assert err.startswith("error: resources exhausted") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("head,op", [("B", "prec"), ("S", "dot")])
+def test_typing_error_under_a_deep_comb_is_a_parse_error(capsys, head, op):
+    comb = f"{head}[x;1:|,1:|]"
+    for _ in range(399):
+        comb = f"{head}[x;1:|,a:{comb}]"
+    omega = ["--omega", "a"] if op == "prec" else []
+    code, out, err = run(capsys, "product", op, *omega, f"{head}[x;1:{comb},1:|]",
+                         f"{head}[x;1:|,1:|]", "--alphabet", "x", "--semigroup", "free:a")
+    edge = "left edge" if head == "B" else "edge"
+    assert (code, out, err) == (2, "", f"error: {edge} 1 inconsistent with a vertex child\n")
+
+
 def test_product_leaf_operands(capsys):
     code, out, _ = run(capsys, "product", "prec", "--omega", "0",
                        "B[x;1:|,1:|]", "|",

@@ -182,3 +182,25 @@ def test_nodes_made_on_a_miss_are_frozen():
     with pytest.raises(FrozenInstanceError):
         s.decs = ("x",)
     assert t.left_type == "q4" and s.decs == ("y",)
+
+
+def _bad_edge_over_a_comb(kind, levels):
+    """A vertex whose first child is a comb of ``levels`` vertices on an edge
+    typed by the identity, which only a leaf may carry."""
+    head = "B" if kind == "binary" else "S"
+    comb = f"{head}[x;1:|,1:|]"
+    for _ in range(levels - 1):
+        comb = f"{head}[x;1:|,a:{comb}]"
+    return f"{head}[x;1:{comb},1:|]"
+
+
+@pytest.mark.parametrize("kind", ["binary", "schroder"])
+def test_typing_errors_name_the_child_kind_not_its_subtree(kind):
+    semigroup, alphabet = Semigroup.free(["a"]), Alphabet(["x"])
+    for levels in (10, 400):
+        with pytest.raises(TypingViolation) as caught:
+            parse_tree(_bad_edge_over_a_comb(kind, levels), kind, alphabet, semigroup)
+        assert str(caught.value).endswith("edge 1 inconsistent with a vertex child")
+        assert len(str(caught.value)) < 60
+    with pytest.raises(TypingViolation, match="edge a inconsistent with a leaf child"):
+        parse_tree(f"{'BS'[kind == 'schroder']}[x;1:|,a:|]", kind, alphabet, semigroup)

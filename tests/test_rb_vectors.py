@@ -10,8 +10,8 @@ from dendrifam import exprs
 from dendrifam.basis import Alphabet
 from dendrifam.dendriform import FreeDendriformFamily
 from dendrifam.pbtrees import enumerate_bin
-from dendrifam.rotabaxter import (FiniteAlgebra, RBFamily, cascading_sum_matrix,
-                                  epsilon, eta, pointwise_algebra,
+from dendrifam.rotabaxter import (EpsilonOps, FiniteAlgebra, RBFamily,
+                                  cascading_sum_matrix, epsilon, eta, pointwise_algebra,
                                   rb_family_counterexample, scaled_identity_matrix,
                                   vec_add, vec_scale)
 from dendrifam.schroder import enumerate_sch
@@ -31,6 +31,8 @@ SCHRODER = [t for n in range(1, 4) for t in enumerate_sch(n, X, Z2)]
 rationals = st.one_of(st.just(Fraction(0)),
                       st.fractions(min_value=-4, max_value=4, max_denominator=3))
 weights = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
+# int and Fraction coordinates mixed, as callers may pass either
+coordinates = st.one_of(rationals, st.integers(min_value=-4, max_value=4))
 
 
 def dense_mul(structure, u, v):
@@ -137,3 +139,91 @@ def test_extend_into_epsilon_is_a_morphism(data, rb):
     for w in SAMPLE:
         assert TRI.extend(f, ops, TRI.prec(s, t, w)) == ops.prec(es, et, w)
         assert TRI.extend(f, ops, TRI.succ(s, t, w)) == ops.succ(es, et, w)
+
+
+def mixed_vectors(dim):
+    return st.tuples(*[coordinates] * dim)
+
+
+@st.composite
+def induced_inputs(draw):
+    """A family of random operators over a random, not necessarily
+    associative, algebra (the induced products are formulas that need no
+    validated family), and two vectors of mixed int and Fraction coordinates."""
+    dim = draw(st.integers(min_value=1, max_value=4))
+    structure = draw(st.tuples(*[matrices(dim)] * dim))
+    operators = {w: draw(matrices(dim)) for w in SAMPLE}
+    rb = RBFamily(FiniteAlgebra(structure), draw(weights), operators)
+    return rb, draw(mixed_vectors(dim)), draw(mixed_vectors(dim))
+
+
+@given(induced_inputs())
+@settings(max_examples=60, deadline=None)
+def test_eta_prec_is_x_times_the_shifted_operator(inputs):
+    rb, x, y = inputs
+    ops = eta(rb)
+    for w in SAMPLE:
+        shifted = vec_add(rb.apply(w, y), vec_scale(rb.weight, y))
+        product = ops.prec(x, y, w)
+        assert product == rb.algebra.mul(x, shifted)
+        assert_exact(product)
+        assert_exact(ops.succ(x, y, w))
+
+
+@given(induced_inputs())
+@settings(max_examples=40, deadline=None)
+def test_epsilon_dot_is_the_weighted_product(inputs):
+    rb, x, y = inputs
+    ops = EpsilonOps(rb)
+    product = ops.dot(x, y)
+    assert product == vec_scale(rb.weight, rb.algebra.mul(x, y))
+    assert_exact(product)
+
+
+@given(st.data(), induced_inputs())
+@settings(max_examples=40, deadline=None)
+def test_induced_add_is_the_fold_of_vec_add(data, inputs):
+    rb = inputs[0]
+    for ops in (eta(rb), EpsilonOps(rb)):
+        for n in (0, 1, 2, 5):
+            values = [data.draw(mixed_vectors(rb.algebra.dim)) for _ in range(n)]
+            expected = ops.zero()
+            for v in values:
+                expected = vec_add(expected, v)
+            total = ops.add(*values)
+            assert total == expected
+            assert_exact(total)
+        c, v = data.draw(coordinates), data.draw(mixed_vectors(rb.algebra.dim))
+        assert ops.scale(c, v) == vec_scale(c, v)
+        assert_exact(ops.scale(c, v))
+        assert_exact(ops.scale(1, v))
+
+
+@given(rb_families())
+@settings(max_examples=20, deadline=None)
+def test_extend_of_the_zero_span_is_zero(rb):
+    f = {x: (Fraction(1),) * rb.algebra.dim for x in X}
+    assert DEND.extend(f, eta(rb), DEND.zero()) == eta(rb).zero()
+    ops = epsilon(rb, Z2, SAMPLE)
+    assert TRI.extend(f, ops, TRI.zero()) == ops.zero()
+
+
+@given(st.data(), rb_families())
+@settings(max_examples=30, deadline=None)
+def test_extend_of_a_span_is_the_weighted_sum_of_its_terms(data, rb):
+    """A span of Fraction coefficients, built with a pair of opposite terms
+    that cancel, maps to the coefficient-weighted sum of the term images."""
+    fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+    f = images(data, rb.algebra.dim)
+    for alg, ops, trees in ((DEND, eta(rb), BINARY), (TRI, epsilon(rb, Z2, SAMPLE), SCHRODER)):
+        s, t, u = (data.draw(st.sampled_from(trees)) for _ in range(3))
+        c, q = data.draw(fractions), data.draw(fractions)
+        terms = [(c, s), (Fraction(1, 2), t), (q, u), (-q, u)]
+        span = alg.add(*[alg.scale(k, alg.span(tree)) for k, tree in terms])
+        expected = ops.zero()
+        for k, tree in terms:
+            value = exprs.evaluate(alg.express(tree), ops, f.__getitem__)
+            expected = vec_add(expected, vec_scale(k, value))
+        value = alg.extend(f, ops, span)
+        assert value == expected
+        assert_exact(value)

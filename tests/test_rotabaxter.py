@@ -15,6 +15,7 @@ from dendrifam.rotabaxter import (EpsilonOps, EtaOps, FiniteAlgebra, RBFamily,
                                   tensor_rb_counterexample)
 from dendrifam.schroder import enumerate_sch, single_vertex as sch_vertex
 from dendrifam.semigroups import Semigroup
+from dendrifam.termio import parse_tree
 from dendrifam.tridendriform import FreeTridendriformFamily, gamma
 
 from helpers import (classical_dendriform_residuals, classical_tridendriform_residuals,
@@ -138,6 +139,30 @@ def test_structure_constants_of_the_wrong_shape_are_rejected(structure):
 def test_missing_operator_is_an_error(cascading):
     with pytest.raises(InvalidElement):
         cascading.apply("2", cascading.algebra.basis_vector(0))
+
+
+K3_XY = Alphabet(["x", "y"])
+
+
+@pytest.mark.parametrize("call", [
+    # a short image reaches the operator, or is the whole value
+    lambda rb: FreeDendriformFamily(K3_XY, Z2).extend(
+        {"x": (1, 2), "y": (1, 1, 1)}, eta(rb),
+        parse_tree("B[y;0:B[x;1:|,1:|],1:|]", "binary", K3_XY, Z2)),
+    lambda rb: FreeDendriformFamily(K3_XY, Z2).extend(
+        {"x": (1, 2), "y": (1, 1, 1)}, eta(rb), parse_tree("B[x;1:|,1:|]", "binary", K3_XY, Z2)),
+    lambda rb: rb.algebra.mul((1, 2), (1, 1, 1)),
+    lambda rb: rb.apply("0", (5,)),
+    lambda rb: FreeDendriformFamily(K3_XY, Z2).extend(
+        {"x": (1, 2, 3, 4), "y": (1, 1, 1)}, eta(rb),
+        parse_tree("B[y;0:B[x;1:|,1:|],1:|]", "binary", K3_XY, Z2)),
+    lambda rb: eta(rb).add((1, 1, 1), (1, 1)),
+    lambda rb: eta(rb).scale(2, (1, 1, 1, 1)),
+], ids=["extend-short-operand", "extend-short-value", "mul", "apply", "extend-long-image",
+        "add", "scale"])
+def test_vectors_of_the_wrong_length_are_rejected(cascading, call):
+    with pytest.raises(InvalidElement, match="dimension 3"):
+        call(cascading)
 
 
 # -- the induced dendriform structure ----------------------------------------------
