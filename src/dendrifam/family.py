@@ -4,12 +4,16 @@ Both free families are spans of typed basis trees with products
 ``prec``/``succ`` indexed by a semigroup, and both products are one
 recursion: ``T prec_w U`` replaces the last child C of the root of T,
 on the edge a, by ``C succ_a U + C prec_w U + C . U`` on the edge a*w,
-and ``T succ_w U`` mirrors it on the first child of U.  The dendriform
-family is the case ``dot = 0`` (a dendriform algebra is a tridendriform
-algebra with zero middle product).  This base holds the span plumbing
-(``order``, ``gen``, ``span``, ``zero``, ``add``, ``scale``), operand
-coercion, the family index check, the leaf conventions, the memoized
-tree kernels ``_prec_trees``/``_succ_trees``, the bilinear lift, the
+and ``T succ_w U`` mirrors it on the first child of U.  The leaf is a
+one-sided unit (the left operand of succ, the right one of prec) and
+zero elsewhere, and its edge type is the identity, so a leaf C gives the
+one tree with U grafted on the edge w: such a step does not branch, and
+only the steps that branch are memoized.  The dendriform family is the
+case ``dot = 0`` (a dendriform algebra is a tridendriform algebra with
+zero middle product).  This base holds the span plumbing (``order``,
+``gen``, ``span``, ``zero``, ``add``, ``scale``), operand coercion, the
+family index check, the leaf conventions, the memoized tree kernels
+``_prec_trees``/``_succ_trees``, the bilinear lift, the
 axiom residuals at one instance, and the generator decomposition
 ``express`` with its image recursion ``_imager`` for ``extend``.  An
 algebra is its own operations object, so the CLI's family suites search
@@ -136,17 +140,21 @@ class FreeFamily:
         return LinComb.from_map(clean(acc), self.order)
 
     def _prec_trees(self, t, u, w: str) -> tuple:
-        """``t prec_w u`` on trees, as a tuple of basis trees; memoized."""
+        """``t prec_w u`` on trees, as a tuple of basis trees.  When the last
+        child of t is the leaf, the one tree t with u grafted there on the
+        edge w, not memoized; the steps that branch are memoized."""
         assert not (t is LEAF and u is LEAF)
         if u is LEAF:
             return (t,)
         if t is LEAF:
             return ()
+        a, last = self.nodes.last_edge(t)
+        if last is LEAF:
+            return (self.nodes.graft_last(t, w, u),)
         cached = self._prec_memo.get((t, u, w))
         if cached is not None:
             return cached
         assert w is not IDENTITY
-        a, last = self.nodes.last_edge(t)
         inner = self._succ_trees(last, u, a) + self._prec_trees(last, u, w) + \
             self._dot_trees(last, u)
         result = self._prec_memo[t, u, w] = self.nodes.regraft_last(
@@ -154,17 +162,21 @@ class FreeFamily:
         return result
 
     def _succ_trees(self, t, u, w: str) -> tuple:
-        """``t succ_w u`` on trees, like :meth:`_prec_trees`."""
+        """``t succ_w u`` on trees, like :meth:`_prec_trees`: when the first
+        child of u is the leaf, the one tree u with t grafted there on the
+        edge w."""
         assert not (t is LEAF and u is LEAF)
         if t is LEAF:
             return (u,)
         if u is LEAF:
             return ()
+        b, first = self.nodes.first_edge(u)
+        if first is LEAF:
+            return (self.nodes.graft_first(u, w, t),)
         cached = self._succ_memo.get((t, u, w))
         if cached is not None:
             return cached
         assert w is not IDENTITY
-        b, first = self.nodes.first_edge(u)
         inner = self._succ_trees(t, first, w) + self._prec_trees(t, first, b) + \
             self._dot_trees(t, first)
         result = self._succ_memo[t, u, w] = self.nodes.regraft_first(

@@ -90,6 +90,17 @@ def vertex(t: BinNode):
 last_edge, first_edge = attrgetter("right_type", "right"), attrgetter("left_type", "left")
 
 
+def graft_last(t: BinNode, a, s: BinTree) -> BinNode:
+    """``t`` with ``s`` as the last child of its root, on an edge typed
+    ``a``, in place of the old last child."""
+    return graft_binary(t.left, t.dec, t.left_type, a, s)
+
+
+def graft_first(t: BinNode, a, s: BinTree) -> BinNode:
+    """Like :func:`graft_last`, on the first child."""
+    return graft_binary(s, t.dec, a, t.right_type, t.right)
+
+
 def regraft_last(t: BinNode, a, inner: tuple) -> tuple:
     """The trees ``inner``, each grafted as the last child of ``t``'s root
     on an edge typed ``a``, in place of the old last child, as a tuple."""

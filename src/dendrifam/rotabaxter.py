@@ -74,7 +74,8 @@ def _apply(operators: dict, omega: str, v: Vector) -> Vector:
 
 
 def vec_add(u: Vector, v: Vector) -> Vector:
-    return _exact_vector([a + b for a, b in zip(u, v)])
+    """``u + v``; InvalidElement when their lengths differ."""
+    return _exact_vector([a + b for a, b in zip(u, _checked(v, len(u)))])
 
 
 def vec_scale(c: Coordinate, u: Vector) -> Vector:

@@ -102,6 +102,17 @@ def first_edge(t: SchNode):
     return t.children[0]
 
 
+def graft_last(t: SchNode, a, s: SchTree) -> SchNode:
+    """``t`` with ``s`` as the last child of its root, on an edge typed
+    ``a``, in place of the old last child."""
+    return intern_node(t.decs, t.children[:-1] + ((a, s),))
+
+
+def graft_first(t: SchNode, a, s: SchTree) -> SchNode:
+    """Like :func:`graft_last`, on the first child."""
+    return intern_node(t.decs, ((a, s),) + t.children[1:])
+
+
 def regraft_last(t: SchNode, a, inner: tuple) -> tuple:
     """The trees ``inner``, each put as the last child of ``t``'s root on
     an edge typed ``a``, in place of the old last child, as a tuple."""
@@ -180,18 +191,36 @@ def enumerate_sch(n: int, alphabet: Alphabet, semigroup: Semigroup,
 
 
 def from_binary(t) -> SchTree:
-    """Embed a planar binary tree as the Schröder tree with all vertices binary."""
-    if t is LEAF:
-        return LEAF
-    return intern_node((t.dec,), ((t.left_type, from_binary(t.left)),
-                                  (t.right_type, from_binary(t.right))))
+    """Embed a planar binary tree as the Schröder tree with all vertices
+    binary, by one iterative post-order walk like :func:`leaf_counts`: a
+    node is embedded when popped the second time, after its children."""
+    image = {LEAF: LEAF}
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        if s not in image:
+            image[s] = None
+            stack += (s, s.right, s.left)
+        elif image[s] is None:
+            image[s] = intern_node((s.dec,), ((s.left_type, image[s.left]),
+                                              (s.right_type, image[s.right])))
+    return image[t]
 
 
 def to_binary(t: SchTree):
-    """Inverse of the embedding; requires every vertex to be binary."""
-    if t is LEAF:
-        return LEAF
-    if t.arity != 2:
-        raise ArityMismatch(f"vertex of arity {t.arity} has no binary counterpart")
-    (a1, left), (a2, right) = t.children
-    return graft_binary(to_binary(left), t.decs[0], a1, a2, to_binary(right))
+    """Inverse of the embedding, by the same walk; requires every vertex to
+    be binary."""
+    image = {LEAF: LEAF}
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        if s not in image:
+            if s.arity != 2:
+                raise ArityMismatch(f"vertex of arity {s.arity} has no binary counterpart")
+            image[s] = None
+            (_, left), (_, right) = s.children
+            stack += (s, right, left)
+        elif image[s] is None:
+            (a1, left), (a2, right) = s.children
+            image[s] = graft_binary(image[left], s.decs[0], a1, a2, image[right])
+    return image[t]

@@ -19,9 +19,11 @@ the children T_k and U_0 merged into
 
     a_k b_0: (T_k succ_{a_k} U_0 + T_k prec_{b_0} U_0 + T_k . U_0).
 
-When the fused boundary children are both leaves the merged middle
-child is the leaf itself (a convention applied strictly locally, only
-at that fuse).
+By the one-sided rule for the leaf, whose edge type is the identity,
+the merged child is U_0 on b_0 when T_k is the leaf and T_k on a_k when
+U_0 is: the other operand's boundary child on its own edge.  So two
+leaves give one leaf, and only a fuse of two vertices branches and is
+memoized.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from . import axioms, schroder
 from .basis import LEAF, LinComb
 from .family import FreeFamily
 from .schroder import SchNode, SchTree, intern_node
-from .semigroups import IDENTITY
 
 
 class FreeTridendriformFamily(FreeFamily):
@@ -55,20 +56,21 @@ class FreeTridendriformFamily(FreeFamily):
     def _dot_trees(self, t: SchTree, u: SchTree) -> tuple:
         if t is LEAF or u is LEAF:
             return ()
+        (am, last), (b0, first) = t.children[-1], u.children[0]
+        if last is LEAF or first is LEAF:
+            # one boundary child is the leaf: the other one, on its own edge,
+            # is the merged child, and nothing is memoized
+            middle = (b0, first) if last is LEAF else (am, last)
+            return (intern_node(t.decs + u.decs, t.children[:-1] + (middle,) + u.children[1:]),)
         cached = self._dot_memo.get((t, u))
         if cached is not None:
             return cached
-        (am, last), (b0, first) = t.children[-1], u.children[0]
         decs, head, tail = t.decs + u.decs, t.children[:-1], u.children[1:]
-        if last is LEAF and first is LEAF:
-            # fusing two leaf boundary children keeps a single leaf there
-            result = (intern_node(decs, head + ((IDENTITY, LEAF),) + tail),)
-        else:
-            inner = self._succ_trees(last, first, am) + self._prec_trees(last, first, b0) + \
-                self._dot_trees(last, first)
-            amb0 = self.semigroup.mul_ext(am, b0)
-            result = tuple([intern_node(decs, head + ((amb0, s),) + tail) for s in inner])
-        self._dot_memo[t, u] = result
+        inner = self._succ_trees(last, first, am) + self._prec_trees(last, first, b0) + \
+            self._dot_trees(last, first)
+        amb0 = self.semigroup.mul_ext(am, b0)
+        result = self._dot_memo[t, u] = tuple([intern_node(decs, head + ((amb0, s),) + tail)
+                                               for s in inner])
         return result
 
     def axioms_hold(self, t: SchNode, u: SchNode, w: SchNode,

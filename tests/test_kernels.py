@@ -34,6 +34,10 @@ def family(kind):
     return FreeTridendriformFamily(X2, Z2), enumerate_sch(1, X2, Z2) + enumerate_sch(2, X2, Z2)
 
 
+def memos(alg):
+    return [alg._prec_memo, alg._succ_memo, getattr(alg, "_dot_memo", {})]
+
+
 @pytest.mark.parametrize("kind", ["binary", "schroder"])
 def test_kernel_terms_are_distinct(kind):
     alg, trees = family(kind)
@@ -43,9 +47,31 @@ def test_kernel_terms_are_distinct(kind):
         for w, w2 in product(omegas, repeat=2):
             terms = alg._prec_trees(t, u, w) + alg._succ_trees(t, u, w2) + dot
             assert len(set(terms)) == len(terms), (t, u, w, w2)
-    # the memos also hold the kernels of every inner pair of the recursion
-    memos = [alg._prec_memo, alg._succ_memo, getattr(alg, "_dot_memo", {})]
-    assert all(len(set(trees)) == len(trees) for memo in memos for trees in memo.values())
+    # the memos also hold the kernels of the inner pairs where the recursion branches
+    assert all(len(set(trees)) == len(trees) for memo in memos(alg) for trees in memo.values())
+
+
+@pytest.mark.parametrize("kind", ["binary", "schroder"])
+def test_only_the_steps_that_branch_are_memoized(kind):
+    # a step whose boundary child is the leaf gives one tree and is not
+    # stored; a step that branches gives succ and prec terms, two at least
+    alg, trees = family(kind)
+    for t, u in product(trees, repeat=2):
+        alg._prec_trees(t, u, "1")
+        alg._succ_trees(t, u, "0")
+        alg._dot_trees(t, u)
+    assert alg._prec_memo and alg._succ_memo and (kind == "binary" or alg._dot_memo)
+    assert all(len(trees) >= 2 for memo in memos(alg) for trees in memo.values())
+
+
+@pytest.mark.parametrize("kind", ["binary", "schroder"])
+def test_products_of_single_vertices_memoize_nothing(kind):
+    alg, _ = family(kind)
+    x, y = alg.gen("x"), alg.gen("y")
+    assert len(alg.prec(x, y, "1").map) == len(alg.succ(x, y, "0").map) == 1
+    if kind == "schroder":
+        assert len(alg.dot(x, y).map) == 1
+    assert not any(memos(alg))
 
 
 def cancelling_spans(alg, kernel, trees, *index):

@@ -3,12 +3,14 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dendrifam import exprs
 from dendrifam.basis import Alphabet
 from dendrifam.dendriform import FreeDendriformFamily
+from dendrifam.errors import InvalidElement
 from dendrifam.pbtrees import enumerate_bin
 from dendrifam.rotabaxter import (EpsilonOps, FiniteAlgebra, RBFamily,
                                   cascading_sum_matrix, epsilon, eta, pointwise_algebra,
@@ -95,6 +97,14 @@ def test_vector_arithmetic_is_exact(data, dim):
     assert scaled == tuple(c * a for a in u)
     assert_exact(total)
     assert_exact(scaled)
+
+
+@pytest.mark.parametrize("u, v", [((1, 2), (1, 1, 1)), ((1, 1, 1), (1, 2)),
+                                  ((), (Fraction(1, 2),))])
+def test_vec_add_rejects_vectors_of_different_lengths(u, v):
+    with pytest.raises(InvalidElement,
+                       match=f"expected a vector of dimension {len(u)}, got {len(v)} coordinates"):
+        vec_add(u, v)
 
 
 @st.composite

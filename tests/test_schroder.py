@@ -4,7 +4,8 @@ import pytest
 
 from dendrifam.basis import LEAF, Alphabet
 from dendrifam.errors import ArityMismatch, InfiniteSemigroup, TypingViolation
-from dendrifam.pbtrees import enumerate_bin
+from dendrifam.pbtrees import enumerate_bin, graft_binary
+from dendrifam.pbtrees import single_vertex as bin_vertex
 from dendrifam.pbtrees import tree_key as bin_tree_key
 from dendrifam.pbtrees import vertex as bin_root
 from dendrifam.schroder import (SchNode, enumerate_sch, first_edge, from_binary,
@@ -158,5 +159,16 @@ def all_binary(t):
 
 
 def test_to_binary_rejects_wide_vertices():
-    with pytest.raises(ArityMismatch):
-        to_binary(corolla(["x", "y"]))
+    wide = corolla(["x", "y"])
+    for t in (wide, graft_nary([LEAF, wide], ["x"], [IDENTITY, "0"])):
+        with pytest.raises(ArityMismatch, match="arity 3"):
+            to_binary(t)
+
+
+def test_binary_embedding_round_trip_on_a_deep_comb():
+    # far deeper than the recursion limit allows: both directions walk a stack
+    comb = bin_vertex("x")
+    for _ in range(9_999):
+        comb = graft_binary(LEAF, "y", IDENTITY, "1", comb)
+    embedded = from_binary(comb)
+    assert vertex(embedded)[0] == ("y",) and to_binary(embedded) is comb
