@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import re
 import sys
 from functools import partial
 
@@ -93,14 +94,14 @@ def _trees_up_to(kind: str, max_leaves: int, alphabet, semigroup, max_word):
     return trees
 
 
+# a tree head: the word B or S, then '[', with any whitespace between them
+_TREE_HEAD = re.compile(r"\b([BS])\s*\[")
+
+
 def _infer_kind(op: str, *texts: str) -> str:
     for text in texts:
-        binary_at = text.find("B[")
-        schroder_at = text.find("S[")
-        if binary_at != -1 and (schroder_at == -1 or binary_at < schroder_at):
-            return "binary"
-        if schroder_at != -1:
-            return "schroder"
+        if head := _TREE_HEAD.search(text):
+            return "binary" if head[1] == "B" else "schroder"
     return "schroder" if op == "dot" else "binary"
 
 

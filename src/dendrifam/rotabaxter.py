@@ -158,12 +158,6 @@ def pointwise_algebra(dim: int) -> FiniteAlgebra:
         for i in range(dim)))
 
 
-def scaled_identity_matrix(dim: int, c: Coordinate) -> Matrix:
-    c = exact(c)
-    return tuple(tuple(c if i == j else 0 for j in range(dim))
-                 for i in range(dim))
-
-
 def cascading_sum_matrix(dim: int, weight: Coordinate) -> Matrix:
     """P(a)_i = -weight * sum_{j <= i} a_j, a Rota-Baxter operator on k^dim."""
     weight = exact(weight)

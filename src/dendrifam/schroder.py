@@ -19,7 +19,6 @@ from typing import Optional, Sequence, Tuple, Union
 
 from .basis import LEAF, Alphabet, Leaf, edge_violation, enumerate_trees, rank_levels
 from .errors import ArityMismatch
-from .pbtrees import graft_binary
 from .semigroups import IDENTITY, Semigroup
 
 SchTree = Union[Leaf, "SchNode"]
@@ -189,38 +188,3 @@ def enumerate_sch(n: int, alphabet: Alphabet, semigroup: Semigroup,
     return enumerate_trees(n, alphabet, semigroup, max_word, n, intern_node,
                            partial(ranks, alphabet, semigroup))
 
-
-def from_binary(t) -> SchTree:
-    """Embed a planar binary tree as the Schröder tree with all vertices
-    binary, by one iterative post-order walk like :func:`leaf_counts`: a
-    node is embedded when popped the second time, after its children."""
-    image = {LEAF: LEAF}
-    stack = [t]
-    while stack:
-        s = stack.pop()
-        if s not in image:
-            image[s] = None
-            stack += (s, s.right, s.left)
-        elif image[s] is None:
-            image[s] = intern_node((s.dec,), ((s.left_type, image[s.left]),
-                                              (s.right_type, image[s.right])))
-    return image[t]
-
-
-def to_binary(t: SchTree):
-    """Inverse of the embedding, by the same walk; requires every vertex to
-    be binary."""
-    image = {LEAF: LEAF}
-    stack = [t]
-    while stack:
-        s = stack.pop()
-        if s not in image:
-            if s.arity != 2:
-                raise ArityMismatch(f"vertex of arity {s.arity} has no binary counterpart")
-            image[s] = None
-            (_, left), (_, right) = s.children
-            stack += (s, right, left)
-        elif image[s] is None:
-            (a1, left), (a2, right) = s.children
-            image[s] = graft_binary(image[left], s.decs[0], a1, a2, image[right])
-    return image[t]

@@ -2,7 +2,6 @@
 
 Trees:        ``|``, ``B[x;a:L,b:R]``, ``S[x1,...,xk;a0:T0,...,ak:Tk]``
 Spans:        ``c1*T1 + c2*T2 + ...`` with rational coefficients, or ``0``
-Expressions:  ``gen(x)``, ``prec[w](E1,E2)``, ``succ[w](E1,E2)``, ``dot(E1,E2)``
 
 Whitespace between tokens is ignored.  Decoration symbols and semigroup
 tokens must be declared up front; anything undeclared is a parse error.
@@ -13,8 +12,8 @@ semigroup containing an element literally named ``1`` stays parseable.
 One regular expression scans the text into tokens, each with its offset;
 a line and column are worked out only for an error.  Both tree kinds are
 read by one loop over a stack of open vertices, so trees and spans of
-any depth parse.  Expressions are read, and trees printed, by recursion,
-one stack frame per level.
+any depth parse.  Only the printer recurses, one stack frame per tree
+level.
 
 A parsed span carries the ranked order of its tree kind, and
 :func:`print_span` prints the terms in that order.  The walk that ranks
@@ -32,7 +31,6 @@ from typing import Union
 from . import pbtrees, schroder
 from .basis import LEAF, Alphabet, LinComb, ZERO_SPAN, normalize, span_single
 from .errors import TermSyntaxError
-from .exprs import Dot, Expr, Gen, Prec, Succ
 from .pbtrees import BinNode, BinTree
 from .schroder import SchNode, SchTree
 from .semigroups import IDENTITY, TOKEN_RE, Semigroup
@@ -211,33 +209,6 @@ class _Parser:
             self.fail("the leaf '|' cannot appear in a span")
         return (coeff, t)
 
-    # -- expressions ------------------------------------------------------------
-
-    def expr(self) -> Expr:
-        head = self.expect_word("expression head", ("gen", "prec", "succ", "dot").__contains__,
-                                "unknown expression head {}")
-        if head == "gen":
-            self.expect_sym("(")
-            symbol = self.decoration()
-            self.expect_sym(")")
-            return Gen(symbol)
-        if head == "dot":
-            return Dot(*self.operands())
-        self.expect_sym("[")
-        omega = self.expect_word("family index", self.semigroup.contains,
-                                 "undeclared semigroup element {}")
-        self.expect_sym("]")
-        return (Prec if head == "prec" else Succ)(omega, *self.operands())
-
-    def operands(self):
-        """``(E1,E2)``: the two operand expressions of a product."""
-        self.expect_sym("(")
-        left = self.expr()
-        self.expect_sym(",")
-        right = self.expr()
-        self.expect_sym(")")
-        return left, right
-
 
 # -- public parse functions -----------------------------------------------
 
@@ -255,10 +226,6 @@ def parse_tree(text: str, kind: str, alphabet: Alphabet, semigroup: Semigroup):
 
 def parse_span(text: str, kind: str, alphabet: Alphabet, semigroup: Semigroup) -> LinComb:
     return _parse(text, alphabet, semigroup, lambda parser: parser.span(kind))
-
-
-def parse_expr(text: str, alphabet: Alphabet, semigroup: Semigroup) -> Expr:
-    return _parse(text, alphabet, semigroup, _Parser.expr)
 
 
 def parse_operand(text: str, kind: str, alphabet: Alphabet, semigroup: Semigroup):
@@ -313,15 +280,3 @@ def print_span(s: LinComb) -> str:
     terms = s.ordered(repeated)
     show = _printer(repeated)
     return " + ".join([f"{coeff}*{show(tree)}" for coeff, tree in terms])
-
-
-def print_expr(e: Expr) -> str:
-    if isinstance(e, Gen):
-        return f"gen({e.symbol})"
-    if isinstance(e, Prec):
-        return f"prec[{e.omega}]({print_expr(e.left)},{print_expr(e.right)})"
-    if isinstance(e, Succ):
-        return f"succ[{e.omega}]({print_expr(e.left)},{print_expr(e.right)})"
-    if isinstance(e, Dot):
-        return f"dot({print_expr(e.left)},{print_expr(e.right)})"
-    raise TypeError(f"not an expression: {e!r}")

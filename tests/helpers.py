@@ -1,5 +1,6 @@
-"""Helpers that only the tests call: tree measures, the corolla, corpus
-parsing, the central factors of a tree, the Rota-Baxter family check and
+"""Helpers that only the tests call: tree measures, the corolla, the
+binary-to-Schröder embedding, corpus parsing, the central factors of a
+tree, the scaled identity matrix, the Rota-Baxter family check and
 mutant, the classical residuals and the counterexample search per table."""
 
 from fractions import Fraction
@@ -8,8 +9,13 @@ from functools import partial
 from dendrifam import pbtrees, schroder
 from dendrifam.axioms import DENDRIFORM, TRIDENDRIFORM, _Unindexed, first_counterexample, residuals
 from dendrifam.basis import LEAF
+from dendrifam.errors import ArityMismatch
 from dendrifam.exprs import Dot
-from dendrifam.rotabaxter import RBFamily, _require_identity, rb_family_counterexample
+from dendrifam.pbtrees import graft_binary
+from dendrifam.rationals import exact
+from dendrifam.rotabaxter import (Coordinate, Matrix, RBFamily, _require_identity,
+                                  rb_family_counterexample)
+from dendrifam.schroder import SchTree, intern_node
 from dendrifam.semigroups import IDENTITY
 from dendrifam.termio import parse_operand
 
@@ -45,6 +51,43 @@ def corolla(decs) -> schroder.SchNode:
     return schroder.intern_node(decs, tuple((IDENTITY, LEAF) for _ in range(len(decs) + 1)))
 
 
+def from_binary(t) -> SchTree:
+    """Embed a planar binary tree as the Schröder tree with all vertices
+    binary, by one iterative post-order walk like
+    :func:`dendrifam.schroder.leaf_counts`: a node is embedded when popped
+    the second time, after its children."""
+    image = {LEAF: LEAF}
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        if s not in image:
+            image[s] = None
+            stack += (s, s.right, s.left)
+        elif image[s] is None:
+            image[s] = intern_node((s.dec,), ((s.left_type, image[s.left]),
+                                              (s.right_type, image[s.right])))
+    return image[t]
+
+
+def to_binary(t: SchTree):
+    """Inverse of the embedding, by the same walk; requires every vertex to
+    be binary."""
+    image = {LEAF: LEAF}
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        if s not in image:
+            if s.arity != 2:
+                raise ArityMismatch(f"vertex of arity {s.arity} has no binary counterpart")
+            image[s] = None
+            (_, left), (_, right) = s.children
+            stack += (s, right, left)
+        elif image[s] is None:
+            (a1, left), (a2, right) = s.children
+            image[s] = graft_binary(image[left], s.decs[0], a1, a2, image[right])
+    return image[t]
+
+
 def parse_corpus(text: str, kind: str, alphabet, semigroup) -> list:
     """Corpus wire format: one term (tree or span) per line, ``#`` comments."""
     terms = []
@@ -64,6 +107,12 @@ def central_factors(alg, t) -> list:
         expr, right = expr.left, expr.right
         factors.append(right)
     return [expr] + factors[::-1]
+
+
+def scaled_identity_matrix(dim: int, c: Coordinate) -> Matrix:
+    c = exact(c)
+    return tuple(tuple(c if i == j else 0 for j in range(dim))
+                 for i in range(dim))
 
 
 def validate_rb_family(rb: RBFamily, semigroup, sample) -> None:

@@ -21,7 +21,7 @@ from dendrifam.pbtrees import single_vertex as bin_vertex
 from dendrifam.rotabaxter import (EpsilonOps, EtaOps, RBFamily, TensorFamily,
                                   cascading_sum_matrix, epsilon, eta,
                                   pointwise_algebra, rb_family_counterexample,
-                                  scaled_identity_matrix, tensor_rb_counterexample)
+                                  tensor_rb_counterexample)
 from dendrifam.schroder import enumerate_sch, intern_node
 from dendrifam.schroder import single_vertex as sch_vertex
 from dendrifam.semigroups import IDENTITY, Semigroup
@@ -29,7 +29,7 @@ from dendrifam.termio import parse_span, parse_tree, print_span
 from dendrifam.tridendriform import FreeTridendriformFamily, gamma
 
 from helpers import (classical_dendriform_residuals, classical_tridendriform_residuals,
-                     decoration_count, leaves, mutated)
+                     decoration_count, leaves, mutated, scaled_identity_matrix)
 from untyped_free import (b_span_prec, b_span_succ, t_dot, t_prec, t_span_op,
                           t_succ)
 

@@ -148,6 +148,16 @@ def test_product_over_a_huge_cyclic_semigroup(capsys):
         assert code == 2
 
 
+def test_product_infers_the_kind_across_whitespace_after_the_head(capsys):
+    # the grammar allows whitespace between the B or S head and its '['
+    code, out, err = run(capsys, "product", "prec", "S [x;1:|,1:|]", "S [y;1:|,1:|]",
+                         "--alphabet", "x,y", "--semigroup", "cyclic:2", "--omega", "0")
+    assert (code, out, err) == (0, "1*S[x;1:|,0:S[y;1:|,1:|]]\n", "")
+    code, out, err = run(capsys, "product", "dot", "B [x;1:|,1:|]", "B [y;1:|,1:|]",
+                         "--alphabet", "x,y", "--semigroup", "cyclic:2")
+    assert (code, out, err) == (2, "", "error: dot is defined on Schröder terms only\n")
+
+
 def test_product_dot_rejects_omega(capsys):
     code, _, _ = run(capsys, "product", "dot", "--omega", "0",
                      "S[x;1:|,1:|]", "S[y;1:|,1:|]",

@@ -13,7 +13,7 @@ from dendrifam.pbtrees import enumerate_bin, graft_binary, single_vertex, tree_k
 from dendrifam.semigroups import IDENTITY, Semigroup
 from dendrifam.termio import print_span
 
-from helpers import find_dendriform_counterexample, leaves
+from helpers import find_dendriform_counterexample, leaves, scaled_identity_matrix
 from untyped_free import b_span_prec, b_span_succ
 
 X2 = Alphabet(["x", "y"])
@@ -254,8 +254,7 @@ def test_extend_linearity(z2):
 
 def test_extend_fixes_generator_images(z2):
     # the extension composed with the generator embedding is the given map
-    from dendrifam.rotabaxter import (RBFamily, eta, pointwise_algebra,
-                                      scaled_identity_matrix)
+    from dendrifam.rotabaxter import RBFamily, eta, pointwise_algebra
 
     algebra = pointwise_algebra(2)
     rb = RBFamily(algebra, Fraction(1),

@@ -13,10 +13,12 @@ from dendrifam.basis import LEAF, Alphabet
 from dendrifam.dendriform import FreeDendriformFamily
 from dendrifam.errors import ArityMismatch, TypingViolation
 from dendrifam.pbtrees import BinNode, enumerate_bin, graft_binary
-from dendrifam.schroder import SchNode, enumerate_sch, from_binary, intern_node, to_binary
+from dendrifam.schroder import SchNode, enumerate_sch, intern_node
 from dendrifam.semigroups import IDENTITY, Semigroup
 from dendrifam.termio import parse_tree, print_tree
 from dendrifam.tridendriform import FreeTridendriformFamily
+
+from helpers import from_binary, to_binary
 
 X = Alphabet(["x", "y"])
 Z2 = Semigroup.cyclic(2)

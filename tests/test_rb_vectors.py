@@ -14,11 +14,12 @@ from dendrifam.errors import InvalidElement
 from dendrifam.pbtrees import enumerate_bin
 from dendrifam.rotabaxter import (EpsilonOps, FiniteAlgebra, RBFamily,
                                   cascading_sum_matrix, epsilon, eta, pointwise_algebra,
-                                  rb_family_counterexample, scaled_identity_matrix,
-                                  vec_add, vec_scale)
+                                  rb_family_counterexample, vec_add, vec_scale)
 from dendrifam.schroder import enumerate_sch
 from dendrifam.semigroups import Semigroup
 from dendrifam.tridendriform import FreeTridendriformFamily
+
+from helpers import scaled_identity_matrix
 
 X = Alphabet(["x", "y"])
 Z2 = Semigroup.cyclic(2)

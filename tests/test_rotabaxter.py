@@ -11,8 +11,7 @@ from dendrifam.rotabaxter import (EpsilonOps, EtaOps, FiniteAlgebra, RBFamily,
                                   TensorFamily, cascading_sum_matrix, epsilon,
                                   eta, parse_map_text, parse_rb_text,
                                   pointwise_algebra, rb_family_counterexample,
-                                  scaled_identity_matrix, tensor_rb,
-                                  tensor_rb_counterexample)
+                                  tensor_rb, tensor_rb_counterexample)
 from dendrifam.schroder import enumerate_sch, single_vertex as sch_vertex
 from dendrifam.semigroups import Semigroup
 from dendrifam.termio import parse_tree
@@ -20,7 +19,7 @@ from dendrifam.tridendriform import FreeTridendriformFamily, gamma
 
 from helpers import (classical_dendriform_residuals, classical_tridendriform_residuals,
                      find_dendriform_counterexample, find_tridendriform_counterexample, mutated,
-                     validate_rb_family)
+                     scaled_identity_matrix, validate_rb_family)
 
 Z2 = Semigroup.cyclic(2)
 SAMPLE = ["0", "1"]

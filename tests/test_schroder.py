@@ -8,12 +8,11 @@ from dendrifam.pbtrees import enumerate_bin, graft_binary
 from dendrifam.pbtrees import single_vertex as bin_vertex
 from dendrifam.pbtrees import tree_key as bin_tree_key
 from dendrifam.pbtrees import vertex as bin_root
-from dendrifam.schroder import (SchNode, enumerate_sch, first_edge, from_binary,
-                                graft_nary, last_edge, single_vertex, to_binary,
-                                tree_key, vertex)
+from dendrifam.schroder import (SchNode, enumerate_sch, first_edge, graft_nary,
+                                last_edge, single_vertex, tree_key, vertex)
 from dendrifam.semigroups import IDENTITY, Semigroup
 
-from helpers import corolla, decoration_count, depth, leaves
+from helpers import corolla, decoration_count, depth, from_binary, leaves, to_binary
 
 X1 = Alphabet(["x"])
 X2 = Alphabet(["x", "y"])

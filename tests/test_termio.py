@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -5,14 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dendrifam.basis import LEAF, Alphabet
+from dendrifam.cli import _infer_kind
 from dendrifam.errors import ArityMismatch, TermSyntaxError, TypingViolation
-from dendrifam.exprs import Dot, Gen, Prec, Succ
 from dendrifam.pbtrees import enumerate_bin, graft_binary, single_vertex
 from dendrifam.schroder import enumerate_sch, intern_node
 from dendrifam.semigroups import IDENTITY, Semigroup
-from dendrifam.termio import (parse_expr, parse_operand,
-                              parse_span, parse_tree, print_expr, print_span,
-                              print_tree)
+from dendrifam.termio import parse_operand, parse_span, parse_tree, print_span, print_tree
 
 from helpers import corolla, parse_corpus
 
@@ -198,20 +197,6 @@ def test_operand_forms():
     assert parse_operand("0", "binary", X, Z2).is_zero()
 
 
-def test_expr_round_trip():
-    expr = Prec("a", Succ("b", Gen("x"), Gen("y")), Dot(Gen("x"), Gen("x")))
-    text = print_expr(expr)
-    assert text == "prec[a](succ[b](gen(x),gen(y)),dot(gen(x),gen(x)))"
-    assert parse_expr(text, X, FREE) == expr
-
-
-def test_expr_rejects_unknown_head_and_index():
-    with pytest.raises(TermSyntaxError):
-        parse_expr("mul(gen(x),gen(y))", X, FREE)
-    with pytest.raises(TermSyntaxError):
-        parse_expr("prec[q](gen(x),gen(y))", X, FREE)
-
-
 def test_corpus_round_trip():
     from pathlib import Path
 
@@ -253,3 +238,36 @@ def random_binary_tree(draw, size=None):
 @settings(max_examples=150, deadline=None)
 def test_round_trip_random_trees(t):
     assert parse_tree(print_tree(t), "binary", X, Z2) == t
+
+
+ENUMERATED = {"binary": [t for n in range(1, 4) for t in enumerate_bin(n, X, Z2)],
+              "schroder": [t for n in range(1, 4) for t in enumerate_sch(n, X, Z2)]}
+# a word or any other visible character: the grammar's tokens
+TOKEN = re.compile(r"[A-Za-z0-9_]+|\S")
+
+
+@st.composite
+def spaced_spans(draw):
+    """A printed span of enumerated trees of one kind, the same text with
+    whitespace put between random tokens, and the kind."""
+    kind = draw(st.sampled_from(sorted(ENUMERATED)))
+    trees = draw(st.lists(st.sampled_from(ENUMERATED[kind]), min_size=1, max_size=4,
+                          unique=True))
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+    text = " + ".join(f"{draw(coeffs)}*{print_tree(t)}" for t in trees)
+    printed = print_span(parse_span(text, kind, X, Z2))
+    tokens = TOKEN.findall(printed)
+    gaps = draw(st.lists(st.text(alphabet=" \t\n\r\u00a0\u2003", max_size=2),
+                         min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    return printed, "".join(gap + token for gap, token in zip(gaps, tokens)) + gaps[-1], kind
+
+
+@given(spaced_spans())
+@settings(max_examples=150, deadline=None)
+def test_whitespace_between_tokens_changes_neither_span_nor_inferred_kind(case):
+    printed, spaced, kind = case
+    reparsed = parse_span(spaced, kind, X, Z2)
+    assert reparsed == parse_span(printed, kind, X, Z2)
+    assert print_span(reparsed) == printed
+    for op in ("prec", "succ", "dot"):
+        assert _infer_kind(op, spaced) == kind

@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 from dendrifam.basis import LEAF, Alphabet
 from dendrifam.dendriform import FreeDendriformFamily
 from dendrifam.pbtrees import enumerate_bin, graft_binary
-from dendrifam.schroder import from_binary
 from dendrifam.semigroups import IDENTITY, Semigroup
 from dendrifam.tridendriform import FreeTridendriformFamily
+
+from helpers import from_binary
 
 X2 = Alphabet(["x", "y"])
 Z2 = Semigroup.cyclic(2)
