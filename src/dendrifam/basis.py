@@ -9,8 +9,8 @@ otherwise; the free products of integral spans only produce integers.
 A span carries the order of its algebra, and the canonical term order
 is imposed only when it is read (:meth:`LinComb.ordered`, which the
 printers call).  The bare leaf is representable as a tree but is never
-a span term.  The free products build spans only in their bilinear
-lifts, from the tuples of trees their kernels return.
+a span term.  A free product is a span whose terms its bilinear lift
+builds when first read (:class:`dendrifam.family._Product`).
 
 Trees are ordered by ranks, per collection: a tree module walks the
 nodes reachable from the collection once, without recursion, giving
@@ -98,7 +98,7 @@ class LinComb:
     place, and a tree order adds to ``repeated`` the subtrees it reached
     more than once.  ``LinComb(pairs, order)`` builds a span from
     (coefficient, tree) pairs: duplicates merged, zeros dropped, the leaf
-    rejected, nothing sorted.
+    rejected, nothing sorted.  A free product sets ``map`` when first read.
     """
 
     __slots__ = ("map", "order")

@@ -12,7 +12,7 @@ only the steps that branch are memoized.  The dendriform family is the
 case ``dot = 0`` (a dendriform algebra is a tridendriform algebra with
 zero middle product).  This base holds the span plumbing (``order``,
 ``gen``, ``span``, ``zero``, ``add``, ``scale``), operand coercion, the
-family index check, the leaf conventions, the memoized tree kernels
+family index check, the leaf conventions, the tree kernels
 ``_prec_trees``/``_succ_trees``, the bilinear lift, the
 axiom residuals at one instance, and the generator decomposition
 ``express`` with its image recursion ``_imager`` for ``extend``.  An
@@ -21,9 +21,13 @@ it with :func:`dendrifam.axioms.search` on spans of single trees.  It
 reads a root vertex through the view ``(decorations, (edge type,
 child) pairs)``, in which a binary vertex is the arity-2 case.  A kernel
 returns a tuple of basis trees, a sum with multiplicity, so the recursion
-adds by concatenation; coefficients enter only when ``_product`` lifts
-it bilinearly, adding up a tree repeated within or across the sums.  A
-family supplies only what differs:
+adds by concatenation; coefficients enter only in the bilinear lift,
+adding up a tree repeated within or across the sums.  A product of
+spans is checked at the call and built when first read
+(:class:`_Product`), where a ``RecursionError`` or ``MemoryError``
+surfaces; two unbuilt ones compare by the intern keys that ``_prec_keys``
+and its kin make from a kernel's step, so a sweep builds no outermost
+product.  A family supplies only what differs:
 
 * ``nodes``, its tree module (:mod:`dendrifam.pbtrees` or
   :mod:`dendrifam.schroder`), and ``node_type``, its node class;
@@ -49,6 +53,41 @@ from .semigroups import IDENTITY
 # of ``extend`` with expressions as values
 _TERMS = SimpleNamespace(prec=lambda a, b, w: Prec(w, a, b),
                          succ=lambda a, b, w: Succ(w, a, b), dot=Dot)
+
+
+class _Product(LinComb):
+    """The product ``name`` of two spans of ``alg``, built when ``map`` is first
+    read (printing, ``add``, ``scale``, hashing, use as an operand, read at the
+    call); two unbuilt ones compare by their terms' intern keys, building no tree."""
+
+    __slots__ = ("_factors",)
+    __hash__ = LinComb.__hash__
+
+    def __init__(self, alg, name, a, b, index):
+        self._factors, self.order = (alg, name, a.map, b.map, index), alg.order
+
+    def __getattr__(self, name):
+        if name != "map":  # only an unset ``map`` gets here, on the first read
+            raise AttributeError(name)
+        self.map, self._factors = clean(self._lift("trees")), None
+        return self.map
+
+    def __eq__(self, other):
+        if type(other) is _Product and self._factors and other._factors:
+            return self._lift("keys") == other._lift("keys")
+        return LinComb.__eq__(self, other)
+
+    def _lift(self, kind) -> dict:
+        """Each tree (``kind`` "trees") or key ("keys") the kernel lists on the
+        pairs of operand terms, with the nonzero sum of coefficient products."""
+        alg, name, a, b, index = self._factors
+        terms, acc = getattr(alg, f"_{name}_{kind}"), {}
+        for ta, ca in a.items():
+            for tb, cb in b.items():
+                c = ca * cb
+                for t in terms(ta, tb, *index):
+                    acc[t] = acc.get(t, 0) + c
+        return {t: c for t, c in acc.items() if c} if 0 in acc.values() else acc
 
 
 class FreeFamily:
@@ -113,14 +152,14 @@ class FreeFamily:
         raise IdentityMisuse("the adjoined identity is not a family index")
 
     def prec(self, a, b, omega, *, strict: bool = False) -> LinComb:
-        return self._product("prec", self._prec_trees, a, b, strict, omega, unit=1)
+        return self._product("prec", a, b, strict, omega, unit=1)
 
     def succ(self, a, b, omega, *, strict: bool = False) -> LinComb:
-        return self._product("succ", self._succ_trees, a, b, strict, omega, unit=0)
+        return self._product("succ", a, b, strict, omega, unit=0)
 
-    def _product(self, name, kernel, a, b, strict, omega=None, unit=None) -> LinComb:
-        """``kernel`` lifted bilinearly to spans, after the leaf conventions: the
-        leaf is neutral as operand ``unit`` (0 left, 1 right), zero elsewhere."""
+    def _product(self, name, a, b, strict, omega=None, unit=None) -> LinComb:
+        """The kernel of ``name`` lifted bilinearly (:class:`_Product`) after the leaf
+        conventions: the leaf is neutral as operand ``unit`` (0 left, 1 right), zero elsewhere."""
         a, b = self._operand(a), self._operand(b)
         if a is LEAF and b is LEAF:
             raise LeafOperand(f"{name} needs at least one genuine span")
@@ -131,57 +170,63 @@ class FreeFamily:
                 return (a, b)[1 - unit]
             return ZERO_SPAN
         index = () if omega is None else (self._family_index(omega),)
-        acc: dict = {}
-        for ta, ca in a.map.items():
-            for tb, cb in b.map.items():
-                c = ca * cb
-                for t in kernel(ta, tb, *index):
-                    acc[t] = acc.get(t, 0) + c
-        return LinComb.from_map(clean(acc), self.order)
+        return _Product(self, name, a, b, index)
 
     def _prec_trees(self, t, u, w: str) -> tuple:
-        """``t prec_w u`` on trees, as a tuple of basis trees.  When the last
+        """``t prec_w u`` on trees, as a tuple of basis trees: when the last
         child of t is the leaf, the one tree t with u grafted there on the
-        edge w, not memoized; the steps that branch are memoized."""
+        edge w; else the trees of :meth:`_prec_step`, memoized."""
         assert not (t is LEAF and u is LEAF)
         if u is LEAF:
             return (t,)
         if t is LEAF:
             return ()
-        a, last = self.nodes.last_edge(t)
-        if last is LEAF:
+        if self.nodes.last_edge(t)[1] is LEAF:
             return (self.nodes.graft_last(t, w, u),)
         cached = self._prec_memo.get((t, u, w))
         if cached is not None:
             return cached
-        assert w is not IDENTITY
-        inner = self._succ_trees(last, u, a) + self._prec_trees(last, u, w) + \
-            self._dot_trees(last, u)
-        result = self._prec_memo[t, u, w] = self.nodes.regraft_last(
-            t, self.semigroup.mul_ext(a, w), inner)
+        result = self._prec_memo[t, u, w] = self.nodes.regraft_last(t, *self._prec_step(t, u, w))
         return result
 
+    def _prec_step(self, t, u, w: str):
+        """The edge type and the trees of the last child of ``t prec_w u``'s root."""
+        a, last = self.nodes.last_edge(t)
+        if last is LEAF:
+            return w, (u,)
+        assert w is not IDENTITY
+        return self.semigroup.mul_ext(a, w), self._succ_trees(last, u, a) + \
+            self._prec_trees(last, u, w) + self._dot_trees(last, u)
+
+    def _prec_keys(self, t, u, w: str) -> list:
+        return self.nodes.last_keys(t, *self._prec_step(t, u, w))
+
     def _succ_trees(self, t, u, w: str) -> tuple:
-        """``t succ_w u`` on trees, like :meth:`_prec_trees`: when the first
-        child of u is the leaf, the one tree u with t grafted there on the
-        edge w."""
+        """``t succ_w u`` on trees, like :meth:`_prec_trees` on u's first child."""
         assert not (t is LEAF and u is LEAF)
         if t is LEAF:
             return (u,)
         if u is LEAF:
             return ()
-        b, first = self.nodes.first_edge(u)
-        if first is LEAF:
+        if self.nodes.first_edge(u)[1] is LEAF:
             return (self.nodes.graft_first(u, w, t),)
         cached = self._succ_memo.get((t, u, w))
         if cached is not None:
             return cached
-        assert w is not IDENTITY
-        inner = self._succ_trees(t, first, w) + self._prec_trees(t, first, b) + \
-            self._dot_trees(t, first)
-        result = self._succ_memo[t, u, w] = self.nodes.regraft_first(
-            u, self.semigroup.mul_ext(w, b), inner)
+        result = self._succ_memo[t, u, w] = self.nodes.regraft_first(u, *self._succ_step(t, u, w))
         return result
+
+    def _succ_step(self, t, u, w: str):
+        """The new first child of the root of ``t succ_w u``, like :meth:`_prec_step`."""
+        b, first = self.nodes.first_edge(u)
+        if first is LEAF:
+            return w, (t,)
+        assert w is not IDENTITY
+        return self.semigroup.mul_ext(w, b), self._succ_trees(t, first, w) + \
+            self._prec_trees(t, first, b) + self._dot_trees(t, first)
+
+    def _succ_keys(self, t, u, w: str) -> list:
+        return self.nodes.first_keys(u, *self._succ_step(t, u, w))
 
     def _dot_trees(self, t, u) -> tuple:
         """The middle product of trees; empty unless a family defines ``dot``."""

@@ -114,6 +114,18 @@ def regraft_first(t: BinNode, a, inner: tuple) -> tuple:
     return tuple([graft_binary(s, dec, a, a2, right) for s in inner])
 
 
+def last_keys(t: BinNode, a, inner: tuple) -> list:
+    """The keys in ``_INTERNED`` (fields in slot order) of regraft_last's trees."""
+    left, dec, a1 = t.left, t.dec, t.left_type
+    return [(dec, a1, left, a, s) for s in inner]
+
+
+def first_keys(t: BinNode, a, inner: tuple) -> list:
+    """Like :func:`last_keys`, on the first child."""
+    dec, a2, right = t.dec, t.right_type, t.right
+    return [(dec, a, s, a2, right) for s in inner]
+
+
 def leaf_counts(roots, repeated=None) -> dict:
     """Each tree reachable from ``roots``, the leaf too, mapped to its leaf
     count by one iterative post-order walk: a node is counted when popped

@@ -125,6 +125,31 @@ def regraft_first(t: SchNode, a, inner: tuple) -> tuple:
     return tuple([intern_node(decs, ((a, s),) + tail) for s in inner])
 
 
+def fuse(t: SchNode, u: SchNode, a, inner: tuple) -> tuple:
+    """The roots of t and u fused over t's children but the last, a tree of
+    ``inner`` on the edge ``a``, and u's children but the first, as a tuple."""
+    decs, head, tail = t.decs + u.decs, t.children[:-1], u.children[1:]
+    return tuple([intern_node(decs, head + ((a, s),) + tail) for s in inner])
+
+
+def last_keys(t: SchNode, a, inner: tuple) -> list:
+    """The keys in ``_INTERNED``, (decs, children), of regraft_last's trees."""
+    decs, head = t.decs, t.children[:-1]
+    return [(decs, head + ((a, s),)) for s in inner]
+
+
+def first_keys(t: SchNode, a, inner: tuple) -> list:
+    """Like :func:`last_keys`, on the first child."""
+    decs, tail = t.decs, t.children[1:]
+    return [(decs, ((a, s),) + tail) for s in inner]
+
+
+def fuse_keys(t: SchNode, u: SchNode, a, inner: tuple) -> list:
+    """Like :func:`last_keys`, for the trees of :func:`fuse`."""
+    decs, head, tail = t.decs + u.decs, t.children[:-1], u.children[1:]
+    return [(decs, head + ((a, s),) + tail) for s in inner]
+
+
 def leaf_counts(roots, repeated=None) -> dict:
     """Like :func:`dendrifam.pbtrees.leaf_counts`, on Schröder trees."""
     count = {LEAF: 1}

@@ -31,7 +31,7 @@ from __future__ import annotations
 from . import axioms, schroder
 from .basis import LEAF, LinComb
 from .family import FreeFamily
-from .schroder import SchNode, SchTree, intern_node
+from .schroder import SchNode, SchTree
 
 
 class FreeTridendriformFamily(FreeFamily):
@@ -51,27 +51,31 @@ class FreeTridendriformFamily(FreeFamily):
         self._dot_memo: dict = {}
 
     def dot(self, a, b, *, strict: bool = False) -> LinComb:
-        return self._product("dot", self._dot_trees, a, b, strict)
+        return self._product("dot", a, b, strict)
 
     def _dot_trees(self, t: SchTree, u: SchTree) -> tuple:
+        """``t . u`` on trees, memoized only where :meth:`_dot_step` branches."""
         if t is LEAF or u is LEAF:
             return ()
-        (am, last), (b0, first) = t.children[-1], u.children[0]
-        if last is LEAF or first is LEAF:
-            # one boundary child is the leaf: the other one, on its own edge,
-            # is the merged child, and nothing is memoized
-            middle = (b0, first) if last is LEAF else (am, last)
-            return (intern_node(t.decs + u.decs, t.children[:-1] + (middle,) + u.children[1:]),)
+        if t.children[-1][1] is LEAF or u.children[0][1] is LEAF:
+            return schroder.fuse(t, u, *self._dot_step(t, u))
         cached = self._dot_memo.get((t, u))
         if cached is not None:
             return cached
-        decs, head, tail = t.decs + u.decs, t.children[:-1], u.children[1:]
-        inner = self._succ_trees(last, first, am) + self._prec_trees(last, first, b0) + \
-            self._dot_trees(last, first)
-        amb0 = self.semigroup.mul_ext(am, b0)
-        result = self._dot_memo[t, u] = tuple([intern_node(decs, head + ((amb0, s),) + tail)
-                                               for s in inner])
+        result = self._dot_memo[t, u] = schroder.fuse(t, u, *self._dot_step(t, u))
         return result
+
+    def _dot_step(self, t: SchNode, u: SchNode):
+        """The merged child of ``t . u`` as its edge type and its trees: when
+        one boundary child is the leaf, the other one on its own edge."""
+        (am, last), (b0, first) = t.children[-1], u.children[0]
+        if last is LEAF or first is LEAF:
+            return (b0, (first,)) if last is LEAF else (am, (last,))
+        return self.semigroup.mul_ext(am, b0), self._succ_trees(last, first, am) + \
+            self._prec_trees(last, first, b0) + self._dot_trees(last, first)
+
+    def _dot_keys(self, t: SchNode, u: SchNode) -> list:
+        return schroder.fuse_keys(t, u, *self._dot_step(t, u))
 
     def axioms_hold(self, t: SchNode, u: SchNode, w: SchNode,
                     alpha: str, beta: str) -> bool:

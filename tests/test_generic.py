@@ -96,22 +96,14 @@ def test_generic_instances_hold(kind, size, total):
 
 
 class _SwappedPrec(FreeDendriformFamily):
-    """``_prec_trees`` with the factors of ``mul_ext(a, w)`` swapped."""
+    """``_prec_step`` with the factors of ``mul_ext(a, w)`` swapped, so every
+    prec step, inner and outermost, types its new edge by ``w*a``."""
 
-    def _prec_trees(self, t, u, w):
-        if u is LEAF:
-            return (t,)
-        if t is LEAF:
-            return ()
-        cached = self._prec_memo.get((t, u, w))
-        if cached is not None:
-            return cached
+    def _prec_step(self, t, u, w):
         a, last = self.nodes.last_edge(t)
         inner = self._succ_trees(last, u, a) + self._prec_trees(last, u, w) + \
             self._dot_trees(last, u)
-        result = self._prec_memo[t, u, w] = self.nodes.regraft_last(
-            t, self.semigroup.mul_ext(w, a), inner)
-        return result
+        return self.semigroup.mul_ext(w, a), inner
 
 
 def test_swapped_product_fails_the_generic_instances():

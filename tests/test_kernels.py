@@ -1,6 +1,7 @@
 """The tree kernels ``_prec_trees``/``_succ_trees``/``_dot_trees`` return a
 tuple of basis trees, read as a sum with multiplicity; coefficients enter
-only in the bilinear lift.
+only in the bilinear lift.  A product of spans is built when first read,
+and two unbuilt products compare by the intern keys of their terms.
 
 On two basis trees the typed terms of ``prec_w + succ_w' + dot`` map one to
 one onto a Tamari interval (Loday & Ronco, J. Algebraic Combin. 15, 2002),
@@ -15,6 +16,7 @@ from itertools import product
 
 import pytest
 
+from dendrifam import pbtrees, schroder
 from dendrifam.basis import Alphabet
 from dendrifam.dendriform import FreeDendriformFamily
 from dendrifam.pbtrees import enumerate_bin
@@ -26,12 +28,14 @@ X2 = Alphabet(["x", "y"])
 Z2 = Semigroup.cyclic(2)
 
 
-def family(kind):
-    """A fresh algebra over x,y / cyclic:2 and its trees with at most two
-    vertices (binary) or three leaves (Schröder)."""
+def family(kind, alphabet=X2):
+    """A fresh algebra over x,y (or ``alphabet``) / cyclic:2 and its trees
+    with at most two vertices (binary) or three leaves (Schröder)."""
     if kind == "binary":
-        return FreeDendriformFamily(X2, Z2), enumerate_bin(1, X2, Z2) + enumerate_bin(2, X2, Z2)
-    return FreeTridendriformFamily(X2, Z2), enumerate_sch(1, X2, Z2) + enumerate_sch(2, X2, Z2)
+        return (FreeDendriformFamily(alphabet, Z2),
+                enumerate_bin(1, alphabet, Z2) + enumerate_bin(2, alphabet, Z2))
+    return (FreeTridendriformFamily(alphabet, Z2),
+            enumerate_sch(1, alphabet, Z2) + enumerate_sch(2, alphabet, Z2))
 
 
 def memos(alg):
@@ -108,3 +112,83 @@ def test_lift_of_multi_term_spans_is_the_termwise_sum(kind, op):
     assert shared not in lifted.map and not lifted.is_zero()
     assert any(type(c) is Fraction for c in lifted.map.values())
     assert all(type(c) is int or c.denominator != 1 for c in lifted.map.values())
+
+
+# -- products built when read, compared unbuilt by intern keys ------------------------
+
+def calls(kind):
+    """Each product of the family as (operation, index): prec and succ at
+    both indices, and dot."""
+    ops = [(op, (w,)) for op in ("prec", "succ") for w in Z2.elements()]
+    return ops + [("dot", ())] if kind == "schroder" else ops
+
+
+def intern_key(tree):
+    """The key of ``tree`` in its module's ``_INTERNED``: its fields in slot order."""
+    return tuple(getattr(tree, name) for name in type(tree).__slots__)
+
+
+@pytest.mark.parametrize("kind", ["binary", "schroder"])
+def test_unbuilt_products_compare_as_their_built_maps(kind):
+    alg, trees = family(kind)
+    spans = [alg.span(t) for t in trees[::4]]
+    spans += [alg.add(a, b.scaled(-2)) for a, b in zip(spans, spans[1:])]
+    for (op1, i1), (op2, i2) in product(calls(kind), repeat=2):
+        for a, b in product(spans, repeat=2):
+            for c, d in ((a, b), (b, a)):
+                def both():
+                    return getattr(alg, op1)(a, b, *i1), getattr(alg, op2)(c, d, *i2)
+                (p, q), (p_read, q_read) = both(), both()
+                built = p_read.map == q_read.map
+                assert (p == q) == built and (p != q) == (not built), (op1, op2)
+
+
+@pytest.mark.parametrize("kind, op", [("binary", "prec"), ("binary", "succ"),
+                                      ("schroder", "prec"), ("schroder", "succ"),
+                                      ("schroder", "dot")])
+def test_unbuilt_comparison_drops_a_cancelled_term(kind, op):
+    alg, trees = family(kind)
+    index = () if op == "dot" else ("1",)
+    a, b, shared = cancelling_spans(alg, getattr(alg, f"_{op}_trees"), trees, *index)
+    p, q, built = (getattr(alg, op)(a, b, *index) for _ in range(3))
+    keys = p._lift("keys")
+    assert intern_key(shared) not in keys and len(keys) == len(built.map)
+    assert keys == {intern_key(t): c for t, c in built.map.items()}
+    assert p == q and not p != q
+    for other, index2 in calls(kind):
+        other_product = getattr(alg, other)(a, b, *index2)
+        assert (p == other_product) == (built.map == getattr(alg, other)(a, b, *index2).map)
+
+
+@pytest.mark.parametrize("kind", ["binary", "schroder"])
+def test_comparing_unbuilt_products_builds_no_tree(kind):
+    # symbols no other test uses, so the outermost trees are new to the tables
+    alg, trees = family(kind, Alphabet(["k" + kind[0], "q" + kind[0]]))
+    instance = (alg, *[alg.span(t) for t in trees[-3:]], "0", "1", "1")
+
+    def sides():
+        return [(lhs(*instance), rhs(*instance)) for _, lhs, rhs in alg.axiom_table]
+
+    def sizes():
+        return len(pbtrees._INTERNED), len(schroder._INTERNED), [len(m) for m in memos(alg)]
+
+    # the first comparison reads the operands and memoizes the inner steps
+    assert all(left == right for left, right in sides())
+    fresh = sides()
+    before = sizes()
+    assert all(left == right for left, right in fresh) and sizes() == before
+    for left, right in fresh:
+        left.map, right.map
+    after = sizes()
+    assert sum(after[:2]) > sum(before[:2]) and sum(after[2]) > sum(before[2])
+
+
+@pytest.mark.parametrize("kind", ["binary", "schroder"])
+def test_a_fold_of_products_reads_without_nesting(kind):
+    # an operand is read at the call, so a product folded 2,000 times, far
+    # past the recursion limit, is no chain of unbuilt products
+    alg, _ = family(kind)
+    acc = x = alg.gen("x")
+    for _ in range(2000):
+        acc = alg.succ(acc, x, "1") if kind == "binary" else alg.dot(acc, x)
+    assert list(acc.map.values()) == [1]

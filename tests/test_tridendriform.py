@@ -165,29 +165,14 @@ def test_fuse_convention_is_local(z2):
 
 
 class _DroppedFuse(FreeTridendriformFamily):
-    """Naive reading without the fuse rule: the merged leaf child comes out
+    """Naive reading without the fuse rule: the merged leaf child of every
+    fuse of two leaf boundary children, inner and outermost, comes out
     twice, with coefficient two."""
 
-    def _dot_trees(self, t, u):
-        if t is LEAF or u is LEAF:
-            return ()
-        key = (t, u)
-        cached = self._dot_memo.get(key)
-        if cached is not None:
-            return cached
-        am, last = t.children[-1]
-        b0, first = u.children[0]
-        decs = t.decs + u.decs
-        head, tail = t.children[:-1], u.children[1:]
-        if last is LEAF and first is LEAF:
-            result = (intern_node(decs, head + ((IDENTITY, LEAF),) + tail),) * 2
-        else:
-            inner = self._succ_trees(last, first, am) + self._prec_trees(last, first, b0) + \
-                self._dot_trees(last, first)
-            amb0 = self.semigroup.mul_ext(am, b0)
-            result = tuple([intern_node(decs, head + ((amb0, s),) + tail) for s in inner])
-        self._dot_memo[key] = result
-        return result
+    def _dot_step(self, t, u):
+        if t.children[-1][1] is LEAF and u.children[0][1] is LEAF:
+            return IDENTITY, (LEAF, LEAF)
+        return super()._dot_step(t, u)
 
 
 def test_dropped_fuse_mutant_detected_by_generation_round_trip(z2):
