@@ -14,10 +14,10 @@ tridendriform axioms 1-3 are the dendriform ones with ``dot`` added to
 the sum that meets the index alpha*beta; the classical axioms are the
 family axioms with the index ignored.
 
-:func:`hold` tests one instance; the free families' ``axioms_hold`` runs
-on it.  :func:`search` is the one search over many instances: the CLI
-axiom suites, family and tensor, and the validation of induced
-operations (:func:`validate`) only list their instances for it.
+:func:`search` is the one loop over a table: the CLI axiom suites,
+family and tensor, and the validation of induced operations
+(:func:`validate`) only list their instances for it, and :func:`hold`,
+which the free families' ``axioms_hold`` runs on, searches one instance.
 """
 
 from __future__ import annotations
@@ -70,13 +70,10 @@ TRIDENDRIFORM = _axioms_1_to_3(_tridendriform_sum) + (
 )
 
 
-def hold(table, *instance) -> bool:
-    """Whether every axiom holds at ``instance``, tested in table order and
-    stopping at the first failure; cheaper than building residuals."""
-    for _, lhs, rhs in table:
-        if lhs(*instance) != rhs(*instance):
-            return False
-    return True
+def hold(table, ops, x, y, z, *indices) -> bool:
+    """Whether every axiom holds at one instance, ``indices`` being (alpha,
+    beta, alphabeta): :func:`search` on that instance alone."""
+    return search(table, ops, [(x, y, z, indices)]) is None
 
 
 def residuals(table, ops, *args) -> tuple:
@@ -89,9 +86,9 @@ def search(table, ops, instances):
 
     ``instances`` yields ``(x, y, z, (alpha, beta, alphabeta))``; the caller
     supplies the index product, so the operations object does not need to
-    know the semigroup.  Each axiom is tested by equality, as in
-    :func:`hold`, and the residual is built only for the one that fails.
-    This is the one loop that searches an axiom table over many instances.
+    know the semigroup.  Each axiom is tested by equality, and the residual
+    is built only for the one that fails.  This is the one loop over an
+    axiom table.
     """
     for x, y, z, (alpha, beta, alphabeta) in instances:
         args = (ops, x, y, z, alpha, beta, alphabeta)

@@ -1,5 +1,5 @@
-"""Shared basis machinery: the leaf tree, decoration alphabets, spans,
-the ranked canonical order and the enumeration of basis trees.
+"""Shared basis machinery: the leaf tree, decoration alphabets, spans and
+their sums (:class:`Spans`), the ranked canonical order and enumeration.
 
 A span (:class:`LinComb`) is a finite formal rational-linear combination
 of basis trees, stored as a map from tree to nonzero coefficient.  Spans
@@ -204,6 +204,23 @@ def merge(maps: Iterable[Mapping]) -> Mapping:
         for t, c in m.items():
             acc[t] = acc.get(t, 0) + c
     return clean(acc)
+
+
+class Spans:
+    """The linear structure of spans, shared by the free families and the tensor
+    spans: a subclass sets ``order``, the canonical order of its spans."""
+
+    def zero(self) -> LinComb:
+        return ZERO_SPAN
+
+    def add(self, *spans: LinComb) -> LinComb:
+        spans = [s for s in spans if s.map]
+        if len(spans) == 1:
+            return spans[0]
+        return LinComb.from_map(merge([s.map for s in spans]), self.order)
+
+    def scale(self, c, s: LinComb) -> LinComb:
+        return s.scaled(c)
 
 
 def rank_levels(rank: dict, flat: Callable) -> dict:

@@ -80,17 +80,17 @@ def _counted(instances, total: int):
         yield instance
 
 
-# kind -> (free family, axiom label prefix)
-_FAMILIES = {"binary": (FreeDendriformFamily, "dd"), "schroder": (FreeTridendriformFamily, "td")}
+# kind -> (free family, tree enumerator, axiom label prefix)
+_FAMILIES = {"binary": (FreeDendriformFamily, enumerate_bin, "dd"),
+             "schroder": (FreeTridendriformFamily, enumerate_sch, "td")}
 
 
 def _trees_up_to(kind: str, max_leaves: int, alphabet, semigroup, max_word):
     if max_leaves < 2:
         raise ValueError("--max-leaves must be at least 2")
     trees = []
-    enumerate_fn = enumerate_bin if kind == "binary" else enumerate_sch
     for n in range(1, max_leaves):
-        trees.extend(enumerate_fn(n, alphabet, semigroup, max_word))
+        trees.extend(_FAMILIES[kind][1](n, alphabet, semigroup, max_word))
     return trees
 
 
@@ -111,8 +111,7 @@ def cmd_enumerate(args) -> int:
     alphabet, semigroup = _config(args)
     if args.n < 1:
         raise ValueError("n must be at least 1")
-    enumerate_fn = enumerate_bin if args.kind == "binary" else enumerate_sch
-    trees = enumerate_fn(args.n, alphabet, semigroup, args.max_word)
+    trees = _FAMILIES[args.kind][1](args.n, alphabet, semigroup, args.max_word)
     for t in trees:
         print(print_tree(t))
     print(f"count={len(trees)}")
@@ -143,7 +142,7 @@ def _check_axioms(args, kind: str, tensor: bool) -> int:
     alphabet, semigroup = _config(args)
     trees = _trees_up_to(kind, args.max_leaves, alphabet, semigroup, args.max_word)
     omega = semigroup.elements(args.max_word)
-    family, prefix = _FAMILIES[kind]
+    family, _, prefix = _FAMILIES[kind]
     algebra = family(alphabet, semigroup)
     if tensor:
         ops = TensorFamily(algebra)

@@ -8,11 +8,12 @@ and ``T succ_w U`` mirrors it on the first child of U.  The leaf is a
 one-sided unit (the left operand of succ, the right one of prec) and
 zero elsewhere, and its edge type is the identity, so a leaf C gives the
 one tree with U grafted on the edge w: such a step does not branch, and
-only the steps that branch are memoized.  The dendriform family is the
-case ``dot = 0`` (a dendriform algebra is a tridendriform algebra with
-zero middle product).  This base holds the span plumbing (``order``,
-``gen``, ``span``, ``zero``, ``add``, ``scale``), operand coercion, the
-family index check, the leaf conventions, the tree kernels
+only the steps that branch are memoized.  The leaf rule for operands
+lives in ``_product`` alone, so the kernels take basis trees only.  The
+dendriform family is the case ``dot = 0`` (a dendriform algebra is a
+tridendriform algebra with zero middle product).  This base holds, over
+the sums of :class:`~dendrifam.basis.Spans`, ``order``, ``gen``,
+``span``, operand coercion, the family index check, the tree kernels
 ``_prec_trees``/``_succ_trees``, the bilinear lift, the
 axiom residuals at one instance, and the generator decomposition
 ``express`` with its image recursion ``_imager`` for ``extend``.  An
@@ -44,7 +45,7 @@ from types import SimpleNamespace
 from typing import Callable, Mapping, Union
 
 from . import axioms
-from .basis import LEAF, LinComb, ZERO_SPAN, clean, merge, normalize, span_single
+from .basis import LEAF, LinComb, Spans, ZERO_SPAN, clean, normalize, span_single
 from .errors import IdentityMisuse, InvalidElement, LeafOperand
 from .exprs import Dot, Expr, Gen, Prec, Succ
 from .semigroups import IDENTITY
@@ -90,7 +91,7 @@ class _Product(LinComb):
         return {t: c for t, c in acc.items() if c} if 0 in acc.values() else acc
 
 
-class FreeFamily:
+class FreeFamily(Spans):
     """Spans of basis trees with the indexed products prec/succ.
 
     Instances also serve as an operations object (prec, succ, add,
@@ -122,18 +123,6 @@ class FreeFamily:
             return span_single(trees[0])
         return normalize([(1, t) for t in trees], self.order)
 
-    def zero(self) -> LinComb:
-        return ZERO_SPAN
-
-    def add(self, *spans: LinComb) -> LinComb:
-        spans = [s for s in spans if s.map]
-        if len(spans) == 1:
-            return spans[0]
-        return LinComb.from_map(merge([s.map for s in spans]), self.order)
-
-    def scale(self, c, s: LinComb) -> LinComb:
-        return s.scaled(c)
-
     # -- the indexed products --------------------------------------------
 
     def _operand(self, value):
@@ -151,21 +140,19 @@ class FreeFamily:
                 raise InvalidElement(f"{omega!r} is not an element of the semigroup")
         raise IdentityMisuse("the adjoined identity is not a family index")
 
-    def prec(self, a, b, omega, *, strict: bool = False) -> LinComb:
-        return self._product("prec", a, b, strict, omega, unit=1)
+    def prec(self, a, b, omega) -> LinComb:
+        return self._product("prec", a, b, omega, unit=1)
 
-    def succ(self, a, b, omega, *, strict: bool = False) -> LinComb:
-        return self._product("succ", a, b, strict, omega, unit=0)
+    def succ(self, a, b, omega) -> LinComb:
+        return self._product("succ", a, b, omega, unit=0)
 
-    def _product(self, name, a, b, strict, omega=None, unit=None) -> LinComb:
+    def _product(self, name, a, b, omega=None, unit=None) -> LinComb:
         """The kernel of ``name`` lifted bilinearly (:class:`_Product`) after the leaf
         conventions: the leaf is neutral as operand ``unit`` (0 left, 1 right), zero elsewhere."""
         a, b = self._operand(a), self._operand(b)
         if a is LEAF and b is LEAF:
             raise LeafOperand(f"{name} needs at least one genuine span")
         if a is LEAF or b is LEAF:
-            if strict:
-                raise LeafOperand("leaf operand rejected in strict mode")
             if unit is not None and (a, b)[unit] is LEAF:
                 return (a, b)[1 - unit]
             return ZERO_SPAN
@@ -173,14 +160,9 @@ class FreeFamily:
         return _Product(self, name, a, b, index)
 
     def _prec_trees(self, t, u, w: str) -> tuple:
-        """``t prec_w u`` on trees, as a tuple of basis trees: when the last
-        child of t is the leaf, the one tree t with u grafted there on the
-        edge w; else the trees of :meth:`_prec_step`, memoized."""
-        assert not (t is LEAF and u is LEAF)
-        if u is LEAF:
-            return (t,)
-        if t is LEAF:
-            return ()
+        """``t prec_w u`` on basis trees, as a tuple of basis trees: when the
+        last child of t is the leaf, the one tree t with u grafted there on
+        the edge w; else the trees of :meth:`_prec_step`, memoized."""
         if self.nodes.last_edge(t)[1] is LEAF:
             return (self.nodes.graft_last(t, w, u),)
         cached = self._prec_memo.get((t, u, w))
@@ -202,12 +184,7 @@ class FreeFamily:
         return self.nodes.last_keys(t, *self._prec_step(t, u, w))
 
     def _succ_trees(self, t, u, w: str) -> tuple:
-        """``t succ_w u`` on trees, like :meth:`_prec_trees` on u's first child."""
-        assert not (t is LEAF and u is LEAF)
-        if t is LEAF:
-            return (u,)
-        if u is LEAF:
-            return ()
+        """``t succ_w u`` on basis trees, like :meth:`_prec_trees` on u's first child."""
         if self.nodes.first_edge(u)[1] is LEAF:
             return (self.nodes.graft_first(u, w, t),)
         cached = self._succ_memo.get((t, u, w))

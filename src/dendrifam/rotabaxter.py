@@ -33,7 +33,7 @@ from functools import lru_cache, partial
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
 from .axioms import validate_dendriform_ops, validate_tridendriform_ops
-from .basis import LEAF, LinComb, ZERO_SPAN, clean, merge, normalize
+from .basis import LEAF, LinComb, Spans, clean, normalize
 from .errors import AxiomFailure, InvalidElement, LeafOperand
 from .rationals import exact, parse_coefficient
 from .semigroups import Semigroup, content_lines
@@ -312,14 +312,14 @@ def epsilon(rb: RBFamily, semigroup: Semigroup, sample: Iterable[str]) -> Epsilo
     return EpsilonOps(rb).validated(semigroup, sample)
 
 
-class TensorSpans:
+class TensorSpans(Spans):
     """Spans of pairs (basis element of A, semigroup element), the tensor
-    product A (x) k Omega, in the order ``_order``.  A subclass sets
+    product A (x) k Omega, in the order ``order``.  A subclass sets
     ``semigroup``, ranks the basis elements of A by ``_ranks``, which raises
     for anything outside that basis, and lifts its products from A by
     :meth:`_lift`."""
 
-    def _order(self, pairs, repeated=None) -> dict:
+    def order(self, pairs, repeated=None) -> dict:
         """Each pair (b, w) mapped to its place: the rank of b among the basis
         elements of the pairs, then the element key of w."""
         rank, key = self._ranks([b for b, _ in pairs]), self.semigroup.element_key
@@ -329,16 +329,7 @@ class TensorSpans:
         """1 * (b (x) omega), for a basis element b of A."""
         self._ranks((b,))
         self.semigroup.require(omega)
-        return LinComb.from_map({(b, omega): 1}, self._order)
-
-    def zero(self) -> LinComb:
-        return ZERO_SPAN
-
-    def add(self, *spans: LinComb) -> LinComb:
-        return LinComb.from_map(merge([s.map for s in spans]), self._order)
-
-    def scale(self, c: Fraction, s: LinComb) -> LinComb:
-        return s.scaled(c)
+        return LinComb.from_map({(b, omega): 1}, self.order)
 
     def _lift(self, kernel, u: LinComb, v: LinComb, side=None) -> LinComb:
         """(x (x) a) * (y (x) b) = kernel(x, y) (x) ab, extended bilinearly.  The
@@ -351,7 +342,7 @@ class TensorSpans:
                 index = () if side is None else ((a, b)[side],)
                 for z, cz in kernel(x, y, *index):
                     acc[z, ab] = acc.get((z, ab), 0) + c * cz
-        return LinComb.from_map(clean(acc), self._order)
+        return LinComb.from_map(clean(acc), self.order)
 
 
 class TensorRB(TensorSpans):
@@ -375,7 +366,7 @@ class TensorRB(TensorSpans):
         basis_vector = self.rb.algebra.basis_vector
         return normalize([(c * cj, (j, a)) for (i, a), c in u.map.items()
                           for j, cj in enumerate(self.rb.apply(a, basis_vector(i))) if cj],
-                         self._order)
+                         self.order)
 
 
 def tensor_rb_counterexample(rb: RBFamily, semigroup: Semigroup,

@@ -31,7 +31,7 @@ from __future__ import annotations
 from . import axioms, schroder
 from .basis import LEAF, LinComb
 from .family import FreeFamily
-from .schroder import SchNode, SchTree
+from .schroder import SchNode
 
 
 class FreeTridendriformFamily(FreeFamily):
@@ -50,13 +50,11 @@ class FreeTridendriformFamily(FreeFamily):
         super().__init__(alphabet, semigroup)
         self._dot_memo: dict = {}
 
-    def dot(self, a, b, *, strict: bool = False) -> LinComb:
-        return self._product("dot", a, b, strict)
+    def dot(self, a, b) -> LinComb:
+        return self._product("dot", a, b)
 
-    def _dot_trees(self, t: SchTree, u: SchTree) -> tuple:
-        """``t . u`` on trees, memoized only where :meth:`_dot_step` branches."""
-        if t is LEAF or u is LEAF:
-            return ()
+    def _dot_trees(self, t: SchNode, u: SchNode) -> tuple:
+        """``t . u`` on basis trees, memoized only where :meth:`_dot_step` branches."""
         if t.children[-1][1] is LEAF or u.children[0][1] is LEAF:
             return schroder.fuse(t, u, *self._dot_step(t, u))
         cached = self._dot_memo.get((t, u))

@@ -72,14 +72,6 @@ def test_leaf_neutrality(z2):
     assert z2.succ(t, LEAF, "0").is_zero()
 
 
-def test_strict_mode_flags_leaf_operands(z2):
-    t = span_single(sv("x"))
-    with pytest.raises(LeafOperand):
-        z2.prec(t, LEAF, "0", strict=True)
-    with pytest.raises(LeafOperand):
-        z2.succ(LEAF, t, "0", strict=True)
-
-
 def test_both_leaves_rejected(z2):
     with pytest.raises(LeafOperand):
         z2.prec(LEAF, LEAF, "0")
@@ -188,34 +180,28 @@ def test_axioms_free_semigroup_truncated_sweep():
 
 
 class _SwappedSucc(FreeDendriformFamily):
-    """Mutant writing the new left edge as b1*w instead of w*b1."""
+    """``_succ_step`` writing the new left edge as b1*w instead of w*b1, so
+    every succ step, inner and outermost, has the swapped type."""
 
-    def _succ_trees(self, t, u, w):
-        if t is LEAF:
-            return (u,)
-        if u is LEAF:
-            return ()
-        key = (t, u, w)
-        cached = self._succ_memo.get(key)
-        if cached is not None:
-            return cached
-        inner = self._prec_trees(t, u.left, u.left_type) + self._succ_trees(t, u.left, w)
-        swapped = self.semigroup.mul_ext(u.left_type, w)
-        result = tuple([graft_binary(s, u.dec, swapped, u.right_type, u.right)
-                        for s in inner])
-        self._succ_memo[key] = result
-        return result
+    def _succ_step(self, t, u, w):
+        b, first = self.nodes.first_edge(u)
+        if first is LEAF:
+            return w, (t,)
+        inner = self._succ_trees(t, first, w) + self._prec_trees(t, first, b) + \
+            self._dot_trees(t, first)
+        return self.semigroup.mul_ext(b, w), inner
 
 
 def test_swapped_index_mutant_breaks_an_axiom():
     mutant = _SwappedSucc(Alphabet(["x", "y", "z"]), Semigroup.free(["a", "b"]))
+    x, y, z = single_vertex("x"), single_vertex("y"), single_vertex("z")
     failures = [
         (alpha, beta)
         for alpha, beta in product(["a", "b"], repeat=2)
-        if any(not r.is_zero() for r in mutant.axiom_residuals(
-            single_vertex("x"), single_vertex("y"), single_vertex("z"), alpha, beta))
+        if any(not r.is_zero() for r in mutant.axiom_residuals(x, y, z, alpha, beta))
     ]
     assert failures  # noncommutative indices expose the swap
+    assert not any(mutant.axioms_hold(x, y, z, alpha, beta) for alpha, beta in failures)
 
 
 # -- generators -----------------------------------------------------------------

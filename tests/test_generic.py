@@ -101,6 +101,8 @@ class _SwappedPrec(FreeDendriformFamily):
 
     def _prec_step(self, t, u, w):
         a, last = self.nodes.last_edge(t)
+        if last is LEAF:
+            return w, (u,)
         inner = self._succ_trees(last, u, a) + self._prec_trees(last, u, w) + \
             self._dot_trees(last, u)
         return self.semigroup.mul_ext(w, a), inner

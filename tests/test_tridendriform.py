@@ -68,8 +68,6 @@ def test_leaf_behaviour(z2):
     assert z2.dot(LEAF, t).is_zero()
     with pytest.raises(LeafOperand):
         z2.dot(LEAF, LEAF)
-    with pytest.raises(LeafOperand):
-        z2.dot(t, LEAF, strict=True)
 
 
 def test_identity_misuse(z2):
