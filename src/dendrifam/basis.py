@@ -2,8 +2,10 @@
 their sums (:class:`Spans`), the ranked canonical order and enumeration.
 
 A span (:class:`LinComb`) is a finite formal rational-linear combination
-of basis trees, stored as a map from tree to nonzero coefficient.  Spans
-compare as maps, so term order never affects equality or arithmetic.
+of basis trees, stored as a map from tree to nonzero coefficient.  The
+constructor wraps a finished map; :func:`normalize` builds one from
+(coefficient, tree) pairs, merging them.  Spans compare as maps, so
+term order never affects equality or arithmetic.
 Coefficients are ``int`` whenever they are integral and ``Fraction``
 otherwise; the free products of integral spans only produce integers.
 A span carries the order of its algebra, and the canonical term order
@@ -92,33 +94,23 @@ class Alphabet:
 class LinComb:
     """A span: a map from basis tree to nonzero coefficient.
 
-    ``map`` holds the terms and must not be mutated; ``order`` is the
-    algebra's canonical order (or ``None``): called on the span's keys and
-    an optional set ``repeated``, it returns a mapping from each key to its
-    place, and a tree order adds to ``repeated`` the subtrees it reached
-    more than once.  ``LinComb(pairs, order)`` builds a span from
-    (coefficient, tree) pairs: duplicates merged, zeros dropped, the leaf
-    rejected, nothing sorted.  A free product sets ``map`` when first read.
+    ``LinComb(m, order)`` wraps the finished dict ``m``, which holds the
+    terms, free of zeros, duplicates and the leaf, and must not be mutated;
+    :func:`normalize` builds a span from (coefficient, tree) pairs.
+    ``order`` is the algebra's canonical order (or ``None``): called on
+    the span's keys and an optional set ``repeated``, it returns a mapping
+    from each key to its place, and a tree order adds to ``repeated`` the
+    subtrees it reached more than once.  A free product sets ``map`` when
+    first read.
     """
 
     __slots__ = ("map", "order")
 
-    def __init__(self, terms: Iterable[Tuple[Any, Any]] = (), order: Optional[Callable] = None):
-        acc: dict = {}
-        for coeff, tree in terms:
-            if tree is LEAF:
-                raise LeafOperand("the leaf | is not a basis element of the free algebra")
-            acc[tree] = acc.get(tree, 0) + coeff
-        self.map = clean(acc)
+    def __init__(self, m: dict, order: Optional[Callable] = None):
+        if not isinstance(m, dict):
+            raise TypeError(f"a span wraps a dict, not {type(m).__name__}")
+        self.map = m
         self.order = order
-
-    @classmethod
-    def from_map(cls, m: Mapping, order) -> "LinComb":
-        # trusted constructor: ``m`` is already free of zeros and duplicates
-        span = cls.__new__(cls)
-        span.map = m
-        span.order = order
-        return span
 
     def ordered(self, repeated: Optional[set] = None) -> list:
         """(coefficient, tree) pairs in the canonical order, ranked afresh;
@@ -154,16 +146,13 @@ class LinComb:
     def __repr__(self):
         return f"LinComb({self.terms!r})"
 
-    def trees(self):
-        return [t for _, t in self.terms]
-
     def scaled(self, c) -> "LinComb":
         c = exact(c)
         if c == 0:
             return ZERO_SPAN
         if c == 1:
             return self
-        return LinComb.from_map({t: exact(c * v) for t, v in self.map.items()}, self.order)
+        return LinComb({t: exact(c * v) for t, v in self.map.items()}, self.order)
 
 
 def clean(acc: dict) -> dict:
@@ -171,24 +160,27 @@ def clean(acc: dict) -> dict:
     return {t: c if type(c) is int else exact(c) for t, c in acc.items() if c}
 
 
-ZERO_SPAN = LinComb()
+ZERO_SPAN = LinComb({})
 
 
-def span_single(tree, coeff=1) -> LinComb:
+def span_single(tree) -> LinComb:
     if tree is LEAF:
         raise LeafOperand("the leaf | is not a basis element of the free algebra")
-    coeff = exact(coeff)
-    if coeff == 0:
-        return ZERO_SPAN
-    return LinComb.from_map({tree: coeff}, None)
+    return LinComb({tree: 1})
 
 
 def normalize(pairs: Iterable[Tuple[Any, Any]], order: Optional[Callable] = None) -> LinComb:
-    """Span of (coefficient, tree) pairs: duplicates merged, zeros dropped.
+    """Span of (coefficient, tree) pairs: duplicates merged, zeros dropped,
+    the leaf rejected.
 
     The terms are not sorted; ``order`` is kept for the ordered view.
     """
-    return LinComb(pairs, order)
+    acc: dict = {}
+    for coeff, tree in pairs:
+        if tree is LEAF:
+            raise LeafOperand("the leaf | is not a basis element of the free algebra")
+        acc[tree] = acc.get(tree, 0) + coeff
+    return LinComb(clean(acc), order)
 
 
 def merge(maps: Iterable[Mapping]) -> Mapping:
@@ -217,7 +209,7 @@ class Spans:
         spans = [s for s in spans if s.map]
         if len(spans) == 1:
             return spans[0]
-        return LinComb.from_map(merge([s.map for s in spans]), self.order)
+        return LinComb(merge([s.map for s in spans]), self.order)
 
     def scale(self, c, s: LinComb) -> LinComb:
         return s.scaled(c)

@@ -168,34 +168,31 @@ def _check_axioms(args, kind: str, tensor: bool) -> int:
     return EXIT_COUNTEREXAMPLE
 
 
-def _load_rb(args) -> RBFamily:
+def _load_rb(args):
+    """The alphabet, the semigroup, the Rota-Baxter family of ``--rb-file``
+    and its operator sample, checked to be product-closed."""
+    alphabet, semigroup = _config(args)
     if not args.rb_file:
         raise ValueError("this suite requires --rb-file")
     algebra, operators = parse_rb_file(args.rb_file)
     algebra.validate()
-    weight = parse_coefficient(args.weight)
-    return RBFamily(algebra, weight, operators)
-
-
-def _rb_sample(rb: RBFamily, semigroup: Semigroup) -> list:
-    sample = sorted(rb.operators.keys(), key=semigroup.element_key)
+    rb = RBFamily(algebra, parse_coefficient(args.weight), operators)
+    sample = sorted(operators, key=semigroup.element_key)
     for a in sample:
         semigroup.require(a)
         for b in sample:
             ab = semigroup.mul(a, b)
-            if ab not in rb.operators:
+            if ab not in operators:
                 raise ValueError(
                     f"operator sample is not product-closed: {a}*{b} = {ab} "
                     "has no declared operator")
-    return sample
+    return alphabet, semigroup, rb, sample
 
 
 def _check_rb(args, counterexample, text) -> int:
     """The Rota-Baxter identity of the family (``rb``) or of the tensor
     operator (``tensor-rb``); ``text`` prints a side of a counterexample."""
-    _, semigroup = _config(args)
-    rb = _load_rb(args)
-    sample = _rb_sample(rb, semigroup)
+    _, semigroup, rb, sample = _load_rb(args)
     total = (len(sample) * rb.algebra.dim) ** 2
     failure = counterexample(rb, semigroup, sample)
     if failure is not None:
@@ -208,9 +205,7 @@ def _check_rb(args, counterexample, text) -> int:
 
 
 def _check_diagram(args) -> int:
-    _, semigroup = _config(args)
-    rb = _load_rb(args)
-    sample = _rb_sample(rb, semigroup)
+    _, semigroup, rb, sample = _load_rb(args)
     failure = rb_family_counterexample(rb, semigroup, sample)
     if failure is not None:
         print(f"counterexample suite=diagram alpha={failure['alpha']} "
@@ -250,9 +245,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_extend(args) -> int:
-    alphabet, semigroup = _config(args)
-    rb = _load_rb(args)
-    sample = _rb_sample(rb, semigroup)
+    alphabet, semigroup, rb, sample = _load_rb(args)
     images = parse_map_file(args.map_file, rb.algebra.dim)
     missing = [x for x in alphabet if x not in images]
     if missing:

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from functools import partial
 from types import SimpleNamespace
-from typing import Callable, Mapping, Union
+from typing import Mapping
 
 from . import axioms
 from .basis import LEAF, LinComb, Spans, ZERO_SPAN, clean, normalize, span_single
@@ -252,8 +252,7 @@ class FreeFamily(Spans):
 
         return image
 
-    def extend(self, f: Union[Mapping[str, object], Callable[[str], object]],
-               ops, operand):
+    def extend(self, f: Mapping[str, object], ops, operand):
         """The universal morphism determined by the generator images ``f``.
 
         ``ops`` must be an operations object of the family's kind, already
@@ -262,6 +261,5 @@ class FreeFamily(Spans):
         span = self._operand(operand)
         if span is LEAF:
             raise LeafOperand("the leaf has no image under the universal morphism")
-        lookup = f.__getitem__ if hasattr(f, "__getitem__") else f
-        image = self._imager(lookup, ops)
+        image = self._imager(f.__getitem__, ops)
         return ops.add(*[ops.scale(c, image(t)) for t, c in span.map.items()])

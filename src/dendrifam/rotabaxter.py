@@ -329,7 +329,7 @@ class TensorSpans(Spans):
         """1 * (b (x) omega), for a basis element b of A."""
         self._ranks((b,))
         self.semigroup.require(omega)
-        return LinComb.from_map({(b, omega): 1}, self.order)
+        return LinComb({(b, omega): 1}, self.order)
 
     def _lift(self, kernel, u: LinComb, v: LinComb, side=None) -> LinComb:
         """(x (x) a) * (y (x) b) = kernel(x, y) (x) ab, extended bilinearly.  The
@@ -342,7 +342,7 @@ class TensorSpans(Spans):
                 index = () if side is None else ((a, b)[side],)
                 for z, cz in kernel(x, y, *index):
                     acc[z, ab] = acc.get((z, ab), 0) + c * cz
-        return LinComb.from_map(clean(acc), self.order)
+        return LinComb(clean(acc), self.order)
 
 
 class TensorRB(TensorSpans):
@@ -424,8 +424,8 @@ def parse_rb_text(text: str):
     """Parse an algebra/operator definition file.
 
     Line format: ``dim=<d>``; structure constants ``sc i j k coeff`` (absent
-    entries are zero); operator matrices ``op <omega> v11 v12 ...`` with d*d
-    rationals row-major.  ``#`` comments and blank lines are ignored.
+    entries are zero); at least one operator matrix ``op <omega> v11 v12 ...``
+    with d*d rationals row-major.  ``#`` comments and blank lines are ignored.
     Returns (FiniteAlgebra, {omega: matrix}).
     """
     dim = None
@@ -469,6 +469,8 @@ def parse_rb_text(text: str):
         raise InvalidElement(f"unrecognised line in algebra file: {line!r}")
     if dim is None:
         raise InvalidElement("algebra file must declare dim=")
+    if not operators:
+        raise InvalidElement("algebra file declares no operators")
     structure = tuple(
         tuple(tuple(constants.get((i, j, k), 0) for k in range(dim))
               for j in range(dim))

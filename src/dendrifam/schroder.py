@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, partial
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from .basis import LEAF, Alphabet, Leaf, edge_violation, enumerate_trees, rank_levels
 from .errors import ArityMismatch
@@ -70,16 +70,6 @@ def intern_node(decs: Tuple[str, ...], children: Tuple[Tuple[object, SchTree], .
     """Construct a vertex; structurally equal trees are one object."""
     key = (decs, children)
     return _INTERNED.get(key) or _intern(key)
-
-
-def graft_nary(children: Sequence[SchTree], decs: Sequence[str],
-               types: Sequence) -> SchNode:
-    """Join k+1 trees under a fresh vertex decorated by k symbols."""
-    children = tuple(children)
-    types = tuple(types)
-    if len(children) != len(types):
-        raise ArityMismatch(f"{len(children)} children but {len(types)} edge types")
-    return intern_node(tuple(decs), tuple(zip(types, children)))
 
 
 def single_vertex(dec: str) -> SchNode:

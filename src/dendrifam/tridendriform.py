@@ -87,21 +87,10 @@ class GammaOps:
 
     def __init__(self, tri):
         self.tri = tri
+        self.succ, self.add, self.scale, self.zero = tri.succ, tri.add, tri.scale, tri.zero
 
     def prec(self, a, b, omega):
         return self.tri.add(self.tri.prec(a, b, omega), self.tri.dot(a, b))
-
-    def succ(self, a, b, omega):
-        return self.tri.succ(a, b, omega)
-
-    def add(self, *values):
-        return self.tri.add(*values)
-
-    def scale(self, c, value):
-        return self.tri.scale(c, value)
-
-    def zero(self):
-        return self.tri.zero()
 
 
 def gamma(tri_ops) -> GammaOps:

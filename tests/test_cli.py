@@ -308,6 +308,17 @@ def test_check_missing_rb_file(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("suite", ["rb", "tensor-rb", "diagram"])
+def test_check_rb_file_without_operators(capsys, tmp_path, suite):
+    # a file with no operator leaves the Rota-Baxter suites nothing to check
+    path = tmp_path / "no-op.txt"
+    path.write_text("dim=2\nsc 0 0 0 1\nsc 1 1 1 1\n")
+    code, out, err = run(capsys, "check", "--suite", suite,
+                         "--alphabet", "x", "--semigroup", "cyclic:2", "--rb-file", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: algebra file declares no operators\n"
+
+
 # -- extend --------------------------------------------------------------------------
 
 def test_extend_generator_image(capsys, rb_file, map_file):

@@ -133,7 +133,7 @@ def test_axioms_single_vertices_z2(z2):
     for t, u, w in product([sv("x"), sv("y")], repeat=3):
         for alpha, beta in product("01", repeat=2):
             assert z2.axiom_residuals(t, u, w, alpha, beta) == \
-                (LinComb(), LinComb(), LinComb())
+                (LinComb({}), LinComb({}), LinComb({}))
 
 
 def test_axioms_trivial_semigroup_all_small_triples():

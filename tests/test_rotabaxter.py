@@ -369,6 +369,7 @@ def test_parse_rb_text():
     "dim=1\nsc 0 0 0 1\nop 0 5\nop 0 -1\n",
     "dim=1\nsc 0 0 0 1\nsc 0 0 0 2\n",
     "dim=1\nop\n",
+    "dim=2\nsc 0 0 0 1\nsc 1 1 1 1\n",  # no operators: nothing to check
 ])
 def test_parse_rb_rejects(text):
     with pytest.raises((InvalidElement, ValueError)):

@@ -8,8 +8,8 @@ from dendrifam.pbtrees import enumerate_bin, graft_binary
 from dendrifam.pbtrees import single_vertex as bin_vertex
 from dendrifam.pbtrees import tree_key as bin_tree_key
 from dendrifam.pbtrees import vertex as bin_root
-from dendrifam.schroder import (SchNode, enumerate_sch, first_edge, graft_nary,
-                                last_edge, single_vertex, tree_key, vertex)
+from dendrifam.schroder import (SchNode, enumerate_sch, first_edge, last_edge,
+                                single_vertex, tree_key, vertex)
 from dendrifam.semigroups import IDENTITY, Semigroup
 
 from helpers import corolla, decoration_count, depth, from_binary, leaves, to_binary
@@ -24,7 +24,7 @@ LITTLE_SCHRODER = {1: 1, 2: 3, 3: 11, 4: 45}
 
 
 def test_graft_corolla():
-    t = graft_nary([LEAF, LEAF, LEAF], ["x", "y"], [IDENTITY, IDENTITY, IDENTITY])
+    t = SchNode(("x", "y"), ((IDENTITY, LEAF), (IDENTITY, LEAF), (IDENTITY, LEAF)))
     assert t == corolla(["x", "y"])
     assert t.arity == 3 and leaves(t) == 3 and depth(t) == 1
 
@@ -32,7 +32,7 @@ def test_graft_corolla():
 def test_graft_three_subtrees():
     sx, sy, sz = single_vertex("x"), single_vertex("y"), single_vertex("z")
     alphabet = Alphabet(["x", "y", "z", "u", "v"])
-    t = graft_nary([sx, sy, sz], ["u", "v"], ["a", "b", "c"])
+    t = SchNode(("u", "v"), (("a", sx), ("b", sy), ("c", sz)))
     assert t.decs == ("u", "v")
     assert t.children == (("a", sx), ("b", sy), ("c", sz))
     assert leaves(t) == 6 and depth(t) == 2
@@ -41,11 +41,9 @@ def test_graft_three_subtrees():
 
 def test_graft_typing_and_arity_errors():
     with pytest.raises(TypingViolation):
-        graft_nary([LEAF, LEAF], ["x"], ["a", IDENTITY])
+        SchNode(("x",), (("a", LEAF), (IDENTITY, LEAF)))
     with pytest.raises(ArityMismatch):
-        graft_nary([LEAF, LEAF], ["x", "y"], [IDENTITY, IDENTITY])
-    with pytest.raises(ArityMismatch):
-        graft_nary([LEAF, LEAF], ["x"], [IDENTITY, IDENTITY, IDENTITY])
+        SchNode(("x", "y"), ((IDENTITY, LEAF), (IDENTITY, LEAF)))
     with pytest.raises(ArityMismatch):
         SchNode((), ((IDENTITY, LEAF),))
 
@@ -66,8 +64,8 @@ def test_vertex_round_trip():
 def test_arity_examples():
     assert corolla(["x", "y"]).arity == 3
     assert single_vertex("x").arity == 2
-    t = graft_nary([LEAF, single_vertex("y"), single_vertex("u")],
-                   ["x", "z"], [IDENTITY, "0", "1"])
+    t = SchNode(("x", "z"), ((IDENTITY, LEAF), ("0", single_vertex("y")),
+                             ("1", single_vertex("u"))))
     assert t.arity == 3 == len(vertex(t)[1])
 
 
@@ -159,7 +157,7 @@ def all_binary(t):
 
 def test_to_binary_rejects_wide_vertices():
     wide = corolla(["x", "y"])
-    for t in (wide, graft_nary([LEAF, wide], ["x"], [IDENTITY, "0"])):
+    for t in (wide, SchNode(("x",), ((IDENTITY, LEAF), ("0", wide)))):
         with pytest.raises(ArityMismatch, match="arity 3"):
             to_binary(t)
 
