@@ -4,8 +4,9 @@ their sums (:class:`Spans`), the ranked canonical order and enumeration.
 A span (:class:`LinComb`) is a finite formal rational-linear combination
 of basis trees, stored as a map from tree to nonzero coefficient.  The
 constructor wraps a finished map; :func:`normalize` builds one from
-(coefficient, tree) pairs, merging them.  Spans compare as maps, so
-term order never affects equality or arithmetic.
+(coefficient, tree) pairs and is the one sum of spans (``add``, scaling,
+``span``) but for the two bilinear kernel lifts, kept apart for speed.
+Spans compare as maps, so term order never affects equality or arithmetic.
 Coefficients are ``int`` whenever they are integral and ``Fraction``
 otherwise; the free products of integral spans only produce integers.
 A span carries the order of its algebra, and the canonical term order
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import combinations, product
-from typing import Any, Callable, Iterable, Mapping, Optional, Tuple
+from typing import Any, Callable, Iterable, Optional, Tuple
 
 from .errors import InfiniteSemigroup, InvalidElement, LeafOperand, TypingViolation
 from .rationals import exact
@@ -148,11 +149,9 @@ class LinComb:
 
     def scaled(self, c) -> "LinComb":
         c = exact(c)
-        if c == 0:
-            return ZERO_SPAN
         if c == 1:
             return self
-        return LinComb({t: exact(c * v) for t, v in self.map.items()}, self.order)
+        return normalize([(c * v, t) for t, v in self.map.items()], self.order)
 
 
 def clean(acc: dict) -> dict:
@@ -171,45 +170,33 @@ def span_single(tree) -> LinComb:
 
 def normalize(pairs: Iterable[Tuple[Any, Any]], order: Optional[Callable] = None) -> LinComb:
     """Span of (coefficient, tree) pairs: duplicates merged, zeros dropped,
-    the leaf rejected.
-
-    The terms are not sorted; ``order`` is kept for the ordered view.
-    """
+    ints where integral, the leaf rejected; every sum of spans but the two
+    bilinear kernel lifts.  The terms are not sorted; ``order`` is kept for
+    the ordered view."""
     acc: dict = {}
     for coeff, tree in pairs:
-        if tree is LEAF:
-            raise LeafOperand("the leaf | is not a basis element of the free algebra")
         acc[tree] = acc.get(tree, 0) + coeff
+    if LEAF in acc:
+        raise LeafOperand("the leaf | is not a basis element of the free algebra")
     return LinComb(clean(acc), order)
 
 
-def merge(maps: Iterable[Mapping]) -> Mapping:
-    """Sum of span maps: coefficients of equal trees added, zeros dropped.
-
-    The result may be one of the arguments itself, so it must not be mutated.
-    """
-    maps = [m for m in maps if m]
-    if len(maps) <= 1:
-        return maps[0] if maps else {}
-    acc = dict(maps[0])
-    for m in maps[1:]:
-        for t, c in m.items():
-            acc[t] = acc.get(t, 0) + c
-    return clean(acc)
-
-
 class Spans:
-    """The linear structure of spans, shared by the free families and the tensor
-    spans: a subclass sets ``order``, the canonical order of its spans."""
+    """The linear structure of spans, shared by the free families and the tensor spans:
+    a subclass sets ``order``, and its ``_own`` may check a summand of another order."""
 
     def zero(self) -> LinComb:
         return ZERO_SPAN
 
+    def _own(self, s: LinComb) -> LinComb:
+        return s
+
     def add(self, *spans: LinComb) -> LinComb:
-        spans = [s for s in spans if s.map]
+        order = self.order
+        spans = [s if s.order is order else self._own(s) for s in spans if s.map]
         if len(spans) == 1:
             return spans[0]
-        return LinComb(merge([s.map for s in spans]), self.order)
+        return normalize([(c, t) for s in spans for t, c in s.map.items()], order)
 
     def scale(self, c, s: LinComb) -> LinComb:
         return s.scaled(c)

@@ -13,10 +13,10 @@ lives in ``_product`` alone, so the kernels take basis trees only.  The
 dendriform family is the case ``dot = 0`` (a dendriform algebra is a
 tridendriform algebra with zero middle product).  This base holds, over
 the sums of :class:`~dendrifam.basis.Spans`, ``order``, ``gen``,
-``span``, operand coercion, the family index check, the tree kernels
-``_prec_trees``/``_succ_trees``, the bilinear lift, the
-axiom residuals at one instance, and the generator decomposition
-``express`` with its image recursion ``_imager`` for ``extend``.  An
+``span``, operand coercion (a span of another kind is a TypeError), the
+family index check, the tree kernels ``_prec_trees``/``_succ_trees``, the
+bilinear lift, the axiom residuals at one instance, and the generator
+decomposition ``express`` with its image recursion ``_imager`` for ``extend``.  An
 algebra is its own operations object, so the CLI's family suites search
 it with :func:`dendrifam.axioms.search` on spans of single trees.  It
 reads a root vertex through the view ``(decorations, (edge type,
@@ -45,7 +45,7 @@ from types import SimpleNamespace
 from typing import Mapping
 
 from . import axioms
-from .basis import LEAF, LinComb, Spans, ZERO_SPAN, clean, normalize, span_single
+from .basis import LEAF, LinComb, Spans, ZERO_SPAN, clean, normalize
 from .errors import IdentityMisuse, InvalidElement, LeafOperand
 from .exprs import Dot, Expr, Gen, Prec, Succ
 from .semigroups import IDENTITY
@@ -113,24 +113,30 @@ class FreeFamily(Spans):
 
     def gen(self, x: str) -> LinComb:
         self.alphabet.index(x)
-        return span_single(self.nodes.single_vertex(x))
+        return LinComb({self.nodes.single_vertex(x): 1}, self.order)
 
     def span(self, *trees) -> LinComb:
         for t in trees:
             if not isinstance(t, self.node_type) and t is not LEAF:
-                raise TypeError(f"not a basis tree of this family: {t!r}")
-        if len(trees) == 1:
-            return span_single(trees[0])
+                raise TypeError(f"not a basis tree of this family: a {type(t).__name__}")
         return normalize([(1, t) for t in trees], self.order)
+
+    def _own(self, s: LinComb) -> LinComb:
+        """``s``, if its terms are this family's trees; a span of ``order`` is trusted unread."""
+        if s.order is not self.order and any(type(t) is not self.node_type for t in s.map):
+            raise TypeError(f"a span of trees of another kind than {self.node_type.__name__}")
+        return s
 
     # -- the indexed products --------------------------------------------
 
     def _operand(self, value):
-        if isinstance(value, LinComb) or value is LEAF:
+        if isinstance(value, LinComb):
+            return self._own(value)
+        if value is LEAF:
             return value
-        if isinstance(value, self.node_type):
-            return span_single(value)
-        raise TypeError(f"not a span, tree or leaf: {value!r}")
+        if type(value) is self.node_type:
+            return LinComb({value: 1}, self.order)
+        raise TypeError(f"not a span, tree or leaf of this family: a {type(value).__name__}")
 
     def _family_index(self, omega) -> str:
         if omega is not IDENTITY:
@@ -149,13 +155,15 @@ class FreeFamily(Spans):
     def _product(self, name, a, b, omega=None, unit=None) -> LinComb:
         """The kernel of ``name`` lifted bilinearly (:class:`_Product`) after the leaf
         conventions: the leaf is neutral as operand ``unit`` (0 left, 1 right), zero elsewhere."""
-        a, b = self._operand(a), self._operand(b)
-        if a is LEAF and b is LEAF:
-            raise LeafOperand(f"{name} needs at least one genuine span")
-        if a is LEAF or b is LEAF:
-            if unit is not None and (a, b)[unit] is LEAF:
-                return (a, b)[1 - unit]
-            return ZERO_SPAN
+        order = self.order  # two spans of this order skip the operand checks
+        if not (isinstance(a, LinComb) and isinstance(b, LinComb) and a.order is order is b.order):
+            a, b = self._operand(a), self._operand(b)
+            if a is LEAF and b is LEAF:
+                raise LeafOperand(f"{name} needs at least one genuine span")
+            if a is LEAF or b is LEAF:
+                if unit is not None and (a, b)[unit] is LEAF:
+                    return (a, b)[1 - unit]
+                return ZERO_SPAN
         index = () if omega is None else (self._family_index(omega),)
         return _Product(self, name, a, b, index)
 
@@ -213,8 +221,10 @@ class FreeFamily(Spans):
 
     def _instance(self, t, u, w, alpha: str, beta: str):
         """Arguments of the axiom functions at a basis-tree instance."""
-        return (self, span_single(t), span_single(u), span_single(w),
-                alpha, beta, self.semigroup.mul(alpha, beta))
+        if not type(t) is type(u) is type(w) is self.node_type:
+            self.span(t, u, w)  # TypeError, or LeafOperand for the leaf
+        return (self, LinComb({t: 1}, self.order), LinComb({u: 1}, self.order),
+                LinComb({w: 1}, self.order), alpha, beta, self.semigroup.mul(alpha, beta))
 
     def axiom_residuals(self, t, u, w, alpha: str, beta: str):
         """LHS - RHS of each family axiom at a basis-tree instance."""

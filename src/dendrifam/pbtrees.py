@@ -141,7 +141,7 @@ def leaf_counts(roots, repeated=None) -> dict:
         n = get(t)
         if n is None:
             if type(t) is not BinNode:
-                raise TypeError(f"not a binary tree: {t!r}")
+                raise TypeError(f"not a binary tree: a {type(t).__name__}")
             count[t] = 0
             stack += (t, t.right, t.left)
         elif n:

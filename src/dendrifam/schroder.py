@@ -151,7 +151,7 @@ def leaf_counts(roots, repeated=None) -> dict:
         n = get(t)
         if n is None:
             if type(t) is not SchNode:
-                raise TypeError(f"not a Schröder tree: {t!r}")
+                raise TypeError(f"not a Schröder tree: a {type(t).__name__}")
             count[t] = 0
             stack.append(t)
             stack += [child for _, child in t.children]

@@ -255,7 +255,7 @@ def _printer(repeated):
                     children.append(f"{etype}:{show(child)}")
                 text = f"S[{','.join(t.decs)};{','.join(children)}]"
             else:
-                raise TypeError(f"not a tree: {t!r}")
+                raise TypeError(f"not a tree: a {type(t).__name__}")
             if t in texts:
                 texts[t] = text
         return text

@@ -141,10 +141,14 @@ def test_lincomb_zero_scale():
 
 
 def test_lincomb_rejects_leaf():
+    t = single_vertex("x")
     with pytest.raises(LeafOperand):
         span_single(LEAF)
-    with pytest.raises(LeafOperand):
-        normalize([(Fraction(1), LEAF)], ORDER)
+    # also a cancelled leaf, and one that a one-shot iterator yields last
+    for pairs in ([(Fraction(1), LEAF)], [(1, t), (0, LEAF)],
+                  (pair for pair in [(1, t), (2, t), (1, LEAF)])):
+        with pytest.raises(LeafOperand):
+            normalize(pairs, ORDER)
 
 
 def test_lincomb_refuses_pairs():

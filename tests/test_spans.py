@@ -4,14 +4,15 @@ and the free products against the untyped oracle on random rational spans."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dendrifam.basis import LEAF, Alphabet, normalize
+from dendrifam.basis import LEAF, Alphabet, LinComb, normalize
 from dendrifam.dendriform import FreeDendriformFamily
 from dendrifam.errors import LeafOperand
 from dendrifam.pbtrees import graft_binary
 from dendrifam.pbtrees import single_vertex as bin_vertex
+from dendrifam.rotabaxter import TensorFamily
 from dendrifam.schroder import intern_node
 from dendrifam.schroder import single_vertex as sch_vertex
 from dendrifam.semigroups import IDENTITY, Semigroup
@@ -96,6 +97,29 @@ def test_printing_ignores_term_order_and_round_trips(data, kind):
     assert print_span(parsed) == text
 
 
+@given(st.data(), st.sampled_from(["binary", "schroder"]))
+@settings(max_examples=100, deadline=None)
+def test_sums_and_scaling_are_exact_map_sums(data, kind):
+    alg, trees = (DEND, binary_trees()) if kind == "binary" else (TRI, schroder_trees())
+    drawn = data.draw(st.lists(pair_lists(trees), max_size=5))
+    spans = [normalize(pairs, alg.order) for pairs in drawn]
+    plain: dict = {}
+    for span in spans:
+        for t, c in span.map.items():
+            plain[t] = plain.get(t, 0) + c
+    total = alg.add(*spans)
+    assert total.map == {t: c for t, c in plain.items() if c}
+    assert_exact(total)
+    lone = normalize(data.draw(pair_lists(trees)), alg.order)
+    assume(not lone.is_zero())
+    zeros = [alg.zero(), lone.scaled(0), alg.add(lone, lone.scaled(-1))]
+    assert all(z.is_zero() for z in zeros)
+    at = data.draw(st.integers(min_value=0, max_value=len(zeros)))
+    assert alg.add(*zeros[:at], lone, *zeros[at:]) is lone
+    assert lone.scaled(1) is lone and lone.scaled(Fraction(1)) is lone
+    assert_exact(lone.scaled(Fraction(2, 3)))
+
+
 @given(pair_lists(binary_trees()), pair_lists(binary_trees()))
 @settings(max_examples=80, deadline=None)
 def test_binary_products_match_untyped_oracle(a_pairs, b_pairs):
@@ -144,3 +168,64 @@ def test_span_accepts_only_trees_of_its_family(kind):
     with pytest.raises(LeafOperand):
         alg.span(own, LEAF)
     assert alg.span(own, own) == alg.span(own).scaled(2)
+
+
+def right_comb(kind, n):
+    """A right comb of ``n`` vertices over x, built without recursion."""
+    t = LEAF
+    for _ in range(n):
+        edge = IDENTITY if t is LEAF else ZERO
+        t = (graft_binary(LEAF, "x", IDENTITY, edge, t) if kind == "binary"
+             else intern_node(("x",), ((IDENTITY, LEAF), (edge, t))))
+    return t
+
+
+@pytest.mark.parametrize("kind", ["binary", "schroder"])
+def test_operations_refuse_spans_of_the_other_kind(kind):
+    # a span of the other kind used to pass the call-time check and die later
+    # with an AttributeError; a deep foreign tree, whose repr is as deep as the
+    # tree, used to raise RecursionError from the error message
+    (alg, own), (other_alg, other) = (((DEND, bin_vertex("x")), (TRI, sch_vertex("x")))
+                                      if kind == "binary" else
+                                      ((TRI, sch_vertex("x")), (DEND, bin_vertex("x"))))
+    other_kind = "schroder" if kind == "binary" else "binary"
+    mine, deep = alg.span(own), right_comb(other_kind, 3000)
+    foreign = [other_alg.span(other), other_alg.span(deep),
+               parse_span("2*" + ("B[x;1:|,1:|]" if kind == "schroder" else "S[x;1:|,1:|]"),
+                          other_kind, X, TRIVIAL),
+               LinComb({own: 1, other: 1}, other_alg.order)]
+    products = [lambda a, b: alg.prec(a, b, ZERO), lambda a, b: alg.succ(a, b, ZERO)]
+    if kind == "schroder":
+        products.append(alg.dot)
+    generators = {x: alg.gen(x) for x in X}
+    for bad in foreign:
+        for product in products:
+            for a, b in ((bad, mine), (mine, bad), (bad, LEAF), (LEAF, bad)):
+                with pytest.raises(TypeError):
+                    product(a, b)
+        with pytest.raises(TypeError):
+            alg.extend(generators, alg, bad)
+        for summands in ((bad,), (mine, bad), (bad, alg.zero())):
+            with pytest.raises(TypeError):
+                alg.add(*summands)
+    for bad_tree in (other, deep):
+        for instance in ((bad_tree, own, own), (own, own, bad_tree)):
+            with pytest.raises(TypeError):
+                alg.axioms_hold(*instance, ZERO, ZERO)
+            with pytest.raises(TypeError):
+                alg.axiom_residuals(*instance, ZERO, ZERO)
+        with pytest.raises(TypeError):
+            alg.prec(bad_tree, own, ZERO)
+        with pytest.raises(TypeError):
+            alg.span(bad_tree)
+        with pytest.raises(TypeError):
+            TensorFamily(alg).element(bad_tree, ZERO)
+    with pytest.raises(LeafOperand):
+        alg.axioms_hold(own, LEAF, own, ZERO, ZERO)
+    with pytest.raises(LeafOperand):
+        alg.prec(LEAF, LEAF, ZERO)
+    # spans of the right kind still pass, also ones of another order
+    parsed = parse_span(print_span(mine.scaled(3)), kind, X, TRIVIAL)
+    assert alg.add(parsed, mine) == mine.scaled(4)
+    assert alg.prec(parsed, own, ZERO) == alg.prec(mine, own, ZERO).scaled(3)
+    assert alg.axioms_hold(own, own, own, ZERO, ZERO)
