@@ -5,8 +5,10 @@ A span (:class:`LinComb`) is a finite formal rational-linear combination
 of basis trees, stored as a map from tree to nonzero coefficient.  The
 constructor wraps a finished map; :func:`normalize` builds one from
 (coefficient, tree) pairs and is the one sum of spans (``add``, scaling,
-``span``) but for the two bilinear kernel lifts, kept apart for speed.
-Spans compare as maps, so term order never affects equality or arithmetic.
+``span``) but for the two bilinear kernel lifts, kept apart for speed; a
+free family lifts each basis pair it reads once and shares the map, as
+no span mutates its map.  Spans compare as maps, so term order never
+affects equality or arithmetic.
 Coefficients are ``int`` whenever they are integral and ``Fraction``
 otherwise; the free products of integral spans only produce integers.
 A span carries the order of its algebra, and the canonical term order

@@ -28,7 +28,9 @@ spans is checked at the call and built when first read
 (:class:`_Product`), where a ``RecursionError`` or ``MemoryError``
 surfaces; two unbuilt ones compare by the intern keys that ``_prec_keys``
 and its kin make from a kernel's step, so a sweep builds no outermost
-product.  A family supplies only what differs:
+product.  A read product of two one-term spans scales the unit map of
+its basis pair from ``_pair_memo``; a compared one never enters it.  A
+family supplies only what differs:
 
 * ``nodes``, its tree module (:mod:`dendrifam.pbtrees` or
   :mod:`dendrifam.schroder`), and ``node_type``, its node class;
@@ -70,7 +72,16 @@ class _Product(LinComb):
     def __getattr__(self, name):
         if name != "map":  # only an unset ``map`` gets here, on the first read
             raise AttributeError(name)
-        self.map, self._factors = clean(self._lift("trees")), None
+        alg, op, a, b, index = self._factors
+        if len(a) == 1 == len(b):  # a basis pair: its unit map is memoized, then scaled
+            ((t, c),), ((u, d),) = a.items(), b.items()
+            key, c = (op, t, u, *index), c * d
+            unit = alg._pair_memo.get(key) or alg._pair_memo.setdefault(
+                key, self._lift("trees", (alg, op, {t: 1}, {u: 1}, index)))
+            self.map = unit if c == 1 else clean({s: c * v for s, v in unit.items()})
+        else:
+            self.map = clean(self._lift("trees"))
+        self._factors = None
         return self.map
 
     def __eq__(self, other):
@@ -78,10 +89,10 @@ class _Product(LinComb):
             return self._lift("keys") == other._lift("keys")
         return LinComb.__eq__(self, other)
 
-    def _lift(self, kind) -> dict:
-        """Each tree (``kind`` "trees") or key ("keys") the kernel lists on the
-        pairs of operand terms, with the nonzero sum of coefficient products."""
-        alg, name, a, b, index = self._factors
+    def _lift(self, kind, factors=None) -> dict:
+        """Each tree (``kind`` "trees") or key ("keys") the kernel lists on the pairs of
+        operand terms (of ``factors``), with the nonzero sum of coefficient products."""
+        alg, name, a, b, index = factors or self._factors
         terms, acc = getattr(alg, f"_{name}_{kind}"), {}
         for ta, ca in a.items():
             for tb, cb in b.items():
@@ -108,6 +119,7 @@ class FreeFamily(Spans):
         self.order = partial(self.nodes.ranks, alphabet, semigroup)
         self._prec_memo: dict = {}
         self._succ_memo: dict = {}
+        self._pair_memo, self._indices = {}, set()  # read basis-pair maps, checked indices
 
     # -- span plumbing --------------------------------------------------
 
@@ -140,7 +152,8 @@ class FreeFamily(Spans):
 
     def _family_index(self, omega) -> str:
         if omega is not IDENTITY:
-            if self.semigroup.contains(omega):
+            if type(omega) is str and omega in self._indices or self.semigroup.contains(omega):
+                self._indices.add(omega)
                 return omega
             if omega != "1":
                 raise InvalidElement(f"{omega!r} is not an element of the semigroup")

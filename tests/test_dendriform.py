@@ -12,6 +12,7 @@ from dendrifam.exprs import Gen, Prec, Succ, evaluate
 from dendrifam.pbtrees import enumerate_bin, graft_binary, single_vertex, tree_key
 from dendrifam.semigroups import IDENTITY, Semigroup
 from dendrifam.termio import print_span
+from dendrifam.tridendriform import FreeTridendriformFamily
 
 from helpers import find_dendriform_counterexample, leaves, scaled_identity_matrix
 from untyped_free import b_span_prec, b_span_succ
@@ -94,6 +95,21 @@ def test_identity_token_without_element(words):
         words.prec(sv("x"), sv("y"), "1")
     with pytest.raises(InvalidElement):
         words.prec(sv("x"), sv("y"), "nope")
+
+
+@pytest.mark.parametrize("family", [FreeDendriformFamily, FreeTridendriformFamily])
+@pytest.mark.parametrize("semigroup, element", [(Z2, "0"), (FREE, "ab")])
+def test_unhashable_index_is_no_element(family, semigroup, element):
+    # an index once checked is remembered; an unhashable or foreign one is
+    # still refused as no element, before and after
+    alg = family(X2, semigroup)
+    x, y = alg.gen("x"), alg.gen("y")
+    for _ in range(2):
+        for op in alg.prec, alg.succ:
+            for omega in ["0"], "nope":
+                with pytest.raises(InvalidElement):
+                    op(x, y, omega)
+            assert not op(x, y, element).is_zero()
 
 
 def test_bilinearity(z2):

@@ -11,6 +11,8 @@ across the terms of multi-term spans adds up, and cancels when its
 coefficients do.
 """
 
+import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -192,3 +194,59 @@ def test_a_fold_of_products_reads_without_nesting(kind):
     for _ in range(2000):
         acc = alg.succ(acc, x, "1") if kind == "binary" else alg.dot(acc, x)
     assert list(acc.map.values()) == [1]
+
+
+# -- the memo of the maps of basis-pair products ---------------------------------------
+
+@pytest.mark.parametrize("kind", ["binary", "schroder"])
+def test_a_scaled_basis_pair_reads_the_memoized_unit_map(kind):
+    alg, trees = family(kind)
+    t, u = trees[-2], trees[-1]
+    for op, index in calls(kind):
+        unit_map = dict(Counter(getattr(alg, f"_{op}_trees")(t, u, *index)))
+        scaled = getattr(alg, op)(alg.span(t).scaled(2), alg.span(u).scaled(Fraction(3, 2)), *index)
+        assert scaled.map == {s: 3 * c for s, c in unit_map.items()}
+        assert all(type(c) is int for c in scaled.map.values())
+        # the memo holds the unit map: a later read of the unit product is unchanged
+        assert getattr(alg, op)(alg.span(t), alg.span(u), *index).map == unit_map
+
+
+@pytest.mark.parametrize("kind", ["binary", "schroder"])
+def test_sums_and_scalings_leave_a_memoized_map_unchanged(kind):
+    alg, trees = family(kind)
+    t, u = trees[-2], trees[-1]
+    for op, index in calls(kind):
+        def read():
+            return getattr(alg, op)(alg.span(t), alg.span(u), *index)
+        p, before = read(), dict(read().map)
+        alg.add(p, p), alg.add(p, alg.span(t)), alg.scale(Fraction(-1, 3), p), p.scaled(2)
+        assert read().map == before and p.map == before
+
+
+@pytest.mark.parametrize("kind", ["binary", "schroder"])
+def test_an_axiom_check_memoizes_no_outermost_product(kind):
+    # an outermost product has more vertices than t, u and w, so a memo key
+    # naming only them was read as an inner product, never as an outermost one
+    alg, trees = family(kind)
+    for t, u, w in (trees[-3:], trees[-1:-4:-1]):
+        for alpha, beta in product(Z2.elements(), repeat=2):
+            assert alg.axioms_hold(t, u, w, alpha, beta)
+    assert alg._pair_memo
+    assert all({key[1], key[2]} <= set(trees[-3:]) for key in alg._pair_memo)
+
+
+# -- the kernels' depth bound ----------------------------------------------------------
+
+@pytest.mark.parametrize("kind", ["binary", "schroder"])
+def test_products_with_a_comb_of_400_vertices(kind):
+    # the kernels recurse once per level of the comb; with pytest's own frames
+    # 400 vertices stay under the default recursion limit, never raised
+    alg, _ = family(kind)
+    nodes, n = alg.nodes, 400
+    right = left = vertex = nodes.single_vertex("x")
+    for _ in range(n - 1):
+        right, left = nodes.graft_last(vertex, "0", right), nodes.graft_first(vertex, "0", left)
+    terms = n if kind == "binary" else 2 * n - 1  # Schröder: also succ and dot at each level
+    assert sys.getrecursionlimit() == 1000
+    for span in alg.prec(right, vertex, "1"), alg.succ(vertex, left, "1"):
+        assert len(span.map) == terms and set(span.map.values()) == {1}
