@@ -1,5 +1,5 @@
-"""Shared basis machinery: the leaf tree, decoration alphabets, spans and
-their sums (:class:`Spans`), the ranked canonical order and enumeration.
+"""Shared basis machinery: the leaf tree, frozen values (:class:`Value`), alphabets,
+spans and their sums (:class:`Spans`), the ranked canonical order and enumeration.
 
 A span (:class:`LinComb`) is a finite formal rational-linear combination
 of basis trees, stored as a map from tree to nonzero coefficient.  The
@@ -26,12 +26,11 @@ binary vertex is the case of one decoration over two typed children.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, partial
 from itertools import combinations, product
 from typing import Any, Callable, Iterable, Optional, Tuple
 
-from .errors import InfiniteSemigroup, InvalidElement, LeafOperand, TypingViolation
+from .errors import InfiniteSemigroup, InvalidElement, LeafOperand, TypingViolation, shown
 from .rationals import exact
 from .semigroups import IDENTITY, TOKEN_RE
 
@@ -60,12 +59,44 @@ def edge_violation(edge: str, etype, child) -> TypingViolation:
     return TypingViolation(f"{edge} {etype} inconsistent with {kind} child")
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Value:
+    """A frozen value, its constructor call over ``_fields`` (the first of its ``__slots__``):
+    pickled, copied, compared, hashed and shown as that call."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        values = args + tuple([kwargs.pop(n) for n in self._fields[len(args):] if n in kwargs])
+        if kwargs or len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {self._fields}")
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, *value):
+        from dataclasses import FrozenInstanceError  # only here: importing it slows start-up
+        raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        same = type(other) is type(self)
+        return self.__reduce__() == other.__reduce__() if same else NotImplemented
+
+    def __hash__(self):
+        return hash(self.__reduce__()[1])
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Alphabet(Value):
     """Ordered set of decoration symbols (term-grammar tokens); declaration
     order is canonical."""
 
-    symbols: Tuple[str, ...]
+    __slots__ = _fields = ("symbols",)
 
     def __init__(self, symbols: Iterable[str]):
         symbols = tuple(symbols)
@@ -75,7 +106,7 @@ class Alphabet:
             raise InvalidElement("alphabet symbols must be distinct")
         for x in symbols:
             if not (isinstance(x, str) and TOKEN_RE.fullmatch(x)):
-                raise InvalidElement(f"bad decoration symbol: {x!r}")
+                raise InvalidElement(f"bad decoration symbol: {shown(x)}")
         object.__setattr__(self, "symbols", symbols)
 
     def __iter__(self):
@@ -91,7 +122,7 @@ class Alphabet:
         try:
             return self.symbols.index(x)
         except ValueError:
-            raise InvalidElement(f"{x!r} is not a declared decoration symbol")
+            raise InvalidElement(f"{shown(x)} is not a declared decoration symbol")
 
 
 class LinComb:

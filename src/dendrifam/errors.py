@@ -1,6 +1,11 @@
 """Exception types shared across the package."""
 
 
+def shown(x) -> str:
+    """``x`` in an error message: a string's repr, else its type, never a deep repr."""
+    return repr(x) if type(x) is str else f"a {type(x).__name__}"
+
+
 class AlgebraError(Exception):
     """Base class for all dendrifam errors."""
 

@@ -7,47 +7,37 @@ operations object (the basis of universal-morphism evaluation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Union
+
+from .basis import Value
+from .errors import shown
 
 Expr = Union["Gen", "Prec", "Succ", "Dot"]
 
 
-@dataclass(frozen=True)
-class Gen:
-    symbol: str
+class Gen(Value):
+    __slots__ = _fields = ("symbol",)
 
 
-@dataclass(frozen=True)
-class Prec:
-    omega: str
-    left: Expr
-    right: Expr
+class Prec(Value):
+    __slots__ = _fields = ("omega", "left", "right")
 
 
-@dataclass(frozen=True)
-class Succ:
-    omega: str
-    left: Expr
-    right: Expr
+class Succ(Value):
+    __slots__ = _fields = ("omega", "left", "right")
 
 
-@dataclass(frozen=True)
-class Dot:
-    left: Expr
-    right: Expr
+class Dot(Value):
+    __slots__ = _fields = ("left", "right")
 
 
 def evaluate(expr: Expr, ops, gen: Callable[[str], object]):
     """Evaluate an expression with ``gen`` supplying generator images."""
     if isinstance(expr, Gen):
         return gen(expr.symbol)
-    if isinstance(expr, Prec):
-        return ops.prec(evaluate(expr.left, ops, gen), evaluate(expr.right, ops, gen),
-                        expr.omega)
-    if isinstance(expr, Succ):
-        return ops.succ(evaluate(expr.left, ops, gen), evaluate(expr.right, ops, gen),
-                        expr.omega)
+    if not isinstance(expr, (Prec, Succ, Dot)):
+        raise TypeError(f"not an expression: {shown(expr)}")
+    left, right = evaluate(expr.left, ops, gen), evaluate(expr.right, ops, gen)
     if isinstance(expr, Dot):
-        return ops.dot(evaluate(expr.left, ops, gen), evaluate(expr.right, ops, gen))
-    raise TypeError(f"not an expression: {expr!r}")
+        return ops.dot(left, right)
+    return (ops.prec if isinstance(expr, Prec) else ops.succ)(left, right, expr.omega)

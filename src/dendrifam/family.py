@@ -48,7 +48,7 @@ from typing import Mapping
 
 from . import axioms
 from .basis import LEAF, LinComb, Spans, ZERO_SPAN, clean, normalize
-from .errors import IdentityMisuse, InvalidElement, LeafOperand
+from .errors import IdentityMisuse, InvalidElement, LeafOperand, shown
 from .exprs import Dot, Expr, Gen, Prec, Succ
 from .semigroups import IDENTITY
 
@@ -156,7 +156,7 @@ class FreeFamily(Spans):
                 self._indices.add(omega)
                 return omega
             if omega != "1":
-                raise InvalidElement(f"{omega!r} is not an element of the semigroup")
+                raise InvalidElement(f"{shown(omega)} is not an element of the semigroup")
         raise IdentityMisuse("the adjoined identity is not a family index")
 
     def prec(self, a, b, omega) -> LinComb:

@@ -6,29 +6,28 @@ an element of the extended monoid (a semigroup token, or
 :data:`~dendrifam.semigroups.IDENTITY`), with the invariant that an
 edge is typed by the identity exactly when the child below it is a leaf.
 
-Trees are hash-consed: structurally equal trees are the same object,
-kept in the module table ``_INTERNED``, so trees compare and hash by
-identity.  :func:`ranks` gives their canonical order per collection of
-trees, and stores nothing on the shared nodes: another alphabet orders
-them differently.  :func:`tree_key` gives the same order as one flat
-tuple per tree.  :func:`enumerate_bin` lists them through
-:func:`dendrifam.basis.enumerate_trees`.
+Trees are hash-consed: structurally equal trees are the same object, kept in
+the module table ``_INTERNED``, so trees compare and hash by identity.  Nodes
+are frozen: ``_intern`` sets their slots by the slots' own setters, and
+assignment raises as on a :class:`~dendrifam.basis.Value`.  :func:`ranks` gives
+their canonical order per collection of trees, and stores nothing on the shared
+nodes: another alphabet orders them differently.  :func:`tree_key` gives the
+same order as one flat tuple per tree.  :func:`enumerate_bin` lists them
+through :func:`dendrifam.basis.enumerate_trees`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, partial
 from operator import attrgetter
 from typing import Optional, Union
 
-from .basis import LEAF, Alphabet, Leaf, edge_violation, enumerate_trees, rank_levels
+from .basis import LEAF, Alphabet, Leaf, Value, edge_violation, enumerate_trees, rank_levels
 from .semigroups import IDENTITY, Semigroup
 
 BinTree = Union[Leaf, "BinNode"]
 
 
-@dataclass(frozen=True, eq=False, init=False, slots=True)
 class BinNode:
     """Internal vertex with a decorated symbol and two typed children.
 
@@ -37,11 +36,9 @@ class BinNode:
     hashing are those of the object.
     """
 
-    dec: str
-    left_type: object
-    left: BinTree
-    right_type: object
-    right: BinTree
+    __slots__ = _fields = ("dec", "left_type", "left", "right_type", "right")
+    __setattr__ = __delattr__ = Value.__setattr__
+    __repr__ = Value.__repr__
 
     def __new__(cls, dec, left_type, left, right_type, right):
         key = (dec, left_type, left, right_type, right)

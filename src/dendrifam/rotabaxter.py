@@ -27,14 +27,13 @@ one operator walk and one algebra product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
 from .axioms import validate_dendriform_ops, validate_tridendriform_ops
-from .basis import LEAF, LinComb, Spans, clean, normalize
-from .errors import AxiomFailure, InvalidElement, LeafOperand
+from .basis import LEAF, LinComb, Spans, Value, clean, normalize
+from .errors import AxiomFailure, InvalidElement, LeafOperand, shown
 from .rationals import exact, parse_coefficient
 from .semigroups import Semigroup, content_lines
 
@@ -65,7 +64,7 @@ def _apply(operators: dict, omega: str, v: Vector) -> Vector:
     compiled by :meth:`RBFamily._compiled`."""
     columns = operators.get(omega)
     if columns is None:
-        raise InvalidElement(f"no operator declared for index {omega!r}")
+        raise InvalidElement(f"no operator declared for index {shown(omega)}")
     out = [0] * len(columns)
     for j, a in _nonzero(v, len(columns)):
         for r, c in columns[j]:
@@ -85,8 +84,7 @@ def vec_scale(c: Coordinate, u: Vector) -> Vector:
     return _exact_vector([c * a for a in u])
 
 
-@dataclass(frozen=True)
-class FiniteAlgebra:
+class FiniteAlgebra(Value):
     """Associative algebra e_i e_j = sum_k c[i][j][k] e_k over the rationals.
 
     ``structure`` must be d x d x d.  It is read once, at construction,
@@ -94,10 +92,11 @@ class FiniteAlgebra:
     that :meth:`mul` walks.
     """
 
-    structure: Tuple[Tuple[Tuple[Coordinate, ...], ...], ...]
-    _table: tuple = field(init=False, repr=False, compare=False)
+    _fields = ("structure",)
+    __slots__ = _fields + ("_table",)
 
-    def __post_init__(self):
+    def __init__(self, structure: Tuple[Tuple[Tuple[Coordinate, ...], ...], ...]):
+        super().__init__(structure)
         d = len(self.structure)
         if any(len(plane) != d or any(len(constants) != d for constants in plane)
                for plane in self.structure):
@@ -165,8 +164,7 @@ def cascading_sum_matrix(dim: int, weight: Coordinate) -> Matrix:
                  for i in range(dim))
 
 
-@dataclass(frozen=True)
-class RBFamily:
+class RBFamily(Value):
     """An algebra with one operator per sampled semigroup element and a weight.
 
     Each operator must be a d x d matrix over the algebra's dimension d.
@@ -175,16 +173,15 @@ class RBFamily:
     walks; mutating the mapping later is not supported (build a new family).
     """
 
-    algebra: FiniteAlgebra
-    weight: Coordinate
-    operators: Mapping[str, Matrix]
-    _columns: dict = field(init=False, repr=False, compare=False)
+    _fields = ("algebra", "weight", "operators")
+    __slots__ = _fields + ("_columns",)
 
-    def __post_init__(self):
+    def __init__(self, algebra: FiniteAlgebra, weight: Coordinate, operators: Mapping[str, Matrix]):
+        super().__init__(algebra, weight, operators)
         d = self.algebra.dim
         for omega, m in self.operators.items():
             if len(m) != d or any(len(row) != d for row in m):
-                raise InvalidElement(f"operator for {omega!r} must be {d}x{d}")
+                raise InvalidElement(f"operator for {shown(omega)} must be {d}x{d}")
         object.__setattr__(self, "_columns", self._compiled())
 
     def _compiled(self, shift: Coordinate = 0) -> dict:
@@ -356,7 +353,8 @@ class TensorRB(TensorSpans):
         """Each basis index is its own rank."""
         for i in indices:
             if not (type(i) is int and 0 <= i < self.rb.algebra.dim):
-                raise InvalidElement(f"no basis element e_{i!r} in dimension {self.rb.algebra.dim}")
+                raise InvalidElement(f"no basis element {f'e_{i}' if type(i) is int else shown(i)}"
+                                     f" in dimension {self.rb.algebra.dim}")
         return {i: i for i in indices}
 
     def mul(self, u: LinComb, v: LinComb) -> LinComb:

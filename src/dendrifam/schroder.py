@@ -4,27 +4,25 @@ tridendriform family algebra.
 An internal vertex of arity k+1 carries k decoration symbols and k+1
 typed edges to its children, ordered left to right.  Edge typing obeys
 the same invariant as for binary trees: identity type iff leaf child.
-Trees are hash-consed in the module table ``_INTERNED``, as binary
-trees are, so equal trees are the same object.  :func:`ranks` orders a
-collection of them as :func:`dendrifam.pbtrees.ranks` does binary trees,
+Trees are hash-consed in the module table ``_INTERNED`` and frozen, as
+binary trees are, so equal trees are the same object.  :func:`ranks`
+orders a collection of them as :func:`dendrifam.pbtrees.ranks` does binary trees,
 and :func:`tree_key` gives the same order as one flat tuple per tree.
 :func:`enumerate_sch` lists them through :func:`dendrifam.basis.enumerate_trees`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, partial
 from typing import Optional, Tuple, Union
 
-from .basis import LEAF, Alphabet, Leaf, edge_violation, enumerate_trees, rank_levels
+from .basis import LEAF, Alphabet, Leaf, Value, edge_violation, enumerate_trees, rank_levels
 from .errors import ArityMismatch
 from .semigroups import IDENTITY, Semigroup
 
 SchTree = Union[Leaf, "SchNode"]
 
 
-@dataclass(frozen=True, eq=False, init=False, slots=True)
 class SchNode:
     """Internal vertex: k decorations and k+1 (edge type, child) pairs, k >= 1.
 
@@ -32,8 +30,9 @@ class SchNode:
     returns the one node with these fields, checked when first made.
     """
 
-    decs: Tuple[str, ...]
-    children: Tuple[Tuple[object, SchTree], ...]
+    __slots__ = _fields = ("decs", "children")
+    __setattr__ = __delattr__ = Value.__setattr__
+    __repr__ = Value.__repr__
 
     def __new__(cls, decs, children):
         key = (decs, children)

@@ -24,7 +24,7 @@ import re
 from itertools import product
 from typing import Iterable, Optional
 
-from .errors import InfiniteSemigroup, InvalidElement, SemigroupViolation
+from .errors import InfiniteSemigroup, InvalidElement, SemigroupViolation, shown
 
 # the token rule of element names, decoration symbols and the term grammar
 TOKEN_RE = re.compile(r"[A-Za-z0-9_]+")
@@ -79,7 +79,7 @@ def _uniquely_decodable(code) -> bool:
 
 def _check_token(token: str) -> str:
     if not (isinstance(token, str) and TOKEN_RE.fullmatch(token)):
-        raise SemigroupViolation(f"bad element token: {token!r}")
+        raise SemigroupViolation(f"bad element token: {shown(token)}")
     return token
 
 
@@ -114,7 +114,7 @@ class Semigroup:
                 if (a, b) not in self._table:
                     raise SemigroupViolation(f"Cayley table missing product {a}*{b}")
         else:
-            raise SemigroupViolation(f"unknown semigroup kind: {kind!r}")
+            raise SemigroupViolation(f"unknown semigroup kind: {shown(kind)}")
 
     # -- constructors -------------------------------------------------
 
@@ -185,7 +185,7 @@ class Semigroup:
 
     def require(self, a: str) -> str:
         if not self.contains(a):
-            raise InvalidElement(f"{a!r} is not an element of the semigroup")
+            raise InvalidElement(f"{shown(a)} is not an element of the semigroup")
         return a
 
     def mul(self, a: str, b: str) -> str:
@@ -242,7 +242,7 @@ class Semigroup:
             return (len(a), a)
         rank = self._rank(a)
         if rank is None:
-            raise InvalidElement(f"{a!r} is not an element of the semigroup")
+            raise InvalidElement(f"{shown(a)} is not an element of the semigroup")
         return (rank,)
 
     def ext_key(self, e):
