@@ -18,11 +18,11 @@ A vector is a tuple of exact coordinates: ``int`` when integral and
 may pass ``Fraction`` coordinates; every operation returns the exact
 form.  A vector of any length other than the algebra's dimension is
 rejected with InvalidElement wherever it enters ``mul``, ``apply`` or
-the induced ``add``/``scale``.  Structure constants and operator
-matrices are compiled at construction into tables of their nonzero
-entries, so products and operator applications loop over nonzero entries
-only; ``eta`` compiles P_w + lambda id once, so each induced product is
-one operator walk and one algebra product.
+the induced ``add``/``scale``.  The algebra's product and the five
+induced products (eta's prec_w and succ_w, epsilon's prec_w, succ_w and
+dot, operators folded in) are compiled at construction into bilinear
+tables of their nonzero structure constants, so each product is one walk
+over the nonzero x_i and the nonzero j of row i, reading y densely.
 """
 
 from __future__ import annotations
@@ -59,16 +59,45 @@ def _nonzero(v: Vector, dim: int):
             for j, c in enumerate(_checked(v, dim)) if c]
 
 
-def _apply(operators: dict, omega: str, v: Vector) -> Vector:
-    """P(v) for the operator P of the index ``omega`` among ``operators``,
-    compiled by :meth:`RBFamily._compiled`."""
-    columns = operators.get(omega)
-    if columns is None:
+class _Indexed(dict):
+    """Compiled operators or products by index; InvalidElement for any other index."""
+
+    def __missing__(self, omega):
         raise InvalidElement(f"no operator declared for index {shown(omega)}")
+
+
+def _apply(operators: _Indexed, omega: str, v: Vector) -> Vector:
+    """P(v) for the operator P of the index ``omega`` among ``operators``,
+    the columns of :attr:`RBFamily._columns`."""
+    columns = operators[omega]
     out = [0] * len(columns)
     for j, a in _nonzero(v, len(columns)):
         for r, c in columns[j]:
             out[r] += c * a
+    return _exact_vector(out)
+
+
+def _bilinear_table(dim: int, times) -> tuple:
+    """For each i, the nonzero (j, ((k, c), ...)) with e_i * e_j = sum c e_k,
+    for the bilinear map * with e_i * e_j the vector ``times(i, j)``."""
+    rows = ([(j, tuple((k, exact(c)) for k, c in enumerate(times(i, j)) if c))
+             for j in range(dim)] for i in range(dim))
+    return tuple(tuple((j, terms) for j, terms in row if terms) for row in rows)
+
+
+def _walk(table: tuple, x: Vector, y: Vector) -> Vector:
+    """x * y for the bilinear map of ``table`` (see :func:`_bilinear_table`):
+    the nonzero x_i, then the j of row i, reading y_j densely."""
+    d = len(table)
+    out = [0] * d
+    _checked(y, d)
+    for i, a in _nonzero(x, d):
+        for j, terms in table[i]:
+            b = y[j]
+            if b:
+                ab = a * (b if type(b) is int else exact(b))
+                for k, c in terms:
+                    out[k] += ab * c
     return _exact_vector(out)
 
 
@@ -88,8 +117,7 @@ class FiniteAlgebra(Value):
     """Associative algebra e_i e_j = sum_k c[i][j][k] e_k over the rationals.
 
     ``structure`` must be d x d x d.  It is read once, at construction,
-    into the table of nonzero constants (k, c) per basis pair (i, j)
-    that :meth:`mul` walks.
+    into the bilinear table that :meth:`mul` walks.
     """
 
     _fields = ("structure",)
@@ -101,10 +129,7 @@ class FiniteAlgebra(Value):
         if any(len(plane) != d or any(len(constants) != d for constants in plane)
                for plane in self.structure):
             raise InvalidElement(f"structure constants must be {d}x{d}x{d}")
-        object.__setattr__(self, "_table", tuple(
-            tuple(tuple((k, exact(c)) for k, c in enumerate(constants) if c)
-                  for constants in plane)
-            for plane in self.structure))
+        object.__setattr__(self, "_table", _bilinear_table(d, lambda i, j: self.structure[i][j]))
 
     @property
     def dim(self) -> int:
@@ -117,17 +142,7 @@ class FiniteAlgebra(Value):
         return (0,) * self.dim
 
     def mul(self, u: Vector, v: Vector) -> Vector:
-        table = self._table
-        d = len(table)
-        out = [0] * d
-        nonzero_v = _nonzero(v, d)
-        for i, a in _nonzero(u, d):
-            row = table[i]
-            for j, b in nonzero_v:
-                ab = a * b
-                for k, c in row[j]:
-                    out[k] += ab * c
-        return _exact_vector(out)
+        return _walk(self._table, u, v)
 
     def associativity_counterexample(self) -> Optional[Tuple[int, int, int]]:
         for i in range(self.dim):
@@ -168,9 +183,9 @@ class RBFamily(Value):
     """An algebra with one operator per sampled semigroup element and a weight.
 
     Each operator must be a d x d matrix over the algebra's dimension d.
-    ``operators`` is read when the family, or :func:`eta` over it, is built,
-    into the nonzero entries (row, c) of each column that :meth:`apply`
-    walks; mutating the mapping later is not supported (build a new family).
+    ``operators`` is read when the family is built, into the nonzero entries
+    (row, c) of each column that :meth:`apply` walks; mutating the mapping
+    later is not supported (build a new family).
     """
 
     _fields = ("algebra", "weight", "operators")
@@ -182,15 +197,10 @@ class RBFamily(Value):
         for omega, m in self.operators.items():
             if len(m) != d or any(len(row) != d for row in m):
                 raise InvalidElement(f"operator for {shown(omega)} must be {d}x{d}")
-        object.__setattr__(self, "_columns", self._compiled())
-
-    def _compiled(self, shift: Coordinate = 0) -> dict:
-        """The nonzero entries (row, c) of each column of P_w + shift * id, for
-        each index w, as :meth:`apply` walks them."""
-        return {omega: tuple(tuple((r, c) for r, row in enumerate(m)
-                                   if (c := exact(row[j] + shift if r == j else row[j])))
-                             for j in range(len(m)))
-                for omega, m in self.operators.items()}
+        object.__setattr__(self, "_columns", _Indexed({
+            omega: tuple(tuple((r, c) for r, row in enumerate(m) if (c := exact(row[j])))
+                         for j in range(d))
+            for omega, m in self.operators.items()}))
 
     def apply(self, omega: str, v: Vector) -> Vector:
         return _apply(self._columns, omega, v)
@@ -231,13 +241,23 @@ def rb_family_counterexample(rb: RBFamily, semigroup: Semigroup,
 
 
 class _InducedOps:
-    """The vector-space operations shared by the induced structures, and
-    their validation by ``check``, the axiom check that each structure
-    sets for its kind."""
+    """The operations shared by the induced structures: the products
+    x prec_w y = x P_w(y), plus lambda x y when the structure is
+    ``shifted``, and x succ_w y = P_w(x) y, compiled into one bilinear
+    table per index w; the vector-space operations; and validation by
+    ``check``, the axiom check that each structure sets for its kind."""
 
     def __init__(self, rb: RBFamily):
         self.rb = rb
         self.weight = exact(rb.weight)
+        shift = self.weight if self.shifted else 0
+        d, e, mul = rb.algebra.dim, rb.algebra.basis_vector, partial(_walk, rb.algebra._table)
+
+        def tables(induced):  # induced(w, i, j) is e_i *_w e_j
+            return _Indexed({w: _bilinear_table(d, partial(induced, w)) for w in rb._columns})
+        self._prec = tables(lambda w, i, j: mul(e(i), vec_add(rb.apply(w, e(j)),
+                                                              vec_scale(shift, e(j)))))
+        self._succ = tables(lambda w, i, j: mul(rb.apply(w, e(i)), e(j)))
 
     def validated(self, semigroup: Semigroup, sample: Iterable[str]):
         """This structure, once its axioms hold on every triple of basis
@@ -256,6 +276,12 @@ class _InducedOps:
     def scale(self, c: Coordinate, v: Vector) -> Vector:
         return vec_scale(c, _checked(v, self.rb.algebra.dim))
 
+    def prec(self, x: Vector, y: Vector, omega: str) -> Vector:
+        return _walk(self._prec[omega], x, y)
+
+    def succ(self, x: Vector, y: Vector, omega: str) -> Vector:
+        return _walk(self._succ[omega], x, y)
+
     def zero(self) -> Vector:
         return self.rb.algebra.zero()
 
@@ -264,34 +290,27 @@ class EtaOps(_InducedOps):
     """Dendriform structure induced by a Rota-Baxter family:
     x prec_w y = x P_w(y) + lambda x y,   x succ_w y = P_w(x) y."""
 
-    check = staticmethod(validate_dendriform_ops)
-
-    def __init__(self, rb: RBFamily):
-        super().__init__(rb)
-        self._shifted = rb._compiled(self.weight)
-
-    def prec(self, x: Vector, y: Vector, omega: str) -> Vector:
-        # x (P_w + lambda id)(y): one algebra product instead of two
-        return self.rb.algebra.mul(x, _apply(self._shifted, omega, y))
-
-    def succ(self, x: Vector, y: Vector, omega: str) -> Vector:
-        return self.rb.algebra.mul(self.rb.apply(omega, x), y)
+    check, shifted = staticmethod(validate_dendriform_ops), True
+    # re-bound in this class's namespace: the benchmark tracer wraps only a
+    # class's own methods
+    prec, succ = _InducedOps.prec, _InducedOps.succ
 
 
 class EpsilonOps(_InducedOps):
     """Tridendriform structure induced by a Rota-Baxter family:
     x prec_w y = x P_w(y),  x succ_w y = P_w(x) y,  x . y = lambda x y."""
 
-    check = staticmethod(validate_tridendriform_ops)
+    check, shifted = staticmethod(validate_tridendriform_ops), False
+    prec, succ = _InducedOps.prec, _InducedOps.succ
 
-    def prec(self, x: Vector, y: Vector, omega: str) -> Vector:
-        return self.rb.algebra.mul(x, self.rb.apply(omega, y))
-
-    def succ(self, x: Vector, y: Vector, omega: str) -> Vector:
-        return self.rb.algebra.mul(self.rb.apply(omega, x), y)
+    def __init__(self, rb: RBFamily):
+        super().__init__(rb)
+        e = rb.algebra.basis_vector
+        self._dot = _bilinear_table(rb.algebra.dim, lambda i, j: vec_scale(
+            self.weight, rb.algebra.mul(e(i), e(j))))
 
     def dot(self, x: Vector, y: Vector) -> Vector:
-        return vec_scale(self.weight, self.rb.algebra.mul(x, y))
+        return _walk(self._dot, x, y)
 
 
 def eta(rb: RBFamily) -> EtaOps:
@@ -348,17 +367,19 @@ class TensorRB(TensorSpans):
 
     def __init__(self, rb: RBFamily, semigroup: Semigroup):
         self.rb, self.semigroup = rb, semigroup
+        # the algebra's table, each row keyed by j, for the lift's (i, j) reads
+        self._rows = [dict(row) for row in rb.algebra._table]
 
     def _ranks(self, indices) -> dict:
         """Each basis index is its own rank."""
         for i in indices:
             if not (type(i) is int and 0 <= i < self.rb.algebra.dim):
-                raise InvalidElement(f"no basis element {f'e_{i}' if type(i) is int else shown(i)}"
-                                     f" in dimension {self.rb.algebra.dim}")
+                name = f"e_{i}" if type(i) is int and i.bit_length() < 64 else shown(i)
+                raise InvalidElement(f"no basis element {name} in dimension {self.rb.algebra.dim}")
         return {i: i for i in indices}
 
     def mul(self, u: LinComb, v: LinComb) -> LinComb:
-        return self._lift(lambda i, j: self.rb.algebra._table[i][j], u, v)
+        return self._lift(lambda i, j: self._rows[i].get(j, ()), u, v)
 
     def apply(self, u: LinComb) -> LinComb:
         basis_vector = self.rb.algebra.basis_vector

@@ -99,7 +99,10 @@ class Semigroup:
                     "some word is a product of generators in two ways")
             self.generators = gens
         elif kind == "cyclic":
-            if order is None or order < 1:
+            if type(order) is not int:
+                raise SemigroupViolation(
+                    f"cyclic semigroup order must be an int, got {shown(order)}")
+            if order < 1:
                 raise SemigroupViolation("cyclic semigroup needs order >= 1")
             self.order = order
             self._ranks: dict = {}  # name -> rank of each name validated so far

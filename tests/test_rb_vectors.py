@@ -238,3 +238,35 @@ def test_extend_of_a_span_is_the_weighted_sum_of_its_terms(data, rb):
         value = alg.extend(f, ops, span)
         assert value == expected
         assert_exact(value)
+
+
+@given(induced_inputs(), st.one_of(weights, st.integers(min_value=-2, max_value=2)))
+@settings(max_examples=80, deadline=None)
+def test_products_match_their_defining_formulas(inputs, weight):
+    """``mul`` and the five induced products against their definitions,
+    evaluated densely over ``Fraction``, on random operators over a random,
+    not necessarily associative, algebra, with int, Fraction and zero weights."""
+    rb, x, y = inputs
+    rb = RBFamily(rb.algebra, weight, rb.operators)
+    structure = rb.algebra.structure
+
+    def times(u, v):
+        return dense_mul(structure, u, v)
+
+    def plus(u, v, c=1):
+        return tuple(a + c * b for a, b in zip(u, v))
+
+    assert rb.algebra.mul(x, y) == times(x, y)
+    assert_exact(rb.algebra.mul(x, y))
+    eta_ops, eps_ops = eta(rb), EpsilonOps(rb)
+    for w in SAMPLE:
+        px, py = dense_apply(rb.operators[w], x), dense_apply(rb.operators[w], y)
+        for product, expected in ((eta_ops.prec(x, y, w), plus(times(x, py), times(x, y), weight)),
+                                  (eta_ops.succ(x, y, w), times(px, y)),
+                                  (eps_ops.prec(x, y, w), times(x, py)),
+                                  (eps_ops.succ(x, y, w), times(px, y))):
+            assert product == expected
+            assert_exact(product)
+    dot = eps_ops.dot(x, y)
+    assert dot == tuple(weight * c for c in times(x, y))
+    assert_exact(dot)

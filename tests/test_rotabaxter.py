@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 import pytest
@@ -8,7 +9,7 @@ from dendrifam.dendriform import FreeDendriformFamily
 from dendrifam.errors import AxiomFailure, InvalidElement, LeafOperand
 from dendrifam.pbtrees import enumerate_bin, single_vertex as bin_vertex
 from dendrifam.rotabaxter import (EpsilonOps, EtaOps, FiniteAlgebra, RBFamily,
-                                  TensorFamily, cascading_sum_matrix, epsilon,
+                                  TensorFamily, TensorRB, cascading_sum_matrix, epsilon,
                                   eta, parse_map_text, parse_rb_text,
                                   pointwise_algebra, rb_family_counterexample,
                                   tensor_rb, tensor_rb_counterexample)
@@ -141,6 +142,14 @@ def test_missing_operator_is_an_error(cascading):
 
 
 K3_XY = Alphabet(["x", "y"])
+INDUCED_PRODUCTS = [(eta, "prec"), (eta, "succ"),
+                    (EpsilonOps, "prec"), (EpsilonOps, "succ"), (EpsilonOps, "dot")]
+
+
+def induced_product(ops, name, operands, rb, index="0"):
+    """The product ``name`` of ``ops(rb)`` on ``operands``, at ``index``
+    unless it is the unindexed dot."""
+    return getattr(ops(rb), name)(*operands, *(() if name == "dot" else (index,)))
 
 
 @pytest.mark.parametrize("call", [
@@ -157,11 +166,23 @@ K3_XY = Alphabet(["x", "y"])
         parse_tree("B[y;0:B[x;1:|,1:|],1:|]", "binary", K3_XY, Z2)),
     lambda rb: eta(rb).add((1, 1, 1), (1, 1)),
     lambda rb: eta(rb).scale(2, (1, 1, 1, 1)),
+    # each operand of each induced product, of an unvalidated structure too
+    *[partial(induced_product, ops, name, operands) for ops, name in INDUCED_PRODUCTS
+      for operands in (((1, 2), (1, 1, 1)), ((1, 1, 1), (1, 2, 3, 4)))],
 ], ids=["extend-short-operand", "extend-short-value", "mul", "apply", "extend-long-image",
-        "add", "scale"])
+        "add", "scale"] + [f"{ops.__name__}-{name}-{side}"
+                           for ops, name in INDUCED_PRODUCTS for side in ("x", "y")])
 def test_vectors_of_the_wrong_length_are_rejected(cascading, call):
     with pytest.raises(InvalidElement, match="dimension 3"):
         call(cascading)
+
+
+@pytest.mark.parametrize("ops, name", INDUCED_PRODUCTS[:4],
+                         ids=[f"{ops.__name__}-{name}" for ops, name in INDUCED_PRODUCTS[:4]])
+def test_induced_products_reject_an_undeclared_index(cascading, ops, name):
+    operands = (cascading.algebra.basis_vector(0), cascading.algebra.basis_vector(2))
+    with pytest.raises(InvalidElement, match="no operator declared for index '2'"):
+        induced_product(ops, name, operands, cascading, index="2")
 
 
 # -- the induced dendriform structure ----------------------------------------------
@@ -240,6 +261,26 @@ def test_tensor_rb_cascading_free_semigroup_truncation():
     rb = RBFamily(pointwise_algebra(2), ONE,
                   {w: cascading_sum_matrix(2, ONE) for w in words})
     assert tensor_rb_counterexample(rb, free, ["a", "aa"]) is None
+
+
+def test_induced_structures_on_a_group_algebra():
+    # k[Z_3], e_i e_j = e_{i+j mod 3}: every basis pair multiplies to a nonzero
+    # vector.  Minus lambda times the projection onto the augmentation ideal
+    # (along the idempotent (e_0 + e_1 + e_2)/3) is a Rota-Baxter operator of
+    # weight lambda with no zero entry.
+    d, weight = 3, Fraction(1, 3)
+    structure = tuple(tuple(tuple(int(k == (i + j) % d) for k in range(d)) for j in range(d))
+                      for i in range(d))
+    projection = tuple(tuple(-weight * (int(r == c) - Fraction(1, d)) for c in range(d))
+                       for r in range(d))
+    rb = RBFamily(FiniteAlgebra(structure), weight, {w: projection for w in SAMPLE})
+    rb.algebra.validate()
+    assert rb_family_counterexample(rb, Z2, SAMPLE) is None
+    eta(rb).validated(Z2, SAMPLE)
+    epsilon(rb, Z2, SAMPLE)
+    op = tensor_rb(rb, Z2, SAMPLE)
+    for (i, a), (j, b) in product(product(range(d), SAMPLE), repeat=2):
+        assert op.mul(op.element(i, a), op.element(j, b)) == op.element((i + j) % d, Z2.mul(a, b))
 
 
 def test_tensor_rb_flags_broken_family(cascading):
@@ -328,6 +369,16 @@ def test_tensor_rb_element_rejects_index_outside_the_basis(cascading, index):
     op = tensor_rb(cascading, Z2, SAMPLE)
     with pytest.raises(InvalidElement):
         op.element(index, "0")
+
+
+def test_tensor_rb_element_names_an_ordinary_index_and_rejects_a_huge_one(cascading):
+    op = TensorRB(constant_family(5, cascading_sum_matrix(5, ONE)), Z2)
+    with pytest.raises(InvalidElement, match="^no basis element e_7 in dimension 5$"):
+        op.element(7, "0")
+    # an index past the int-to-str limit used to raise ValueError
+    for index in (10**5000, -10**5000):
+        with pytest.raises(InvalidElement, match="in dimension 5"):
+            op.element(index, "0")
 
 
 def test_tensor_elements_require_a_semigroup_element(cascading):

@@ -1,8 +1,10 @@
+import re
 from itertools import product
 
 import pytest
 
-from dendrifam.errors import InfiniteSemigroup, InvalidElement, SemigroupViolation
+from dendrifam.errors import InfiniteSemigroup, InvalidElement, SemigroupViolation, shown
+from dendrifam.pbtrees import single_vertex
 from dendrifam.semigroups import IDENTITY, Semigroup, from_config_text
 
 Z2_TABLE = Semigroup.table(["e", "g"], [["e", "g"], ["g", "e"]])
@@ -196,8 +198,17 @@ def test_bad_tokens_rejected():
         Semigroup.free(["a b"])
     with pytest.raises(SemigroupViolation):
         Semigroup.table(["e", "e"], [["e", "e"], ["e", "e"]])
-    with pytest.raises(SemigroupViolation):
+    with pytest.raises(SemigroupViolation, match="^cyclic semigroup needs order >= 1$"):
         Semigroup.cyclic(0)
+
+
+@pytest.mark.parametrize("order", [single_vertex("x"), "3", 2.5, True, None],
+                         ids=["tree", "str", "float", "bool", "none"])
+def test_cyclic_order_must_be_an_int(order):
+    # a non-int order used to raise a bare TypeError, or to be accepted
+    with pytest.raises(SemigroupViolation,
+                       match=f"order must be an int, got {re.escape(shown(order))}$"):
+        Semigroup.cyclic(order)
 
 
 @pytest.mark.parametrize("build", [
