@@ -100,15 +100,10 @@ def search(table, ops, instances):
     return None
 
 
-def first_counterexample(table, ops, elements, index_triples):
-    """:func:`search` over every triple of ``elements`` and every
-    (alpha, beta, alpha*beta) of ``index_triples``, in that order."""
-    return search(table, ops, product(elements, elements, elements, index_triples))
-
-
 def validate(table, family: str, ops, elements, index_triples) -> None:
-    """Raise AxiomFailure at the first counterexample to ``table``."""
-    failure = first_counterexample(table, ops, elements, index_triples)
+    """Raise AxiomFailure at the first counterexample to ``table`` among the triples
+    of ``elements`` and the (alpha, beta, alpha*beta) of ``index_triples``."""
+    failure = search(table, ops, product(elements, elements, elements, index_triples))
     if failure is not None:
         raise AxiomFailure(
             f"{family} family axiom ({failure['axiom']}) fails at "

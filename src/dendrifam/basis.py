@@ -4,18 +4,18 @@ spans and their sums (:class:`Spans`), the ranked canonical order and enumeratio
 A span (:class:`LinComb`) is a finite formal rational-linear combination
 of basis trees, stored as a map from tree to nonzero coefficient.  The
 constructor wraps a finished map; :func:`normalize` builds one from
-(coefficient, tree) pairs and is the one sum of spans (``add``, scaling,
-``span``) but for the two bilinear kernel lifts, kept apart for speed; a
-free family lifts each basis pair it reads once and shares the map, as
-no span mutates its map.  Spans compare as maps, so term order never
-affects equality or arithmetic.
+(coefficient, tree) pairs and is the one sum of spans (``add``, scaling, ``span``)
+but for two bilinear products kept apart for speed: ``rotabaxter.TensorRB.mul``
+and :class:`dendrifam.family._Product`, the lazy product of both families and
+their tensor products, which shares the map of each basis pair it reads, as no
+span mutates its map.  Spans compare as maps, so term order never affects equality
+or arithmetic.
 Coefficients are ``int`` whenever they are integral and ``Fraction``
 otherwise; the free products of integral spans only produce integers.
 A span carries the order of its algebra, and the canonical term order
 is imposed only when it is read (:meth:`LinComb.ordered`, which the
 printers call).  The bare leaf is representable as a tree but is never
-a span term.  A free product is a span whose terms its bilinear lift
-builds when first read (:class:`dendrifam.family._Product`).
+a span term.
 
 Trees are ordered by ranks, per collection: a tree module walks the
 nodes reachable from the collection once, without recursion, giving
@@ -203,9 +203,9 @@ def span_single(tree) -> LinComb:
 
 def normalize(pairs: Iterable[Tuple[Any, Any]], order: Optional[Callable] = None) -> LinComb:
     """Span of (coefficient, tree) pairs: duplicates merged, zeros dropped,
-    ints where integral, the leaf rejected; every sum of spans but the two
-    bilinear kernel lifts.  The terms are not sorted; ``order`` is kept for
-    the ordered view."""
+    ints where integral, the leaf rejected; every sum of spans but
+    ``family._Product`` and ``TensorRB.mul``.  The terms are not sorted;
+    ``order`` is kept for the ordered view."""
     acc: dict = {}
     for coeff, tree in pairs:
         acc[tree] = acc.get(tree, 0) + coeff

@@ -11,33 +11,30 @@ one tree with U grafted on the edge w: such a step does not branch, and
 only the steps that branch are memoized.  The leaf rule for operands
 lives in ``_product`` alone, so the kernels take basis trees only.  The
 dendriform family is the case ``dot = 0`` (a dendriform algebra is a
-tridendriform algebra with zero middle product).  This base holds, over
-the sums of :class:`~dendrifam.basis.Spans`, ``order``, ``gen``,
-``span``, operand coercion (a span of another kind is a TypeError), the
-family index check, the tree kernels ``_prec_trees``/``_succ_trees``, the
-bilinear lift, the axiom residuals at one instance, and the generator
-decomposition ``express`` with its image recursion ``_imager`` for ``extend``.  An
-algebra is its own operations object, so the CLI's family suites search
-it with :func:`dendrifam.axioms.search` on spans of single trees.  It
-reads a root vertex through the view ``(decorations, (edge type,
-child) pairs)``, in which a binary vertex is the arity-2 case.  A kernel
-returns a tuple of basis trees, a sum with multiplicity, so the recursion
-adds by concatenation; coefficients enter only in the bilinear lift,
-adding up a tree repeated within or across the sums.  A product of
-spans is checked at the call and built when first read
-(:class:`_Product`), where a ``RecursionError`` or ``MemoryError``
-surfaces; two unbuilt ones compare by the intern keys that ``_prec_keys``
-and its kin make from a kernel's step, so a sweep builds no outermost
-product.  A read product of two one-term spans scales the unit map of
-its basis pair from ``_pair_memo``; a compared one never enters it.  A
-family supplies only what differs:
+tridendriform algebra with zero middle product).  An algebra is its own
+operations object, so the CLI's family suites search it with
+:func:`dendrifam.axioms.search` on spans of single trees.  It reads a
+root vertex through the view ``(decorations, (edge type, child) pairs)``,
+in which a binary vertex is the arity-2 case.  A kernel returns a tuple
+of basis trees, a sum with multiplicity, so the recursion adds by
+concatenation; coefficients enter only in the bilinear lift, adding up
+a tree repeated within or across the sums.  A product of spans is
+checked at the call and built when first read (:class:`_Product`),
+where a ``RecursionError`` or ``MemoryError`` surfaces; two unbuilt ones
+compare by the intern keys that ``_prec_keys`` and its kin make from a
+kernel's step, so a sweep builds no outermost product.  A read product
+of two one-term spans scales the unit map of its basis pair from
+``_pair_memo``; a compared one never enters it.  ``_Product`` reads of
+an algebra only ``order``, ``_pair_memo`` and the kernels, so it is also
+the product of :class:`~dendrifam.rotabaxter.TensorFamily`.  A family
+supplies only what differs:
 
 * ``nodes``, its tree module (:mod:`dendrifam.pbtrees` or
   :mod:`dendrifam.schroder`), and ``node_type``, its node class;
 * ``axiom_table``, its table in :mod:`dendrifam.axioms`, and
   ``axioms_hold``;
-* for the tridendriform family, ``dot`` with its kernel ``_dot_trees``,
-  which is zero here.
+* for the tridendriform family, ``dot`` with its kernels ``_dot_trees``
+  and ``_dot_keys``, which are empty here.
 """
 
 from __future__ import annotations
@@ -59,9 +56,9 @@ _TERMS = SimpleNamespace(prec=lambda a, b, w: Prec(w, a, b),
 
 
 class _Product(LinComb):
-    """The product ``name`` of two spans of ``alg``, built when ``map`` is first
-    read (printing, ``add``, ``scale``, hashing, use as an operand, read at the
-    call); two unbuilt ones compare by their terms' intern keys, building no tree."""
+    """The product ``name`` of two spans of ``alg`` (a family or a tensor product), built
+    when ``map`` is first read (printing, ``add``, ``scale``, hashing, use as an operand,
+    read at the call); two unbuilt ones compare by their terms' keys, building no tree."""
 
     __slots__ = ("_factors",)
     __hash__ = LinComb.__hash__
@@ -227,8 +224,9 @@ class FreeFamily(Spans):
         return self.nodes.first_keys(u, *self._succ_step(t, u, w))
 
     def _dot_trees(self, t, u) -> tuple:
-        """The middle product of trees; empty unless a family defines ``dot``."""
+        """The middle product of trees, or its keys; empty unless a family defines ``dot``."""
         return ()
+    _dot_keys = _dot_trees
 
     # -- axioms ----------------------------------------------------------
 

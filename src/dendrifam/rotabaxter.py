@@ -32,8 +32,9 @@ from functools import lru_cache, partial
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
 from .axioms import validate_dendriform_ops, validate_tridendriform_ops
-from .basis import LEAF, LinComb, Spans, Value, clean, normalize
-from .errors import AxiomFailure, InvalidElement, LeafOperand, shown
+from .basis import LinComb, Spans, Value, clean, normalize
+from .errors import AxiomFailure, InvalidElement, shown
+from .family import _Product
 from .rationals import exact, parse_coefficient
 from .semigroups import Semigroup, content_lines
 
@@ -329,11 +330,9 @@ def epsilon(rb: RBFamily, semigroup: Semigroup, sample: Iterable[str]) -> Epsilo
 
 
 class TensorSpans(Spans):
-    """Spans of pairs (basis element of A, semigroup element), the tensor
-    product A (x) k Omega, in the order ``order``.  A subclass sets
-    ``semigroup``, ranks the basis elements of A by ``_ranks``, which raises
-    for anything outside that basis, and lifts its products from A by
-    :meth:`_lift`."""
+    """Spans of pairs (basis element of A, semigroup element), the tensor product
+    A (x) k Omega, in the order ``order``.  A subclass sets ``semigroup`` and ranks
+    the basis elements of A by ``_ranks``, which raises for anything outside that basis."""
 
     def order(self, pairs, repeated=None) -> dict:
         """Each pair (b, w) mapped to its place: the rank of b among the basis
@@ -347,19 +346,6 @@ class TensorSpans(Spans):
         self.semigroup.require(omega)
         return LinComb({(b, omega): 1}, self.order)
 
-    def _lift(self, kernel, u: LinComb, v: LinComb, side=None) -> LinComb:
-        """(x (x) a) * (y (x) b) = kernel(x, y) (x) ab, extended bilinearly.  The
-        kernel gives (basis element, coefficient) pairs and is indexed by a
-        (``side=0``), by b (``side=1``) or not at all."""
-        acc: dict = {}
-        for (x, a), cu in u.map.items():
-            for (y, b), cv in v.map.items():
-                ab, c = self.semigroup.mul(a, b), cu * cv
-                index = () if side is None else ((a, b)[side],)
-                for z, cz in kernel(x, y, *index):
-                    acc[z, ab] = acc.get((z, ab), 0) + c * cz
-        return LinComb(clean(acc), self.order)
-
 
 class TensorRB(TensorSpans):
     """The single Rota-Baxter operator P(x (x) w) = P_w(x) (x) w on spans of
@@ -367,7 +353,7 @@ class TensorRB(TensorSpans):
 
     def __init__(self, rb: RBFamily, semigroup: Semigroup):
         self.rb, self.semigroup = rb, semigroup
-        # the algebra's table, each row keyed by j, for the lift's (i, j) reads
+        # the algebra's table, each row keyed by j, for mul's (i, j) reads
         self._rows = [dict(row) for row in rb.algebra._table]
 
     def _ranks(self, indices) -> dict:
@@ -379,7 +365,14 @@ class TensorRB(TensorSpans):
         return {i: i for i in indices}
 
     def mul(self, u: LinComb, v: LinComb) -> LinComb:
-        return self._lift(lambda i, j: self._rows[i].get(j, ()), u, v)
+        """(e_i (x) a) (e_j (x) b) = e_i e_j (x) ab, extended bilinearly."""
+        acc: dict = {}
+        for (i, a), cu in u.map.items():
+            for (j, b), cv in v.map.items():
+                ab, c = self.semigroup.mul(a, b), cu * cv
+                for k, ck in self._rows[i].get(j, ()):
+                    acc[k, ab] = acc.get((k, ab), 0) + c * ck
+        return LinComb(clean(acc), self.order)
 
     def apply(self, u: LinComb) -> LinComb:
         basis_vector = self.rb.algebra.basis_vector
@@ -407,34 +400,44 @@ def tensor_rb(rb: RBFamily, semigroup: Semigroup, sample: Iterable[str]) -> Tens
 
 
 class TensorFamily(TensorSpans):
-    """Classical (index-free) products on spans of (basis tree, semigroup
-    element) pairs over a free family algebra:
-    (x (x) a) prec (y (x) b) = (x prec_b y) (x) ab, mirrored for succ, and
-    (x (x) a) . (y (x) b) = (x . y) (x) ab, which is zero over the
-    dendriform family."""
+    """Classical products on spans of (basis tree, semigroup element) pairs over a
+    free family: (x (x) a) prec (y (x) b) = (x prec_b y) (x) ab, mirrored for succ,
+    and (x (x) a) . (y (x) b) = (x . y) (x) ab, each the family's lazy
+    :class:`~dendrifam.family._Product` over its kernels tagged by :meth:`_tagged`."""
 
     def __init__(self, family):
-        self.family, self.semigroup = family, family.semigroup
+        self.family, self.semigroup, self._pair_memo = family, family.semigroup, {}
+        self.order = self.order  # bound once: a span of this order is known by identity
+        f, tag = family, partial(partial, self._tagged)  # b indexes prec, a indexes succ
+        self._prec_trees, self._prec_keys = tag(f._prec_trees, 1), tag(f._prec_keys, 1)
+        self._succ_trees, self._succ_keys = tag(f._succ_trees, 0), tag(f._succ_keys, 0)
+        self._dot_trees, self._dot_keys = tag(f._dot_trees, None), tag(f._dot_keys, None)
+        self.prec, self.succ, self.dot = (
+            partial(self._product, name) for name in ("prec", "succ", "dot"))
 
     def _ranks(self, trees) -> dict:
-        """The family's ranks of the trees; a tree of the other kind raises
-        TypeError from the ranking."""
-        if LEAF in trees:
-            raise LeafOperand("the leaf | is not a basis element of the free algebra")
-        return self.family.order(trees)
+        """The family's ranks of its basis trees ``trees``; anything else raises."""
+        return self.family.order(self.family.span(*trees).map)
 
-    def _lift_trees(self, kernel, u: LinComb, v: LinComb, side=None) -> LinComb:
-        # a tree kernel gives basis trees, each with coefficient 1
-        return self._lift(lambda *args: [(s, 1) for s in kernel(*args)], u, v, side)
+    def _own(self, s) -> LinComb:
+        """``s``, if a span of (tree, element) pairs; one of ``order`` is trusted unread."""
+        node = self.family.node_type
+        if not isinstance(s, LinComb) or s.order is not self.order and not all(
+                type(t) is tuple and len(t) == 2 and type(t[0]) is node
+                and self.semigroup.contains(t[1]) for t in s.map):
+            raise TypeError(f"not a span of ({node.__name__}, element) pairs: a {type(s).__name__}")
+        return s
 
-    def prec(self, u: LinComb, v: LinComb) -> LinComb:
-        return self._lift_trees(self.family._prec_trees, u, v, side=1)
+    def _product(self, name, u, v) -> LinComb:
+        """The product ``name`` of u and v: ``prec``, ``succ`` and ``dot`` are bound to it."""
+        return _Product(self, name, self._own(u), self._own(v), ())
 
-    def succ(self, u: LinComb, v: LinComb) -> LinComb:
-        return self._lift_trees(self.family._succ_trees, u, v, side=0)
-
-    def dot(self, u: LinComb, v: LinComb) -> LinComb:
-        return self._lift_trees(self.family._dot_trees, u, v)
+    def _tagged(self, kernel, side, xa, yb) -> list:
+        """The trees or keys of the family's ``kernel`` on x and y, for pairs (x, a) and
+        (y, b), indexed by a (``side`` 0), by b (1) or by nothing (None), each paired with ab."""
+        (x, a), (y, b) = xa, yb
+        ab = self.semigroup.mul(a, b)
+        return [(s, ab) for s in kernel(x, y, *(() if side is None else ((a, b)[side],)))]
 
 
 # -- the definition file format ------------------------------------------

@@ -21,6 +21,7 @@ trees carry ``IDENTITY``.
 from __future__ import annotations
 
 import re
+import sys
 from itertools import product
 from typing import Iterable, Optional
 
@@ -104,6 +105,9 @@ class Semigroup:
                     f"cyclic semigroup order must be an int, got {shown(order)}")
             if order < 1:
                 raise SemigroupViolation("cyclic semigroup needs order >= 1")
+            limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 where there is no limit
+            if limit and order >= 10 ** limit:
+                raise SemigroupViolation(f"cyclic semigroup order has more than {limit} digits")
             self.order = order
             self._ranks: dict = {}  # name -> rank of each name validated so far
         elif kind == "table":

@@ -1,13 +1,13 @@
 """Helpers that only the tests call: tree measures, the corolla, the
 binary-to-Schröder embedding, corpus parsing, the central factors of a
 tree, the scaled identity matrix, the Rota-Baxter family check and
-mutant, the classical residuals and the counterexample search per table."""
+mutant and the classical residuals per table."""
 
 from fractions import Fraction
 from functools import partial
 
 from dendrifam import pbtrees, schroder
-from dendrifam.axioms import DENDRIFORM, TRIDENDRIFORM, _Unindexed, first_counterexample, residuals
+from dendrifam.axioms import DENDRIFORM, TRIDENDRIFORM, _Unindexed, residuals
 from dendrifam.basis import LEAF
 from dendrifam.errors import ArityMismatch
 from dendrifam.exprs import Dot
@@ -136,5 +136,3 @@ def classical_residuals(table, ops, x, y, z) -> tuple:
 
 classical_dendriform_residuals = partial(classical_residuals, DENDRIFORM)
 classical_tridendriform_residuals = partial(classical_residuals, TRIDENDRIFORM)
-find_dendriform_counterexample = partial(first_counterexample, DENDRIFORM)
-find_tridendriform_counterexample = partial(first_counterexample, TRIDENDRIFORM)

@@ -219,13 +219,11 @@ def test_classical_residuals(case):
 def test_first_counterexample_reports_the_reference_axiom(rb, data):
     elements = [data.draw(vectors(rb.algebra.dim)) for _ in range(2)]
     triples = [(a, b, Z2.mul(a, b)) for a in SAMPLE for b in SAMPLE]
-    for find, reference, ops in (
-            (helpers.find_dendriform_counterexample, dendriform_family_residuals,
-             EtaOps(rb)),
-            (helpers.find_tridendriform_counterexample, tridendriform_family_residuals,
-             EpsilonOps(rb))):
+    for table, reference, ops in (
+            (axioms.DENDRIFORM, dendriform_family_residuals, EtaOps(rb)),
+            (axioms.TRIDENDRIFORM, tridendriform_family_residuals, EpsilonOps(rb))):
         expected = reference_first_counterexample(reference, ops, elements, triples)
-        found = find(ops, elements, triples)
+        found = axioms.search(table, ops, product(elements, elements, elements, triples))
         if expected is None:
             assert found is None
             continue

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from dendrifam.axioms import validate_dendriform_ops
+from dendrifam.axioms import DENDRIFORM, search, validate_dendriform_ops
 from dendrifam.basis import LEAF, Alphabet, LinComb, span_single
 from dendrifam.dendriform import FreeDendriformFamily
 from dendrifam.errors import (AxiomFailure, IdentityMisuse, InvalidElement,
@@ -14,7 +14,7 @@ from dendrifam.semigroups import IDENTITY, Semigroup
 from dendrifam.termio import print_span
 from dendrifam.tridendriform import FreeTridendriformFamily
 
-from helpers import find_dendriform_counterexample, leaves, scaled_identity_matrix
+from helpers import leaves, scaled_identity_matrix
 from untyped_free import b_span_prec, b_span_succ
 
 X2 = Alphabet(["x", "y"])
@@ -312,8 +312,8 @@ def test_validate_dendriform_ops_flags_broken_oracle():
             return Fraction(0)
 
     broken = Broken()
-    failure = find_dendriform_counterexample(
-        broken, [Fraction(1), Fraction(2)], [("0", "0", "0")])
+    elements = [Fraction(1), Fraction(2)]
+    failure = search(DENDRIFORM, broken, product(elements, elements, elements, [("0", "0", "0")]))
     assert failure is not None
     with pytest.raises(AxiomFailure):
         validate_dendriform_ops(broken, [Fraction(1), Fraction(2)],

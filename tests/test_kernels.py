@@ -1,7 +1,8 @@
 """The tree kernels ``_prec_trees``/``_succ_trees``/``_dot_trees`` return a
 tuple of basis trees, read as a sum with multiplicity; coefficients enter
-only in the bilinear lift.  A product of spans is built when first read,
-and two unbuilt products compare by the intern keys of their terms.
+only in the bilinear lift.  A product of spans, of a family or of its
+tensor product with k Omega, is built when first read, and two unbuilt
+products compare by the intern keys of their terms.
 
 On two basis trees the typed terms of ``prec_w + succ_w' + dot`` map one to
 one onto a Tamari interval (Loday & Ronco, J. Algebraic Combin. 15, 2002),
@@ -19,9 +20,10 @@ from itertools import product
 import pytest
 
 from dendrifam import pbtrees, schroder
-from dendrifam.basis import Alphabet
+from dendrifam.basis import Alphabet, LinComb
 from dendrifam.dendriform import FreeDendriformFamily
 from dendrifam.pbtrees import enumerate_bin
+from dendrifam.rotabaxter import TensorFamily
 from dendrifam.schroder import enumerate_sch
 from dendrifam.semigroups import Semigroup
 from dendrifam.tridendriform import FreeTridendriformFamily
@@ -38,6 +40,20 @@ def family(kind, alphabet=X2):
                 enumerate_bin(1, alphabet, Z2) + enumerate_bin(2, alphabet, Z2))
     return (FreeTridendriformFamily(alphabet, Z2),
             enumerate_sch(1, alphabet, Z2) + enumerate_sch(2, alphabet, Z2))
+
+
+def algebra(kind):
+    """:func:`family` of ``kind``, or for "tensor-" + kind its tensor product
+    with k Z2 and the pairs (tree, w) of its trees and both w."""
+    if not kind.startswith("tensor-"):
+        return family(kind)
+    alg, trees = family(kind[len("tensor-"):])
+    return TensorFamily(alg), [(t, w) for t in trees for w in Z2.elements()]
+
+
+def unit(alg, term):
+    """1 * ``term``, a basis tree of a family or a (tree, w) pair of a tensor product."""
+    return LinComb({term: 1}, alg.order)
 
 
 def memos(alg):
@@ -83,30 +99,34 @@ def test_products_of_single_vertices_memoize_nothing(kind):
 def cancelling_spans(alg, kernel, trees, *index):
     """Spans a = 1/2 t1 + 3/4 t2 and b = 3 u1 - 2 u2, where the kernels of
     (t1, u1) and (t2, u2) share a tree, whose coefficient in the lift
-    is 3/2 - 3/2 = 0; returns a, b and the shared tree."""
-    seen = {}
+    is 3/2 - 3/2 = 0; returns a, b and the shared tree.  In a tensor product
+    t1 and t2 have different w."""
+    seen, tensor = {}, isinstance(alg, TensorFamily)
     for t, u in product(trees, repeat=2):
         for s in kernel(t, u, *index):
             t1, u1 = seen.setdefault(s, (t, u))
-            if t1 is not t and u1 is not u:
-                a = alg.add(alg.span(t1).scaled(Fraction(1, 2)), alg.span(t).scaled(Fraction(3, 4)))
-                b = alg.add(alg.span(u1).scaled(3), alg.span(u).scaled(-2))
+            if t1 is not t and u1 is not u and not (tensor and t1[1] == t[1]):
+                a = alg.add(unit(alg, t1).scaled(Fraction(1, 2)), unit(alg, t).scaled(Fraction(3, 4)))
+                b = alg.add(unit(alg, u1).scaled(3), unit(alg, u).scaled(-2))
                 return a, b, s
     raise AssertionError("no two pairs share a kernel tree")
 
 
 def termwise(alg, op, a, b, *index):
     """The product of spans as the sum of the scaled products of their terms."""
-    return alg.add(*[alg.scale(ca * cb, op(alg.span(ta), alg.span(tb), *index))
+    return alg.add(*[alg.scale(ca * cb, op(unit(alg, ta), unit(alg, tb), *index))
                      for ta, ca in a.map.items() for tb, cb in b.map.items()])
 
 
 @pytest.mark.parametrize("kind, op", [("binary", "prec"), ("binary", "succ"),
                                       ("schroder", "prec"), ("schroder", "succ"),
-                                      ("schroder", "dot")])
+                                      ("schroder", "dot"),
+                                      ("tensor-binary", "prec"), ("tensor-binary", "succ"),
+                                      ("tensor-schroder", "prec"), ("tensor-schroder", "succ"),
+                                      ("tensor-schroder", "dot")])
 def test_lift_of_multi_term_spans_is_the_termwise_sum(kind, op):
-    alg, trees = family(kind)
-    index = () if op == "dot" else ("1",)
+    alg, trees = algebra(kind)
+    index = () if op == "dot" or kind.startswith("tensor-") else ("1",)
     kernel = getattr(alg, f"_{op}_trees")
     a, b, shared = cancelling_spans(alg, kernel, trees, *index)
     lifted = getattr(alg, op)(a, b, *index)
@@ -120,7 +140,9 @@ def test_lift_of_multi_term_spans_is_the_termwise_sum(kind, op):
 
 def calls(kind):
     """Each product of the family as (operation, index): prec and succ at
-    both indices, and dot."""
+    both indices, and dot; of a tensor product, prec, succ and dot."""
+    if kind.startswith("tensor-"):
+        return [(op, ()) for op in ("prec", "succ", "dot")]
     ops = [(op, (w,)) for op in ("prec", "succ") for w in Z2.elements()]
     return ops + [("dot", ())] if kind == "schroder" else ops
 
@@ -130,11 +152,14 @@ def intern_key(tree):
     return tuple(getattr(tree, name) for name in type(tree).__slots__)
 
 
-@pytest.mark.parametrize("kind", ["binary", "schroder"])
+@pytest.mark.parametrize("kind", ["binary", "schroder", "tensor-binary", "tensor-schroder"])
 def test_unbuilt_products_compare_as_their_built_maps(kind):
-    alg, trees = family(kind)
-    spans = [alg.span(t) for t in trees[::4]]
+    alg, trees = algebra(kind)
+    spans = [unit(alg, t) for t in trees[::4]]
     spans += [alg.add(a, b.scaled(-2)) for a, b in zip(spans, spans[1:])]
+    if kind.startswith("tensor-"):  # also Fraction coefficients over mixed w
+        spans += [alg.add(unit(alg, (t, "0")).scaled(Fraction(1, 2)),
+                          unit(alg, (t, "1")).scaled(Fraction(-2, 3))) for t, _ in trees[::8]]
     for (op1, i1), (op2, i2) in product(calls(kind), repeat=2):
         for a, b in product(spans, repeat=2):
             for c, d in ((a, b), (b, a)):
@@ -143,6 +168,18 @@ def test_unbuilt_products_compare_as_their_built_maps(kind):
                 (p, q), (p_read, q_read) = both(), both()
                 built = p_read.map == q_read.map
                 assert (p == q) == built and (p != q) == (not built), (op1, op2)
+
+
+@pytest.mark.parametrize("kind", ["tensor-binary", "tensor-schroder"])
+def test_comparing_tensor_products_leaves_both_unbuilt(kind):
+    # the tensor products used to be built at the call, beside the family's lazy ones
+    alg, trees = algebra(kind)
+    a, b = unit(alg, trees[-1]), alg.add(unit(alg, trees[-2]), unit(alg, trees[-3]).scaled(
+        Fraction(-1, 2)))
+    for op1, op2 in product(("prec", "succ", "dot"), repeat=2):
+        p, q = getattr(alg, op1)(a, b), getattr(alg, op2)(b, a)
+        assert (p == q) == (op1 == op2 == "dot" and kind == "tensor-binary")
+        assert p._factors and q._factors, (op1, op2)
 
 
 @pytest.mark.parametrize("kind, op", [("binary", "prec"), ("binary", "succ"),

@@ -4,7 +4,8 @@ from itertools import product
 
 import pytest
 
-from dendrifam.basis import LEAF, Alphabet
+from dendrifam.axioms import DENDRIFORM, TRIDENDRIFORM, search
+from dendrifam.basis import LEAF, Alphabet, LinComb
 from dendrifam.dendriform import FreeDendriformFamily
 from dendrifam.errors import AxiomFailure, InvalidElement, LeafOperand
 from dendrifam.pbtrees import enumerate_bin, single_vertex as bin_vertex
@@ -19,8 +20,7 @@ from dendrifam.termio import parse_tree
 from dendrifam.tridendriform import FreeTridendriformFamily, gamma
 
 from helpers import (classical_dendriform_residuals, classical_tridendriform_residuals,
-                     find_dendriform_counterexample, find_tridendriform_counterexample, mutated,
-                     scaled_identity_matrix, validate_rb_family)
+                     mutated, scaled_identity_matrix, validate_rb_family)
 
 Z2 = Semigroup.cyclic(2)
 SAMPLE = ["0", "1"]
@@ -204,8 +204,8 @@ def test_eta_constant_negative_identity_degenerates():
 
 def test_eta_satisfies_dendriform_axioms(cascading):
     ops = eta(cascading)
-    assert find_dendriform_counterexample(
-        ops, basis(cascading), index_triples()) is None
+    elements = basis(cascading)
+    assert search(DENDRIFORM, ops, product(elements, elements, elements, index_triples())) is None
 
 
 # -- the induced tridendriform structure ----------------------------------------------
@@ -221,8 +221,9 @@ def test_epsilon_weight_zero_kills_dot():
 
 def test_epsilon_validates_seven_axioms(cascading):
     ops = epsilon(cascading, Z2, SAMPLE)
-    assert find_tridendriform_counterexample(
-        ops, basis(cascading), index_triples()) is None
+    elements = basis(cascading)
+    assert search(TRIDENDRIFORM, ops,
+                  product(elements, elements, elements, index_triples())) is None
 
 
 def test_epsilon_rejects_non_rb_family(cascading):
@@ -361,6 +362,37 @@ def test_tensor_family_element_rejects_non_basis_trees(family, tree, error):
     tensor = TensorFamily(family(Alphabet(["x"]), Z2))
     with pytest.raises(error):
         tensor.element(tree, "0")
+
+
+@pytest.mark.parametrize("family,vertex,other,other_vertex", [
+    (FreeDendriformFamily, bin_vertex, FreeTridendriformFamily, sch_vertex),
+    (FreeTridendriformFamily, sch_vertex, FreeDendriformFamily, bin_vertex),
+], ids=["dend", "tri"])
+def test_tensor_family_products_refuse_foreign_operands_at_the_call(
+        family, vertex, other, other_vertex):
+    # a span of family trees raised a bare TypeError from unpacking, a span of
+    # the other tensor kind and an int an AttributeError from the kernel, and
+    # the dendriform dot, whose kernel is empty, accepted all three
+    X = Alphabet(["x"])
+    alg = family(X, Z2)
+    tensor, other_tensor = TensorFamily(alg), TensorFamily(other(X, Z2))
+    e = tensor.element(vertex("x"), "0")
+    node = alg.node_type.__name__
+    spans = [alg.gen("x"), other_tensor.element(other_vertex("x"), "0"),
+             LinComb({(vertex("x"), "2"): 1}), LinComb({(vertex("x"), "0"): 1, 0: 1})]
+    for bad in spans + [3, vertex("x"), LEAF]:
+        message = rf"^not a span of \({node}, element\) pairs: a {type(bad).__name__}$"
+        for op in (tensor.prec, tensor.succ, tensor.dot):
+            for args in ((bad, e), (e, bad)):
+                with pytest.raises(TypeError, match=message):
+                    op(*args)
+        if isinstance(bad, LinComb):
+            with pytest.raises(TypeError, match=message):
+                tensor.add(e, bad)
+    # a span of this kind but another order passes, once its terms are read
+    same = TensorFamily(family(X, Z2)).element(vertex("x"), "1")
+    assert tensor.add(same, e) == tensor.add(tensor.element(vertex("x"), "1"), e)
+    assert tensor.succ(same, e).terms == tensor.succ(tensor.element(vertex("x"), "1"), e).terms
 
 
 @pytest.mark.parametrize("index", [-1, 3, 7, "0"])

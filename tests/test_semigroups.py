@@ -1,4 +1,5 @@
 import re
+import sys
 from itertools import product
 
 import pytest
@@ -209,6 +210,20 @@ def test_cyclic_order_must_be_an_int(order):
     with pytest.raises(SemigroupViolation,
                        match=f"order must be an int, got {re.escape(shown(order))}$"):
         Semigroup.cyclic(order)
+
+
+def test_cyclic_order_past_the_int_to_str_limit_is_refused():
+    # such an order used to be accepted, and contains, require, mul and repr
+    # then raised ValueError from the int-to-str limit
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(SemigroupViolation, match=f"order has more than {limit} digits$"):
+        Semigroup.cyclic(10**5000)
+    with pytest.raises(SemigroupViolation, match=f"order has more than {limit} digits$"):
+        Semigroup.cyclic(10**limit)
+    z = Semigroup.cyclic(10**limit - 1)  # the largest order with a numeral in the limit
+    last = "9" * (limit - 1) + "8"
+    assert z.contains(last) and z.mul(last, "1") == "0" and z.require("1") == "1"
+    assert not z.contains("9" * limit) and repr(z).startswith("Semigroup.cyclic(9")
 
 
 @pytest.mark.parametrize("build", [

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from dendrifam.axioms import validate_tridendriform_ops
+from dendrifam.axioms import DENDRIFORM, TRIDENDRIFORM, search, validate_tridendriform_ops
 from dendrifam.basis import LEAF, Alphabet, LinComb, span_single
 from dendrifam.errors import AxiomFailure, IdentityMisuse, LeafOperand
 from dendrifam.exprs import Dot, Gen, Prec, Succ, evaluate
@@ -12,8 +12,7 @@ from dendrifam.semigroups import IDENTITY, Semigroup
 from dendrifam.termio import print_span
 from dendrifam.tridendriform import FreeTridendriformFamily, gamma
 
-from helpers import (central_factors, corolla, find_dendriform_counterexample,
-                     find_tridendriform_counterexample, leaves)
+from helpers import central_factors, corolla, leaves
 from untyped_free import t_dot, t_prec, t_span_op, t_succ
 
 X2 = Alphabet(["x", "y"])
@@ -267,7 +266,7 @@ def test_gamma_of_free_tridendriform_is_dendriform(z2):
     g = gamma(z2)
     elements = [z2.span(t) for t in enumerate_sch(1, X2, Z2)]
     triples = [(a, b, Z2.mul(a, b)) for a in "01" for b in "01"]
-    assert find_dendriform_counterexample(g, elements, triples) is None
+    assert search(DENDRIFORM, g, product(elements, elements, elements, triples)) is None
 
 
 def test_validate_tridendriform_ops_flags_broken_oracle():
@@ -291,8 +290,9 @@ def test_validate_tridendriform_ops_flags_broken_oracle():
             return Fraction(0)
 
     broken = Broken()
-    assert find_tridendriform_counterexample(
-        broken, [Fraction(1), Fraction(2)], [("0", "0", "0")]) is not None
+    elements = [Fraction(1), Fraction(2)]
+    assert search(TRIDENDRIFORM, broken,
+                  product(elements, elements, elements, [("0", "0", "0")])) is not None
     with pytest.raises(AxiomFailure):
         validate_tridendriform_ops(broken, [Fraction(1), Fraction(2)],
                                    [("0", "0", "0")])
