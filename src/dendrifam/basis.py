@@ -4,11 +4,11 @@ spans and their sums (:class:`Spans`), the ranked canonical order and enumeratio
 A span (:class:`LinComb`) is a finite formal rational-linear combination
 of basis trees, stored as a map from tree to nonzero coefficient.  The
 constructor wraps a finished map; :func:`normalize` builds one from
-(coefficient, tree) pairs and is the one sum of spans (``add``, scaling, ``span``)
-but for two bilinear products kept apart for speed: ``rotabaxter.TensorRB.mul``
-and :class:`dendrifam.family._Product`, the lazy product of both families and
-their tensor products, which shares the map of each basis pair it reads, as no
-span mutates its map.  Spans compare as maps, so term order never affects equality
+(coefficient, tree) pairs and is the one sum of spans (``add``, scaling, ``span``,
+``rotabaxter.TensorRB``) but for the bilinear product kept apart for speed,
+:class:`dendrifam.family._Product`, the lazy product of both families and their
+tensor products, which shares the map of each basis pair it reads, as no span
+mutates its map.  Spans compare as maps, so term order never affects equality
 or arithmetic.
 Coefficients are ``int`` whenever they are integral and ``Fraction``
 otherwise; the free products of integral spans only produce integers.
@@ -204,8 +204,8 @@ def span_single(tree) -> LinComb:
 def normalize(pairs: Iterable[Tuple[Any, Any]], order: Optional[Callable] = None) -> LinComb:
     """Span of (coefficient, tree) pairs: duplicates merged, zeros dropped,
     ints where integral, the leaf rejected; every sum of spans but
-    ``family._Product`` and ``TensorRB.mul``.  The terms are not sorted;
-    ``order`` is kept for the ordered view."""
+    ``family._Product``.  The terms are not sorted; ``order`` is kept for the
+    ordered view."""
     acc: dict = {}
     for coeff, tree in pairs:
         acc[tree] = acc.get(tree, 0) + coeff
@@ -216,23 +216,25 @@ def normalize(pairs: Iterable[Tuple[Any, Any]], order: Optional[Callable] = None
 
 class Spans:
     """The linear structure of spans, shared by the free families and the tensor spans:
-    a subclass sets ``order``, and its ``_own`` may check a summand of another order."""
+    a subclass sets ``order`` and ``_own``, which checks the terms of a span of another
+    order and refuses anything but a span with a TypeError that names its type."""
 
     def zero(self) -> LinComb:
         return ZERO_SPAN
 
-    def _own(self, s: LinComb) -> LinComb:
-        return s
-
     def add(self, *spans: LinComb) -> LinComb:
         order = self.order
-        spans = [s if s.order is order else self._own(s) for s in spans if s.map]
+        try:
+            spans = [s if s.order is order else self._own(s) for s in spans if s.map]
+        except AttributeError:  # a summand that is no span: ``_own`` raises, naming its type
+            list(map(self._own, spans))
+            raise
         if len(spans) == 1:
             return spans[0]
         return normalize([(c, t) for s in spans for t, c in s.map.items()], order)
 
     def scale(self, c, s: LinComb) -> LinComb:
-        return s.scaled(c)
+        return self._own(s).scaled(c)
 
 
 def rank_levels(rank: dict, flat: Callable) -> dict:

@@ -24,10 +24,10 @@ from .dendriform import FreeDendriformFamily
 from .errors import AlgebraError, AxiomFailure, IdentityMisuse, LeafOperand
 from .pbtrees import enumerate_bin
 from .rationals import parse_coefficient
-from .rotabaxter import (RBFamily, TensorFamily, eta, epsilon, parse_map_file,
-                         parse_rb_file, rb_family_counterexample, tensor_rb_counterexample)
+from .rotabaxter import (RBFamily, TensorFamily, eta, epsilon, parse_map_text,
+                         parse_rb_text, rb_family_counterexample, tensor_rb_counterexample)
 from .schroder import enumerate_sch
-from .semigroups import Semigroup, from_config_file
+from .semigroups import Semigroup, from_config_text
 from .termio import parse_operand, print_span, print_tree
 from .tridendriform import FreeTridendriformFamily, gamma
 
@@ -40,6 +40,11 @@ EXIT_RESOURCE = 4
 _PROGRESS_EVERY = 5000
 
 
+def _read(path) -> str:
+    with open(path, "r", encoding="utf-8") as handle:
+        return handle.read()
+
+
 def _parse_semigroup(text: str) -> Semigroup:
     if text == "trivial":
         return Semigroup.trivial()
@@ -48,7 +53,7 @@ def _parse_semigroup(text: str) -> Semigroup:
     if text.startswith("free:"):
         gens = [g for g in text[len("free:"):].split(",") if g]
         return Semigroup.free(gens)
-    semigroup = from_config_file(text)
+    semigroup = from_config_text(_read(text))
     semigroup.validate()
     return semigroup
 
@@ -135,7 +140,7 @@ def cmd_product(args) -> int:
     return EXIT_OK
 
 
-def _check_axioms(args, kind: str, tensor: bool) -> int:
+def _check_axioms(args, kind: str, tensor: bool):
     """The family axioms of ``kind`` on every triple of enumerated trees and
     pair of indices, or (``tensor``) the classical axioms on every triple of
     tree (x) element tensors of A (x) kOmega, through :func:`axioms.search`."""
@@ -155,8 +160,7 @@ def _check_axioms(args, kind: str, tensor: bool) -> int:
     instances = itertools.product(elements, elements, elements, triples)
     failure = axioms.search(family.axiom_table, ops, _counted(instances, total))
     if failure is None:
-        print(f"instances={total} failures=0")
-        return EXIT_OK
+        return total, None
     terms = [next(iter(failure[name].map)) for name in "xyz"]  # each operand's one term
     if tensor:
         shown = " ".join(f"{name}={print_tree(t)}(x){w}" for name, (t, w) in zip("xyz", terms))
@@ -164,8 +168,7 @@ def _check_axioms(args, kind: str, tensor: bool) -> int:
         shown = " ".join(f"{name}={print_tree(t)}" for name, t in zip("TUW", terms))
         shown += (f" alpha={failure['alpha']} beta={failure['beta']} "
                   f"residual={print_span(failure['residual'])}")
-    print(f"counterexample suite={args.suite} axiom={prefix}{failure['axiom']} {shown}")
-    return EXIT_COUNTEREXAMPLE
+    return total, f"counterexample suite={args.suite} axiom={prefix}{failure['axiom']} {shown}"
 
 
 def _load_rb(args):
@@ -174,7 +177,7 @@ def _load_rb(args):
     alphabet, semigroup = _config(args)
     if not args.rb_file:
         raise ValueError("this suite requires --rb-file")
-    algebra, operators = parse_rb_file(args.rb_file)
+    algebra, operators = parse_rb_text(_read(args.rb_file))
     algebra.validate()
     rb = RBFamily(algebra, parse_coefficient(args.weight), operators)
     sample = sorted(operators, key=semigroup.element_key)
@@ -189,43 +192,37 @@ def _load_rb(args):
     return alphabet, semigroup, rb, sample
 
 
-def _check_rb(args, counterexample, text) -> int:
+def _identity_line(suite: str, failure: dict, shown: str) -> str:
+    """The counterexample line of a failed Rota-Baxter identity, ``shown`` after its place."""
+    return (f"counterexample suite={suite} alpha={failure['alpha']} beta={failure['beta']} "
+            f"i={failure['i']} j={failure['j']} {shown}")
+
+
+def _check_rb(args, counterexample, text):
     """The Rota-Baxter identity of the family (``rb``) or of the tensor
     operator (``tensor-rb``); ``text`` prints a side of a counterexample."""
     _, semigroup, rb, sample = _load_rb(args)
-    total = (len(sample) * rb.algebra.dim) ** 2
     failure = counterexample(rb, semigroup, sample)
-    if failure is not None:
-        print(f"counterexample suite={args.suite} alpha={failure['alpha']} "
-              f"beta={failure['beta']} i={failure['i']} j={failure['j']} "
-              f"lhs={text(failure['lhs'])} rhs={text(failure['rhs'])}")
-        return EXIT_COUNTEREXAMPLE
-    print(f"instances={total} failures=0")
-    return EXIT_OK
+    return (len(sample) * rb.algebra.dim) ** 2, failure and _identity_line(
+        args.suite, failure, f"lhs={text(failure['lhs'])} rhs={text(failure['rhs'])}")
 
 
-def _check_diagram(args) -> int:
+def _check_diagram(args):
+    """gamma . epsilon against eta on basis pairs, once the family identity holds."""
     _, semigroup, rb, sample = _load_rb(args)
-    failure = rb_family_counterexample(rb, semigroup, sample)
-    if failure is not None:
-        print(f"counterexample suite=diagram alpha={failure['alpha']} "
-              f"beta={failure['beta']} i={failure['i']} j={failure['j']} "
-              "reason=not-a-Rota-Baxter-family")
-        return EXIT_COUNTEREXAMPLE
-    through_epsilon = gamma(epsilon(rb, semigroup, sample))
-    direct = eta(rb)
     dim = rb.algebra.dim
     total = dim * dim * len(sample)
+    failure = rb_family_counterexample(rb, semigroup, sample)
+    if failure is not None:
+        return total, _identity_line("diagram", failure, "reason=not-a-Rota-Baxter-family")
+    through_epsilon, direct = gamma(epsilon(rb, semigroup, sample)), eta(rb)
     for i, j, w, name in itertools.product(range(dim), range(dim), sample, ("prec", "succ")):
         x, y = rb.algebra.basis_vector(i), rb.algebra.basis_vector(j)
-        left = getattr(through_epsilon, name)(x, y, w)
-        right = getattr(direct, name)(x, y, w)
+        left, right = (getattr(ops, name)(x, y, w) for ops in (through_epsilon, direct))
         if left != right:
-            print(f"counterexample suite=diagram op={name} i={i} j={j} "
-                  f"omega={w} gamma.epsilon={_vector_text(left)} eta={_vector_text(right)}")
-            return EXIT_COUNTEREXAMPLE
-    print(f"instances={total} failures=0")
-    return EXIT_OK
+            return total, (f"counterexample suite=diagram op={name} i={i} j={j} omega={w} "
+                           f"gamma.epsilon={_vector_text(left)} eta={_vector_text(right)}")
+    return total, None
 
 
 _SUITES = {
@@ -241,12 +238,15 @@ _SUITES = {
 
 
 def cmd_check(args) -> int:
-    return _SUITES[args.suite](args)
+    """Run a suite, which returns its instance count and its counterexample line or None."""
+    total, counterexample = _SUITES[args.suite](args)
+    print(counterexample or f"instances={total} failures=0")
+    return EXIT_OK if counterexample is None else EXIT_COUNTEREXAMPLE
 
 
 def cmd_extend(args) -> int:
     alphabet, semigroup, rb, sample = _load_rb(args)
-    images = parse_map_file(args.map_file, rb.algebra.dim)
+    images = parse_map_text(_read(args.map_file), rb.algebra.dim)
     missing = [x for x in alphabet if x not in images]
     if missing:
         raise ValueError(f"map file has no image for generators: {missing}")

@@ -130,10 +130,11 @@ class FreeFamily(Spans):
                 raise TypeError(f"not a basis tree of this family: a {type(t).__name__}")
         return normalize([(1, t) for t in trees], self.order)
 
-    def _own(self, s: LinComb) -> LinComb:
-        """``s``, if its terms are this family's trees; a span of ``order`` is trusted unread."""
-        if s.order is not self.order and any(type(t) is not self.node_type for t in s.map):
-            raise TypeError(f"a span of trees of another kind than {self.node_type.__name__}")
+    def _own(self, s) -> LinComb:
+        """``s``, if a span of this family's trees; one of ``order`` is trusted unread."""
+        if not isinstance(s, LinComb) or s.order is not self.order and any(
+                type(t) is not self.node_type for t in s.map):
+            raise TypeError(f"not a span of {self.node_type.__name__} trees: a {type(s).__name__}")
         return s
 
     # -- the indexed products --------------------------------------------

@@ -29,9 +29,7 @@ def parse_coefficient(text: str) -> Fraction:
     text = text.strip()
     if not _RATIONAL_RE.match(text):
         raise ValueError(f"not a rational literal: {text!r}")
-    if "/" in text:
-        p, q = text.split("/")
-        if int(q) == 0:
-            raise ValueError(f"zero denominator: {text!r}")
-        return Fraction(int(p), int(q))
-    return Fraction(int(text))
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {text!r}") from None

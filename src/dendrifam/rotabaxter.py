@@ -11,7 +11,8 @@ is stated once and checked exhaustively on basis pairs over a
 caller-supplied, product-closed sample of indices, for the family and
 for the operator it induces on A (x) k Omega; operators outside the
 sample are an error, never silently extended.  :class:`TensorSpans`
-holds the spans of A (x) k Omega for both tensor constructions.
+holds the spans of A (x) k Omega for both tensor constructions and refuses
+a foreign operand at the call; :class:`TensorRB` sums through ``normalize``.
 
 A vector is a tuple of exact coordinates: ``int`` when integral and
 ``Fraction`` otherwise, the rule spans follow for coefficients.  Callers
@@ -32,7 +33,7 @@ from functools import lru_cache, partial
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
 from .axioms import validate_dendriform_ops, validate_tridendriform_ops
-from .basis import LinComb, Spans, Value, clean, normalize
+from .basis import LinComb, Spans, Value, normalize
 from .errors import AxiomFailure, InvalidElement, shown
 from .family import _Product
 from .rationals import exact, parse_coefficient
@@ -65,17 +66,6 @@ class _Indexed(dict):
 
     def __missing__(self, omega):
         raise InvalidElement(f"no operator declared for index {shown(omega)}")
-
-
-def _apply(operators: _Indexed, omega: str, v: Vector) -> Vector:
-    """P(v) for the operator P of the index ``omega`` among ``operators``,
-    the columns of :attr:`RBFamily._columns`."""
-    columns = operators[omega]
-    out = [0] * len(columns)
-    for j, a in _nonzero(v, len(columns)):
-        for r, c in columns[j]:
-            out[r] += c * a
-    return _exact_vector(out)
 
 
 def _bilinear_table(dim: int, times) -> tuple:
@@ -204,7 +194,13 @@ class RBFamily(Value):
             for omega, m in self.operators.items()}))
 
     def apply(self, omega: str, v: Vector) -> Vector:
-        return _apply(self._columns, omega, v)
+        """P_omega(v), walking the columns of the nonzero v_j."""
+        columns = self._columns[omega]
+        out = [0] * len(columns)
+        for j, a in _nonzero(v, len(columns)):
+            for r, c in columns[j]:
+                out[r] += c * a
+        return _exact_vector(out)
 
 
 def _rb_identity_counterexample(instances, mul, add, scale, weight) -> Optional[dict]:
@@ -330,9 +326,9 @@ def epsilon(rb: RBFamily, semigroup: Semigroup, sample: Iterable[str]) -> Epsilo
 
 
 class TensorSpans(Spans):
-    """Spans of pairs (basis element of A, semigroup element), the tensor product
-    A (x) k Omega, in the order ``order``.  A subclass sets ``semigroup`` and ranks
-    the basis elements of A by ``_ranks``, which raises for anything outside that basis."""
+    """Spans of pairs (basis element of A, semigroup element), the tensor product A (x) k Omega,
+    in the order ``order``.  A subclass sets ``semigroup`` and ``_basis``, the name of the basis
+    elements of A, tests one by ``_is_basis`` and ranks them by ``_ranks``, which raises."""
 
     def order(self, pairs, repeated=None) -> dict:
         """Each pair (b, w) mapped to its place: the rank of b among the basis
@@ -346,39 +342,48 @@ class TensorSpans(Spans):
         self.semigroup.require(omega)
         return LinComb({(b, omega): 1}, self.order)
 
+    def _own(self, s) -> LinComb:
+        """``s``, if a span of (basis element, element) pairs; one of ``order`` is trusted."""
+        if not isinstance(s, LinComb) or s.order is not self.order and not all(
+                type(t) is tuple and len(t) == 2 and self._is_basis(t[0])
+                and self.semigroup.contains(t[1]) for t in s.map):
+            raise TypeError(f"not a span of ({self._basis}, element) pairs: a {type(s).__name__}")
+        return s
+
 
 class TensorRB(TensorSpans):
     """The single Rota-Baxter operator P(x (x) w) = P_w(x) (x) w on spans of
     (basis index, semigroup element) pairs."""
 
+    _basis = "basis index"
+
     def __init__(self, rb: RBFamily, semigroup: Semigroup):
         self.rb, self.semigroup = rb, semigroup
-        # the algebra's table, each row keyed by j, for mul's (i, j) reads
-        self._rows = [dict(row) for row in rb.algebra._table]
+        self.order = self.order  # bound once: a span of this order is known by identity
+        self._rows = [dict(row) for row in rb.algebra._table]  # keyed by j, for mul's reads
+
+    def _is_basis(self, i) -> bool:
+        return type(i) is int and 0 <= i < self.rb.algebra.dim
 
     def _ranks(self, indices) -> dict:
         """Each basis index is its own rank."""
         for i in indices:
-            if not (type(i) is int and 0 <= i < self.rb.algebra.dim):
+            if not self._is_basis(i):
                 name = f"e_{i}" if type(i) is int and i.bit_length() < 64 else shown(i)
                 raise InvalidElement(f"no basis element {name} in dimension {self.rb.algebra.dim}")
         return {i: i for i in indices}
 
     def mul(self, u: LinComb, v: LinComb) -> LinComb:
         """(e_i (x) a) (e_j (x) b) = e_i e_j (x) ab, extended bilinearly."""
-        acc: dict = {}
-        for (i, a), cu in u.map.items():
-            for (j, b), cv in v.map.items():
-                ab, c = self.semigroup.mul(a, b), cu * cv
-                for k, ck in self._rows[i].get(j, ()):
-                    acc[k, ab] = acc.get((k, ab), 0) + c * ck
-        return LinComb(clean(acc), self.order)
+        rows, ab, v = self._rows, self.semigroup.mul, self._own(v).map.items()
+        return normalize([(cu * cv * ck, (k, ab(a, b))) for (i, a), cu in self._own(u).map.items()
+                          for (j, b), cv in v for k, ck in rows[i].get(j, ())], self.order)
 
     def apply(self, u: LinComb) -> LinComb:
-        basis_vector = self.rb.algebra.basis_vector
-        return normalize([(c * cj, (j, a)) for (i, a), c in u.map.items()
-                          for j, cj in enumerate(self.rb.apply(a, basis_vector(i))) if cj],
-                         self.order)
+        """P(e_i (x) w) = P_w(e_i) (x) w, extended linearly: column i of P_w."""
+        columns = self.rb._columns
+        return normalize([(c * cr, (r, w)) for (i, w), c in self._own(u).map.items()
+                          for r, cr in columns[w][i]], self.order)
 
 
 def tensor_rb_counterexample(rb: RBFamily, semigroup: Semigroup,
@@ -407,6 +412,7 @@ class TensorFamily(TensorSpans):
 
     def __init__(self, family):
         self.family, self.semigroup, self._pair_memo = family, family.semigroup, {}
+        self._basis = family.node_type.__name__
         self.order = self.order  # bound once: a span of this order is known by identity
         f, tag = family, partial(partial, self._tagged)  # b indexes prec, a indexes succ
         self._prec_trees, self._prec_keys = tag(f._prec_trees, 1), tag(f._prec_keys, 1)
@@ -415,18 +421,12 @@ class TensorFamily(TensorSpans):
         self.prec, self.succ, self.dot = (
             partial(self._product, name) for name in ("prec", "succ", "dot"))
 
+    def _is_basis(self, t) -> bool:
+        return type(t) is self.family.node_type
+
     def _ranks(self, trees) -> dict:
         """The family's ranks of its basis trees ``trees``; anything else raises."""
         return self.family.order(self.family.span(*trees).map)
-
-    def _own(self, s) -> LinComb:
-        """``s``, if a span of (tree, element) pairs; one of ``order`` is trusted unread."""
-        node = self.family.node_type
-        if not isinstance(s, LinComb) or s.order is not self.order and not all(
-                type(t) is tuple and len(t) == 2 and type(t[0]) is node
-                and self.semigroup.contains(t[1]) for t in s.map):
-            raise TypeError(f"not a span of ({node.__name__}, element) pairs: a {type(s).__name__}")
-        return s
 
     def _product(self, name, u, v) -> LinComb:
         """The product ``name`` of u and v: ``prec``, ``succ`` and ``dot`` are bound to it."""
@@ -500,11 +500,6 @@ def parse_rb_text(text: str):
     return FiniteAlgebra(structure), operators
 
 
-def parse_rb_file(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_rb_text(handle.read())
-
-
 def parse_map_text(text: str, dim: int) -> dict:
     """Parse a generator-image map: one ``<symbol> <basis index>`` per line.
     ``#`` comments and blank lines are ignored."""
@@ -522,8 +517,3 @@ def parse_map_text(text: str, dim: int) -> dict:
     if not images:
         raise InvalidElement("map file declares no generator images")
     return images
-
-
-def parse_map_file(path, dim: int) -> dict:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_map_text(handle.read(), dim)

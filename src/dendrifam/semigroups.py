@@ -330,8 +330,3 @@ def from_config_text(text: str) -> Semigroup:
             raise SemigroupViolation("Cayley table rows do not match the header")
         return Semigroup.table(names, [by_name[n] for n in names])
     raise SemigroupViolation(f"unknown semigroup kind: {kind!r}")
-
-
-def from_config_file(path) -> Semigroup:
-    with open(path, "r", encoding="utf-8") as handle:
-        return from_config_text(handle.read())

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from dendrifam import tridendriform
 from dendrifam.cli import main
 from dendrifam.rotabaxter import EtaOps, RBFamily, cascading_sum_matrix, pointwise_algebra
 from dendrifam.semigroups import Semigroup
@@ -537,6 +538,17 @@ def test_check_diagram_counterexample_line(capsys, bad_rb_file):
                        "--rb-file", bad_rb_file, "--lambda", "1")
     assert (code, out) == (1, "counterexample suite=diagram alpha=0 beta=0 i=0 j=1 "
                               "reason=not-a-Rota-Baxter-family\n")
+
+
+def test_check_diagram_op_counterexample_line(capsys, monkeypatch):
+    # gamma's prec without the dot: gamma . epsilon differs from eta at prec
+    monkeypatch.setattr(tridendriform.GammaOps, "prec",
+                        lambda self, a, b, omega: self.tri.prec(a, b, omega))
+    code, out, _ = run(capsys, "check", "--suite", "diagram",
+                       "--alphabet", "x", "--semigroup", "cyclic:2",
+                       "--rb-file", RB_HALF, "--lambda", "1/2")
+    assert (code, out) == (1, "counterexample suite=diagram op=prec i=0 j=0 omega=0 "
+                              "gamma.epsilon=-1/2 0 0 eta=0 0 0\n")
 
 
 def test_extend_eta_rejects_invalid_family_line(capsys, bad_rb_file, map_file):

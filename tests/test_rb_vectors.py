@@ -12,7 +12,7 @@ from dendrifam.basis import Alphabet
 from dendrifam.dendriform import FreeDendriformFamily
 from dendrifam.errors import InvalidElement
 from dendrifam.pbtrees import enumerate_bin
-from dendrifam.rotabaxter import (EpsilonOps, FiniteAlgebra, RBFamily,
+from dendrifam.rotabaxter import (EpsilonOps, FiniteAlgebra, RBFamily, TensorRB,
                                   cascading_sum_matrix, epsilon, eta, pointwise_algebra,
                                   rb_family_counterexample, vec_add, vec_scale)
 from dendrifam.schroder import enumerate_sch
@@ -86,6 +86,66 @@ def test_apply_matches_dense_reference(data, dim):
         image = rb.apply(w, v)
         assert image == dense_apply(operators[w], v)
         assert_exact(image)
+
+
+def group_algebra_family(d=3, weight=Fraction(1, 3)):
+    """k[Z_d], e_i e_j = e_{i+j mod d}, with minus ``weight`` times the projection onto
+    the augmentation ideal, a Rota-Baxter operator with no zero entry, for each index."""
+    structure = tuple(tuple(tuple(int(k == (i + j) % d) for k in range(d)) for j in range(d))
+                      for i in range(d))
+    projection = tuple(tuple(-weight * (int(r == c) - Fraction(1, d)) for c in range(d))
+                       for r in range(d))
+    return RBFamily(FiniteAlgebra(structure), weight, {w: projection for w in SAMPLE})
+
+
+@st.composite
+def tensor_rb_inputs(draw):
+    """A family over pointwise k^3, k[Z_3], a random non-associative algebra, or
+    pointwise k^2 over the free semigroup on a with the sample a, aa, which is not
+    product-closed; its semigroup and sample; and two lists of (index, element,
+    coefficient) terms, repeats allowed."""
+    kind = draw(st.sampled_from(["pointwise", "group", "random", "free"]))
+    semigroup, sample = (Semigroup.free(["a"]), ["a", "aa"]) if kind == "free" else (Z2, SAMPLE)
+    if kind == "group":
+        rb = group_algebra_family()
+    else:
+        dim = {"pointwise": 3, "free": 2}.get(kind) or draw(st.integers(1, 3))
+        algebra = (FiniteAlgebra(draw(st.tuples(*[matrices(dim)] * dim))) if kind == "random"
+                   else pointwise_algebra(dim))
+        rb = RBFamily(algebra, draw(weights), {w: draw(matrices(dim)) for w in sample})
+    term = st.tuples(st.integers(0, rb.algebra.dim - 1), st.sampled_from(sample), rationals)
+    return rb, semigroup, draw(st.lists(term, max_size=4)), draw(st.lists(term, max_size=4))
+
+
+@given(tensor_rb_inputs())
+@settings(max_examples=80, deadline=None)
+def test_tensor_rb_matches_dense_formulas(inputs):
+    """``TensorRB.mul`` against (e_i (x) a)(e_j (x) b) = e_i e_j (x) ab and ``apply``
+    against P(e_i (x) w) = P_w(e_i) (x) w, summed densely over ``Fraction``."""
+    rb, semigroup, u_terms, v_terms = inputs
+    op, structure = TensorRB(rb, semigroup), rb.algebra.structure
+
+    def dense(pairs):
+        out: dict = {}
+        for c, key in pairs:
+            out[key] = out.get(key, Fraction(0)) + Fraction(c)
+        return {key: c for key, c in out.items() if c}
+
+    u, v = dense((c, (i, w)) for i, w, c in u_terms), dense((c, (i, w)) for i, w, c in v_terms)
+    u_span, v_span = (op.add(*[op.scale(c, op.element(i, w)) for i, w, c in terms])
+                      for terms in (u_terms, v_terms))
+    assert (u_span.map, v_span.map) == (u, v)
+    expected = dense((cu * cv * c, (k, semigroup.mul(a, b)))
+                     for (i, a), cu in u.items() for (j, b), cv in v.items()
+                     for k, c in enumerate(structure[i][j]))
+    product = op.mul(u_span, v_span)
+    assert product.map == expected
+    assert_exact(product.map.values())
+    for span, x in ((u_span, u), (v_span, v)):
+        image = op.apply(span)
+        assert image.map == dense((rb.operators[w][r][i] * c, (r, w))
+                                  for (i, w), c in x.items() for r in range(rb.algebra.dim))
+        assert_exact(image.map.values())
 
 
 @given(st.data(), st.integers(min_value=1, max_value=4))

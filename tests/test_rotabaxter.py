@@ -413,6 +413,29 @@ def test_tensor_rb_element_names_an_ordinary_index_and_rejects_a_huge_one(cascad
             op.element(index, "0")
 
 
+def test_tensor_rb_refuses_foreign_operands_at_the_call(cascading):
+    # an index of -1 wrapped to the last row in mul and vanished in apply,
+    # an index of 3 raised a bare IndexError and an int an AttributeError
+    op = TensorRB(cascading, Z2)
+    e = op.element(2, "1")
+    tree_tensor = TensorFamily(FreeDendriformFamily(Alphabet(["x"]), Z2))
+    spans = [LinComb({(-1, "0"): 1}), LinComb({(3, "0"): 1}), LinComb({(True, "0"): 1}),
+             LinComb({("0", "0"): 1}), LinComb({(0, "2"): 1}), LinComb({(0, "0", 1): 1}),
+             LinComb({(0, "0"): 1, 0: 1}), tree_tensor.element(bin_vertex("x"), "0")]
+    for bad in spans + [3, (0, "0"), None]:
+        message = rf"^not a span of \(basis index, element\) pairs: a {type(bad).__name__}$"
+        calls = [lambda: op.mul(bad, e), lambda: op.mul(e, bad), lambda: op.apply(bad),
+                 lambda: op.add(e, bad), lambda: op.add(bad), lambda: op.scale(2, bad)]
+        for call in calls:
+            with pytest.raises(TypeError, match=message):
+                call()
+    # a span of this kind but another order passes, once its terms are read
+    same = TensorRB(cascading, Z2).element(0, "1")
+    assert op.mul(same, e) == op.mul(op.element(0, "1"), e)
+    assert op.apply(same).terms == op.apply(op.element(0, "1")).terms
+    assert op.add(same, e) == op.add(op.element(0, "1"), e)
+
+
 def test_tensor_elements_require_a_semigroup_element(cascading):
     with pytest.raises(InvalidElement):
         tensor_rb(cascading, Z2, SAMPLE).element(0, "2")

@@ -229,3 +229,20 @@ def test_operations_refuse_spans_of_the_other_kind(kind):
     assert alg.add(parsed, mine) == mine.scaled(4)
     assert alg.prec(parsed, own, ZERO) == alg.prec(mine, own, ZERO).scaled(3)
     assert alg.axioms_hold(own, own, own, ZERO, ZERO)
+
+
+@pytest.mark.parametrize("kind", ["dend", "tri", "tensor-dend", "tensor-tri"])
+def test_sums_and_scaling_refuse_what_is_not_a_span(kind):
+    # an int or a tree raised a bare AttributeError from reading its map
+    alg, vertex = {"dend": (DEND, bin_vertex), "tri": (TRI, sch_vertex),
+                   "tensor-dend": (TensorFamily(DEND), bin_vertex),
+                   "tensor-tri": (TensorFamily(TRI), sch_vertex)}[kind]
+    e = alg.element(vertex("x"), ZERO) if kind.startswith("tensor") else alg.gen("x")
+    for bad in (3, None, vertex("x"), {vertex("x"): 1}):
+        message = rf": a {type(bad).__name__}$"
+        for summands in ((e, bad), (bad, e), (bad,), (alg.zero(), bad)):
+            with pytest.raises(TypeError, match=message):
+                alg.add(*summands)
+        with pytest.raises(TypeError, match=message):
+            alg.scale(2, bad)
+    assert alg.add(e, e) == alg.scale(2, e)
