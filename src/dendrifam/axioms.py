@@ -15,8 +15,7 @@ the sum that meets the index alpha*beta; the classical axioms are the
 family axioms with the index ignored.
 
 :func:`search` is the one loop over a table: the CLI axiom suites,
-family and tensor, and the validation of induced operations
-(:func:`validate`) only list their instances for it, and :func:`hold`,
+family and tensor, only list their instances for it, and :func:`hold`,
 which the free families' ``axioms_hold`` runs on, searches one instance.
 """
 
@@ -24,9 +23,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from itertools import product
-
-from .errors import AxiomFailure
 
 _MINUS_ONE = Fraction(-1)
 
@@ -100,17 +96,6 @@ def search(table, ops, instances):
     return None
 
 
-def validate(table, family: str, ops, elements, index_triples) -> None:
-    """Raise AxiomFailure at the first counterexample to ``table`` among the triples
-    of ``elements`` and the (alpha, beta, alpha*beta) of ``index_triples``."""
-    failure = search(table, ops, product(elements, elements, elements, index_triples))
-    if failure is not None:
-        raise AxiomFailure(
-            f"{family} family axiom ({failure['axiom']}) fails at "
-            f"alpha={failure['alpha']} beta={failure['beta']}",
-            counterexample=failure)
-
-
 class _Unindexed:
     """Classical (index-free) operations seen as a family that ignores its index."""
 
@@ -130,5 +115,3 @@ class _Unindexed:
 
 dendriform_family_hold = partial(hold, DENDRIFORM)
 tridendriform_family_hold = partial(hold, TRIDENDRIFORM)
-validate_dendriform_ops = partial(validate, DENDRIFORM, "dendriform")
-validate_tridendriform_ops = partial(validate, TRIDENDRIFORM, "tridendriform")

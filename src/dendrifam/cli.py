@@ -24,7 +24,7 @@ from .dendriform import FreeDendriformFamily
 from .errors import AlgebraError, AxiomFailure, IdentityMisuse, LeafOperand
 from .pbtrees import enumerate_bin
 from .rationals import parse_coefficient
-from .rotabaxter import (RBFamily, TensorFamily, eta, epsilon, parse_map_text,
+from .rotabaxter import (EpsilonOps, EtaOps, RBFamily, TensorFamily, parse_map_text,
                          parse_rb_text, rb_family_counterexample, tensor_rb_counterexample)
 from .schroder import enumerate_sch
 from .semigroups import Semigroup, from_config_text
@@ -172,8 +172,8 @@ def _check_axioms(args, kind: str, tensor: bool):
 
 
 def _load_rb(args):
-    """The alphabet, the semigroup, the Rota-Baxter family of ``--rb-file``
-    and its operator sample, checked to be product-closed."""
+    """The alphabet, the semigroup, the Rota-Baxter family of ``--rb-file`` over an
+    associative algebra, and its operator sample, checked to be product-closed."""
     alphabet, semigroup = _config(args)
     if not args.rb_file:
         raise ValueError("this suite requires --rb-file")
@@ -215,7 +215,7 @@ def _check_diagram(args):
     failure = rb_family_counterexample(rb, semigroup, sample)
     if failure is not None:
         return total, _identity_line("diagram", failure, "reason=not-a-Rota-Baxter-family")
-    through_epsilon, direct = gamma(epsilon(rb, semigroup, sample)), eta(rb)
+    through_epsilon, direct = gamma(EpsilonOps(rb)), EtaOps(rb)
     for i, j, w, name in itertools.product(range(dim), range(dim), sample, ("prec", "succ")):
         x, y = rb.algebra.basis_vector(i), rb.algebra.basis_vector(j)
         left, right = (getattr(ops, name)(x, y, w) for ops in (through_epsilon, direct))
@@ -254,12 +254,9 @@ def cmd_extend(args) -> int:
     validate_rb = rb_family_counterexample(rb, semigroup, sample)
     if validate_rb is not None:
         raise AxiomFailure("the supplied family is not Rota-Baxter", counterexample=validate_rb)
-    if args.functor == "eta":
-        ops, family, kind = eta(rb).validated(semigroup, sample), FreeDendriformFamily, "binary"
-    else:
-        ops, family, kind = epsilon(rb, semigroup, sample), FreeTridendriformFamily, "schroder"
+    kind, ops = ("binary", EtaOps(rb)) if args.functor == "eta" else ("schroder", EpsilonOps(rb))
     span = parse_operand(args.term, kind, alphabet, semigroup)
-    print(_vector_text(family(alphabet, semigroup).extend(f, ops, span)))
+    print(_vector_text(_FAMILIES[kind][0](alphabet, semigroup).extend(f, ops, span)))
     return EXIT_OK
 
 
@@ -312,8 +309,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for n in reversed(range(len(argv) - 1)):  # argparse takes '-3' for a value, '-3/6' not
+        if len(argv[n]) > 2 and "--lambda".startswith(argv[n]) and re.match(r"-\d", argv[n + 1]):
+            argv[n:n + 2] = [f"{argv[n]}={argv[n + 1]}"]
+    args = build_parser().parse_args(argv)
     try:
         return args.run(args)
     except (IdentityMisuse, LeafOperand) as exc:

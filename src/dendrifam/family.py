@@ -277,8 +277,8 @@ class FreeFamily(Spans):
     def extend(self, f: Mapping[str, object], ops, operand):
         """The universal morphism determined by the generator images ``f``.
 
-        ``ops`` must be an operations object of the family's kind, already
-        validated on the sample it will be used on.
+        ``ops`` must be an operations object of the family's kind whose
+        axioms hold on the indices it will be used with.
         """
         span = self._operand(operand)
         if span is LEAF:

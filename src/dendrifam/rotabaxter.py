@@ -14,6 +14,11 @@ sample are an error, never silently extended.  :class:`TensorSpans`
 holds the spans of A (x) k Omega for both tensor constructions and refuses
 a foreign operand at the call; :class:`TensorRB` sums through ``normalize``.
 
+A Rota-Baxter family of weight lambda on an associative algebra induces a
+dendriform family (``eta``) and a tridendriform family (``epsilon``), with
+gamma . epsilon = eta.  Only these hypotheses are checked, at the cost of
+their nonzero products; the tests check the conclusion on basis triples.
+
 A vector is a tuple of exact coordinates: ``int`` when integral and
 ``Fraction`` otherwise, the rule spans follow for coefficients.  Callers
 may pass ``Fraction`` coordinates; every operation returns the exact
@@ -21,18 +26,19 @@ form.  A vector of any length other than the algebra's dimension is
 rejected with InvalidElement wherever it enters ``mul``, ``apply`` or
 the induced ``add``/``scale``.  The algebra's product and the five
 induced products (eta's prec_w and succ_w, epsilon's prec_w, succ_w and
-dot, operators folded in) are compiled at construction into bilinear
-tables of their nonzero structure constants, so each product is one walk
-over the nonzero x_i and the nonzero j of row i, reading y densely.
+dot) are compiled at construction into bilinear tables of their nonzero
+structure constants, each operator folded in where that keeps the table
+sparse, so a product is one walk over the nonzero x_i and the nonzero j
+of row i, reading y densely.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
-from .axioms import validate_dendriform_ops, validate_tridendriform_ops
 from .basis import LinComb, Spans, Value, normalize
 from .errors import AxiomFailure, InvalidElement, shown
 from .family import _Product
@@ -92,6 +98,37 @@ def _walk(table: tuple, x: Vector, y: Vector) -> Vector:
     return _exact_vector(out)
 
 
+def _apply(columns: tuple, v: Vector) -> Vector:
+    """P(v) for the nonzero entries (row, c) of each column of P: the columns of the nonzero v_j."""
+    out = [0] * len(columns)
+    for j, a in _nonzero(v, len(columns)):
+        for r, c in columns[j]:
+            out[r] += c * a
+    return _exact_vector(out)
+
+
+def _columns(m: Matrix) -> tuple:
+    """The nonzero entries (row, c) of each column of the square matrix ``m``."""
+    return tuple(tuple((r, c) for r, row in enumerate(m) if (c := exact(row[j])))
+                 for j in range(len(m)))
+
+
+def _induced_product(table: tuple, columns: tuple, right: bool):
+    """x * y = x P(y) (``right``) or P(x) y, for the algebra's ``table`` and the ``columns``
+    of P: a walk of one table, P folded in, unless that table has more terms than
+    ``columns`` and ``table`` together (as a dense P makes it); else P, then ``table``."""
+    d = len(table)
+    e = [tuple(int(k == i) for k in range(d)) for i in range(d)]
+    folded = _bilinear_table(d, lambda i, j: _walk(table, e[i], _apply(columns, e[j])) if right
+                             else _walk(table, _apply(columns, e[i]), e[j]))
+    terms = [sum(len(ts) for row in tab for _, ts in row) for tab in (folded, table)]
+    if terms[0] <= sum(map(len, columns)) + terms[1]:
+        return partial(_walk, folded)
+    if right:
+        return lambda x, y: _walk(table, x, _apply(columns, y))
+    return lambda x, y: _walk(table, _apply(columns, x), y)
+
+
 def vec_add(u: Vector, v: Vector) -> Vector:
     """``u + v``; InvalidElement when their lengths differ."""
     return _exact_vector([a + b for a, b in zip(u, _checked(v, len(u)))])
@@ -99,9 +136,7 @@ def vec_add(u: Vector, v: Vector) -> Vector:
 
 def vec_scale(c: Coordinate, u: Vector) -> Vector:
     c = exact(c)
-    if c == 1:
-        return _exact_vector(u)
-    return _exact_vector([c * a for a in u])
+    return _exact_vector(u if c == 1 else [c * a for a in u])
 
 
 class FiniteAlgebra(Value):
@@ -136,15 +171,28 @@ class FiniteAlgebra(Value):
         return _walk(self._table, u, v)
 
     def associativity_counterexample(self) -> Optional[Tuple[int, int, int]]:
-        for i in range(self.dim):
-            ei = self.basis_vector(i)
-            for j in range(self.dim):
-                ej = self.basis_vector(j)
-                eij = self.mul(ei, ej)
-                for k in range(self.dim):
-                    ek = self.basis_vector(k)
-                    if self.mul(eij, ek) != self.mul(ei, self.mul(ej, ek)):
-                        return (i, j, k)
+        """The least basis triple (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k), or None.
+        For each i, (e_i e_j) e_k - e_i (e_j e_k) is summed for all (j, k) at once from the
+        nonzero structure constants: row i, then the row of each of its terms e_m, less
+        e_i e_m times each pair (j, k) with e_m in e_j e_k."""
+        table, pairs = self._table, [[] for _ in self._table]
+        for j, row in enumerate(table):
+            for k, terms in row:
+                for m, c in terms:
+                    pairs[m].append((j, k, c))  # c e_m is a term of e_j e_k
+        for i, row in enumerate(table):
+            residual = Counter()  # (j, k, n) -> its coefficient of e_n
+            for m, im in row:
+                for p, a in im:
+                    for k, pk in table[p]:
+                        for n, b in pk:
+                            residual[m, k, n] += a * b
+                for j, k, a in pairs[m]:
+                    for n, b in im:
+                        residual[j, k, n] -= a * b
+            differ = [(j, k) for (j, k, n), c in residual.items() if c]
+            if differ:
+                return (i, *min(differ))
         return None
 
     def validate(self) -> None:
@@ -188,19 +236,12 @@ class RBFamily(Value):
         for omega, m in self.operators.items():
             if len(m) != d or any(len(row) != d for row in m):
                 raise InvalidElement(f"operator for {shown(omega)} must be {d}x{d}")
-        object.__setattr__(self, "_columns", _Indexed({
-            omega: tuple(tuple((r, c) for r, row in enumerate(m) if (c := exact(row[j])))
-                         for j in range(d))
-            for omega, m in self.operators.items()}))
+        object.__setattr__(self, "_columns", _Indexed(
+            {omega: _columns(m) for omega, m in self.operators.items()}))
 
     def apply(self, omega: str, v: Vector) -> Vector:
         """P_omega(v), walking the columns of the nonzero v_j."""
-        columns = self._columns[omega]
-        out = [0] * len(columns)
-        for j, a in _nonzero(v, len(columns)):
-            for r, c in columns[j]:
-                out[r] += c * a
-        return _exact_vector(out)
+        return _apply(self._columns[omega], v)
 
 
 def _rb_identity_counterexample(instances, mul, add, scale, weight) -> Optional[dict]:
@@ -238,31 +279,19 @@ def rb_family_counterexample(rb: RBFamily, semigroup: Semigroup,
 
 
 class _InducedOps:
-    """The operations shared by the induced structures: the products
-    x prec_w y = x P_w(y), plus lambda x y when the structure is
-    ``shifted``, and x succ_w y = P_w(x) y, compiled into one bilinear
-    table per index w; the vector-space operations; and validation by
-    ``check``, the axiom check that each structure sets for its kind."""
+    """The operations shared by the induced structures: the products x prec_w y =
+    x P_w(y), plus lambda x y when the structure is ``shifted``, and x succ_w y =
+    P_w(x) y, compiled by :func:`_induced_product`; and the vector-space operations.
+    Their axioms are not checked: they follow from the family identity."""
 
     def __init__(self, rb: RBFamily):
-        self.rb = rb
-        self.weight = exact(rb.weight)
-        shift = self.weight if self.shifted else 0
-        d, e, mul = rb.algebra.dim, rb.algebra.basis_vector, partial(_walk, rb.algebra._table)
-
-        def tables(induced):  # induced(w, i, j) is e_i *_w e_j
-            return _Indexed({w: _bilinear_table(d, partial(induced, w)) for w in rb._columns})
-        self._prec = tables(lambda w, i, j: mul(e(i), vec_add(rb.apply(w, e(j)),
-                                                              vec_scale(shift, e(j)))))
-        self._succ = tables(lambda w, i, j: mul(rb.apply(w, e(i)), e(j)))
-
-    def validated(self, semigroup: Semigroup, sample: Iterable[str]):
-        """This structure, once its axioms hold on every triple of basis
-        vectors over every sampled index pair; AxiomFailure otherwise."""
-        alg, sample = self.rb.algebra, list(sample)
-        self.check(self, [alg.basis_vector(i) for i in range(alg.dim)],
-                   [(a, b, semigroup.mul(a, b)) for a in sample for b in sample])
-        return self
+        self.rb, self.weight = rb, exact(rb.weight)
+        shift, table = self.weight if self.shifted else 0, rb.algebra._table
+        self._prec = _Indexed({w: _induced_product(table, _columns(  # of P_w + shift id
+            [[c + shift * (r == j) for j, c in enumerate(row)] for r, row in enumerate(m)]), True)
+            for w, m in rb.operators.items()})
+        self._succ = _Indexed({w: _induced_product(table, columns, False)
+                               for w, columns in rb._columns.items()})
 
     def add(self, *values: Vector) -> Vector:
         if not values:
@@ -274,10 +303,10 @@ class _InducedOps:
         return vec_scale(c, _checked(v, self.rb.algebra.dim))
 
     def prec(self, x: Vector, y: Vector, omega: str) -> Vector:
-        return _walk(self._prec[omega], x, y)
+        return self._prec[omega](x, y)
 
     def succ(self, x: Vector, y: Vector, omega: str) -> Vector:
-        return _walk(self._succ[omega], x, y)
+        return self._succ[omega](x, y)
 
     def zero(self) -> Vector:
         return self.rb.algebra.zero()
@@ -287,9 +316,8 @@ class EtaOps(_InducedOps):
     """Dendriform structure induced by a Rota-Baxter family:
     x prec_w y = x P_w(y) + lambda x y,   x succ_w y = P_w(x) y."""
 
-    check, shifted = staticmethod(validate_dendriform_ops), True
-    # re-bound in this class's namespace: the benchmark tracer wraps only a
-    # class's own methods
+    shifted = True
+    # re-bound here: the benchmark tracer wraps only a class's own methods
     prec, succ = _InducedOps.prec, _InducedOps.succ
 
 
@@ -297,32 +325,30 @@ class EpsilonOps(_InducedOps):
     """Tridendriform structure induced by a Rota-Baxter family:
     x prec_w y = x P_w(y),  x succ_w y = P_w(x) y,  x . y = lambda x y."""
 
-    check, shifted = staticmethod(validate_tridendriform_ops), False
+    shifted = False
     prec, succ = _InducedOps.prec, _InducedOps.succ
 
     def __init__(self, rb: RBFamily):
-        super().__init__(rb)
-        e = rb.algebra.basis_vector
+        super().__init__(rb)  # x . y = lambda x y: the structure constants times lambda
         self._dot = _bilinear_table(rb.algebra.dim, lambda i, j: vec_scale(
-            self.weight, rb.algebra.mul(e(i), e(j))))
+            self.weight, rb.algebra.structure[i][j]))
 
     def dot(self, x: Vector, y: Vector) -> Vector:
         return _walk(self._dot, x, y)
 
 
 def eta(rb: RBFamily) -> EtaOps:
-    """Dendriform operations object over a validated Rota-Baxter family."""
+    """Dendriform operations object over a Rota-Baxter family; nothing is checked."""
     return EtaOps(rb)
 
 
 def epsilon(rb: RBFamily, semigroup: Semigroup, sample: Iterable[str]) -> EpsilonOps:
-    """Tridendriform operations object over a validated Rota-Baxter family.
-
-    The seven axioms are checked exhaustively on basis triples over the
-    sampled index pairs before the structure is handed out; a failure
-    signals a wrong formula choice and raises AxiomFailure.
-    """
-    return EpsilonOps(rb).validated(semigroup, sample)
+    """Tridendriform operations object over a Rota-Baxter family, once the theorem's
+    hypotheses hold: an associative algebra and the family identity on the sampled
+    index pairs; AxiomFailure otherwise.  The seven axioms then follow, unswept."""
+    rb.algebra.validate()
+    _require_identity("Rota-Baxter family", rb_family_counterexample(rb, semigroup, sample))
+    return EpsilonOps(rb)
 
 
 class TensorSpans(Spans):
@@ -450,19 +476,16 @@ def parse_rb_text(text: str):
     with d*d rationals row-major.  ``#`` comments and blank lines are ignored.
     Returns (FiniteAlgebra, {omega: matrix}).
     """
-    dim = None
-    constants: dict = {}
-    operators: dict = {}
+    dim, constants, operators = None, {}, {}
     for line in content_lines(text):
+        parts = line.split()
         if line.startswith("dim="):
             if dim is not None:
                 raise InvalidElement("dim= may be declared only once")
             dim = int(line[len("dim="):])
             if dim < 1:
                 raise InvalidElement("dim must be >= 1")
-            continue
-        parts = line.split()
-        if parts[0] == "sc":
+        elif parts[0] == "sc":
             if dim is None:
                 raise InvalidElement("dim= must precede sc lines")
             if len(parts) != 5:
@@ -471,33 +494,26 @@ def parse_rb_text(text: str):
             if not all(0 <= v < dim for v in (i, j, k)):
                 raise InvalidElement(f"basis index out of range: {line!r}")
             if (i, j, k) in constants:
-                raise InvalidElement(
-                    f"structure constant {i} {j} {k} may be declared only once")
+                raise InvalidElement(f"structure constant {i} {j} {k} may be declared only once")
             constants[(i, j, k)] = parse_coefficient(parts[4])
-            continue
-        if parts[0] == "op":
+        elif parts[0] == "op":
             if dim is None:
                 raise InvalidElement("dim= must precede op lines")
             omega = parts[1] if len(parts) > 1 else ""
             if len(parts) != 2 + dim * dim:
-                raise InvalidElement(
-                    f"operator for {omega!r} needs {dim * dim} entries")
+                raise InvalidElement(f"operator for {omega!r} needs {dim * dim} entries")
             if omega in operators:
                 raise InvalidElement(f"operator for {omega!r} may be declared only once")
             values = [parse_coefficient(p) for p in parts[2:]]
-            operators[omega] = tuple(
-                tuple(values[r * dim + c] for c in range(dim)) for r in range(dim))
-            continue
-        raise InvalidElement(f"unrecognised line in algebra file: {line!r}")
+            operators[omega] = tuple(tuple(values[r * dim:(r + 1) * dim]) for r in range(dim))
+        else:
+            raise InvalidElement(f"unrecognised line in algebra file: {line!r}")
     if dim is None:
         raise InvalidElement("algebra file must declare dim=")
     if not operators:
         raise InvalidElement("algebra file declares no operators")
-    structure = tuple(
-        tuple(tuple(constants.get((i, j, k), 0) for k in range(dim))
-              for j in range(dim))
-        for i in range(dim))
-    return FiniteAlgebra(structure), operators
+    return FiniteAlgebra(tuple(tuple(tuple(constants.get((i, j, k), 0) for k in range(dim))
+                                     for j in range(dim)) for i in range(dim))), operators
 
 
 def parse_map_text(text: str, dim: int) -> dict:

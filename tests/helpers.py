@@ -1,20 +1,22 @@
 """Helpers that only the tests call: tree measures, the corolla, the
 binary-to-Schröder embedding, corpus parsing, the central factors of a
 tree, the scaled identity matrix, the Rota-Baxter family check and
-mutant and the classical residuals per table."""
+mutant, the triple loop that checks associativity, the classical
+residuals per table and the validation of operations objects."""
 
 from fractions import Fraction
 from functools import partial
+from itertools import product
 
 from dendrifam import pbtrees, schroder
-from dendrifam.axioms import DENDRIFORM, TRIDENDRIFORM, _Unindexed, residuals
+from dendrifam.axioms import DENDRIFORM, TRIDENDRIFORM, _Unindexed, residuals, search
 from dendrifam.basis import LEAF
-from dendrifam.errors import ArityMismatch
+from dendrifam.errors import ArityMismatch, AxiomFailure
 from dendrifam.exprs import Dot
 from dendrifam.pbtrees import graft_binary
 from dendrifam.rationals import exact
-from dendrifam.rotabaxter import (Coordinate, Matrix, RBFamily, _require_identity,
-                                  rb_family_counterexample)
+from dendrifam.rotabaxter import (Coordinate, FiniteAlgebra, Matrix, RBFamily,
+                                  _require_identity, rb_family_counterexample)
 from dendrifam.schroder import SchTree, intern_node
 from dendrifam.semigroups import IDENTITY
 from dendrifam.termio import parse_operand
@@ -129,6 +131,16 @@ def mutated(rb: RBFamily, omega: str, row: int, col: int, delta) -> RBFamily:
     return RBFamily(rb.algebra, rb.weight, operators)
 
 
+def associativity_counterexample(alg: FiniteAlgebra):
+    """The first basis triple (i, j, k) in lexicographic order with
+    (e_i e_j) e_k != e_i (e_j e_k), or None: the dense triple loop."""
+    e = [alg.basis_vector(i) for i in range(alg.dim)]
+    for i, j, k in product(range(alg.dim), repeat=3):
+        if alg.mul(alg.mul(e[i], e[j]), e[k]) != alg.mul(e[i], alg.mul(e[j], e[k])):
+            return (i, j, k)
+    return None
+
+
 def classical_residuals(table, ops, x, y, z) -> tuple:
     """Residuals of the classical axioms: ``table`` with the index ignored."""
     return residuals(table, _Unindexed(ops), x, y, z, None, None, None)
@@ -136,3 +148,18 @@ def classical_residuals(table, ops, x, y, z) -> tuple:
 
 classical_dendriform_residuals = partial(classical_residuals, DENDRIFORM)
 classical_tridendriform_residuals = partial(classical_residuals, TRIDENDRIFORM)
+
+
+def validate(table, family: str, ops, elements, index_triples) -> None:
+    """Raise AxiomFailure at the first counterexample to ``table`` among the triples
+    of ``elements`` and the (alpha, beta, alpha*beta) of ``index_triples``."""
+    failure = search(table, ops, product(elements, elements, elements, index_triples))
+    if failure is not None:
+        raise AxiomFailure(
+            f"{family} family axiom ({failure['axiom']}) fails at "
+            f"alpha={failure['alpha']} beta={failure['beta']}",
+            counterexample=failure)
+
+
+validate_dendriform_ops = partial(validate, DENDRIFORM, "dendriform")
+validate_tridendriform_ops = partial(validate, TRIDENDRIFORM, "tridendriform")

@@ -11,7 +11,6 @@ from math import comb
 
 import pytest
 
-from dendrifam.axioms import validate_dendriform_ops
 from dendrifam.basis import LEAF, Alphabet
 from dendrifam.dendriform import FreeDendriformFamily
 from dendrifam.errors import ArityMismatch, TermSyntaxError, TypingViolation
@@ -29,7 +28,8 @@ from dendrifam.termio import parse_span, parse_tree, print_span
 from dendrifam.tridendriform import FreeTridendriformFamily, gamma
 
 from helpers import (classical_dendriform_residuals, classical_tridendriform_residuals,
-                     decoration_count, leaves, mutated, scaled_identity_matrix)
+                     decoration_count, leaves, mutated, scaled_identity_matrix,
+                     validate_dendriform_ops)
 from untyped_free import (b_span_prec, b_span_succ, t_dot, t_prec, t_span_op,
                           t_succ)
 

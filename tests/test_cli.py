@@ -567,6 +567,53 @@ def test_check_tensor_rb_counterexample_line(capsys, bad_rb_file):
                               "lhs=-1*e0(x)0 + 1*e1(x)0 + 1*e2(x)0 rhs=-2*e0(x)0\n")
 
 
+RB_K3_NOT_ASSOCIATIVE = RB_K3.replace("sc 2 2 2 1\n", "sc 2 2 2 1\nsc 1 2 0 1\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--suite", "rb", "--alphabet", "x"],
+    ["check", "--suite", "tensor-rb", "--alphabet", "x"],
+    ["check", "--suite", "diagram", "--alphabet", "x"],
+    ["extend", "--functor", "eta", "B[x;1:|,1:|]", "--alphabet", "x,y"],
+    ["extend", "--functor", "epsilon", "S[x;1:|,1:|]", "--alphabet", "x,y"],
+], ids=["rb", "tensor-rb", "diagram", "extend-eta", "extend-epsilon"])
+def test_non_associative_algebra_file_line(capsys, tmp_path, map_file, argv):
+    # e1 e2 = e0 on k^3: (e0 e1) e2 = 0 but e0 (e1 e2) = e0, the least failing triple
+    path = tmp_path / "rb-not-associative.txt"
+    path.write_text(RB_K3_NOT_ASSOCIATIVE)
+    extra = ["--map-file", map_file] if argv[0] == "extend" else []
+    code, out, _ = run(capsys, *argv, "--semigroup", "cyclic:2", "--rb-file", str(path), *extra)
+    assert (code, out) == (1, "axiom failure: structure constants are not associative "
+                              "at basis triple (0, 1, 2)\n")
+
+
+# cascading-sum families on k^3 of weight -1/2 and, checked at -1/2 to fail, of weight -1/4
+RB_K3_NEGATIVE_HALF, RB_K3_NEGATIVE_QUARTER = RB_K3.replace("-1", "1/2"), RB_K3.replace("-1", "1/4")
+
+
+@pytest.mark.parametrize("text, argv, expected", [
+    (RB_K3_NEGATIVE_HALF, ["check", "--suite", "rb", "--alphabet", "x"],
+     (0, "instances=36 failures=0\n")),
+    (RB_K3_NEGATIVE_HALF, ["check", "--suite", "diagram", "--alphabet", "x"],
+     (0, "instances=18 failures=0\n")),
+    (RB_K3_NEGATIVE_HALF, ["extend", "--functor", "eta", "B[y;0:B[x;1:|,1:|],1:|]",
+                           "--alphabet", "x,y"], (0, "0 1/2 0\n")),
+    (RB_K3_NEGATIVE_QUARTER, ["check", "--suite", "rb", "--alphabet", "x"],
+     (1, "counterexample suite=rb alpha=0 beta=0 i=0 j=0 lhs=1/16 1/16 1/16 rhs=0 0 0\n")),
+], ids=["rb", "diagram", "extend", "counterexample"])
+@pytest.mark.parametrize("spelling", [["--lambda", "-3/6"], ["--lambda=-3/6"], ["--lam", "-3/6"]],
+                         ids=["separate", "joined", "abbreviated"])
+def test_negative_fractional_weight_in_both_spellings(capsys, tmp_path, map_file, text, argv,
+                                                      expected, spelling):
+    # argparse took '-3/6' after --lambda for an option and exited 2
+    path = tmp_path / "rb-negative-weight.txt"
+    path.write_text(text)
+    extra = ["--map-file", map_file] if argv[0] == "extend" else []
+    code, out, _ = run(capsys, *argv, "--semigroup", "cyclic:2", "--rb-file", str(path),
+                       *spelling, *extra)
+    assert (code, out) == expected
+
+
 # -- axiom failures, pinned byte for byte --------------------------------------------------
 
 _SWAPPED_AXIOM_LINES = {

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from dendrifam.axioms import DENDRIFORM, search, validate_dendriform_ops
+from dendrifam.axioms import DENDRIFORM, search
 from dendrifam.basis import LEAF, Alphabet, LinComb, span_single
 from dendrifam.dendriform import FreeDendriformFamily
 from dendrifam.errors import (AxiomFailure, IdentityMisuse, InvalidElement,
@@ -14,7 +14,7 @@ from dendrifam.semigroups import IDENTITY, Semigroup
 from dendrifam.termio import print_span
 from dendrifam.tridendriform import FreeTridendriformFamily
 
-from helpers import leaves, scaled_identity_matrix
+from helpers import leaves, scaled_identity_matrix, validate_dendriform_ops
 from untyped_free import b_span_prec, b_span_succ
 
 X2 = Alphabet(["x", "y"])

@@ -1,6 +1,7 @@
 """The Rota-Baxter vector layer against a dense ``Fraction`` reference, and
 ``extend`` into the induced structures of random Rota-Baxter families."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ from dendrifam.basis import Alphabet
 from dendrifam.dendriform import FreeDendriformFamily
 from dendrifam.errors import InvalidElement
 from dendrifam.pbtrees import enumerate_bin
-from dendrifam.rotabaxter import (EpsilonOps, FiniteAlgebra, RBFamily, TensorRB,
+from dendrifam.rotabaxter import (EpsilonOps, EtaOps, FiniteAlgebra, RBFamily, TensorRB, _walk,
                                   cascading_sum_matrix, epsilon, eta, pointwise_algebra,
                                   rb_family_counterexample, vec_add, vec_scale)
 from dendrifam.schroder import enumerate_sch
@@ -88,10 +89,12 @@ def test_apply_matches_dense_reference(data, dim):
         assert_exact(image)
 
 
-def group_algebra_family(d=3, weight=Fraction(1, 3)):
-    """k[Z_d], e_i e_j = e_{i+j mod d}, with minus ``weight`` times the projection onto
-    the augmentation ideal, a Rota-Baxter operator with no zero entry, for each index."""
-    structure = tuple(tuple(tuple(int(k == (i + j) % d) for k in range(d)) for j in range(d))
+def group_algebra_family(d=3, weight=Fraction(1, 3), mul=None):
+    """k[G] for the group G on 0, ..., d-1 with product ``mul``, Z_d by default:
+    e_i e_j = e_{mul(i, j)}, with minus ``weight`` times the projection onto the
+    augmentation ideal, a Rota-Baxter operator with no zero entry, for each index."""
+    mul = mul or (lambda i, j: (i + j) % d)
+    structure = tuple(tuple(tuple(int(k == mul(i, j)) for k in range(d)) for j in range(d))
                       for i in range(d))
     projection = tuple(tuple(-weight * (int(r == c) - Fraction(1, d)) for c in range(d))
                        for r in range(d))
@@ -330,3 +333,52 @@ def test_products_match_their_defining_formulas(inputs, weight):
     dot = eps_ops.dot(x, y)
     assert dot == tuple(weight * c for c in times(x, y))
     assert_exact(dot)
+
+
+def folded(rb):
+    """For the compiled prec and succ of each index of eta and of epsilon over ``rb``,
+    whether it walks one table with the operator folded in."""
+    return [getattr(product, "func", None) is _walk for ops in (EtaOps(rb), EpsilonOps(rb))
+            for products in (ops._prec, ops._succ) for product in products.values()]
+
+
+def test_sparse_operators_stay_folded_into_the_tables():
+    # k^5 with cascading sums: each folded table has no more terms than the operator
+    # and the algebra's table together, so each product is one walk of its own table
+    rb = RBFamily(pointwise_algebra(5), 1, {w: cascading_sum_matrix(5, 1) for w in SAMPLE})
+    assert all(folded(rb))
+
+
+# the symmetric group on three points, composed right to left: not commutative
+S3 = list(itertools.permutations(range(3)))
+
+
+def s3_mul(i, j):
+    return S3.index(tuple(S3[i][k] for k in S3[j]))
+
+
+@pytest.mark.parametrize("d, mul", [(15, None), (6, s3_mul)], ids=["Z15", "S3"])
+def test_dense_operators_are_applied_before_the_algebra_product(d, mul):
+    """On k[Z_15] the augmentation-ideal operator has no zero entry, and folded into the
+    225 structure constants it would give tables of 3,375 terms: each induced product
+    applies the operator's columns and then multiplies in the algebra, exactly as the
+    formulas x (P_w + lambda)(y) and P_w(x) y say.  k[S_3] is not commutative, so it
+    also tells the operands apart."""
+    weight = Fraction(1, 3)
+    rb = group_algebra_family(d, weight, mul)
+    assert not any(folded(rb))
+    alg, eta_ops, eps_ops = rb.algebra, EtaOps(rb), EpsilonOps(rb)
+    dense = tuple(Fraction(i % 5 - 2, 1 + i % 3) for i in range(d))
+    vectors = [alg.basis_vector(0), alg.basis_vector(d // 2), alg.basis_vector(d - 1), dense,
+               tuple(i % 2 for i in range(d))]
+    for x in vectors:
+        for y in vectors:
+            for w in SAMPLE:
+                px, py = rb.apply(w, x), rb.apply(w, y)
+                for product, expected in (
+                        (eta_ops.prec(x, y, w), alg.mul(x, vec_add(py, vec_scale(weight, y)))),
+                        (eta_ops.succ(x, y, w), alg.mul(px, y)),
+                        (eps_ops.prec(x, y, w), alg.mul(x, py)),
+                        (eps_ops.succ(x, y, w), alg.mul(px, y))):
+                    assert product == expected
+                    assert_exact(product)

@@ -3,6 +3,8 @@ from functools import partial
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dendrifam.axioms import DENDRIFORM, TRIDENDRIFORM, search
 from dendrifam.basis import LEAF, Alphabet, LinComb
@@ -19,8 +21,9 @@ from dendrifam.semigroups import Semigroup
 from dendrifam.termio import parse_tree
 from dendrifam.tridendriform import FreeTridendriformFamily, gamma
 
-from helpers import (classical_dendriform_residuals, classical_tridendriform_residuals,
-                     mutated, scaled_identity_matrix, validate_rb_family)
+from helpers import (associativity_counterexample, classical_dendriform_residuals,
+                     classical_tridendriform_residuals, mutated, scaled_identity_matrix,
+                     validate_rb_family)
 
 Z2 = Semigroup.cyclic(2)
 SAMPLE = ["0", "1"]
@@ -61,6 +64,43 @@ def test_associativity_counterexample_detected():
     assert alg.associativity_counterexample() is not None
     with pytest.raises(AxiomFailure):
         alg.validate()
+
+
+@pytest.mark.parametrize("structure, first", [
+    # e0 e1 = 0 but e1 e2 = e0: (e0 e1) e2 = 0, e0 (e1 e2) = e0
+    ({(0, 0, 0): 1, (1, 1, 1): 1, (2, 2, 2): 1, (1, 2, 0): 1}, (0, 1, 2)),
+    # only e2 e2 = e1 and e1 e2 = e1: (e1 e2) e2 = e1, e1 (e2 e2) = e1 e1 = 0
+    ({(2, 2, 1): 1, (1, 2, 1): 1}, (1, 2, 2)),
+    # upper triangular 2x2 matrices, E11, E12, E22: associative, not commutative
+    ({(0, 0, 0): 1, (0, 1, 1): 1, (1, 2, 1): 1, (2, 2, 2): 1}, None),
+    # k^2 in the basis e0, e0 - e1 (and a null e2): (f1 f1) f1 = (2 f0 - f1) f1 = f1,
+    # where the terms 2 f0 and -2 f0 cancel
+    ({(0, 0, 0): 1, (0, 1, 0): 1, (1, 0, 0): 1, (1, 1, 0): 2, (1, 1, 1): -1}, None),
+])
+def test_associativity_counterexample_is_the_least_failing_triple(structure, first):
+    alg = FiniteAlgebra(tuple(tuple(tuple(structure.get((i, j, k), 0) for k in range(3))
+                                    for j in range(3)) for i in range(3)))
+    assert alg.associativity_counterexample() == associativity_counterexample(alg) == first
+
+
+ENTRIES = (-1, Fraction(1, 2), 1)
+
+
+@st.composite
+def sparse_algebras(draw):
+    """Structure constants in {-1, 0, 1/2, 1} in dimension at most 5, zero with a drawn
+    odds, so that the first failing triple is often not (0, 0, 0) and some algebras are
+    associative."""
+    d, zeros = draw(st.integers(1, 5)), draw(st.integers(0, 40))
+    entry = st.sampled_from((0,) * zeros + ENTRIES)
+    return FiniteAlgebra(draw(st.tuples(*[st.tuples(*[st.tuples(*[entry] * d)] * d)] * d)))
+
+
+@given(sparse_algebras())
+@settings(max_examples=300, deadline=None)
+def test_associativity_check_matches_the_triple_loop(alg):
+    # the sparse contractions report the triple the dense loop meets first
+    assert alg.associativity_counterexample() == associativity_counterexample(alg)
 
 
 def test_vector_product():
@@ -241,6 +281,83 @@ def test_gamma_epsilon_equals_eta(cascading):
             assert through.succ(x, y, w) == direct.succ(x, y, w)
 
 
+# -- the theorem the induced structures rest on ---------------------------------------------
+
+WEIGHTS = (ONE, -ONE, Fraction(1, 2), Fraction(-2, 3), Fraction(3))
+# matrix units E_rc spanning upper triangular 2x2 matrices, and all of M_2
+T2 = ((0, 0), (0, 1), (1, 1))
+M2 = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def group_algebra(d):
+    """k[Z_d], e_i e_j = e_{i+j mod d}."""
+    return FiniteAlgebra(tuple(tuple(tuple(int(k == (i + j) % d) for k in range(d))
+                                     for j in range(d)) for i in range(d)))
+
+
+def matrix_unit_algebra(units):
+    """The span of the matrix units ``units``, closed under E_ab E_ce = [b = c] E_ae."""
+    return FiniteAlgebra(tuple(tuple(tuple(int(b == c and unit == (a, e)) for unit in units)
+                                     for c, e in units) for a, b in units))
+
+
+def projection(d, onto, c):
+    """c times the projection of k^d onto the span of the basis vectors ``onto``
+    along the span of the others."""
+    return tuple(tuple(c if r == col and r in onto else 0 for col in range(d)) for r in range(d))
+
+
+@st.composite
+def known_families(draw):
+    """A constant Rota-Baxter family of weight lambda over an algebra of dimension at most
+    4, from a known construction: cascading sums on k^d; -lambda id; or -lambda times the
+    projection of a direct sum of two subalgebras onto one of them, basis vectors of k^d,
+    of the upper triangular or of all 2x2 matrices, or the augmentation ideal of k[Z_d] and
+    the line of its idempotent."""
+    weight, d = draw(st.sampled_from(WEIGHTS)), draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["cascading", "identity", "split", "augmentation"]))
+    if kind == "cascading":
+        algebra, matrix = pointwise_algebra(d), cascading_sum_matrix(d, weight)
+    elif kind == "identity":
+        algebra = draw(st.sampled_from([pointwise_algebra(d), group_algebra(d),
+                                        matrix_unit_algebra(T2), matrix_unit_algebra(M2)]))
+        matrix = scaled_identity_matrix(algebra.dim, -weight)
+    elif kind == "split":
+        # any set of basis vectors of k^d or of T2 spans a subalgebra, and so do the others;
+        # M2 is the upper triangular matrices plus E_10, or the lower ones plus E_01
+        algebra, onto = draw(st.sampled_from([
+            (pointwise_algebra(d), st.sets(st.integers(0, d - 1))),
+            (matrix_unit_algebra(T2), st.sets(st.integers(0, 2))),
+            (matrix_unit_algebra(M2), st.sampled_from([{0, 1, 3}, {2}, {0, 2, 3}, {1}]))]))
+        matrix = projection(algebra.dim, draw(onto), -weight)
+    else:
+        # onto the augmentation ideal along the idempotent's line, or the other way
+        algebra, ideal = group_algebra(d), draw(st.booleans())
+        matrix = tuple(tuple(-weight * (int(r == c) - Fraction(1, d) if ideal else Fraction(1, d))
+                             for c in range(d)) for r in range(d))
+    return RBFamily(algebra, weight, {w: matrix for w in SAMPLE})
+
+
+@given(known_families())
+@settings(max_examples=60, deadline=None)
+def test_induced_structures_satisfy_the_theorem(rb):
+    """A Rota-Baxter family of weight lambda on an associative algebra induces a dendriform
+    family eta and a tridendriform family epsilon, with gamma . epsilon = eta: every axiom
+    on every triple of basis vectors over the sampled index pairs."""
+    assert rb.algebra.associativity_counterexample() is None
+    assert rb_family_counterexample(rb, Z2, SAMPLE) is None
+    elements = basis(rb)
+    instances = list(product(elements, elements, elements, index_triples()))
+    assert search(DENDRIFORM, EtaOps(rb), instances) is None
+    tri = epsilon(rb, Z2, SAMPLE)
+    assert search(TRIDENDRIFORM, tri, instances) is None
+    through, direct = gamma(tri), EtaOps(rb)
+    for x, y in product(elements, repeat=2):
+        for w in SAMPLE:
+            assert through.prec(x, y, w) == direct.prec(x, y, w)
+            assert through.succ(x, y, w) == direct.succ(x, y, w)
+
+
 # -- the tensor constructions ------------------------------------------------------------
 
 def test_tensor_rb_one_dimensional_negative_identity():
@@ -277,8 +394,10 @@ def test_induced_structures_on_a_group_algebra():
     rb = RBFamily(FiniteAlgebra(structure), weight, {w: projection for w in SAMPLE})
     rb.algebra.validate()
     assert rb_family_counterexample(rb, Z2, SAMPLE) is None
-    eta(rb).validated(Z2, SAMPLE)
-    epsilon(rb, Z2, SAMPLE)
+    elements = basis(rb)
+    instances = list(product(elements, elements, elements, index_triples()))
+    assert search(DENDRIFORM, eta(rb), instances) is None
+    assert search(TRIDENDRIFORM, epsilon(rb, Z2, SAMPLE), instances) is None
     op = tensor_rb(rb, Z2, SAMPLE)
     for (i, a), (j, b) in product(product(range(d), SAMPLE), repeat=2):
         assert op.mul(op.element(i, a), op.element(j, b)) == op.element((i + j) % d, Z2.mul(a, b))

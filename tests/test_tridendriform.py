@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from dendrifam.axioms import DENDRIFORM, TRIDENDRIFORM, search, validate_tridendriform_ops
+from dendrifam.axioms import DENDRIFORM, TRIDENDRIFORM, search
 from dendrifam.basis import LEAF, Alphabet, LinComb, span_single
 from dendrifam.errors import AxiomFailure, IdentityMisuse, LeafOperand
 from dendrifam.exprs import Dot, Gen, Prec, Succ, evaluate
@@ -12,7 +12,7 @@ from dendrifam.semigroups import IDENTITY, Semigroup
 from dendrifam.termio import print_span
 from dendrifam.tridendriform import FreeTridendriformFamily, gamma
 
-from helpers import central_factors, corolla, leaves
+from helpers import central_factors, corolla, leaves, validate_tridendriform_ops
 from untyped_free import t_dot, t_prec, t_span_op, t_succ
 
 X2 = Alphabet(["x", "y"])
