@@ -17,15 +17,16 @@ is imposed only when it is read (:meth:`LinComb.ordered`, which the
 printers call).  The bare leaf is representable as a tree but is never
 a span term.
 
-Trees are ordered by ranks, per collection: a tree module walks the
-nodes reachable from the collection once, without recursion, giving
-each its leaf count, and :func:`rank_levels` ranks them by level.
-:func:`enumerate_trees` lists the basis trees of both free families; a
-binary vertex is the case of one decoration over two typed children.
+Trees are ordered by ranks, per collection: every node keeps its leaf count,
+set when it is interned, so one iterative :func:`walk` groups the nodes
+reachable from the collection by leaf count, and :func:`rank_levels` ranks
+them level by level.  :func:`enumerate_trees` lists the basis trees of both
+free families; a binary vertex is one decoration over two typed children.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import cache, partial
 from itertools import combinations, product
 from typing import Any, Callable, Iterable, Optional, Tuple
@@ -39,6 +40,7 @@ class Leaf:
     """The unique tree with a single leaf, written ``|``; not a basis element."""
 
     _instance = None
+    leaves = 1
 
     def __new__(cls):
         if cls._instance is None:
@@ -52,9 +54,11 @@ class Leaf:
 LEAF = Leaf()
 
 
-def edge_violation(edge: str, etype, child) -> TypingViolation:
-    """The error for an edge whose type breaks the typing invariant; it names
-    the kind of child, never its repr, which is as deep as the child."""
+def edge_violation(edge: str, etype, child, node_type: type) -> Exception:
+    """The error for a child that breaks the typing invariant, a TypeError if it is
+    no tree of ``node_type``; it names the kind of child, never its deep repr."""
+    if type(child) is not node_type and child is not LEAF:
+        return TypeError(f"not a {node_type.__name__} tree: a {type(child).__name__}")
     kind = "a leaf" if child is LEAF else "a vertex"
     return TypingViolation(f"{edge} {etype} inconsistent with {kind} child")
 
@@ -149,11 +153,9 @@ class LinComb:
     def ordered(self, repeated: Optional[set] = None) -> list:
         """(coefficient, tree) pairs in the canonical order, ranked afresh;
         ``repeated`` is handed to the order."""
-        items = [(c, t) for t, c in self.map.items()]
-        if self.order is not None:
-            rank = self.order(self.map, repeated)
-            items.sort(key=lambda item: rank[item[1]])
-        return items
+        m = self.map
+        trees = m if self.order is None else sorted(m, key=self.order(m, repeated).__getitem__)
+        return [(m[t], t) for t in trees]
 
     @property
     def terms(self) -> Tuple[Tuple[Any, Any], ...]:
@@ -237,25 +239,53 @@ class Spans:
         return self._own(s).scaled(c)
 
 
-def rank_levels(rank: dict, flat: Callable) -> dict:
-    """Turn a map from tree to leaf count into ranks, in place, level by
-    level in increasing leaf count.  A level is sorted by ``flat(t)``,
-    which reads from ``rank`` the ranks of ``t``'s children, ranked
-    already as they have fewer leaves.  The leaf gets rank 0."""
-    levels: dict = {}
-    for t, n in rank.items():
-        level = levels.get(n)
-        if level is None:
-            levels[n] = [t]
-        else:
-            level.append(t)
-    r = 0
+class Keyed(dict):
+    """A dict that fills a missed key ``k`` with ``fn(k)``; an error of ``fn`` stores nothing."""
+
+    def __init__(self, fn: Callable):
+        self.fn = fn
+
+    def __missing__(self, k):
+        value = self[k] = self.fn(k)
+        return value
+
+
+def walk(node_type: type, kids: Optional[Callable], roots, repeated: Optional[set] = None) -> dict:
+    """The nodes reachable from ``roots`` by leaf count (``leaves``), each once, by one
+    iterative walk that adds every further reach of a node to the set ``repeated``.
+    ``kids(t)`` lists a node's children but the leaf (None: binary nodes).  A root that
+    is no tree of ``node_type`` raises TypeError; the constructors checked the rest."""
+    stack = list(roots)
+    for t in stack:
+        if type(t) is not node_type and t is not LEAF:
+            raise edge_violation("root", None, t, node_type)  # the TypeError of a non-tree
+    levels, seen, pop, push = defaultdict(list), {LEAF}, stack.pop, stack.append
+    see, add = seen.add, (set() if repeated is None else repeated).add
+    while stack:
+        t = pop()
+        if t in seen:
+            add(t)
+            continue
+        see(t)
+        levels[t.leaves].append(t)
+        if kids:
+            stack += kids(t)
+        else:  # pushed inline, and the leaf not at all: a third of the walk's time
+            if t.left is not LEAF:
+                push(t.left)
+            if t.right is not LEAF:
+                push(t.right)
+    return levels
+
+
+def rank_levels(levels: dict, rank: dict, flat: Callable) -> dict:
+    """Rank the nodes of ``levels`` (from :func:`walk`) into ``rank``, which holds the
+    leaf at 0, level by level in increasing leaf count; a level is sorted by ``flat(t)``,
+    which reads from ``rank`` the ranks of t's children, which have fewer leaves."""
     for n in sorted(levels):
-        level = levels.pop(n)
-        level.sort(key=flat if n > 1 else None)
-        for t in level:
-            rank[t] = r
-            r += 1
+        level = levels[n]
+        level.sort(key=flat)
+        rank.update(zip(level, range(len(rank), len(rank) + len(level))))
     return rank
 
 

@@ -131,10 +131,15 @@ class FreeFamily(Spans):
         return normalize([(1, t) for t in trees], self.order)
 
     def _own(self, s) -> LinComb:
-        """``s``, if a span of this family's trees; one of ``order`` is trusted unread."""
-        if not isinstance(s, LinComb) or s.order is not self.order and any(
-                type(t) is not self.node_type for t in s.map):
+        """``s``, if a span of this family's trees over its alphabet and semigroup.  One of
+        ``order``, or of ``ranks`` over these two objects (the parser's), is trusted; ``order``
+        ranks any other once: TypeError for a tree of another kind, InvalidElement for a
+        foreign decoration or edge type."""
+        if not isinstance(s, LinComb):
             raise TypeError(f"not a span of {self.node_type.__name__} trees: a {type(s).__name__}")
+        if s.order is not self.order and not (type(s.order) is partial and s.order.func is (
+                self.nodes.ranks) and s.order.args == (self.alphabet, self.semigroup)):
+            self.order(s.map)
         return s
 
     # -- the indexed products --------------------------------------------

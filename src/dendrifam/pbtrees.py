@@ -8,21 +8,21 @@ edge is typed by the identity exactly when the child below it is a leaf.
 
 Trees are hash-consed: structurally equal trees are the same object, kept in
 the module table ``_INTERNED``, so trees compare and hash by identity.  Nodes
-are frozen: ``_intern`` sets their slots by the slots' own setters, and
-assignment raises as on a :class:`~dendrifam.basis.Value`.  :func:`ranks` gives
-their canonical order per collection of trees, and stores nothing on the shared
-nodes: another alphabet orders them differently.  :func:`tree_key` gives the
-same order as one flat tuple per tree.  :func:`enumerate_bin` lists them
-through :func:`dendrifam.basis.enumerate_trees`.
+are frozen: ``_intern`` checks that the children are trees and sets the slots,
+the leaf count ``leaves`` too, by their own setters.  :func:`walk` finds the
+nodes below a collection of trees and :func:`ranks` their canonical order, kept
+on no node (another alphabet orders them differently); :func:`tree_key` gives it
+as one flat tuple per tree.  :func:`enumerate_bin` lists the trees.
 """
 
 from __future__ import annotations
 
-from functools import cache, partial
+from functools import partial
 from operator import attrgetter
 from typing import Optional, Union
 
-from .basis import LEAF, Alphabet, Leaf, Value, edge_violation, enumerate_trees, rank_levels
+from .basis import LEAF, Alphabet, Keyed, Leaf, Value, edge_violation, enumerate_trees, rank_levels
+from .basis import walk as walk_levels
 from .semigroups import IDENTITY, Semigroup
 
 BinTree = Union[Leaf, "BinNode"]
@@ -31,12 +31,13 @@ BinTree = Union[Leaf, "BinNode"]
 class BinNode:
     """Internal vertex with a decorated symbol and two typed children.
 
-    Hash-consed: ``BinNode(...)`` returns the one node with these fields,
-    checking the typing only when it is first made, so equality and
-    hashing are those of the object.
+    Hash-consed: ``BinNode(...)`` returns the one node with these fields, checked
+    when first made, so equality and hashing are those of the object.  The slot
+    ``leaves``, outside the fields, holds its leaf count.
     """
 
-    __slots__ = _fields = ("dec", "left_type", "left", "right_type", "right")
+    _fields = ("dec", "left_type", "left", "right_type", "right")
+    __slots__ = _fields + ("leaves",)
     __setattr__ = __delattr__ = Value.__setattr__
     __repr__ = Value.__repr__
 
@@ -47,23 +48,25 @@ class BinNode:
 
 _INTERNED: dict = {}
 # the slots' own setters, which store a new node's fields past the frozen __setattr__
-_set_dec, _set_left_type, _set_left, _set_right_type, _set_right = (
+_set_dec, _set_left_type, _set_left, _set_right_type, _set_right, _set_leaves = (
     BinNode.__dict__[name].__set__ for name in BinNode.__slots__)
 
 
 def _intern(key: tuple) -> BinNode:
     """Check, make and store the node with the fields ``key``, on a table miss."""
     dec, left_type, left, right_type, right = key
-    if (left_type is IDENTITY) != (left is LEAF):
-        raise edge_violation("left edge", left_type, left)
-    if (right_type is IDENTITY) != (right is LEAF):
-        raise edge_violation("right edge", right_type, right)
+    # an edge typed by the identity has the leaf below it, any other a binary vertex
+    if not ((left is LEAF) if left_type is IDENTITY else type(left) is BinNode):
+        raise edge_violation("left edge", left_type, left, BinNode)
+    if not ((right is LEAF) if right_type is IDENTITY else type(right) is BinNode):
+        raise edge_violation("right edge", right_type, right, BinNode)
     node = _INTERNED[key] = object.__new__(BinNode)
     _set_dec(node, dec)
     _set_left_type(node, left_type)
     _set_left(node, left)
     _set_right_type(node, right_type)
     _set_right(node, right)
+    _set_leaves(node, left.leaves + right.leaves)
     return node
 
 
@@ -123,40 +126,16 @@ def first_keys(t: BinNode, a, inner: tuple) -> list:
     return [(dec, a, s, a2, right) for s in inner]
 
 
-def leaf_counts(roots, repeated=None) -> dict:
-    """Each tree reachable from ``roots``, the leaf too, mapped to its leaf
-    count by one iterative post-order walk: a node is counted when popped
-    the second time, after its children.  A tree reached more than once,
-    the leaf too, goes into the set ``repeated``.  A non-tree raises
-    TypeError."""
-    count = {LEAF: 1}
-    get, add = count.get, (set() if repeated is None else repeated).add
-    stack = list(roots)
-    pop = stack.pop
-    while stack:
-        t = pop()
-        n = get(t)
-        if n is None:
-            if type(t) is not BinNode:
-                raise TypeError(f"not a binary tree: a {type(t).__name__}")
-            count[t] = 0
-            stack += (t, t.right, t.left)
-        elif n:
-            add(t)
-        else:
-            count[t] = count[t.left] + count[t.right]
-    return count
+walk = partial(walk_levels, BinNode, None)
 
 
 def ranks(alphabet: Alphabet, semigroup: Semigroup, roots, repeated=None) -> dict:
-    """Each tree reachable from ``roots`` mapped to its rank in the canonical
-    order: leaf count, decoration, left edge type, left subtree, right edge
-    type, right subtree.  A level of equal leaf count is sorted by the flat
-    tuple (decoration, left edge type, left rank, right edge type, right rank)."""
-    rank = leaf_counts(roots, repeated)
-    dec, edge = cache(alphabet.index), cache(semigroup.ext_key)
-    return rank_levels(rank, lambda t: (dec(t.dec), edge(t.left_type), rank[t.left],
-                                        edge(t.right_type), rank[t.right]))
+    """Each tree reachable from ``roots`` mapped to its rank in the canonical order: leaf
+    count, decoration, left edge type, left subtree, right edge type, right subtree.  A level
+    of equal leaf count is sorted by the flat tuple of these fields, subtrees by their ranks."""
+    rank, dec, edge = {LEAF: 0}, Keyed(alphabet.index), Keyed(semigroup.ext_key)
+    return rank_levels(walk(roots, repeated), rank, lambda t: (
+        dec[t.dec], edge[t.left_type], rank[t.left], edge[t.right_type], rank[t.right]))
 
 
 def tree_key(t: BinTree, alphabet: Alphabet, semigroup: Semigroup) -> tuple:
@@ -164,8 +143,9 @@ def tree_key(t: BinTree, alphabet: Alphabet, semigroup: Semigroup) -> tuple:
     preorder, each subtree in place of its rank.  A key starts with its
     leaf count, so none is a prefix of another, and flat keys compare as
     the nested ones would."""
-    count = leaf_counts((t,))
-    dec, edge = cache(alphabet.index), cache(semigroup.ext_key)
+    if type(t) is not BinNode:
+        walk((t,))  # the leaf passes, anything else raises TypeError
+    dec, edge = Keyed(alphabet.index), Keyed(semigroup.ext_key)
     key, stack = [], [t]
     while stack:
         s = stack.pop()
@@ -174,8 +154,8 @@ def tree_key(t: BinTree, alphabet: Alphabet, semigroup: Semigroup) -> tuple:
         elif s is LEAF:
             key.append(1)
         else:
-            key += (count[s], dec(s.dec), edge(s.left_type))
-            stack += (s.right, edge(s.right_type), s.left)
+            key += (s.leaves, dec[s.dec], edge[s.left_type])
+            stack += (s.right, edge[s.right_type], s.left)
     return tuple(key)
 
 

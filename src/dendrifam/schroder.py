@@ -4,19 +4,20 @@ tridendriform family algebra.
 An internal vertex of arity k+1 carries k decoration symbols and k+1
 typed edges to its children, ordered left to right.  Edge typing obeys
 the same invariant as for binary trees: identity type iff leaf child.
-Trees are hash-consed in the module table ``_INTERNED`` and frozen, as
-binary trees are, so equal trees are the same object.  :func:`ranks`
-orders a collection of them as :func:`dendrifam.pbtrees.ranks` does binary trees,
-and :func:`tree_key` gives the same order as one flat tuple per tree.
-:func:`enumerate_sch` lists them through :func:`dendrifam.basis.enumerate_trees`.
+Trees are hash-consed in the module table ``_INTERNED`` and frozen, and keep
+their leaf count, as binary trees do, so equal trees are the same object.
+:func:`walk`, :func:`ranks` and :func:`tree_key` work as in
+:mod:`dendrifam.pbtrees`; :func:`enumerate_sch` lists the trees through
+:func:`dendrifam.basis.enumerate_trees`.
 """
 
 from __future__ import annotations
 
-from functools import cache, partial
+from functools import partial
 from typing import Optional, Tuple, Union
 
-from .basis import LEAF, Alphabet, Leaf, Value, edge_violation, enumerate_trees, rank_levels
+from .basis import LEAF, Alphabet, Keyed, Leaf, Value, edge_violation, enumerate_trees, rank_levels
+from .basis import walk as walk_levels
 from .errors import ArityMismatch
 from .semigroups import IDENTITY, Semigroup
 
@@ -26,11 +27,12 @@ SchTree = Union[Leaf, "SchNode"]
 class SchNode:
     """Internal vertex: k decorations and k+1 (edge type, child) pairs, k >= 1.
 
-    Hash-consed like :class:`~dendrifam.pbtrees.BinNode`: ``SchNode(...)``
-    returns the one node with these fields, checked when first made.
+    Hash-consed, with its leaf count in the slot ``leaves``, like
+    :class:`~dendrifam.pbtrees.BinNode`.
     """
 
-    __slots__ = _fields = ("decs", "children")
+    _fields = ("decs", "children")
+    __slots__ = _fields + ("leaves",)
     __setattr__ = __delattr__ = Value.__setattr__
     __repr__ = Value.__repr__
 
@@ -45,7 +47,8 @@ class SchNode:
 
 _INTERNED: dict = {}
 # the slots' own setters, as for BinNode
-_set_decs, _set_children = (SchNode.__dict__[name].__set__ for name in SchNode.__slots__)
+_set_decs, _set_children, _set_leaves = (
+    SchNode.__dict__[name].__set__ for name in SchNode.__slots__)
 
 
 def _intern(key: tuple) -> SchNode:
@@ -56,12 +59,15 @@ def _intern(key: tuple) -> SchNode:
     if len(children) != len(decs) + 1:
         raise ArityMismatch(
             f"{len(decs)} decorations require {len(decs) + 1} children, got {len(children)}")
-    for etype, child in children:
-        if (etype is IDENTITY) != (child is LEAF):
-            raise edge_violation("edge", etype, child)
+    leaves = 0
+    for etype, child in children:  # the leaf on the identity, a vertex on any other type
+        if not ((child is LEAF) if etype is IDENTITY else type(child) is SchNode):
+            raise edge_violation("edge", etype, child, SchNode)
+        leaves += child.leaves
     node = _INTERNED[key] = object.__new__(SchNode)
     _set_decs(node, decs)
     _set_children(node, children)
+    _set_leaves(node, leaves)
     return node
 
 
@@ -139,56 +145,37 @@ def fuse_keys(t: SchNode, u: SchNode, a, inner: tuple) -> list:
     return [(decs, head + ((a, s),) + tail) for s in inner]
 
 
-def leaf_counts(roots, repeated=None) -> dict:
-    """Like :func:`dendrifam.pbtrees.leaf_counts`, on Schröder trees."""
-    count = {LEAF: 1}
-    get, add = count.get, (set() if repeated is None else repeated).add
-    stack = list(roots)
-    pop = stack.pop
-    while stack:
-        t = pop()
-        n = get(t)
-        if n is None:
-            if type(t) is not SchNode:
-                raise TypeError(f"not a Schröder tree: a {type(t).__name__}")
-            count[t] = 0
-            stack.append(t)
-            stack += [child for _, child in t.children]
-        elif n:
-            add(t)
-        else:
-            count[t] = sum([count[child] for _, child in t.children])
-    return count
+walk = partial(walk_levels, SchNode, lambda t: [c for _, c in t.children if c is not LEAF])
 
 
 def ranks(alphabet: Alphabet, semigroup: Semigroup, roots, repeated=None) -> dict:
     """Like :func:`dendrifam.pbtrees.ranks`: leaf count, arity, decorations,
     edge types, children.  A level is sorted by the flat tuple of the arity,
     the decorations, the edge types and the ranks of the children."""
-    rank = leaf_counts(roots, repeated)
-    dec, edge = cache(alphabet.index), cache(semigroup.ext_key)
+    rank, dec, edge = {LEAF: 0}, Keyed(alphabet.index), Keyed(semigroup.ext_key)
 
     def flat(t):
         children = t.children
-        return (len(children), *map(dec, t.decs), *[edge(etype) for etype, _ in children],
+        return (len(children), *[dec[x] for x in t.decs], *[edge[etype] for etype, _ in children],
                 *[rank[child] for _, child in children])
 
-    return rank_levels(rank, flat)
+    return rank_levels(walk(roots, repeated), rank, flat)
 
 
 def tree_key(t: SchTree, alphabet: Alphabet, semigroup: Semigroup) -> tuple:
     """Like :func:`dendrifam.pbtrees.tree_key`: the flat preorder sequence of
     leaf count, arity, decorations and edge types, then the children's."""
-    count = leaf_counts((t,))
-    dec, edge = cache(alphabet.index), cache(semigroup.ext_key)
+    if type(t) is not SchNode:
+        walk((t,))  # the leaf passes, anything else raises TypeError
+    dec, edge = Keyed(alphabet.index), Keyed(semigroup.ext_key)
     key, stack = [], [t]
     while stack:
         s = stack.pop()
         if s is LEAF:
             key.append(1)
         else:
-            key += (count[s], s.arity, tuple(map(dec, s.decs)),
-                    tuple([edge(etype) for etype, _ in s.children]))
+            key += (s.leaves, s.arity, tuple([dec[x] for x in s.decs]),
+                    tuple([edge[etype] for etype, _ in s.children]))
             stack += [child for _, child in reversed(s.children)]
     return tuple(key)
 

@@ -90,6 +90,7 @@ class Semigroup:
     def __init__(self, kind, *, generators=None, order=None, elements=None, table=None):
         self.kind = kind
         self._mul_cache: dict = {}
+        self._ranks: dict = {}  # element -> rank (free: its key), kept once validated
         if kind == "free":
             gens = tuple(_check_token(g) for g in generators)
             if not gens or len(set(gens)) != len(gens):
@@ -109,7 +110,6 @@ class Semigroup:
             if limit and order >= 10 ** limit:
                 raise SemigroupViolation(f"cyclic semigroup order has more than {limit} digits")
             self.order = order
-            self._ranks: dict = {}  # name -> rank of each name validated so far
         elif kind == "table":
             elems = tuple(_check_token(e) for e in elements)
             if not elems or len(set(elems)) != len(elems):
@@ -160,22 +160,24 @@ class Semigroup:
         return self.kind != "free"
 
     def contains(self, a: str) -> bool:
-        if self.kind == "free":
-            return isinstance(a, str) and self._segmentable(a)
         try:
             return a in self._ranks or self._rank(a) is not None
         except TypeError:  # an unhashable value names no element
             return False
 
-    def _rank(self, a) -> Optional[int]:
-        """Position of ``a`` in the element order of a finite semigroup, or None."""
+    def _rank(self, a):
+        """Position of ``a`` in the element order of a finite semigroup, or the key
+        (length, word) of a word of a free one; None for a non-element."""
         rank = self._ranks.get(a)
-        # a cyclic element is its canonical numeral; the length test keeps
-        # int() away from long digit strings
-        if (rank is None and self.kind == "cyclic" and isinstance(a, str) and a.isascii()
-                and a.isdigit() and (a == "0" or a[0] != "0")
-                and len(a) <= len(str(self.order)) and int(a) < self.order):
-            rank = self._ranks[a] = int(a)
+        if rank is None and isinstance(a, str):  # found once, then kept
+            if self.kind == "free" and self._segmentable(a):
+                rank = self._ranks[a] = (len(a), a)
+            # a cyclic element is its canonical numeral; the length test keeps
+            # int() away from long digit strings
+            elif (self.kind == "cyclic" and a.isascii() and a.isdigit()
+                    and (a == "0" or a[0] != "0") and len(a) <= len(str(self.order))
+                    and int(a) < self.order):
+                rank = self._ranks[a] = int(a)
         return rank
 
     def _segmentable(self, word: str) -> bool:
@@ -244,13 +246,11 @@ class Semigroup:
         return sorted(words, key=lambda w: (len(w), w))
 
     def element_key(self, a: str):
-        """Sort key realising the configured element order."""
-        if self.kind == "free":
-            return (len(a), a)
+        """Sort key realising the configured element order; InvalidElement for a non-element."""
         rank = self._rank(a)
         if rank is None:
             raise InvalidElement(f"{shown(a)} is not an element of the semigroup")
-        return (rank,)
+        return rank if self.kind == "free" else (rank,)
 
     def ext_key(self, e):
         """Sort key on the extended monoid: identity before everything."""

@@ -15,10 +15,10 @@ read by one loop over a stack of open vertices, so trees and spans of
 any depth parse.  Only the printer recurses, one stack frame per tree
 level.
 
-A parsed span carries the ranked order of its tree kind, and
-:func:`print_span` prints the terms in that order.  The walk that ranks
-the span also finds the subtrees it repeats; the printer keeps the text
-of those only, and prints each once.
+A parsed span carries the ranked order of its tree kind over the parser's
+alphabet and semigroup, which a family over these two objects trusts unread.
+:func:`print_span` prints the terms in that order; the walk that ranks them
+also finds the subtrees they repeat, whose text alone the printer keeps.
 """
 
 from __future__ import annotations
@@ -264,10 +264,8 @@ def _printer(repeated):
 
 
 def print_tree(t: Union[BinTree, SchTree]) -> str:
-    repeated = set()
-    if t is not LEAF:
-        nodes = pbtrees if isinstance(t, BinNode) else schroder
-        nodes.leaf_counts((t,), repeated)  # raises TypeError on a non-tree
+    repeated = set()  # the walk raises TypeError on a non-tree
+    (pbtrees if isinstance(t, BinNode) else schroder).walk((t,), repeated)
     return _printer(repeated)(t)
 
 

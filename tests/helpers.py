@@ -55,8 +55,7 @@ def corolla(decs) -> schroder.SchNode:
 
 def from_binary(t) -> SchTree:
     """Embed a planar binary tree as the Schröder tree with all vertices
-    binary, by one iterative post-order walk like
-    :func:`dendrifam.schroder.leaf_counts`: a node is embedded when popped
+    binary, by one iterative post-order walk: a node is embedded when popped
     the second time, after its children."""
     image = {LEAF: LEAF}
     stack = [t]

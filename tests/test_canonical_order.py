@@ -8,7 +8,7 @@ per-term printer does.
 """
 
 import tracemalloc
-from functools import partial
+from functools import cache, partial
 from itertools import combinations
 
 import pytest
@@ -177,6 +177,81 @@ def test_parsed_spans_sort_as_the_recursive_definition(kind, sg_name, data):
     for alphabet in (XY, YX):
         span = parse_span(text, kind, alphabet, semigroup)
         assert [t for _, t in span.terms] == sorted(trees, key=lambda t: ref_key(t, alphabet, semigroup))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("sg_name", SEMIGROUPS)
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_each_node_keeps_its_leaf_count(kind, sg_name, data):
+    # drawn, parsed, product and enumerated trees, and every subtree of them
+    draw_trees, nodes, _, family = KINDS[kind]
+    semigroup, tokens, max_word = SEMIGROUPS[sg_name]
+    drawn = data.draw(st.lists(draw_trees(tokens), min_size=2, max_size=4))
+    parsed = parse_span(" + ".join(f"1*{naive_print(t)}" for t in drawn), kind, XY, semigroup)
+    alg, w = family(XY, semigroup), tokens[-1]
+    products = [alg.prec(parsed, drawn[0], w), alg.succ(drawn[1], parsed, w)]
+    if kind == "schroder":
+        products.append(alg.dot(parsed, drawn[0]))
+    enumerate_trees = enumerate_bin if kind == "binary" else enumerate_sch
+    trees = drawn + list(parsed.map) + [t for p in products for t in p.map]
+    trees += [t for n in (1, 2) for t in enumerate_trees(n, XY, semigroup, max_word)]
+    for t in {s: None for t in trees for s in subtrees(t)}:
+        assert t.leaves == leaves(t)
+    assert LEAF.leaves == leaves(LEAF) == 1
+
+
+def counted_leaves(roots):
+    """The leaf count of every node below ``roots``, counted from the children's
+    counts without recursion and without reading ``leaves``."""
+    count, stack = {LEAF: 1}, list(roots)
+    while stack:
+        t = stack[-1]
+        children = [t.left, t.right] if isinstance(t, BinNode) else [c for _, c in t.children]
+        todo = [c for c in children if c not in count]
+        if todo:
+            stack += todo
+        else:
+            count[stack.pop()] = sum(count[c] for c in children)
+    return count
+
+
+def reference_key(t, alphabet, semigroup, count):
+    """The key of the recursive definition, flattened in preorder without recursion;
+    each key starts with its leaf count, so flat keys compare as the nested ones."""
+    dec, edge = cache(alphabet.index), cache(semigroup.ext_key)
+    key, stack = [], [t]
+    while stack:
+        s = stack.pop()
+        if s is LEAF:
+            key.append(1)
+        elif isinstance(s, BinNode):
+            key += (count[s], dec(s.dec), edge(s.left_type))
+            stack += (s.right, ("edge", edge(s.right_type)), s.left)
+        elif isinstance(s, tuple):
+            key.append(s[1])
+        else:
+            key += (count[s], s.arity, tuple(map(dec, s.decs)),
+                    tuple([edge(a) for a, _ in s.children]))
+            stack += [c for _, c in reversed(s.children)]
+    return tuple(key)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_terms_of_a_product_with_a_comb_of_400_vertices_are_ranked_as_the_definition(kind):
+    # 400 terms (799 Schröder terms) sharing about 80,000 nodes, leaf counts past 256
+    nodes, family = KINDS[kind][1], KINDS[kind][3]
+    comb = right_combs(400, "y")[kind == "schroder"]
+    terms = family(XY, Z2).prec(comb, nodes.single_vertex("x"), "1").map
+    assert len(terms) == (400 if kind == "binary" else 799)
+    count = counted_leaves(terms)
+    assert all(t.leaves == n for t, n in count.items())
+    for alphabet in (XY, YX):
+        ref = {t: reference_key(t, alphabet, Z2, count) for t in terms}
+        ranked = [t for _, t in family(alphabet, Z2).span(*terms).terms]
+        assert ranked == sorted(ref, key=ref.__getitem__)
+        rank = nodes.ranks(alphabet, Z2, terms)
+        assert sorted(terms, key=rank.__getitem__) == ranked
 
 
 @pytest.mark.parametrize("sg_name", SEMIGROUPS)

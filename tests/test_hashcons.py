@@ -177,6 +177,28 @@ def test_table_keys_are_the_fields_in_order():
         assert type(node) is SchNode and key == (node.decs, node.children)
 
 
+@pytest.mark.parametrize("kind", ["binary", "schroder"])
+def test_a_child_that_is_not_a_tree_is_refused_and_nothing_is_stored(kind):
+    # such a node used to be interned, and failed later in the ordering walk
+    binary = kind == "binary"
+    other = schroder.single_vertex("x") if binary else pbtrees.single_vertex("x")
+    table = pbtrees._INTERNED if binary else schroder._INTERNED
+    before = dict(table)
+    for bad in (5, "x", None, (LEAF, "0"), other):
+        for etype in ("0", IDENTITY):
+            with pytest.raises(TypeError):
+                if binary:
+                    BinNode("x", etype, bad, IDENTITY, LEAF)
+                else:
+                    SchNode(("x",), ((IDENTITY, LEAF), (etype, bad)))
+            with pytest.raises(TypeError):
+                if binary:
+                    graft_binary(LEAF, "x", IDENTITY, etype, bad)
+                else:
+                    intern_node(("x", "y"), ((etype, bad), (IDENTITY, LEAF), (IDENTITY, LEAF)))
+    assert table == before and all(table[key] is node for key, node in before.items())
+
+
 def test_nodes_made_on_a_miss_are_frozen():
     (t, _), (s, _) = fresh_nodes("q4", False)
     with pytest.raises(FrozenInstanceError):

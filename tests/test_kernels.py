@@ -148,8 +148,8 @@ def calls(kind):
 
 
 def intern_key(tree):
-    """The key of ``tree`` in its module's ``_INTERNED``: its fields in slot order."""
-    return tuple(getattr(tree, name) for name in type(tree).__slots__)
+    """The key of ``tree`` in its module's ``_INTERNED``: its fields in order."""
+    return tuple(getattr(tree, name) for name in type(tree)._fields)
 
 
 @pytest.mark.parametrize("kind", ["binary", "schroder", "tensor-binary", "tensor-schroder"])

@@ -59,6 +59,20 @@ def test_free_membership_by_segmentation():
     assert not s.contains("")
 
 
+def test_free_membership_splits_each_word_once(monkeypatch):
+    # the parser and mul asked for the same words over and over, each time
+    # running the split of the word into generators
+    s = Semigroup.free(["ab", "a"])
+    split, words = s._segmentable, []
+    monkeypatch.setattr(s, "_segmentable", lambda word: words.append(word) or split(word))
+    for _ in range(3):
+        assert s.contains("aab") and s.contains("ab") and not s.contains("b")
+        assert s.mul("aab", "ab") == "aabab" and s.element_key("aab") == (3, "aab")
+    assert sorted(words) == ["aab", "ab"] + ["b"] * 3  # a non-element is not kept
+    with pytest.raises(InvalidElement):
+        s.element_key("ba")
+
+
 @pytest.mark.parametrize("generators", [["a", "aa"], ["a", "ab", "ba"], ["a", "b", "ab"]])
 def test_free_rejects_generators_that_are_not_uniquely_decodable(generators):
     # a*a is the generator aa, a*ba == ab*a, a*b is the generator ab

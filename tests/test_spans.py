@@ -9,14 +9,15 @@ from hypothesis import strategies as st
 
 from dendrifam.basis import LEAF, Alphabet, LinComb, normalize
 from dendrifam.dendriform import FreeDendriformFamily
-from dendrifam.errors import LeafOperand
+from dendrifam import pbtrees, schroder
+from dendrifam.errors import InvalidElement, LeafOperand
 from dendrifam.pbtrees import graft_binary
 from dendrifam.pbtrees import single_vertex as bin_vertex
 from dendrifam.rotabaxter import TensorFamily
 from dendrifam.schroder import intern_node
 from dendrifam.schroder import single_vertex as sch_vertex
 from dendrifam.semigroups import IDENTITY, Semigroup
-from dendrifam.termio import parse_span, print_span
+from dendrifam.termio import parse_span, parse_tree, print_span, print_tree
 from dendrifam.tridendriform import FreeTridendriformFamily
 
 from untyped_free import b_span_prec, b_span_succ, t_dot, t_prec, t_span_op, t_succ
@@ -229,6 +230,57 @@ def test_operations_refuse_spans_of_the_other_kind(kind):
     assert alg.add(parsed, mine) == mine.scaled(4)
     assert alg.prec(parsed, own, ZERO) == alg.prec(mine, own, ZERO).scaled(3)
     assert alg.axioms_hold(own, own, own, ZERO, ZERO)
+
+
+@pytest.mark.parametrize("kind", ["binary", "schroder"])
+def test_operations_refuse_foreign_decorations_and_edge_types(kind):
+    # a span over another alphabet or semigroup, with trees of the right kind,
+    # was accepted at the call and failed only when printed
+    family, vertex = ((FreeDendriformFamily, bin_vertex) if kind == "binary"
+                      else (FreeTridendriformFamily, sch_vertex))
+    Z2, Z3 = Semigroup.cyclic(2), Semigroup.cyclic(3)
+    alg = family(Alphabet(["x"]), Z2)
+    mine, small = alg.gen("x"), parse_tree("B[x;1:|,2:B[x;1:|,1:|]]".replace(
+        "B", "B" if kind == "binary" else "S"), kind, Alphabet(["x"]), Z3)
+    deep = right_comb(kind, 2000)  # walked without recursion; its bottom edge is typed 2
+    deep = (graft_binary(LEAF, "x", IDENTITY, "2", deep) if kind == "binary"
+            else intern_node(("x",), ((IDENTITY, LEAF), ("2", deep))))
+    foreign = [family(X, Z2).gen("y"), family(Alphabet(["x"]), Z3).span(deep),
+               parse_span("1*" + print_span(mine)[2:].replace("x", "y"), kind, X, Z2),
+               parse_span("3*" + print_tree(small), kind, Alphabet(["x"]), Z3)]
+    products = [lambda a, b: alg.prec(a, b, "1"), lambda a, b: alg.succ(a, b, "0")]
+    if kind == "schroder":
+        products.append(alg.dot)
+    for bad in foreign:
+        for product in products:
+            for a, b in ((bad, mine), (mine, bad), (bad, LEAF)):
+                with pytest.raises(InvalidElement):
+                    product(a, b)
+        with pytest.raises(InvalidElement):
+            alg.extend({"x": mine}, alg, bad)
+        for call in (lambda: alg.add(mine, bad), lambda: alg.scale(2, bad)):
+            with pytest.raises(InvalidElement):
+                call()
+    # trees over the algebra's own symbols pass, whichever algebra made the span
+    own = parse_tree(print_tree(small).replace("2", "1"), kind, Alphabet(["x"]), Z2)
+    ok, mine_too = family(X, Z3).span(own), alg.span(own)
+    assert alg.add(ok, mine_too) == mine_too.scaled(2)
+    assert print_span(alg.prec(ok, mine, "1")) == print_span(alg.prec(mine_too, mine, "1"))
+
+
+@pytest.mark.parametrize("kind", ["binary", "schroder"])
+def test_parsed_spans_over_the_algebras_alphabet_and_semigroup_are_not_walked(
+        kind, monkeypatch):
+    alg = DEND if kind == "binary" else TRI
+    text = "2*" + print_span(alg.gen("x"))[2:]
+    parsed = parse_span(text, kind, alg.alphabet, alg.semigroup)
+    other = parse_span(text, kind, alg.alphabet, Semigroup.trivial())
+    nodes = pbtrees if kind == "binary" else schroder
+    monkeypatch.setattr(nodes, "walk", None)  # a walk would raise TypeError
+    assert alg.prec(parsed, parsed, ZERO).map
+    assert alg.add(parsed, parsed).map
+    with pytest.raises(TypeError):
+        alg.prec(other, parsed, ZERO)
 
 
 @pytest.mark.parametrize("kind", ["dend", "tri", "tensor-dend", "tensor-tri"])

@@ -124,8 +124,10 @@ def test_nodes_are_frozen_and_not_copied(node):
 
 
 def test_nodes_compare_and_hash_by_identity_through_object():
-    assert BinNode.__slots__ == ("dec", "left_type", "left", "right_type", "right")
-    assert SchNode.__slots__ == ("decs", "children")
+    assert BinNode._fields == ("dec", "left_type", "left", "right_type", "right")
+    assert SchNode._fields == ("decs", "children")
+    for cls in (BinNode, SchNode):
+        assert cls.__slots__ == cls._fields + ("leaves",)
     for cls in (BinNode, SchNode):
         assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
     for node, _ in NODES:
