@@ -217,20 +217,30 @@ def normalize(pairs: Iterable[Tuple[Any, Any]], order: Optional[Callable] = None
 
 
 class Spans:
-    """The linear structure of spans, shared by the free families and the tensor spans:
-    a subclass sets ``order`` and ``_own``, which checks the terms of a span of another
-    order and refuses anything but a span with a TypeError that names its type."""
+    """The linear structure of spans, shared by the free families and the tensor spans.
+    A subclass sets ``order``, its canonical order, and ``_terms``, what its spans hold;
+    :meth:`_own` is the one gate for a span that enters from outside the algebra."""
 
     def zero(self) -> LinComb:
         return ZERO_SPAN
 
+    def _own(self, s) -> LinComb:
+        """``s``, if a span of this algebra: anything else is a TypeError that names its
+        type.  A span of ``order``, or of an equal ``functools.partial`` (the same ranks
+        over equal alphabet and semigroup, as the parser builds), is trusted unread; any
+        other is ranked once by ``order``, which refuses a foreign term."""
+        if not isinstance(s, LinComb):
+            raise TypeError(f"not a span of {self._terms}: a {type(s).__name__}")
+        mine, theirs = self.order, s.order
+        if theirs is not mine and not (type(theirs) is type(mine) is partial
+                                       and theirs.func is mine.func and theirs.args == mine.args):
+            mine(s.map)
+        return s
+
     def add(self, *spans: LinComb) -> LinComb:
-        order = self.order
-        try:
-            spans = [s if s.order is order else self._own(s) for s in spans if s.map]
-        except AttributeError:  # a summand that is no span: ``_own`` raises, naming its type
-            list(map(self._own, spans))
-            raise
+        order = self.order  # each summand passes the gate (``_own`` returns it); zeros drop out
+        spans = [s for s in spans if (
+            s if isinstance(s, LinComb) and s.order is order else self._own(s)).map]
         if len(spans) == 1:
             return spans[0]
         return normalize([(c, t) for s in spans for t, c in s.map.items()], order)

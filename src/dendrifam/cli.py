@@ -182,7 +182,6 @@ def _load_rb(args):
     rb = RBFamily(algebra, parse_coefficient(args.weight), operators)
     sample = sorted(operators, key=semigroup.element_key)
     for a in sample:
-        semigroup.require(a)
         for b in sample:
             ab = semigroup.mul(a, b)
             if ab not in operators:

@@ -18,11 +18,12 @@ root vertex through the view ``(decorations, (edge type, child) pairs)``,
 in which a binary vertex is the arity-2 case.  A kernel returns a tuple
 of basis trees, a sum with multiplicity, so the recursion adds by
 concatenation; coefficients enter only in the bilinear lift, adding up
-a tree repeated within or across the sums.  A product of spans is
-checked at the call and built when first read (:class:`_Product`),
-where a ``RecursionError`` or ``MemoryError`` surfaces; two unbuilt ones
-compare by the intern keys that ``_prec_keys`` and its kin make from a
-kernel's step, so a sweep builds no outermost product.  A read product
+a tree repeated within or across the sums.  A span operand is checked at
+the call by ``Spans._own`` (a bare tree for its node type only) and a
+product built when first read (:class:`_Product`), where a
+``RecursionError`` or ``MemoryError`` surfaces; two unbuilt ones compare
+by the intern keys that ``_prec_keys`` and its kin make from a kernel's
+step, so a sweep builds no outermost product.  A read product
 of two one-term spans scales the unit map of its basis pair from
 ``_pair_memo``; a compared one never enters it.  ``_Product`` reads of
 an algebra only ``order``, ``_pair_memo`` and the kernels, so it is also
@@ -114,6 +115,7 @@ class FreeFamily(Spans):
         self.alphabet = alphabet
         self.semigroup = semigroup
         self.order = partial(self.nodes.ranks, alphabet, semigroup)
+        self._terms = f"{self.node_type.__name__} trees"
         self._prec_memo: dict = {}
         self._succ_memo: dict = {}
         self._pair_memo, self._indices = {}, set()  # read basis-pair maps, checked indices
@@ -128,18 +130,8 @@ class FreeFamily(Spans):
         for t in trees:
             if not isinstance(t, self.node_type) and t is not LEAF:
                 raise TypeError(f"not a basis tree of this family: a {type(t).__name__}")
-        return normalize([(1, t) for t in trees], self.order)
-
-    def _own(self, s) -> LinComb:
-        """``s``, if a span of this family's trees over its alphabet and semigroup.  One of
-        ``order``, or of ``ranks`` over these two objects (the parser's), is trusted; ``order``
-        ranks any other once: TypeError for a tree of another kind, InvalidElement for a
-        foreign decoration or edge type."""
-        if not isinstance(s, LinComb):
-            raise TypeError(f"not a span of {self.node_type.__name__} trees: a {type(s).__name__}")
-        if s.order is not self.order and not (type(s.order) is partial and s.order.func is (
-                self.nodes.ranks) and s.order.args == (self.alphabet, self.semigroup)):
-            self.order(s.map)
+        s = normalize([(1, t) for t in trees], self.order)
+        self.order(s.map)
         return s
 
     # -- the indexed products --------------------------------------------

@@ -11,8 +11,8 @@ is stated once and checked exhaustively on basis pairs over a
 caller-supplied, product-closed sample of indices, for the family and
 for the operator it induces on A (x) k Omega; operators outside the
 sample are an error, never silently extended.  :class:`TensorSpans`
-holds the spans of A (x) k Omega for both tensor constructions and refuses
-a foreign operand at the call; :class:`TensorRB` sums through ``normalize``.
+holds the spans of A (x) k Omega for both tensor constructions and refuses at the
+call an operand its order cannot rank; :class:`TensorRB` sums through ``normalize``.
 
 A Rota-Baxter family of weight lambda on an associative algebra induces a
 dendriform family (``eta``) and a tridendriform family (``epsilon``), with
@@ -40,7 +40,7 @@ from functools import lru_cache, partial
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
 from .basis import LinComb, Spans, Value, normalize
-from .errors import AxiomFailure, InvalidElement, shown
+from .errors import AlgebraError, AxiomFailure, InvalidElement, shown
 from .family import _Product
 from .rationals import exact, parse_coefficient
 from .semigroups import Semigroup, content_lines
@@ -353,8 +353,9 @@ def epsilon(rb: RBFamily, semigroup: Semigroup, sample: Iterable[str]) -> Epsilo
 
 class TensorSpans(Spans):
     """Spans of pairs (basis element of A, semigroup element), the tensor product A (x) k Omega,
-    in the order ``order``.  A subclass sets ``semigroup`` and ``_basis``, the name of the basis
-    elements of A, tests one by ``_is_basis`` and ranks them by ``_ranks``, which raises."""
+    in the order ``order``.  A subclass sets ``semigroup`` and ``_terms``, and ranks the basis
+    elements of A by ``_ranks``, which raises for anything else.  The gate for a foreign span
+    is ``Spans._own``: a span that ``order`` cannot rank is a TypeError here."""
 
     def order(self, pairs, repeated=None) -> dict:
         """Each pair (b, w) mapped to its place: the rank of b among the basis
@@ -369,32 +370,28 @@ class TensorSpans(Spans):
         return LinComb({(b, omega): 1}, self.order)
 
     def _own(self, s) -> LinComb:
-        """``s``, if a span of (basis element, element) pairs; one of ``order`` is trusted."""
-        if not isinstance(s, LinComb) or s.order is not self.order and not all(
-                type(t) is tuple and len(t) == 2 and self._is_basis(t[0])
-                and self.semigroup.contains(t[1]) for t in s.map):
-            raise TypeError(f"not a span of ({self._basis}, element) pairs: a {type(s).__name__}")
-        return s
+        """``Spans._own``, with every refusal a TypeError that names the type of ``s``."""
+        try:
+            return super()._own(s)
+        except (TypeError, ValueError, AlgebraError):  # ValueError: a term of another length
+            raise TypeError(f"not a span of {self._terms}: a {type(s).__name__}") from None
 
 
 class TensorRB(TensorSpans):
     """The single Rota-Baxter operator P(x (x) w) = P_w(x) (x) w on spans of
     (basis index, semigroup element) pairs."""
 
-    _basis = "basis index"
+    _terms = "(basis index, element) pairs"
 
     def __init__(self, rb: RBFamily, semigroup: Semigroup):
         self.rb, self.semigroup = rb, semigroup
         self.order = self.order  # bound once: a span of this order is known by identity
         self._rows = [dict(row) for row in rb.algebra._table]  # keyed by j, for mul's reads
 
-    def _is_basis(self, i) -> bool:
-        return type(i) is int and 0 <= i < self.rb.algebra.dim
-
     def _ranks(self, indices) -> dict:
         """Each basis index is its own rank."""
         for i in indices:
-            if not self._is_basis(i):
+            if not (type(i) is int and 0 <= i < self.rb.algebra.dim):
                 name = f"e_{i}" if type(i) is int and i.bit_length() < 64 else shown(i)
                 raise InvalidElement(f"no basis element {name} in dimension {self.rb.algebra.dim}")
         return {i: i for i in indices}
@@ -438,7 +435,7 @@ class TensorFamily(TensorSpans):
 
     def __init__(self, family):
         self.family, self.semigroup, self._pair_memo = family, family.semigroup, {}
-        self._basis = family.node_type.__name__
+        self._terms = f"({family.node_type.__name__}, element) pairs"
         self.order = self.order  # bound once: a span of this order is known by identity
         f, tag = family, partial(partial, self._tagged)  # b indexes prec, a indexes succ
         self._prec_trees, self._prec_keys = tag(f._prec_trees, 1), tag(f._prec_keys, 1)
@@ -447,12 +444,12 @@ class TensorFamily(TensorSpans):
         self.prec, self.succ, self.dot = (
             partial(self._product, name) for name in ("prec", "succ", "dot"))
 
-    def _is_basis(self, t) -> bool:
-        return type(t) is self.family.node_type
-
     def _ranks(self, trees) -> dict:
         """The family's ranks of its basis trees ``trees``; anything else raises."""
-        return self.family.order(self.family.span(*trees).map)
+        f = self.family
+        if not all(type(t) is f.node_type for t in trees):
+            f.span(*trees)  # TypeError, or LeafOperand for the leaf
+        return f.order(trees)
 
     def _product(self, name, u, v) -> LinComb:
         """The product ``name`` of u and v: ``prec``, ``succ`` and ``dot`` are bound to it."""

@@ -464,6 +464,16 @@ def test_repeated_operator_is_a_config_error(capsys, tmp_path):
     assert "declared only once" in err
 
 
+@pytest.mark.parametrize("suite", ["rb", "tensor-rb", "diagram"])
+def test_operator_index_outside_the_semigroup_is_a_config_error(capsys, tmp_path, suite):
+    path = tmp_path / "rb-index.txt"
+    path.write_text("dim=1\nsc 0 0 0 1\nop 2 -1\n")
+    code, out, err = run(capsys, "check", "--suite", suite, "--alphabet", "x",
+                         "--semigroup", "cyclic:2", "--rb-file", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: '2' is not an element of the semigroup\n"
+
+
 def test_repeated_generator_image_is_a_config_error(capsys, tmp_path):
     # without the check, the later `x 2` silently replaced `x 0`
     redeclared = tmp_path / "map-rex.txt"

@@ -514,6 +514,49 @@ def test_tensor_family_products_refuse_foreign_operands_at_the_call(
     assert tensor.succ(same, e).terms == tensor.succ(tensor.element(vertex("x"), "1"), e).terms
 
 
+@pytest.mark.parametrize("family,vertex", [
+    (FreeDendriformFamily, bin_vertex), (FreeTridendriformFamily, sch_vertex),
+], ids=["dend", "tri"])
+def test_tensor_family_refuses_a_foreign_decoration_at_the_call(family, vertex):
+    # a tensor span over another alphabet, with terms of the right kind, was
+    # accepted at the call and raised InvalidElement only when ordered
+    tensor = TensorFamily(family(Alphabet(["x"]), Z2))
+    e, bad = tensor.element(vertex("x"), "0"), TensorFamily(
+        family(Alphabet(["y"]), Z2)).element(vertex("y"), "1")
+    message = rf"^not a span of \({tensor.family.node_type.__name__}, element\) pairs: a LinComb$"
+    calls = [lambda: tensor.add(e, bad), lambda: tensor.scale(2, bad)]
+    for op in (tensor.prec, tensor.succ, tensor.dot):
+        calls += [lambda op=op: op(e, bad), lambda op=op: op(bad, e)]
+    for call in calls:
+        with pytest.raises(TypeError, match=message):
+            call()
+    # the refusal names the type of the span, here an unread product
+    product = TensorFamily(family(Alphabet(["y"]), Z2)).prec(bad, bad)
+    with pytest.raises(TypeError, match=r"pairs: a _Product$"):
+        tensor.prec(e, product)
+
+
+@pytest.mark.parametrize("kind", ["rb", "dend", "tri"])
+def test_tensor_spans_of_their_own_order_are_not_ranked(cascading, kind, monkeypatch):
+    if kind == "rb":
+        tensor = TensorRB(cascading, Z2)
+        e = tensor.element(1, "0")
+        ops = [tensor.mul, lambda u, v: tensor.add(u, tensor.apply(v))]
+    else:
+        family, vertex = ((FreeDendriformFamily, bin_vertex) if kind == "dend"
+                          else (FreeTridendriformFamily, sch_vertex))
+        tensor = TensorFamily(family(Alphabet(["x"]), Z2))
+        e = tensor.element(vertex("x"), "1")
+        ops = [tensor.prec, tensor.succ, tensor.dot]
+    results = [op(e, e) for op in ops]
+    for result in results:
+        result.map  # built before ranking is switched off
+    monkeypatch.setattr(tensor, "_ranks", None)  # a rank would raise TypeError
+    for op, result in zip(ops, results):
+        assert op(e, e) == result
+        assert tensor.add(result, tensor.scale(2, result)) == tensor.scale(3, result)
+
+
 @pytest.mark.parametrize("index", [-1, 3, 7, "0"])
 def test_tensor_rb_element_rejects_index_outside_the_basis(cascading, index):
     # an index past the dimension was silently read as zero by mul and apply

@@ -283,6 +283,33 @@ def test_parsed_spans_over_the_algebras_alphabet_and_semigroup_are_not_walked(
         alg.prec(other, parsed, ZERO)
 
 
+@pytest.mark.parametrize("kind", ["binary", "schroder"])
+def test_spans_of_a_second_family_over_the_same_objects_are_not_walked(kind, monkeypatch):
+    alg = DEND if kind == "binary" else TRI
+    second = type(alg)(alg.alphabet, alg.semigroup)
+    theirs = second.prec(second.gen("x"), second.gen("y"), ZERO)
+    mine = alg.prec(alg.gen("x"), alg.gen("y"), ZERO)
+    monkeypatch.setattr(pbtrees if kind == "binary" else schroder, "walk", None)
+    assert alg.add(theirs, theirs) == mine.scaled(2) == alg.scale(2, theirs)
+    assert alg.prec(theirs, alg.gen("x"), ZERO) == alg.prec(mine, alg.gen("x"), ZERO)
+
+
+@pytest.mark.parametrize("kind", ["binary", "schroder"])
+def test_span_refuses_a_tree_outside_the_algebra_at_the_call(kind):
+    # a tree over another alphabet or semigroup was accepted and failed only when printed
+    family, vertex = ((FreeDendriformFamily, bin_vertex) if kind == "binary"
+                      else (FreeTridendriformFamily, sch_vertex))
+    alg = family(Alphabet(["x"]), Semigroup.cyclic(2))
+    typed_2 = parse_tree("B[x;1:|,2:B[x;1:|,1:|]]".replace(
+        "B", "B" if kind == "binary" else "S"), kind, Alphabet(["x"]), Semigroup.cyclic(3))
+    for tree in (vertex("y"), typed_2):
+        with pytest.raises(InvalidElement):
+            alg.span(tree)
+        with pytest.raises(InvalidElement):
+            alg.span(vertex("x"), tree)
+    assert print_span(alg.span(vertex("x"), vertex("x"))) == "2*" + print_tree(vertex("x"))
+
+
 @pytest.mark.parametrize("kind", ["dend", "tri", "tensor-dend", "tensor-tri"])
 def test_sums_and_scaling_refuse_what_is_not_a_span(kind):
     # an int or a tree raised a bare AttributeError from reading its map
