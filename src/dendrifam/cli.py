@@ -53,9 +53,7 @@ def _parse_semigroup(text: str) -> Semigroup:
     if text.startswith("free:"):
         gens = [g for g in text[len("free:"):].split(",") if g]
         return Semigroup.free(gens)
-    semigroup = from_config_text(_read(text))
-    semigroup.validate()
-    return semigroup
+    return from_config_text(_read(text))
 
 
 def _parse_alphabet(text: str) -> Alphabet:

@@ -8,7 +8,8 @@ Three kinds of semigroup are supported:
 * ``cyclic`` -- integers 0..n-1 under addition mod n, named by their
   canonical decimal numerals (``0``, ``7``, not ``07``) and never listed
   unless :meth:`Semigroup.elements` is asked for them;
-* ``table``  -- an explicit finite Cayley table.
+* ``table``  -- an explicit finite Cayley table, checked for closure and
+  associativity when the semigroup is built; it is then the product cache.
 
 Elements are plain string tokens.  A fresh identity is always adjoined:
 the singleton :data:`IDENTITY`, printed ``1`` but distinct from every
@@ -85,12 +86,13 @@ def _check_token(token: str) -> str:
 
 
 class Semigroup:
-    """An index semigroup with a declared, deterministic element order."""
+    """An index semigroup with a declared, deterministic element order, checked
+    when it is built (a Cayley table for its shape, closure and associativity)."""
 
     def __init__(self, kind, *, generators=None, order=None, elements=None, table=None):
         self.kind = kind
         self._mul_cache: dict = {}
-        self._ranks: dict = {}  # element -> rank (free: its key), kept once validated
+        self._ranks: dict = {}  # element -> its sort key, kept once found
         if kind == "free":
             gens = tuple(_check_token(g) for g in generators)
             if not gens or len(set(gens)) != len(gens):
@@ -115,11 +117,22 @@ class Semigroup:
             if not elems or len(set(elems)) != len(elems):
                 raise SemigroupViolation("table semigroup needs distinct nonempty elements")
             self._elements = elems
-            self._ranks = {e: i for i, e in enumerate(elems)}
-            self._table = dict(table)
-            for a, b in product(elems, repeat=2):
-                if (a, b) not in self._table:
+            self._ranks = {e: (i,) for i, e in enumerate(elems)}
+            pairs = list(product(elems, repeat=2))
+            for a, b in pairs:
+                if (a, b) not in table:
                     raise SemigroupViolation(f"Cayley table missing product {a}*{b}")
+            for a, b in pairs:  # membership in the tuple: an unhashable product is refused too
+                if table[a, b] not in elems:
+                    raise SemigroupViolation(
+                        f"closure fails: {a}*{b} = {shown(table[a, b])}", witness=(a, b))
+            cache = self._mul_cache = {pair: table[pair] for pair in pairs}
+            for a, b, c in product(elems, repeat=3):
+                left, right = cache[cache[a, b], c], cache[a, cache[b, c]]
+                if left != right:
+                    raise SemigroupViolation(
+                        f"associativity fails: ({a}{b}){c} = {left} but {a}({b}{c}) = {right}",
+                        witness=(a, b, c))
         else:
             raise SemigroupViolation(f"unknown semigroup kind: {shown(kind)}")
 
@@ -166,8 +179,8 @@ class Semigroup:
             return False
 
     def _rank(self, a):
-        """Position of ``a`` in the element order of a finite semigroup, or the key
-        (length, word) of a word of a free one; None for a non-element."""
+        """The sort key of ``a``: (position,) in a table, (value,) in a cyclic
+        semigroup, (length, word) in a free one; None for a non-element."""
         rank = self._ranks.get(a)
         if rank is None and isinstance(a, str):  # found once, then kept
             if self.kind == "free" and self._segmentable(a):
@@ -177,7 +190,7 @@ class Semigroup:
             elif (self.kind == "cyclic" and a.isascii() and a.isdigit()
                     and (a == "0" or a[0] != "0") and len(a) <= len(str(self.order))
                     and int(a) < self.order):
-                rank = self._ranks[a] = int(a)
+                rank = self._ranks[a] = (int(a),)
         return rank
 
     def _segmentable(self, word: str) -> bool:
@@ -198,20 +211,13 @@ class Semigroup:
         return a
 
     def mul(self, a: str, b: str) -> str:
-        """Semigroup product of two elements."""
+        """Semigroup product of two elements, kept once computed (a table's from the start)."""
         cached = self._mul_cache.get((a, b))
         if cached is not None:
             return cached
         self.require(a)
         self.require(b)
-        if self.kind == "free":
-            value = a + b
-        elif self.kind == "cyclic":
-            value = str((int(a) + int(b)) % self.order)
-        else:
-            value = self._table[(a, b)]
-            if value not in self._elements:
-                raise InvalidElement(f"table product {a}*{b} = {value!r} is not listed")
+        value = a + b if self.kind == "free" else str((int(a) + int(b)) % self.order)
         self._mul_cache[(a, b)] = value
         return value
 
@@ -239,10 +245,9 @@ class Semigroup:
             raise InfiniteSemigroup("free semigroup has infinitely many elements")
         if max_word < 1:
             raise ValueError(f"word-length bound must be at least 1, got {max_word}")
-        words = set()
-        for length in range(1, max_word + 1):
-            for combo in product(self.generators, repeat=length):
-                words.add("".join(combo))
+        # distinct factor lists make distinct words: the generators are uniquely decodable
+        words = ["".join(combo) for length in range(1, max_word + 1)
+                 for combo in product(self.generators, repeat=length)]
         return sorted(words, key=lambda w: (len(w), w))
 
     def element_key(self, a: str):
@@ -250,36 +255,13 @@ class Semigroup:
         rank = self._rank(a)
         if rank is None:
             raise InvalidElement(f"{shown(a)} is not an element of the semigroup")
-        return rank if self.kind == "free" else (rank,)
+        return rank
 
     def ext_key(self, e):
         """Sort key on the extended monoid: identity before everything."""
         if e is IDENTITY:
             return (0,)
-        return (1,) + tuple(self.element_key(e))
-
-    # -- validation -----------------------------------------------------
-
-    def validate(self) -> None:
-        """Check the semigroup laws; raises SemigroupViolation with a witness.
-
-        Table semigroups are checked for closure and associativity over all
-        triples.  Free and cyclic semigroups are associative by construction
-        and accepted structurally.
-        """
-        if self.kind != "table":
-            return
-        for a, b in product(self._elements, repeat=2):
-            if self._table[(a, b)] not in self._elements:
-                raise SemigroupViolation(
-                    f"closure fails: {a}*{b} = {self._table[(a, b)]!r}", witness=(a, b))
-        for a, b, c in product(self._elements, repeat=3):
-            left = self._table[(self._table[(a, b)], c)]
-            right = self._table[(a, self._table[(b, c)])]
-            if left != right:
-                raise SemigroupViolation(
-                    f"associativity fails: ({a}{b}){c} = {left} but {a}({b}{c}) = {right}",
-                    witness=(a, b, c))
+        return (1, *self.element_key(e))
 
     def __repr__(self):
         if self.kind == "free":
@@ -292,29 +274,32 @@ class Semigroup:
 def from_config_text(text: str) -> Semigroup:
     """Parse the line-oriented semigroup config format.
 
-    ``kind=free|cyclic|table`` first, then ``generators=a,b`` or ``order=n``
-    or a CSV Cayley table whose header row and column list element names.
-    Blank lines and ``#`` comments, also after content, are ignored.
+    ``kind=free|cyclic|table`` first, then the one line ``generators=a,b`` or
+    ``order=n``, or a CSV Cayley table whose header row and column list element
+    names.  Blank lines and ``#`` comments, also after content, are ignored;
+    any other line is refused.
     """
     lines = list(content_lines(text))
     if not lines or not lines[0].startswith("kind="):
         raise SemigroupViolation("config must start with kind=free|cyclic|table")
     kind = lines[0][len("kind="):].strip()
     body = lines[1:]
-    if kind == "free":
+    if kind in ("free", "cyclic"):  # the body is the one generators= or order= line
+        key = "generators=" if kind == "free" else "order="
         for ln in body:
-            if ln.startswith("generators="):
-                gens = [g.strip() for g in ln[len("generators="):].split(",") if g.strip()]
-                return Semigroup.free(gens)
-        raise SemigroupViolation("free semigroup config needs generators=")
-    if kind == "cyclic":
-        for ln in body:
-            if ln.startswith("order="):
-                try:
-                    return Semigroup.cyclic(int(ln[len("order="):]))
-                except ValueError:
-                    raise SemigroupViolation("order= must be an integer")
-        raise SemigroupViolation("cyclic semigroup config needs order=")
+            if not ln.startswith(key):
+                raise SemigroupViolation(f"unrecognised line in semigroup config: {ln!r}")
+        if not body:
+            raise SemigroupViolation(f"{kind} semigroup config needs {key}")
+        if len(body) > 1:
+            raise SemigroupViolation(f"{key} may be declared only once")
+        value = body[0][len(key):]
+        if kind == "free":
+            return Semigroup.free([g.strip() for g in value.split(",") if g.strip()])
+        try:
+            return Semigroup.cyclic(int(value))
+        except ValueError:
+            raise SemigroupViolation("order= must be an integer")
     if kind == "table":
         rows = [[cell.strip() for cell in ln.split(",")] for ln in body]
         if not rows or rows[0][0] != "":
@@ -326,7 +311,7 @@ def from_config_text(text: str) -> Semigroup:
                 raise SemigroupViolation(f"unexpected table row: {row!r}")
             data.append((row[0], row[1:]))
         by_name = dict(data)
-        if len(by_name) != len(names):
+        if len(by_name) != len(names) or len(data) != len(names):  # a row missing or repeated
             raise SemigroupViolation("Cayley table rows do not match the header")
         return Semigroup.table(names, [by_name[n] for n in names])
     raise SemigroupViolation(f"unknown semigroup kind: {kind!r}")

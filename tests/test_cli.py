@@ -5,6 +5,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dendrifam import tridendriform
 from dendrifam.cli import main
@@ -106,6 +108,82 @@ def test_enumerate_semigroup_config_file_with_trailing_comments(capsys, tmp_path
     code, out, _ = run(capsys, "enumerate", "binary", "2",
                        "--alphabet", "x", "--semigroup", str(cfg))
     assert code == 0 and out.strip().splitlines()[-1] == "count=4"
+
+
+@pytest.mark.parametrize("config, error", [
+    ("kind=table\n,x,y\nx,y,x\ny,x,x\n", "error: associativity fails: (xx)y = x but x(xy) = y\n"),
+    ("kind=table\n,x\nx,z\n", "error: closure fails: x*x = 'z'\n"),
+], ids=["nonassociative", "not-closed"])
+def test_enumerate_refuses_a_bad_table_config(capsys, tmp_path, config, error):
+    cfg = tmp_path / "sg.cfg"
+    cfg.write_text(config)
+    assert run(capsys, "enumerate", "binary", "1", "--alphabet", "x",
+               "--semigroup", str(cfg)) == (2, "", error)
+
+
+VALID_CONFIGS = ["kind=free\ngenerators=a,b\n", "kind=cyclic\norder=3\n",
+                 "kind=table\n,e,g\ne,e,g\ng,g,e\n",
+                 "# Z2\nkind=table  # a group\n,0,1\n0,0,1  # 0 is the unit\n1,1,0\n"]
+CHARS = st.one_of(st.sampled_from(",=# \t019aegkz"), st.characters(blacklist_categories=["Cs"]))
+
+
+@st.composite
+def mutated_configs(draw):
+    lines = draw(st.sampled_from(VALID_CONFIGS)).splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        change = draw(st.sampled_from(["drop", "duplicate", "garble"]))
+        if change == "drop":
+            del lines[i]
+        elif change == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            j = draw(st.integers(0, len(lines[i])))
+            k = draw(st.integers(j, len(lines[i])))
+            lines[i] = lines[i][:j] + draw(st.text(CHARS, max_size=4)) + lines[i][k:]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def table_configs(draw):
+    # every row of its own length, or square with products that may be no element
+    names = ["a", "b", "c", "d"][:draw(st.integers(1, 4))]
+    cells = st.sampled_from(names + ["z"] if draw(st.booleans()) else names)
+    if draw(st.booleans()):
+        rows = [draw(st.lists(cells, max_size=5)) for _ in names]
+    else:
+        rows = [[draw(cells) for _ in names] for _ in names]
+    return "kind=table\n" + "".join(
+        ",".join(row) + "\n" for row in [["", *names]] + [[a, *r] for a, r in zip(names, rows)])
+
+
+SEMIGROUP_CONFIGS = st.one_of(
+    st.one_of(mutated_configs(), table_configs()).map(str.encode),
+    st.builds(lambda digit, n: f"kind=cyclic\norder={digit * n}\n".encode(),
+              st.sampled_from("0159"), st.one_of(st.integers(1, 20), st.integers(4290, 4310))),
+    st.builds(lambda text, tail: text.encode() + b"\xff" + tail,
+              st.sampled_from(VALID_CONFIGS), st.binary(max_size=8)),
+)
+
+
+@settings(max_examples=150, deadline=2000,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=SEMIGROUP_CONFIGS)
+def test_semigroup_config_files_are_read_or_refused_cleanly(capsys, tmp_path, config):
+    # every example rewrites one file; one vertex has no internal edge, so no
+    # cyclic element is listed, however large the order
+    cfg = tmp_path / "sg.cfg"
+    cfg.write_bytes(config)
+    code, out, err = run(capsys, "enumerate", "binary", "1", "--alphabet", "x",
+                         "--semigroup", str(cfg))
+    assert code in (0, 2) and "Traceback" not in out + err
+    if code == 0:
+        assert out.endswith("count=1\n")
+    else:
+        assert out == "" and err.startswith("error: ") and err.endswith("\n")
+        assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("kind", ["binary", "schroder"])

@@ -15,6 +15,7 @@ from dendrifam.termio import print_span
 from dendrifam.tridendriform import FreeTridendriformFamily
 
 from helpers import leaves, scaled_identity_matrix, validate_dendriform_ops
+from tamari import interval
 from untyped_free import b_span_prec, b_span_succ
 
 X2 = Alphabet(["x", "y"])
@@ -342,3 +343,21 @@ def test_trivial_semigroup_matches_untyped_construction():
         st, su = {strip_types(t): Fraction(1)}, {strip_types(u): Fraction(1)}
         assert to_untyped_span(alg.prec(t, u, "0")) == b_span_prec(st, su)
         assert to_untyped_span(alg.succ(t, u, "0")) == b_span_succ(st, su)
+
+
+def shape(t):
+    return None if t is LEAF else (shape(t.left), shape(t.right))
+
+
+def test_trivial_semigroup_sum_is_a_tamari_interval():
+    # Loday-Ronco: t < u + t > u is the Tamari interval [over(t, u), under(t, u)],
+    # each tree once; an oracle that never runs the recursion of the products
+    x, trivial = Alphabet(["x"]), Semigroup.trivial()
+    alg = FreeDendriformFamily(x, trivial)
+    trees = [t for n in range(1, 5) for t in enumerate_bin(n, x, trivial)]
+    assert len(trees) ** 2 == 484
+    for t, u in product(trees, repeat=2):
+        terms = alg.add(alg.prec(t, u, "0"), alg.succ(t, u, "0")).terms
+        assert {c for c, _ in terms} == {1}
+        got, want = [shape(v) for _, v in terms], interval(shape(t), shape(u))
+        assert len(got) == len(want) and set(got) == want

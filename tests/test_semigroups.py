@@ -39,7 +39,6 @@ def test_cyclic_elements_are_canonical_numerals_below_the_order():
 
 def test_table_product():
     assert Z2_TABLE.mul("g", "g") == "e"
-    Z2_TABLE.validate()
 
 
 def test_unknown_element_rejected():
@@ -109,7 +108,6 @@ def test_identity_is_fresh_even_for_monoids():
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_finite_associativity_exhaustive(n):
     s = Semigroup.cyclic(n)
-    s.validate()
     for a, b, c in product(s.elements(), repeat=3):
         assert s.mul(s.mul(a, b), c) == s.mul(a, s.mul(b, c))
 
@@ -123,16 +121,14 @@ def test_free_associativity_bounded_sample():
 
 def test_validate_reports_nonassociative_table():
     # x*x = y with every other product x makes (x x) x != x (x x)
-    bad = Semigroup.table(["x", "y"], [["y", "x"], ["x", "x"]])
     with pytest.raises(SemigroupViolation) as info:
-        bad.validate()
+        Semigroup.table(["x", "y"], [["y", "x"], ["x", "x"]])
     assert info.value.witness is not None
 
 
 def test_validate_reports_closure_violation():
-    bad = Semigroup.table(["x"], [["z"]])
     with pytest.raises(SemigroupViolation):
-        bad.validate()
+        Semigroup.table(["x"], [["z"]])
 
 
 def test_table_shape_checked_at_construction():
@@ -181,7 +177,6 @@ def test_config_cyclic():
 def test_config_table_csv():
     text = "kind=table\n,e,g\ne,e,g\ng,g,e\n"
     s = from_config_text(text)
-    s.validate()
     assert s.mul("g", "g") == "e"
 
 
@@ -202,9 +197,23 @@ def test_config_ignores_a_trailing_comment(text, check):
     "kind=free\n",
     "kind=cyclic\norder=zero\n",
     "kind=table\ne,g\n",
+    "kind=table\n,e,g\ne,e,g\ng,g,e\ng,e,g\n",  # a repeated row, once taken for the last
 ])
 def test_config_rejects(text):
     with pytest.raises(SemigroupViolation):
+        from_config_text(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("kind=cyclic\norder=3\norder=4\n", "order= may be declared only once"),
+    ("kind=free\ngenerators=a\ngenerators=b\n", "generators= may be declared only once"),
+    ("kind=free\ngenerators=a\nbogus line\n", "unrecognised line in semigroup config: 'bogus line'"),
+    ("kind=cyclic\nbogus\norder=3\n", "unrecognised line in semigroup config: 'bogus'"),
+    ("kind=free\norder=3\ngenerators=a\n", "unrecognised line in semigroup config: 'order=3'"),
+], ids=["repeated-order", "repeated-generators", "trailing-line", "leading-line", "other-key"])
+def test_config_refuses_a_line_it_does_not_read(text, message):
+    # the first generators= or order= line used to be read and every other line ignored
+    with pytest.raises(SemigroupViolation, match=f"^{re.escape(message)}$"):
         from_config_text(text)
 
 
