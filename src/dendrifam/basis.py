@@ -197,12 +197,6 @@ def clean(acc: dict) -> dict:
 ZERO_SPAN = LinComb({})
 
 
-def span_single(tree) -> LinComb:
-    if tree is LEAF:
-        raise LeafOperand("the leaf | is not a basis element of the free algebra")
-    return LinComb({tree: 1})
-
-
 def normalize(pairs: Iterable[Tuple[Any, Any]], order: Optional[Callable] = None) -> LinComb:
     """Span of (coefficient, tree) pairs: duplicates merged, zeros dropped,
     ints where integral, the leaf rejected; every sum of spans but

@@ -161,8 +161,10 @@ class FreeFamily(Spans):
         return self._product("succ", a, b, omega, unit=0)
 
     def _product(self, name, a, b, omega=None, unit=None) -> LinComb:
-        """The kernel of ``name`` lifted bilinearly (:class:`_Product`) after the leaf
-        conventions: the leaf is neutral as operand ``unit`` (0 left, 1 right), zero elsewhere."""
+        """The kernel of ``name`` lifted bilinearly (:class:`_Product`) after the index check,
+        first, so also next to a leaf operand, then the leaf conventions: the leaf is neutral
+        as operand ``unit`` (0 left, 1 right), zero elsewhere."""
+        index = () if omega is None else (self._family_index(omega),)
         order = self.order  # two spans of this order skip the operand checks
         if not (isinstance(a, LinComb) and isinstance(b, LinComb) and a.order is order is b.order):
             a, b = self._operand(a), self._operand(b)
@@ -172,7 +174,6 @@ class FreeFamily(Spans):
                 if unit is not None and (a, b)[unit] is LEAF:
                     return (a, b)[1 - unit]
                 return ZERO_SPAN
-        index = () if omega is None else (self._family_index(omega),)
         return _Product(self, name, a, b, index)
 
     def _prec_trees(self, t, u, w: str) -> tuple:

@@ -8,15 +8,16 @@ Three kinds of semigroup are supported:
 * ``cyclic`` -- integers 0..n-1 under addition mod n, named by their
   canonical decimal numerals (``0``, ``7``, not ``07``) and never listed
   unless :meth:`Semigroup.elements` is asked for them;
-* ``table``  -- an explicit finite Cayley table, checked for closure and
-  associativity when the semigroup is built; it is then the product cache.
+* ``table``  -- an explicit finite Cayley table, rows in element order,
+  checked for its shape, closure and associativity when the semigroup is
+  built; it is then the product cache.
 
-Elements are plain string tokens.  A fresh identity is always adjoined:
-the singleton :data:`IDENTITY`, printed ``1`` but distinct from every
-token (also from an element literally named ``1``) and from every
-semigroup unit.  An element of the extended monoid, the type of a tree
-edge, is therefore a token or ``IDENTITY``; only leaf edges of basis
-trees carry ``IDENTITY``.
+Elements are plain string tokens, and no other value is one.  A fresh
+identity is always adjoined: the singleton :data:`IDENTITY`, printed ``1``
+but distinct from every token (also from an element literally named ``1``)
+and from every semigroup unit.  An element of the extended monoid, the
+type of a tree edge, is therefore a token or ``IDENTITY``; only leaf
+edges of basis trees carry ``IDENTITY``.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ class Semigroup:
     """An index semigroup with a declared, deterministic element order, checked
     when it is built (a Cayley table for its shape, closure and associativity)."""
 
-    def __init__(self, kind, *, generators=None, order=None, elements=None, table=None):
+    def __init__(self, kind, *, generators=None, order=None, elements=None, rows=None):
         self.kind = kind
         self._mul_cache: dict = {}
         self._ranks: dict = {}  # element -> its sort key, kept once found
@@ -113,20 +114,24 @@ class Semigroup:
                 raise SemigroupViolation(f"cyclic semigroup order has more than {limit} digits")
             self.order = order
         elif kind == "table":
-            elems = tuple(_check_token(e) for e in elements)
+            elems, rows = list(elements), [list(row) for row in rows]
+            if len(rows) != len(elems):
+                raise SemigroupViolation("Cayley table must have one row per element")
+            for a, row in zip(elems, rows):
+                if len(row) != len(elems):
+                    raise SemigroupViolation(f"row for {a} has wrong length")
+            elems = tuple(_check_token(e) for e in elems)
             if not elems or len(set(elems)) != len(elems):
                 raise SemigroupViolation("table semigroup needs distinct nonempty elements")
             self._elements = elems
             self._ranks = {e: (i,) for i, e in enumerate(elems)}
-            pairs = list(product(elems, repeat=2))
-            for a, b in pairs:
-                if (a, b) not in table:
-                    raise SemigroupViolation(f"Cayley table missing product {a}*{b}")
-            for a, b in pairs:  # membership in the tuple: an unhashable product is refused too
-                if table[a, b] not in elems:
-                    raise SemigroupViolation(
-                        f"closure fails: {a}*{b} = {shown(table[a, b])}", witness=(a, b))
-            cache = self._mul_cache = {pair: table[pair] for pair in pairs}
+            cache = self._mul_cache
+            for a, row in zip(elems, rows):
+                for b, c in zip(elems, row):  # membership in the tuple: an unhashable product too
+                    if c not in elems:
+                        raise SemigroupViolation(f"closure fails: {a}*{b} = {shown(c)}",
+                                                 witness=(a, b))
+                    cache[a, b] = c
             for a, b, c in product(elems, repeat=3):
                 left, right = cache[cache[a, b], c], cache[a, cache[b, c]]
                 if left != right:
@@ -152,19 +157,8 @@ class Semigroup:
 
     @classmethod
     def table(cls, elements: Iterable[str], rows: Iterable[Iterable[str]]) -> "Semigroup":
-        """Build from a Cayley table given as rows in element order."""
-        elements = list(elements)
-        table = {}
-        rows = list(rows)
-        if len(rows) != len(elements):
-            raise SemigroupViolation("Cayley table must have one row per element")
-        for a, row in zip(elements, rows):
-            row = list(row)
-            if len(row) != len(elements):
-                raise SemigroupViolation(f"row for {a} has wrong length")
-            for b, c in zip(elements, row):
-                table[(a, b)] = c
-        return cls("table", elements=elements, table=table)
+        """Build from a Cayley table given as rows in element order, checked when built."""
+        return cls("table", elements=elements, rows=rows)
 
     # -- the product and membership ------------------------------------
 
@@ -181,8 +175,10 @@ class Semigroup:
     def _rank(self, a):
         """The sort key of ``a``: (position,) in a table, (value,) in a cyclic
         semigroup, (length, word) in a free one; None for a non-element."""
+        if not isinstance(a, str):  # every element is a string token
+            return None
         rank = self._ranks.get(a)
-        if rank is None and isinstance(a, str):  # found once, then kept
+        if rank is None:  # found once, then kept
             if self.kind == "free" and self._segmentable(a):
                 rank = self._ranks[a] = (len(a), a)
             # a cyclic element is its canonical numeral; the length test keeps
@@ -206,8 +202,7 @@ class Semigroup:
         return ok[len(word)]
 
     def require(self, a: str) -> str:
-        if not self.contains(a):
-            raise InvalidElement(f"{shown(a)} is not an element of the semigroup")
+        self.element_key(a)
         return a
 
     def mul(self, a: str, b: str) -> str:

@@ -15,8 +15,9 @@ read by one loop over a stack of open vertices, so trees and spans of
 any depth parse.  Only the printer recurses, one stack frame per tree
 level.
 
-A parsed span carries the ranked order of its tree kind over the parser's
-alphabet and semigroup, which a family over these two objects trusts unread.
+A parsed operand, a single tree or a span, carries the ranked order of its
+tree kind over the parser's alphabet and semigroup, which a family over these
+two objects trusts unread: the parser has checked every decoration and edge.
 :func:`print_span` prints the terms in that order; the walk that ranks them
 also finds the subtrees they repeat, whose text alone the printer keeps.
 """
@@ -29,7 +30,7 @@ from functools import partial
 from typing import Union
 
 from . import pbtrees, schroder
-from .basis import LEAF, Alphabet, LinComb, ZERO_SPAN, normalize, span_single
+from .basis import LEAF, Alphabet, LinComb, ZERO_SPAN, normalize
 from .errors import TermSyntaxError
 from .pbtrees import BinNode, BinTree
 from .schroder import SchNode, SchTree
@@ -60,12 +61,15 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, text: str, alphabet: Alphabet, semigroup: Semigroup):
+    def __init__(self, text: str, kind: str, alphabet: Alphabet, semigroup: Semigroup):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.alphabet = alphabet
         self.semigroup = semigroup
+        self.binary = kind == "binary"
+        # the order of every span read, a single tree's too
+        self.order = partial((pbtrees if self.binary else schroder).ranks, alphabet, semigroup)
 
     # -- token plumbing ------------------------------------------------
 
@@ -140,11 +144,11 @@ class _Parser:
 
     # -- trees -------------------------------------------------------------
 
-    def tree(self, kind: str):
+    def tree(self):
         """A tree read in one loop: a ``B[`` or ``S[`` vertex opens, each
         finished subtree goes to the open vertex above it, and a ``]``
         closes that vertex into the next finished subtree."""
-        binary = kind == "binary"
+        binary = self.binary
         head, name = ("B", "binary") if binary else ("S", "Schröder")
         # the open vertices, each [decorations, typed children, next edge token]
         stack = []
@@ -184,27 +188,26 @@ class _Parser:
 
     # -- spans ---------------------------------------------------------------
 
-    def span(self, kind: str) -> LinComb:
+    def span(self) -> LinComb:
         if self.peek()[1] == "0" and self.tokens[self.pos + 1][0] == "end":
             self.pos += 1
             return ZERO_SPAN
-        pairs = [self.span_term(kind)]
+        pairs = [self.span_term()]
         while self.at_sym("+"):
             self.pos += 1
-            pairs.append(self.span_term(kind))
-        nodes = pbtrees if kind == "binary" else schroder
-        return normalize(pairs, partial(nodes.ranks, self.alphabet, self.semigroup))
+            pairs.append(self.span_term())
+        return normalize(pairs, self.order)
 
-    def operand(self, kind: str):
+    def operand(self):
         if self.peek()[1] in ("|", "B", "S"):
-            t = self.tree(kind)
-            return t if t is LEAF else span_single(t)
-        return self.span(kind)
+            t = self.tree()
+            return t if t is LEAF else LinComb({t: 1}, self.order)
+        return self.span()
 
-    def span_term(self, kind: str):
+    def span_term(self):
         coeff = self.rational()
         self.expect_sym("*")
-        t = self.tree(kind)
+        t = self.tree()
         if t is LEAF:
             self.fail("the leaf '|' cannot appear in a span")
         return (coeff, t)
@@ -212,25 +215,25 @@ class _Parser:
 
 # -- public parse functions -----------------------------------------------
 
-def _parse(text: str, alphabet: Alphabet, semigroup: Semigroup, read):
+def _parse(read, text: str, kind: str, alphabet: Alphabet, semigroup: Semigroup):
     """``read(parser)`` on ``text``, which it must consume entirely."""
-    parser = _Parser(text, alphabet, semigroup)
+    parser = _Parser(text, kind, alphabet, semigroup)
     value = read(parser)
     parser.expect_end()
     return value
 
 
 def parse_tree(text: str, kind: str, alphabet: Alphabet, semigroup: Semigroup):
-    return _parse(text, alphabet, semigroup, lambda parser: parser.tree(kind))
+    return _parse(_Parser.tree, text, kind, alphabet, semigroup)
 
 
 def parse_span(text: str, kind: str, alphabet: Alphabet, semigroup: Semigroup) -> LinComb:
-    return _parse(text, alphabet, semigroup, lambda parser: parser.span(kind))
+    return _parse(_Parser.span, text, kind, alphabet, semigroup)
 
 
 def parse_operand(text: str, kind: str, alphabet: Alphabet, semigroup: Semigroup):
     """A product operand: a single tree (possibly the leaf) or a span."""
-    return _parse(text, alphabet, semigroup, lambda parser: parser.operand(kind))
+    return _parse(_Parser.operand, text, kind, alphabet, semigroup)
 
 
 # -- printers -------------------------------------------------------------

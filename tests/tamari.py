@@ -42,9 +42,15 @@ def bracket(t) -> tuple:
     return bracket(t[0]) + (size(t[1]),) + bracket(t[1])
 
 
+@lru_cache(maxsize=None)
+def brackets(n: int) -> tuple:
+    """Each shape with n vertices with its bracket vector, worked out once per n."""
+    return tuple((v, bracket(v)) for v in shapes(n))
+
+
 def interval(t, u) -> set:
     """The shapes v with over(t, u) <= v <= under(t, u), bracket vectors
     compared componentwise."""
     low, high = bracket(over(t, u)), bracket(under(t, u))
-    return {v for v in shapes(len(low))
-            if all(a <= b <= c for a, b, c in zip(low, bracket(v), high))}
+    return {v for v, vector in brackets(len(low))
+            if all(a <= b <= c for a, b, c in zip(low, vector, high))}

@@ -128,8 +128,8 @@ CHARS = st.one_of(st.sampled_from(",=# \t019aegkz"), st.characters(blacklist_cat
 
 
 @st.composite
-def mutated_configs(draw):
-    lines = draw(st.sampled_from(VALID_CONFIGS)).splitlines()
+def mutated_configs(draw, texts=VALID_CONFIGS):
+    lines = draw(st.sampled_from(texts)).splitlines()
     for _ in range(draw(st.integers(1, 3))):
         if not lines:
             break
@@ -305,6 +305,17 @@ def test_product_leaf_operands(capsys):
     code, _, _ = run(capsys, "product", "prec", "--omega", "0", "|", "|",
                      "--alphabet", "x", "--semigroup", "trivial")
     assert code == 3
+
+
+@pytest.mark.parametrize("argv, code, error", [
+    (["prec", "B[x;1:|,1:|]", "|", "--semigroup", "free:a", "--omega", "b"], 2,
+     "error: 'b' is not an element of the semigroup\n"),
+    (["succ", "|", "B[x;1:|,1:|]", "--semigroup", "trivial", "--omega", "1"], 3,
+     "error: the adjoined identity is not a family index\n"),
+], ids=["foreign-index", "identity-index"])
+def test_product_refuses_a_bad_index_next_to_a_leaf_operand(capsys, argv, code, error):
+    # the leaf rules used to answer first, with the other operand or 0, and exit 0
+    assert run(capsys, "product", *argv, "--alphabet", "x") == (code, "", error)
 
 
 def test_product_span_operands(capsys):
@@ -673,6 +684,76 @@ def test_non_associative_algebra_file_line(capsys, tmp_path, map_file, argv):
     code, out, _ = run(capsys, *argv, "--semigroup", "cyclic:2", "--rb-file", str(path), *extra)
     assert (code, out) == (1, "axiom failure: structure constants are not associative "
                               "at basis triple (0, 1, 2)\n")
+
+
+VALID_ALGEBRAS = [RB_K3, (DATA / "rb_weight_half.txt").read_text(), RB_K3_PERTURBED,
+                  RB_K3_NOT_ASSOCIATIVE, "dim=1\nsc 0 0 0 1\nop 0 -1\nop 1 -1\n",
+                  "dim=2\nsc 0 0 0 1\nsc 1 1 1 1\n"]
+HUGE = st.one_of(st.integers(1, 20), st.integers(4290, 4310))  # digits, also past the limit
+
+
+@st.composite
+def edited_algebras(draw):
+    # one sc or op line with a zero denominator, an entry too few or too many, or repeated
+    lines = draw(st.sampled_from(VALID_ALGEBRAS)).splitlines()
+    i = draw(st.sampled_from([i for i, ln in enumerate(lines) if ln[:3] in ("sc ", "op ")]))
+    edit = draw(st.sampled_from(["zero", "short", "long", "repeat"]))
+    if edit == "repeat":
+        lines.insert(i, lines[i])
+    else:
+        head, _, last = lines[i].rpartition(" ")
+        lines[i] = {"zero": f"{head} {draw(st.integers(-2, 2))}/0", "short": head,
+                    "long": f"{lines[i]} {last}"}[edit]
+    return "\n".join(lines) + "\n"
+
+
+ALGEBRA_FILES = st.one_of(
+    st.one_of(st.sampled_from(VALID_ALGEBRAS), mutated_configs(VALID_ALGEBRAS),
+              edited_algebras()).map(str.encode),
+    st.builds(lambda n: f"dim={'9' * n}\nsc 0 0 0 1\nop 0 -1\nop 1 -1\n".encode(), HUGE),
+    st.builds(lambda text, tail: text.encode() + b"\xff" + tail,
+              st.sampled_from(VALID_ALGEBRAS), st.binary(max_size=8)),
+)
+MAP_FILES = st.one_of(  # missing, repeated, out-of-range and extra symbols among the bad ones
+    st.one_of(st.just(MAP_XY), mutated_configs([MAP_XY]),
+              st.sampled_from(["x 0\n", "x 0\ny 1\nx 2\n", "x 0\ny 3\n", "x -1\ny 0\n",
+                               "x 0\ny 1\nz 2\n", "", "x\ny 1\n"])).map(str.encode),
+    st.builds(lambda tail: MAP_XY.encode() + b"\xff" + tail, st.binary(max_size=8)),
+)
+WEIGHTS = st.one_of(
+    st.sampled_from(["1", "1/2"]), st.sampled_from(["-3/6", "0", "1/0", "1/3"]),
+    st.builds(lambda head, n: head + "3" * n, st.sampled_from(["", "-", "1/"]), HUGE),
+)
+COMMANDS = st.sampled_from([
+    ["check", "--suite", "rb", "--alphabet", "x"],
+    ["check", "--suite", "tensor-rb", "--alphabet", "x"],
+    ["check", "--suite", "diagram", "--alphabet", "x"],
+    ["extend", "--functor", "eta", "B[y;0:B[x;1:|,1:|],1:|]", "--alphabet", "x,y"],
+    ["extend", "--functor", "epsilon", "S[y;0:S[x;1:|,1:|],1:|]", "--alphabet", "x,y"],
+])
+
+
+@settings(max_examples=150, deadline=2000,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=COMMANDS, algebra=ALGEBRA_FILES, images=MAP_FILES, weight=WEIGHTS,
+       joined=st.booleans())
+def test_algebra_and_map_files_are_read_or_refused_cleanly(capsys, tmp_path, command,
+                                                          algebra, images, weight, joined):
+    # every example rewrites the two files; a file of dim at most 3 is all that is drawn,
+    # so a mutated dim= never meets an operator line of dim^2 entries above 3
+    rb, map_file = tmp_path / "rb.txt", tmp_path / "map.txt"
+    rb.write_bytes(algebra)
+    map_file.write_bytes(images)
+    extra = ["--map-file", str(map_file)] if command[0] == "extend" else []
+    code, out, err = run(capsys, *command, "--semigroup", "cyclic:2", "--rb-file", str(rb),
+                         *([f"--lambda={weight}"] if joined else ["--lambda", weight]), *extra)
+    assert code in (0, 1, 2, 3) and "Traceback" not in out + err
+    if code == 1:
+        assert out.startswith(("counterexample suite=", "axiom failure: "))
+        assert out.count("\n") == 1
+    elif code in (2, 3):
+        assert out == "" and err.startswith("error: ") and err.endswith("\n")
+        assert err.count("\n") == 1
 
 
 # cascading-sum families on k^3 of weight -1/2 and, checked at -1/2 to fail, of weight -1/4

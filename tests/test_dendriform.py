@@ -2,9 +2,11 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dendrifam.axioms import DENDRIFORM, search
-from dendrifam.basis import LEAF, Alphabet, LinComb, span_single
+from dendrifam.basis import LEAF, Alphabet, LinComb
 from dendrifam.dendriform import FreeDendriformFamily
 from dendrifam.errors import (AxiomFailure, IdentityMisuse, InvalidElement,
                               LeafOperand)
@@ -67,7 +69,7 @@ def test_depth_two_succ(words):
 # -- base cases, conventions and misuse ---------------------------------------
 
 def test_leaf_neutrality(z2):
-    t = span_single(sv("x"))
+    t = LinComb({sv("x"): 1})
     assert z2.prec(t, LEAF, "0") == t
     assert z2.succ(LEAF, t, "0") == t
     assert z2.prec(LEAF, t, "0").is_zero()
@@ -111,6 +113,22 @@ def test_unhashable_index_is_no_element(family, semigroup, element):
                 with pytest.raises(InvalidElement):
                     op(x, y, omega)
             assert not op(x, y, element).is_zero()
+
+
+@pytest.mark.parametrize("family", [FreeDendriformFamily, FreeTridendriformFamily])
+@pytest.mark.parametrize("semigroup, omega, error", [
+    (Semigroup.free(["a"]), "b", InvalidElement),
+    (Semigroup.free(["a"]), IDENTITY, IdentityMisuse),
+    (Semigroup.trivial(), "1", IdentityMisuse),
+], ids=["foreign", "identity", "identity-token"])
+def test_bad_index_next_to_a_leaf_operand_is_refused(family, semigroup, omega, error):
+    # the leaf rules used to answer first, with the other operand or zero, for any index
+    alg = family(Alphabet(["x"]), semigroup)
+    for t in alg.gen("x"), alg.nodes.single_vertex("x"):
+        for op in alg.prec, alg.succ:
+            for a, b in (t, LEAF), (LEAF, t):
+                with pytest.raises(error):
+                    op(a, b, omega)
 
 
 def test_bilinearity(z2):
@@ -361,3 +379,34 @@ def test_trivial_semigroup_sum_is_a_tamari_interval():
         assert {c for c, _ in terms} == {1}
         got, want = [shape(v) for _, v in terms], interval(shape(t), shape(u))
         assert len(got) == len(want) and set(got) == want
+
+
+TAMARI_FAMILIES = [FreeDendriformFamily(X2, Semigroup.cyclic(3)),
+                   FreeDendriformFamily(X2, Semigroup.free(["a", "b"]))]
+
+
+@st.composite
+def typed_trees(draw, size, indices):
+    """A binary tree with ``size`` vertices over x, y, each internal edge typed from ``indices``."""
+    left_size = draw(st.integers(0, size - 1))
+    (a, left), (b, right) = [
+        (draw(st.sampled_from(indices)), draw(typed_trees(n, indices))) if n else (IDENTITY, LEAF)
+        for n in (left_size, size - 1 - left_size)]
+    return graft_binary(left, draw(st.sampled_from(list(X2))), a, b, right)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_typed_sum_is_a_tamari_interval(data):
+    # prec_w(T, U) + succ_w'(T, U) on typed decorated trees: types and decorations
+    # forgotten, its terms are the Tamari interval of the shapes, one to one
+    alg = data.draw(st.sampled_from(TAMARI_FAMILIES))
+    indices = alg.semigroup.elements(2)
+    n = data.draw(st.integers(1, 6))
+    t = data.draw(typed_trees(n, indices))
+    u = data.draw(typed_trees(data.draw(st.integers(1, min(6, 10 - n))), indices))
+    w, w2 = data.draw(st.sampled_from(indices)), data.draw(st.sampled_from(indices))
+    terms = [*alg.prec(t, u, w).map.items(), *alg.succ(t, u, w2).map.items()]
+    assert {c for _, c in terms} == {1}
+    got, want = [shape(v) for v, _ in terms], interval(shape(t), shape(u))
+    assert len(got) == len(want) and set(got) == want

@@ -267,3 +267,14 @@ def test_free_membership_of_non_strings(value):
     assert not free.contains(value)
     with pytest.raises(InvalidElement):
         free.require(value)
+
+
+@pytest.mark.parametrize("semigroup", [Semigroup.cyclic(2), Semigroup.free(["0"]), Z2_TABLE],
+                         ids=["cyclic", "free", "table"])
+def test_an_unhashable_value_is_no_element(semigroup):
+    # element_key raised a bare TypeError (unhashable type: 'list'), where require
+    # already raised InvalidElement
+    for judge in semigroup.element_key, semigroup.require:
+        with pytest.raises(InvalidElement, match="^a list is not an element of the semigroup$"):
+            judge(["0"])
+    assert not semigroup.contains(["0"])

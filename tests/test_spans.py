@@ -17,7 +17,7 @@ from dendrifam.rotabaxter import TensorFamily
 from dendrifam.schroder import intern_node
 from dendrifam.schroder import single_vertex as sch_vertex
 from dendrifam.semigroups import IDENTITY, Semigroup
-from dendrifam.termio import parse_span, parse_tree, print_span, print_tree
+from dendrifam.termio import parse_operand, parse_span, parse_tree, print_span, print_tree
 from dendrifam.tridendriform import FreeTridendriformFamily
 
 from untyped_free import b_span_prec, b_span_succ, t_dot, t_prec, t_span_op, t_succ
@@ -281,6 +281,21 @@ def test_parsed_spans_over_the_algebras_alphabet_and_semigroup_are_not_walked(
     assert alg.add(parsed, parsed).map
     with pytest.raises(TypeError):
         alg.prec(other, parsed, ZERO)
+
+
+@pytest.mark.parametrize("kind", ["binary", "schroder"])
+def test_parsed_tree_operands_are_not_walked(kind, monkeypatch):
+    # a parsed tree operand carried no order, so the family ranked it again at the call
+    alg = DEND if kind == "binary" else TRI
+    text = "B[x;1:|,0:B[y;1:|,1:|]]".replace("B", "B" if kind == "binary" else "S")
+    t, u = (parse_operand(text, kind, alg.alphabet, alg.semigroup) for _ in range(2))
+    other = parse_operand(text, kind, alg.alphabet, Semigroup.trivial())
+    want = alg.prec(alg.span(next(iter(t.map))), alg.gen("y"), ZERO).map
+    monkeypatch.setattr(pbtrees if kind == "binary" else schroder, "walk", None)
+    assert alg.prec(t, u, ZERO).map and alg.succ(t, u, ZERO).map
+    assert alg.prec(t, alg.gen("y"), ZERO).map == want and alg.prec(t, LEAF, ZERO) is t
+    with pytest.raises(TypeError):  # over another semigroup object, it is ranked: walked
+        alg.prec(other, u, ZERO)
 
 
 @pytest.mark.parametrize("kind", ["binary", "schroder"])

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from dendrifam.axioms import DENDRIFORM, TRIDENDRIFORM, search
-from dendrifam.basis import LEAF, Alphabet, LinComb, span_single
+from dendrifam.basis import LEAF, Alphabet, LinComb
 from dendrifam.errors import AxiomFailure, IdentityMisuse, LeafOperand
 from dendrifam.exprs import Dot, Gen, Prec, Succ, evaluate
 from dendrifam.schroder import enumerate_sch, intern_node, single_vertex, tree_key
@@ -58,7 +58,7 @@ def test_depth_two_products(words):
 # -- base cases and misuse ------------------------------------------------------
 
 def test_leaf_behaviour(z2):
-    t = span_single(sv("x"))
+    t = LinComb({sv("x"): 1})
     assert z2.prec(t, LEAF, "0") == t
     assert z2.succ(LEAF, t, "0") == t
     assert z2.prec(LEAF, t, "0").is_zero()
