@@ -17,18 +17,17 @@ is imposed only when it is read (:meth:`LinComb.ordered`, which the
 printers call).  The bare leaf is representable as a tree but is never
 a span term.
 
-Trees are ordered by ranks, per collection: every node keeps its leaf count,
-set when it is interned, so one iterative :func:`walk` groups the nodes
-reachable from the collection by leaf count, and :func:`rank_levels` ranks
-them level by level.  :func:`enumerate_trees` lists the basis trees of both
-free families; a binary vertex is one decoration over two typed children.
+The trees of a span are ordered by ranks, per collection: every node keeps its leaf
+count, set when it is interned, so one iterative :func:`walk` groups the nodes reachable
+from the collection by leaf count, and :func:`rank_levels` ranks them level by level.
+:func:`enumerate_trees` builds the basis trees of both free families in that order.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from functools import cache, partial
-from itertools import combinations, product
+from itertools import product
 from typing import Any, Callable, Iterable, Optional, Tuple
 
 from .errors import InfiniteSemigroup, InvalidElement, LeafOperand, TypingViolation, shown
@@ -293,30 +292,36 @@ def rank_levels(levels: dict, rank: dict, flat: Callable) -> dict:
     return rank
 
 
-def enumerate_trees(n: int, alphabet: Alphabet, semigroup, max_word, max_decs, make, order):
-    """All basis trees with n+1 leaves, each once, in the order ``order``.
-
-    A vertex has k decorations, 1 <= k <= ``max_decs``, over k+1 typed
-    children and is built by ``make(decorations, (edge type, child)
-    pairs)``.  A free semigroup needs a word-length bound.
-    """
+def enumerate_trees(n: int, alphabet: Alphabet, semigroup, max_word, max_decs, make):
+    """All basis trees with n+1 leaves, each once, in the canonical order: each size is built
+    in order from the smaller ones, a child going by leaf count, then place.  A vertex has 1 <= k
+    <= ``max_decs`` decorations over k+1 typed children, built by ``make(decorations, (edge type,
+    child) pairs)``, and goes by arity, decorations, edge types, then children, or, binary
+    (``max_decs`` 1), by decoration, then its pairs in turn.  Free semigroups need a word bound."""
     if not semigroup.is_finite and max_word is None:
         raise InfiniteSemigroup("cannot enumerate trees over an infinite semigroup")
-    # listed when an internal edge needs them; a free semigroup's at once, to check its bound
-    omega = cache(partial(semigroup.elements, max_word))
-    if not semigroup.is_finite:
+    omega = cache(partial(semigroup.elements, max_word))  # listed when an internal edge needs them
+    if not semigroup.is_finite:  # a free semigroup's at once, to check its word bound
         omega()
-    edges = [[(IDENTITY, LEAF)]]  # size s -> the typed edges to the trees with s+1 leaves
+    levels = [[LEAF]]  # size s -> the trees with s+1 leaves, in order
+
+    @cache
+    def typings(slots, room):  # the typings of slots edges, with elements on at most room
+        return [(a, *r) for a in [IDENTITY, *(omega() if room else ())]
+                for r in typings(slots - 1, room - (a is not IDENTITY))] if slots else [()]
+
+    @cache
+    def rows(types, m):  # the pair tuples on edges typed types (None: any) over m vertices
+        if not types:
+            return [()] if m == 0 else []
+        a, tails = types[0], partial(rows, types[1:])
+        return [((b, t), *r) for b in ([IDENTITY, *(omega() if m else ())] if a is None else (a,))
+                for i in ((0,) if b is IDENTITY else range(1, m + 1)) for rest in [tails(m - i)]
+                if rest for t in levels[i] for r in rest]
+
     for size in range(1, n + 1):
-        trees = []
-        for k in range(1, min(size, max_decs) + 1):
-            words = list(product(alphabet, repeat=k))
-            # the k cuts split the other size - k leaves among the k+1 children
-            for cuts in combinations(range(size), k):
-                bounds = (-1,) + cuts + (size,)
-                for children in product(*[edges[b - a - 1] for a, b in zip(bounds, bounds[1:])]):
-                    trees.extend([make(decs, children) for decs in words])
-        if size < n:
-            edges.append([(a, t) for t in trees for a in omega()])
-    trees.sort(key=order(trees).__getitem__)
-    return trees
+        levels.append([make(decs, row) for k in range(1, min(size, max_decs) + 1)
+                       for decs in product(alphabet, repeat=k)
+                       for types in (typings(k + 1, size - k) if max_decs > 1 else [(None, None)])
+                       for row in rows(types, size - k)])
+    return levels[n]

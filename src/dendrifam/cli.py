@@ -91,10 +91,8 @@ _FAMILIES = {"binary": (FreeDendriformFamily, enumerate_bin, "dd"),
 def _trees_up_to(kind: str, max_leaves: int, alphabet, semigroup, max_word):
     if max_leaves < 2:
         raise ValueError("--max-leaves must be at least 2")
-    trees = []
-    for n in range(1, max_leaves):
-        trees.extend(_FAMILIES[kind][1](n, alphabet, semigroup, max_word))
-    return trees
+    listed = _FAMILIES[kind][1]
+    return [t for n in range(1, max_leaves) for t in listed(n, alphabet, semigroup, max_word)]
 
 
 # a tree head: the word B or S, then '[', with any whitespace between them

@@ -174,5 +174,4 @@ def enumerate_bin(n: int, alphabet: Alphabet, semigroup: Semigroup,
         (a1, left), (a2, right) = children
         return graft_binary(left, decs[0], a1, a2, right)
 
-    return enumerate_trees(n, alphabet, semigroup, max_word, 1, make,
-                           partial(ranks, alphabet, semigroup))
+    return enumerate_trees(n, alphabet, semigroup, max_word, 1, make)

@@ -465,6 +465,14 @@ class TensorFamily(TensorSpans):
 
 # -- the definition file format ------------------------------------------
 
+def _integer(field: str, line: str) -> int:
+    """The integer ``field`` of the file line ``line``; anything else is refused naming it."""
+    try:
+        return int(field)
+    except ValueError:
+        raise InvalidElement(f"bad integer {field!r} in line {line!r}") from None
+
+
 def parse_rb_text(text: str):
     """Parse an algebra/operator definition file.
 
@@ -479,7 +487,7 @@ def parse_rb_text(text: str):
         if line.startswith("dim="):
             if dim is not None:
                 raise InvalidElement("dim= may be declared only once")
-            dim = int(line[len("dim="):])
+            dim = _integer(line[len("dim="):], line)
             if dim < 1:
                 raise InvalidElement("dim must be >= 1")
         elif parts[0] == "sc":
@@ -487,7 +495,7 @@ def parse_rb_text(text: str):
                 raise InvalidElement("dim= must precede sc lines")
             if len(parts) != 5:
                 raise InvalidElement(f"bad structure-constant line: {line!r}")
-            i, j, k = (int(p) for p in parts[1:4])
+            i, j, k = (_integer(p, line) for p in parts[1:4])
             if not all(0 <= v < dim for v in (i, j, k)):
                 raise InvalidElement(f"basis index out of range: {line!r}")
             if (i, j, k) in constants:
@@ -498,7 +506,8 @@ def parse_rb_text(text: str):
                 raise InvalidElement("dim= must precede op lines")
             omega = parts[1] if len(parts) > 1 else ""
             if len(parts) != 2 + dim * dim:
-                raise InvalidElement(f"operator for {omega!r} needs {dim * dim} entries")
+                raise InvalidElement(f"operator for {omega!r} needs {dim}x{dim} entries, "
+                                     f"got {len(parts) - 2}")
             if omega in operators:
                 raise InvalidElement(f"operator for {omega!r} may be declared only once")
             values = [parse_coefficient(p) for p in parts[2:]]
@@ -521,7 +530,7 @@ def parse_map_text(text: str, dim: int) -> dict:
         parts = line.split()
         if len(parts) != 2:
             raise InvalidElement(f"bad map line: {line!r}")
-        symbol, index = parts[0], int(parts[1])
+        symbol, index = parts[0], _integer(parts[1], line)
         if not 0 <= index < dim:
             raise InvalidElement(f"basis index out of range: {line!r}")
         if symbol in images:

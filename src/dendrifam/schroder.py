@@ -186,6 +186,5 @@ def enumerate_sch(n: int, alphabet: Alphabet, semigroup: Semigroup,
     those of :func:`~dendrifam.basis.enumerate_trees` with any arity."""
     if n < 1:
         raise ValueError("basis trees need at least two leaves")
-    return enumerate_trees(n, alphabet, semigroup, max_word, n, intern_node,
-                           partial(ranks, alphabet, semigroup))
+    return enumerate_trees(n, alphabet, semigroup, max_word, n, intern_node)
 

@@ -575,6 +575,34 @@ def test_repeated_generator_image_is_a_config_error(capsys, tmp_path):
     assert "declared only once" in err
 
 
+@pytest.mark.parametrize("algebra, images, field", [
+    (RB_K3, "x 0\ny one\n", "'one' in line 'y one'"),
+    (RB_K3.replace("sc 1 1 1 1", "sc 0 x 0 1"), MAP_XY, "'x' in line 'sc 0 x 0 1'"),
+    (RB_K3.replace("dim=3", "dim=two"), MAP_XY, "'two' in line 'dim=two'"),
+])
+def test_a_non_numeral_integer_field_is_refused_naming_its_line(capsys, tmp_path, algebra,
+                                                                 images, field):
+    # each refusal names the field and its line, for the algebra file and the map file
+    rb, map_file = tmp_path / "rb.txt", tmp_path / "map.txt"
+    rb.write_text(algebra)
+    map_file.write_text(images)
+    code, out, err = run(capsys, "extend", "--functor", "eta", "--alphabet", "x,y",
+                         "--semigroup", "cyclic:2", "--rb-file", str(rb), "--lambda", "1",
+                         "--map-file", str(map_file), "B[x;1:|,1:|]")
+    assert (code, out, err) == (2, "", f"error: bad integer {field}\n")
+
+
+def test_operator_length_refusal_never_formats_dim_squared(capsys, tmp_path):
+    # dim^2 of a 3,000-digit dim has 6,000 digits, past the int-to-str limit
+    nines = "9" * 3000
+    path = tmp_path / "rb-huge.txt"
+    path.write_text(f"dim={nines}\nsc 0 0 0 1\nop 0 -1\n")
+    code, out, err = run(capsys, "check", "--suite", "rb", "--alphabet", "x",
+                         "--semigroup", "cyclic:2", "--rb-file", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: operator for '0' needs {nines}x{nines} entries, got 1\n"
+
+
 @pytest.mark.parametrize("bound", ["0", "-1"])
 @pytest.mark.parametrize("command", [
     ("check", "--suite", "dendriform", "--max-leaves", "3"),

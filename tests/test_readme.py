@@ -22,7 +22,9 @@ def test_the_readme_has_python_blocks_with_printed_results():
     assert any(PRINTED.fullmatch(line) for _, code in blocks() for line in code.splitlines())
 
 
-@pytest.mark.parametrize("offset,code", [pytest.param(*b, id=f"line-{b[0]}") for b in blocks()])
+# named by position among the python blocks, so prose edits above a block keep its name
+@pytest.mark.parametrize("offset,code", [pytest.param(*b, id=f"block-{i}")
+                                         for i, b in enumerate(blocks(), 1)])
 def test_readme_block_runs_and_prints_what_it_says(offset, code):
     printed = {}  # README line number -> what each print on it wrote
 
