@@ -21,13 +21,14 @@ from functools import partial
 from . import axioms
 from .basis import Alphabet
 from .dendriform import FreeDendriformFamily
-from .errors import AlgebraError, AxiomFailure, IdentityMisuse, LeafOperand
+from .errors import (AlgebraError, AxiomFailure, IdentityMisuse, InvalidElement, LeafOperand,
+                     SemigroupViolation)
 from .pbtrees import enumerate_bin
 from .rationals import parse_coefficient
 from .rotabaxter import (EpsilonOps, EtaOps, RBFamily, TensorFamily, parse_map_text,
                          parse_rb_text, rb_family_counterexample, tensor_rb_counterexample)
 from .schroder import enumerate_sch
-from .semigroups import Semigroup, from_config_text
+from .semigroups import Semigroup, cyclic_of_numeral, from_config_text
 from .termio import parse_operand, print_span, print_tree
 from .tridendriform import FreeTridendriformFamily, gamma
 
@@ -40,20 +41,25 @@ EXIT_RESOURCE = 4
 _PROGRESS_EVERY = 5000
 
 
-def _read(path) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+def _parsed(parse, path, *args):
+    """``parse`` of the text of the file ``path`` (and ``args``): a semigroup config, an
+    algebra or a map.  Any refusal of its bytes or its contents names the file first."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return parse(handle.read(), *args)
+    except (InvalidElement, SemigroupViolation, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _parse_semigroup(text: str) -> Semigroup:
     if text == "trivial":
         return Semigroup.trivial()
     if text.startswith("cyclic:"):
-        return Semigroup.cyclic(int(text[len("cyclic:"):]))
+        return cyclic_of_numeral(text[len("cyclic:"):], "cyclic:<n>")
     if text.startswith("free:"):
         gens = [g for g in text[len("free:"):].split(",") if g]
         return Semigroup.free(gens)
-    return from_config_text(_read(text))
+    return _parsed(from_config_text, text)
 
 
 def _parse_alphabet(text: str) -> Alphabet:
@@ -173,7 +179,7 @@ def _load_rb(args):
     alphabet, semigroup = _config(args)
     if not args.rb_file:
         raise ValueError("this suite requires --rb-file")
-    algebra, operators = parse_rb_text(_read(args.rb_file))
+    algebra, operators = _parsed(parse_rb_text, args.rb_file)
     algebra.validate()
     rb = RBFamily(algebra, parse_coefficient(args.weight), operators)
     sample = sorted(operators, key=semigroup.element_key)
@@ -241,7 +247,7 @@ def cmd_check(args) -> int:
 
 def cmd_extend(args) -> int:
     alphabet, semigroup, rb, sample = _load_rb(args)
-    images = parse_map_text(_read(args.map_file), rb.algebra.dim)
+    images = _parsed(parse_map_text, args.map_file, rb.algebra.dim)
     missing = [x for x in alphabet if x not in images]
     if missing:
         raise ValueError(f"map file has no image for generators: {missing}")

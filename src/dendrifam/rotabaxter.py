@@ -26,10 +26,9 @@ form.  A vector of any length other than the algebra's dimension is
 rejected with InvalidElement wherever it enters ``mul``, ``apply`` or
 the induced ``add``/``scale``.  The algebra's product and the five
 induced products (eta's prec_w and succ_w, epsilon's prec_w, succ_w and
-dot) are compiled at construction into bilinear tables of their nonzero
-structure constants, each operator folded in where that keeps the table
-sparse, so a product is one walk over the nonzero x_i and the nonzero j
-of row i, reading y densely.
+dot) walk tables of their nonzero structure constants, each compiled from
+nonzeros only, the operator folded in where that keeps the table sparse;
+succ_w is compiled once per family, for eta and epsilon both.
 """
 
 from __future__ import annotations
@@ -37,6 +36,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import groupby
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
 from .basis import LinComb, Spans, Value, normalize
@@ -74,17 +74,9 @@ class _Indexed(dict):
         raise InvalidElement(f"no operator declared for index {shown(omega)}")
 
 
-def _bilinear_table(dim: int, times) -> tuple:
-    """For each i, the nonzero (j, ((k, c), ...)) with e_i * e_j = sum c e_k,
-    for the bilinear map * with e_i * e_j the vector ``times(i, j)``."""
-    rows = ([(j, tuple((k, exact(c)) for k, c in enumerate(times(i, j)) if c))
-             for j in range(dim)] for i in range(dim))
-    return tuple(tuple((j, terms) for j, terms in row if terms) for row in rows)
-
-
 def _walk(table: tuple, x: Vector, y: Vector) -> Vector:
-    """x * y for the bilinear map of ``table`` (see :func:`_bilinear_table`):
-    the nonzero x_i, then the j of row i, reading y_j densely."""
+    """x * y for the bilinear map whose ``table`` holds in row i the nonzero (j, ((k, c), ...))
+    with e_i * e_j = sum c e_k: the nonzero x_i, then the j of row i, reading y_j densely."""
     d = len(table)
     out = [0] * d
     _checked(y, d)
@@ -107,26 +99,37 @@ def _apply(columns: tuple, v: Vector) -> Vector:
     return _exact_vector(out)
 
 
-def _columns(m: Matrix) -> tuple:
-    """The nonzero entries (row, c) of each column of the square matrix ``m``."""
-    return tuple(tuple((r, c) for r, row in enumerate(m) if (c := exact(row[j])))
-                 for j in range(len(m)))
+def _columns(m: Matrix, shift: Coordinate = 0) -> tuple:
+    """The nonzero entries (row, c) of each column of the square matrix ``m`` + ``shift`` id."""
+    return tuple(tuple(_nonzero([row[j] + shift if shift and r == j else row[j]
+                                 for r, row in enumerate(m)], len(m))) for j in range(len(m)))
 
 
 def _induced_product(table: tuple, columns: tuple, right: bool):
     """x * y = x P(y) (``right``) or P(x) y, for the algebra's ``table`` and the ``columns``
     of P: a walk of one table, P folded in, unless that table has more terms than
-    ``columns`` and ``table`` together (as a dense P makes it); else P, then ``table``."""
-    d = len(table)
-    e = [tuple(int(k == i) for k in range(d)) for i in range(d)]
-    folded = _bilinear_table(d, lambda i, j: _walk(table, e[i], _apply(columns, e[j])) if right
-                             else _walk(table, _apply(columns, e[i]), e[j]))
-    terms = [sum(len(ts) for row in tab for _, ts in row) for tab in (folded, table)]
-    if terms[0] <= sum(map(len, columns)) + terms[1]:
-        return partial(_walk, folded)
-    if right:
-        return lambda x, y: _walk(table, x, _apply(columns, y))
-    return lambda x, y: _walk(table, _apply(columns, x), y)
+    ``columns`` and ``table`` together (as a dense P makes it); else P, then ``table``.
+    Row i of the fold sums e_i P(e_j) = sum_r P_rj e_i e_r over row i of ``table`` and the rows
+    of P, or P(e_i) e_j over column i of P and rows of ``table``, until it passes that budget."""
+    rows = [[] for _ in columns]  # of P
+    for j, column in enumerate(columns):
+        for r, c in column:
+            rows[r].append((j, c))
+    budget, folded = sum(map(len, columns)) + sum(len(ts) for row in table for _, ts in row), []
+    for i in range(len(table)):
+        parts = (((c, j, terms) for r, terms in table[i] for j, c in rows[r]) if right
+                 else ((c, j, terms) for r, c in columns[i] for j, terms in table[r]))
+        sums = Counter()  # (j, k) -> the coefficient of e_k in e_i * e_j
+        for c, j, terms in parts:
+            for k, a in terms:
+                sums[j, k] += c * a
+        entries = sorted((jk, exact(s)) for jk, s in sums.items() if s)
+        if (budget := budget - len(entries)) < 0:
+            return ((lambda x, y: _walk(table, x, _apply(columns, y))) if right
+                    else lambda x, y: _walk(table, _apply(columns, x), y))
+        folded.append(tuple((j, tuple((k, s) for (_, k), s in group))
+                            for j, group in groupby(entries, key=lambda e: e[0][0])))
+    return partial(_walk, tuple(folded))
 
 
 def vec_add(u: Vector, v: Vector) -> Vector:
@@ -155,7 +158,9 @@ class FiniteAlgebra(Value):
         if any(len(plane) != d or any(len(constants) != d for constants in plane)
                for plane in self.structure):
             raise InvalidElement(f"structure constants must be {d}x{d}x{d}")
-        object.__setattr__(self, "_table", _bilinear_table(d, lambda i, j: self.structure[i][j]))
+        object.__setattr__(self, "_table", tuple(tuple(
+            (j, ts) for j, constants in enumerate(plane) if (ts := tuple(_nonzero(constants, d))))
+            for plane in self.structure))
 
     @property
     def dim(self) -> int:
@@ -205,30 +210,27 @@ class FiniteAlgebra(Value):
 
 def pointwise_algebra(dim: int) -> FiniteAlgebra:
     """k^dim with the pointwise (diagonal) product."""
-    return FiniteAlgebra(tuple(
-        tuple(tuple(1 if i == j == k else 0 for k in range(dim))
-              for j in range(dim))
-        for i in range(dim)))
+    return FiniteAlgebra(tuple(tuple(tuple(int(i == j == k) for k in range(dim))
+                                     for j in range(dim)) for i in range(dim)))
 
 
 def cascading_sum_matrix(dim: int, weight: Coordinate) -> Matrix:
     """P(a)_i = -weight * sum_{j <= i} a_j, a Rota-Baxter operator on k^dim."""
     weight = exact(weight)
-    return tuple(tuple(-weight if j <= i else 0 for j in range(dim))
-                 for i in range(dim))
+    return tuple(tuple(-weight if j <= i else 0 for j in range(dim)) for i in range(dim))
 
 
 class RBFamily(Value):
     """An algebra with one operator per sampled semigroup element and a weight.
 
     Each operator must be a d x d matrix over the algebra's dimension d.
-    ``operators`` is read when the family is built, into the nonzero entries
-    (row, c) of each column that :meth:`apply` walks; mutating the mapping
-    later is not supported (build a new family).
+    ``operators`` is read when the family is built, into the nonzero entries (row, c)
+    of each column that :meth:`apply` walks and the x succ_w y = P_w(x) y that eta and
+    epsilon share; mutating the mapping later is not supported (build a new family).
     """
 
     _fields = ("algebra", "weight", "operators")
-    __slots__ = _fields + ("_columns",)
+    __slots__ = _fields + ("_columns", "_succ")
 
     def __init__(self, algebra: FiniteAlgebra, weight: Coordinate, operators: Mapping[str, Matrix]):
         super().__init__(algebra, weight, operators)
@@ -238,6 +240,9 @@ class RBFamily(Value):
                 raise InvalidElement(f"operator for {shown(omega)} must be {d}x{d}")
         object.__setattr__(self, "_columns", _Indexed(
             {omega: _columns(m) for omega, m in self.operators.items()}))
+        object.__setattr__(self, "_succ", _Indexed(
+            {omega: _induced_product(self.algebra._table, columns, False)
+             for omega, columns in self._columns.items()}))
 
     def apply(self, omega: str, v: Vector) -> Vector:
         """P_omega(v), walking the columns of the nonzero v_j."""
@@ -280,18 +285,15 @@ def rb_family_counterexample(rb: RBFamily, semigroup: Semigroup,
 
 class _InducedOps:
     """The operations shared by the induced structures: the products x prec_w y =
-    x P_w(y), plus lambda x y when the structure is ``shifted``, and x succ_w y =
-    P_w(x) y, compiled by :func:`_induced_product`; and the vector-space operations.
-    Their axioms are not checked: they follow from the family identity."""
+    x P_w(y), plus lambda x y when the structure is ``shifted``, and the family's
+    x succ_w y = P_w(x) y, each compiled by :func:`_induced_product`; and the vector-space
+    operations.  Their axioms are not checked: they follow from the family identity."""
 
     def __init__(self, rb: RBFamily):
-        self.rb, self.weight = rb, exact(rb.weight)
+        self.rb, self.weight, self._succ = rb, exact(rb.weight), rb._succ
         shift, table = self.weight if self.shifted else 0, rb.algebra._table
-        self._prec = _Indexed({w: _induced_product(table, _columns(  # of P_w + shift id
-            [[c + shift * (r == j) for j, c in enumerate(row)] for r, row in enumerate(m)]), True)
-            for w, m in rb.operators.items()})
-        self._succ = _Indexed({w: _induced_product(table, columns, False)
-                               for w, columns in rb._columns.items()})
+        self._prec = _Indexed({w: _induced_product(table, _columns(m, shift), True)
+                               for w, m in rb.operators.items()})
 
     def add(self, *values: Vector) -> Vector:
         if not values:
@@ -329,12 +331,12 @@ class EpsilonOps(_InducedOps):
     prec, succ = _InducedOps.prec, _InducedOps.succ
 
     def __init__(self, rb: RBFamily):
-        super().__init__(rb)  # x . y = lambda x y: the structure constants times lambda
-        self._dot = _bilinear_table(rb.algebra.dim, lambda i, j: vec_scale(
-            self.weight, rb.algebra.structure[i][j]))
+        super().__init__(rb)  # x . y = x (lambda id)(y): the structure constants times lambda
+        self._dot = _induced_product(rb.algebra._table, tuple(
+            ((j, self.weight),) if self.weight else () for j in range(rb.algebra.dim)), True)
 
     def dot(self, x: Vector, y: Vector) -> Vector:
-        return _walk(self._dot, x, y)
+        return self._dot(x, y)
 
 
 def eta(rb: RBFamily) -> EtaOps:
@@ -490,9 +492,9 @@ def parse_rb_text(text: str):
             dim = _integer(line[len("dim="):], line)
             if dim < 1:
                 raise InvalidElement("dim must be >= 1")
+        elif parts[0] in ("sc", "op") and dim is None:
+            raise InvalidElement(f"dim= must precede {parts[0]} lines")
         elif parts[0] == "sc":
-            if dim is None:
-                raise InvalidElement("dim= must precede sc lines")
             if len(parts) != 5:
                 raise InvalidElement(f"bad structure-constant line: {line!r}")
             i, j, k = (_integer(p, line) for p in parts[1:4])
@@ -502,8 +504,6 @@ def parse_rb_text(text: str):
                 raise InvalidElement(f"structure constant {i} {j} {k} may be declared only once")
             constants[(i, j, k)] = parse_coefficient(parts[4])
         elif parts[0] == "op":
-            if dim is None:
-                raise InvalidElement("dim= must precede op lines")
             omega = parts[1] if len(parts) > 1 else ""
             if len(parts) != 2 + dim * dim:
                 raise InvalidElement(f"operator for {omega!r} needs {dim}x{dim} entries, "

@@ -266,6 +266,20 @@ class Semigroup:
         return f"Semigroup.table({list(self._elements)}, ...)"
 
 
+def cyclic_of_numeral(numeral: str, field: str) -> Semigroup:
+    """The cyclic semigroup whose order is the decimal ``numeral``, read for ``field``
+    (``order=`` in a config file, ``cyclic:<n>`` on the command line).  A non-numeral,
+    or a numeral longer than the int-to-str digit limit, is refused naming ``field``
+    before ``int()`` reads it."""
+    numeral = numeral.strip()
+    if not re.fullmatch(r"[+-]?[0-9]+", numeral):
+        raise SemigroupViolation(f"{field} must be an integer")
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 where there is no limit
+    if limit and len(numeral.lstrip("+-")) > limit:
+        raise SemigroupViolation(f"{field} has more than {limit} digits")
+    return Semigroup.cyclic(int(numeral))
+
+
 def from_config_text(text: str) -> Semigroup:
     """Parse the line-oriented semigroup config format.
 
@@ -291,10 +305,7 @@ def from_config_text(text: str) -> Semigroup:
         value = body[0][len(key):]
         if kind == "free":
             return Semigroup.free([g.strip() for g in value.split(",") if g.strip()])
-        try:
-            return Semigroup.cyclic(int(value))
-        except ValueError:
-            raise SemigroupViolation("order= must be an integer")
+        return cyclic_of_numeral(value, key)
     if kind == "table":
         rows = [[cell.strip() for cell in ln.split(",")] for ln in body]
         if not rows or rows[0][0] != "":

@@ -111,14 +111,14 @@ def test_enumerate_semigroup_config_file_with_trailing_comments(capsys, tmp_path
 
 
 @pytest.mark.parametrize("config, error", [
-    ("kind=table\n,x,y\nx,y,x\ny,x,x\n", "error: associativity fails: (xx)y = x but x(xy) = y\n"),
-    ("kind=table\n,x\nx,z\n", "error: closure fails: x*x = 'z'\n"),
+    ("kind=table\n,x,y\nx,y,x\ny,x,x\n", "associativity fails: (xx)y = x but x(xy) = y\n"),
+    ("kind=table\n,x\nx,z\n", "closure fails: x*x = 'z'\n"),
 ], ids=["nonassociative", "not-closed"])
 def test_enumerate_refuses_a_bad_table_config(capsys, tmp_path, config, error):
     cfg = tmp_path / "sg.cfg"
     cfg.write_text(config)
     assert run(capsys, "enumerate", "binary", "1", "--alphabet", "x",
-               "--semigroup", str(cfg)) == (2, "", error)
+               "--semigroup", str(cfg)) == (2, "", f"error: {cfg}: {error}")
 
 
 VALID_CONFIGS = ["kind=free\ngenerators=a,b\n", "kind=cyclic\norder=3\n",
@@ -406,7 +406,7 @@ def test_check_rb_file_without_operators(capsys, tmp_path, suite):
     code, out, err = run(capsys, "check", "--suite", suite,
                          "--alphabet", "x", "--semigroup", "cyclic:2", "--rb-file", str(path))
     assert (code, out) == (2, "")
-    assert err == "error: algebra file declares no operators\n"
+    assert err == f"error: {path}: algebra file declares no operators\n"
 
 
 # -- extend --------------------------------------------------------------------------
@@ -582,14 +582,15 @@ def test_repeated_generator_image_is_a_config_error(capsys, tmp_path):
 ])
 def test_a_non_numeral_integer_field_is_refused_naming_its_line(capsys, tmp_path, algebra,
                                                                  images, field):
-    # each refusal names the field and its line, for the algebra file and the map file
+    # each refusal names the file, the field and its line, for the algebra file and the map file
     rb, map_file = tmp_path / "rb.txt", tmp_path / "map.txt"
     rb.write_text(algebra)
     map_file.write_text(images)
     code, out, err = run(capsys, "extend", "--functor", "eta", "--alphabet", "x,y",
                          "--semigroup", "cyclic:2", "--rb-file", str(rb), "--lambda", "1",
                          "--map-file", str(map_file), "B[x;1:|,1:|]")
-    assert (code, out, err) == (2, "", f"error: bad integer {field}\n")
+    named = rb if algebra != RB_K3 else map_file
+    assert (code, out, err) == (2, "", f"error: {named}: bad integer {field}\n")
 
 
 def test_operator_length_refusal_never_formats_dim_squared(capsys, tmp_path):
@@ -600,7 +601,46 @@ def test_operator_length_refusal_never_formats_dim_squared(capsys, tmp_path):
     code, out, err = run(capsys, "check", "--suite", "rb", "--alphabet", "x",
                          "--semigroup", "cyclic:2", "--rb-file", str(path))
     assert (code, out) == (2, "")
-    assert err == f"error: operator for '0' needs {nines}x{nines} entries, got 1\n"
+    assert err == f"error: {path}: operator for '0' needs {nines}x{nines} entries, got 1\n"
+
+
+@pytest.mark.parametrize("name, text, error", [
+    ("sg.cfg", b"kind=ring\n", "unknown semigroup kind: 'ring'"),
+    ("rb.txt", b"dim=1\nsc 0 0 0 1\nop 0 -1\nbogus\n", "unrecognised line in algebra file: 'bogus'"),
+    ("map.txt", b"x 0\ny\n", "bad map line: 'y'"),
+    ("map.txt", b"x 0\n\xff\n", "'utf-8' codec can't decode byte 0xff in position 4: "
+                                  "invalid start byte"),
+], ids=["semigroup-config", "algebra", "map", "map-bytes"])
+def test_every_file_refusal_names_its_file(capsys, tmp_path, name, text, error):
+    # a refusal used to name the line at best; with several files, the file was a guess
+    path = tmp_path / name
+    path.write_bytes(text)
+    files = {"sg.cfg": "cyclic:2", "rb.txt": RB_HALF, "map.txt": MAP_HALF, name: str(path)}
+    code, out, err = run(capsys, "extend", "--functor", "eta", "--alphabet", "x,y",
+                         "--semigroup", files["sg.cfg"], "--rb-file", files["rb.txt"],
+                         "--lambda", "1/2", "--map-file", files["map.txt"], "B[x;1:|,1:|]")
+    assert (code, out, err) == (2, "", f"error: {path}: {error}\n")
+
+
+DIGITS = sys.get_int_max_str_digits()  # 4,300 by default
+
+
+@pytest.mark.parametrize("argv, config, error", [
+    (("--semigroup", "cyclic:abc"), None, "cyclic:<n> must be an integer"),
+    (("--semigroup", "cyclic:" + "9" * 5000), None, f"cyclic:<n> has more than {DIGITS} digits"),
+    ((), "kind=cyclic\norder=abc\n", "order= must be an integer"),
+    ((), "kind=cyclic\norder=" + "9" * 5000 + "\n", f"order= has more than {DIGITS} digits"),
+], ids=["option-word", "option-long", "config-word", "config-long"])
+def test_a_cyclic_order_is_read_as_a_numeral_or_refused_naming_its_field(capsys, tmp_path, argv,
+                                                                         config, error):
+    # the option used to pass int()'s own message through, and the config file called a
+    # numeral past the int-to-str limit no integer
+    if config is not None:
+        cfg = tmp_path / "sg.cfg"
+        cfg.write_text(config)
+        argv, error = ("--semigroup", str(cfg)), f"{cfg}: {error}"
+    assert run(capsys, "enumerate", "binary", "1", "--alphabet", "x", *argv) == (
+        2, "", f"error: {error}\n")
 
 
 @pytest.mark.parametrize("bound", ["0", "-1"])

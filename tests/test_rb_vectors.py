@@ -3,9 +3,10 @@
 
 import itertools
 from fractions import Fraction
+from functools import partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dendrifam import exprs
@@ -382,3 +383,105 @@ def test_dense_operators_are_applied_before_the_algebra_product(d, mul):
                         (eps_ops.succ(x, y, w), alg.mul(px, y))):
                     assert product == expected
                     assert_exact(product)
+
+
+def dense_fold(structure, matrix, right):
+    """The folded table of x P(y) (``right``) or P(x) y for the ``structure`` constants and
+    the ``matrix`` of P, built densely from every e_i * e_j and counted in full, as the
+    compiler decided before it read nonzeros only: the table when it has no more terms
+    than P and the structure constants together, else None."""
+    d = len(structure)
+
+    def times(i, j):
+        if right:  # e_i P(e_j) = sum_r P_rj e_i e_r
+            return [sum(Fraction(matrix[r][j]) * structure[i][r][k] for r in range(d))
+                    for k in range(d)]
+        return [sum(Fraction(matrix[r][i]) * structure[r][j][k] for r in range(d))
+                for k in range(d)]
+
+    table = tuple(tuple((j, terms) for j in range(d)
+                        if (terms := tuple((k, c) for k, c in enumerate(times(i, j)) if c)))
+                  for i in range(d))
+    size = sum(len(terms) for row in table for _, terms in row)
+    nonzero = sum(1 for row in matrix for c in row if c)
+    nonzero += sum(1 for plane in structure for constants in plane for c in constants if c)
+    return table if size <= nonzero else None
+
+
+def sparse_matrices(dim, density):
+    entry = st.one_of(st.just(0), st.fractions(min_value=-2, max_value=2, max_denominator=2))
+    return st.tuples(*[st.tuples(*[st.one_of(entry, st.just(0)) if density == "sparse"
+                                   else entry.filter(bool) if density == "dense" else st.just(0)
+                                   for _ in range(dim)]) for _ in range(dim)])
+
+
+@st.composite
+def fold_families(draw):
+    """A family over a random, pointwise or cyclic group algebra of dimension 1-4, with a
+    zero, sparse or dense operator for each index and a weight that may be zero."""
+    dim = draw(st.integers(min_value=1, max_value=4))
+    kind = draw(st.sampled_from(["random", "pointwise", "group"]))
+    if kind == "random":
+        algebra = FiniteAlgebra(draw(st.tuples(*[sparse_matrices(dim, "sparse")] * dim)))
+    else:
+        algebra = pointwise_algebra(dim) if kind == "pointwise" else group_algebra_family(dim).algebra
+    operators = {w: draw(sparse_matrices(dim, draw(st.sampled_from(["zero", "sparse", "dense"]))))
+                 for w in SAMPLE}
+    return RBFamily(algebra, draw(st.one_of(st.just(0), weights)), operators)
+
+
+# on k[Z_d] a fold of P has d * nnz(P) terms, against nnz(P) + d^2: the budget exactly,
+# and one term past it
+@example(RBFamily(group_algebra_family(2).algebra, 0, {w: ((1, 2), (3, 4)) for w in SAMPLE}))
+@example(RBFamily(group_algebra_family(3).algebra, 0, {w: ((1, 1, 0), (1, 0, 1), (1, 0, 0))
+                                                       for w in SAMPLE}))
+@given(fold_families())
+@settings(max_examples=150, deadline=None)
+def test_the_fold_decision_and_table_are_the_dense_rule(rb):
+    """Each induced product folds its operator in exactly when the dense rule does, into
+    the same table: prec_w through P_w + lambda id for eta and P_w for epsilon, succ_w
+    through P_w, each at the index it belongs to."""
+    structure, d, weight = rb.algebra.structure, rb.algebra.dim, rb.weight
+    expected = [dense_fold(structure, tuple(tuple(c + shift * (r == j) for j, c in enumerate(row))
+                                            for r, row in enumerate(m)), right)
+                for shift, right in ((weight, True), (0, False), (0, True), (0, False))
+                for m in rb.operators.values()]
+    compiled = [product.args[0] if product.func is _walk else None
+                for ops in (EtaOps(rb), EpsilonOps(rb)) for products in (ops._prec, ops._succ)
+                for product in products.values() if isinstance(product, partial)]
+    assert folded(rb) == [table is not None for table in expected]
+    assert compiled == [table for table in expected if table is not None]
+    dot = dense_fold(structure, tuple(tuple(weight * (r == j) for j in range(d))
+                                      for r in range(d)), True)
+    assert EpsilonOps(rb)._dot.args[0] == dot
+
+
+def test_a_sparse_and_a_dense_index_are_decided_apart():
+    """On k[Z_6], -lambda id at 0 folds into tables of 36 terms against a budget of 42;
+    -lambda (projection onto the augmentation ideal) at 1 would give 216 against 72,
+    and is applied first.  Each product still matches its dense formula."""
+    weight = Fraction(1, 3)
+    group = group_algebra_family(6, weight)
+    rb = RBFamily(group.algebra, weight, {"0": scaled_identity_matrix(6, -weight),
+                                          "1": group.operators["1"]})
+    assert folded(rb) == [True, False] * 4
+    structure, eta_ops, eps_ops = rb.algebra.structure, EtaOps(rb), EpsilonOps(rb)
+    vectors = [rb.algebra.basis_vector(0), rb.algebra.basis_vector(5),
+               tuple(Fraction(i % 4 - 1, 1 + i % 3) for i in range(6))]
+    for x in vectors:
+        for y in vectors:
+            for w in SAMPLE:
+                px, py = (dense_apply(rb.operators[w], v) for v in (x, y))
+                shifted = tuple(a + weight * b for a, b in zip(py, y))
+                for product, expected in (
+                        (eta_ops.prec(x, y, w), dense_mul(structure, x, shifted)),
+                        (eta_ops.succ(x, y, w), dense_mul(structure, px, y)),
+                        (eps_ops.prec(x, y, w), dense_mul(structure, x, py)),
+                        (eps_ops.succ(x, y, w), dense_mul(structure, px, y))):
+                    assert product == expected
+                    assert_exact(product)
+
+
+def test_eta_and_epsilon_share_the_family_succ():
+    rb = group_algebra_family(4)
+    assert EtaOps(rb)._succ is EpsilonOps(rb)._succ is rb._succ
