@@ -6,8 +6,8 @@ products on parsed terms), ``check`` (axiom and identity sweeps) and
 
 Exit codes: 0 success, 1 verified counterexample or axiom failure,
 2 usage/config/parse error, 3 semantic misuse, 4 resources exhausted
-(recursion depth or memory) before a result.  Sweeps stream progress
-to stderr; stdout carries only the results.
+(recursion depth, memory, or the int-to-str limit of a result number).
+Sweeps stream progress to stderr; stdout carries only the results.
 """
 
 from __future__ import annotations
@@ -24,11 +24,11 @@ from .dendriform import FreeDendriformFamily
 from .errors import (AlgebraError, AxiomFailure, IdentityMisuse, InvalidElement, LeafOperand,
                      SemigroupViolation)
 from .pbtrees import enumerate_bin
-from .rationals import parse_coefficient
+from .rationals import digit_limit, parse_coefficient, parse_integer
 from .rotabaxter import (EpsilonOps, EtaOps, RBFamily, TensorFamily, parse_map_text,
                          parse_rb_text, rb_family_counterexample, tensor_rb_counterexample)
 from .schroder import enumerate_sch
-from .semigroups import Semigroup, cyclic_of_numeral, from_config_text
+from .semigroups import Semigroup, from_config_text
 from .termio import parse_operand, print_span, print_tree
 from .tridendriform import FreeTridendriformFamily, gamma
 
@@ -55,25 +55,36 @@ def _parse_semigroup(text: str) -> Semigroup:
     if text == "trivial":
         return Semigroup.trivial()
     if text.startswith("cyclic:"):
-        return cyclic_of_numeral(text[len("cyclic:"):], "cyclic:<n>")
+        return Semigroup.cyclic(parse_integer(text[len("cyclic:"):], "cyclic:<n>"))
     if text.startswith("free:"):
-        gens = [g for g in text[len("free:"):].split(",") if g]
-        return Semigroup.free(gens)
+        return Semigroup.free([g for g in text[len("free:"):].split(",") if g])
     return _parsed(from_config_text, text)
 
 
-def _parse_alphabet(text: str) -> Alphabet:
-    return Alphabet([s for s in text.split(",") if s])
-
-
 def _config(args):
-    return _parse_alphabet(args.alphabet), _parse_semigroup(args.semigroup)
+    return Alphabet([s for s in args.alphabet.split(",") if s]), _parse_semigroup(args.semigroup)
 
 
+def _printable(text):
+    """``text``, a printer of results, with the one ValueError it raises, a number past
+    the int-to-str limit, made an OverflowError: the result is too large to print."""
+    def bounded(value) -> str:
+        try:
+            return text(value)
+        except ValueError:
+            raise OverflowError(f"a result number has more than {digit_limit()} digits") from None
+    return bounded
+
+
+_span_text = _printable(print_span)
+
+
+@_printable
 def _vector_text(v) -> str:
     return " ".join(str(c) for c in v)
 
 
+@_printable
 def _tensor_rb_text(span) -> str:
     if span.is_zero():
         return "0"
@@ -81,8 +92,7 @@ def _tensor_rb_text(span) -> str:
 
 
 def _counted(instances, total: int):
-    """``instances`` passed through, with a progress line every
-    ``_PROGRESS_EVERY`` of them on stderr."""
+    """``instances`` passed through, with a progress line on stderr every _PROGRESS_EVERY."""
     for done, instance in enumerate(instances, 1):
         if done % _PROGRESS_EVERY == 0:
             print(f"progress {done}/{total}", file=sys.stderr)
@@ -138,7 +148,7 @@ def cmd_product(args) -> int:
     rhs = parse_operand(args.rhs, kind, alphabet, semigroup)
     algebra = _FAMILIES[kind][0](alphabet, semigroup)
     index = () if args.op == "dot" else (args.omega,)
-    print(print_span(getattr(algebra, args.op)(lhs, rhs, *index)))
+    print(_span_text(getattr(algebra, args.op)(lhs, rhs, *index)))
     return EXIT_OK
 
 
@@ -169,7 +179,7 @@ def _check_axioms(args, kind: str, tensor: bool):
     else:
         shown = " ".join(f"{name}={print_tree(t)}" for name, t in zip("TUW", terms))
         shown += (f" alpha={failure['alpha']} beta={failure['beta']} "
-                  f"residual={print_span(failure['residual'])}")
+                  f"residual={_span_text(failure['residual'])}")
     return total, f"counterexample suite={args.suite} axiom={prefix}{failure['axiom']} {shown}"
 
 
@@ -181,15 +191,12 @@ def _load_rb(args):
         raise ValueError("this suite requires --rb-file")
     algebra, operators = _parsed(parse_rb_text, args.rb_file)
     algebra.validate()
-    rb = RBFamily(algebra, parse_coefficient(args.weight), operators)
+    rb = RBFamily(algebra, parse_coefficient(args.weight, "--lambda"), operators)
     sample = sorted(operators, key=semigroup.element_key)
-    for a in sample:
-        for b in sample:
-            ab = semigroup.mul(a, b)
-            if ab not in operators:
-                raise ValueError(
-                    f"operator sample is not product-closed: {a}*{b} = {ab} "
-                    "has no declared operator")
+    for a, b in itertools.product(sample, sample):
+        if (ab := semigroup.mul(a, b)) not in operators:
+            raise ValueError(f"operator sample is not product-closed: {a}*{b} = {ab} "
+                             "has no declared operator")
     return alphabet, semigroup, rb, sample
 
 
@@ -211,14 +218,13 @@ def _check_rb(args, counterexample, text):
 def _check_diagram(args):
     """gamma . epsilon against eta on basis pairs, once the family identity holds."""
     _, semigroup, rb, sample = _load_rb(args)
-    dim = rb.algebra.dim
-    total = dim * dim * len(sample)
+    basis = list(enumerate(map(rb.algebra.basis_vector, range(rb.algebra.dim))))
+    total = len(basis) ** 2 * len(sample)
     failure = rb_family_counterexample(rb, semigroup, sample)
     if failure is not None:
         return total, _identity_line("diagram", failure, "reason=not-a-Rota-Baxter-family")
     through_epsilon, direct = gamma(EpsilonOps(rb)), EtaOps(rb)
-    for i, j, w, name in itertools.product(range(dim), range(dim), sample, ("prec", "succ")):
-        x, y = rb.algebra.basis_vector(i), rb.algebra.basis_vector(j)
+    for (i, x), (j, y), w, name in itertools.product(basis, basis, sample, ("prec", "succ")):
         left, right = (getattr(ops, name)(x, y, w) for ops in (through_epsilon, direct))
         if left != right:
             return total, (f"counterexample suite=diagram op={name} i={i} j={j} omega={w} "
@@ -290,8 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_product)
 
     p = sub.add_parser("check", parents=[common], help="run an axiom or identity sweep")
-    p.add_argument("--suite", required=True,
-                   choices=list(_SUITES))
+    p.add_argument("--suite", required=True, choices=list(_SUITES))
     p.add_argument("--max-leaves", type=int, default=2)
     p.add_argument("--rb-file", default=None)
     p.add_argument("--lambda", dest="weight", default="1")
@@ -326,9 +331,10 @@ def main(argv=None) -> int:
     except (AlgebraError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (RecursionError, MemoryError) as exc:
+    except (RecursionError, MemoryError, OverflowError) as exc:
         # distinct from EXIT_COUNTEREXAMPLE: nothing was verified
-        print(f"error: resources exhausted ({type(exc).__name__})", file=sys.stderr)
+        reason = exc if type(exc) is OverflowError else type(exc).__name__
+        print(f"error: resources exhausted ({reason})", file=sys.stderr)
         return EXIT_RESOURCE
 
 

@@ -19,10 +19,7 @@ class InfiniteSemigroup(AlgebraError):
 
 
 class SemigroupViolation(AlgebraError):
-    """A Cayley table fails closure or associativity.
-
-    Carries the witnessing elements so reports can name the failure.
-    """
+    """A semigroup or its config is refused; a failed Cayley table carries its ``witness``."""
 
     def __init__(self, message, witness=None):
         super().__init__(message)

@@ -42,7 +42,7 @@ from typing import Iterable, Mapping, Optional, Tuple, Union
 from .basis import LinComb, Spans, Value, normalize
 from .errors import AlgebraError, AxiomFailure, InvalidElement, shown
 from .family import _Product
-from .rationals import exact, parse_coefficient
+from .rationals import exact, parse_coefficient, parse_integer
 from .semigroups import Semigroup, content_lines
 
 Coordinate = Union[int, Fraction]
@@ -467,14 +467,6 @@ class TensorFamily(TensorSpans):
 
 # -- the definition file format ------------------------------------------
 
-def _integer(field: str, line: str) -> int:
-    """The integer ``field`` of the file line ``line``; anything else is refused naming it."""
-    try:
-        return int(field)
-    except ValueError:
-        raise InvalidElement(f"bad integer {field!r} in line {line!r}") from None
-
-
 def parse_rb_text(text: str):
     """Parse an algebra/operator definition file.
 
@@ -484,12 +476,12 @@ def parse_rb_text(text: str):
     Returns (FiniteAlgebra, {omega: matrix}).
     """
     dim, constants, operators = None, {}, {}
-    for line in content_lines(text):
-        parts = line.split()
+    for number, line in content_lines(text):
+        parts, at = line.split(), f"line {number}: "
         if line.startswith("dim="):
             if dim is not None:
                 raise InvalidElement("dim= may be declared only once")
-            dim = _integer(line[len("dim="):], line)
+            dim = parse_integer(line[len("dim="):], at + "dim=")
             if dim < 1:
                 raise InvalidElement("dim must be >= 1")
         elif parts[0] in ("sc", "op") and dim is None:
@@ -497,12 +489,12 @@ def parse_rb_text(text: str):
         elif parts[0] == "sc":
             if len(parts) != 5:
                 raise InvalidElement(f"bad structure-constant line: {line!r}")
-            i, j, k = (_integer(p, line) for p in parts[1:4])
+            i, j, k = (parse_integer(p, f"{at}sc {name}") for name, p in zip("ijk", parts[1:4]))
             if not all(0 <= v < dim for v in (i, j, k)):
                 raise InvalidElement(f"basis index out of range: {line!r}")
             if (i, j, k) in constants:
                 raise InvalidElement(f"structure constant {i} {j} {k} may be declared only once")
-            constants[(i, j, k)] = parse_coefficient(parts[4])
+            constants[(i, j, k)] = parse_coefficient(parts[4], at + "sc coefficient")
         elif parts[0] == "op":
             omega = parts[1] if len(parts) > 1 else ""
             if len(parts) != 2 + dim * dim:
@@ -510,7 +502,7 @@ def parse_rb_text(text: str):
                                      f"got {len(parts) - 2}")
             if omega in operators:
                 raise InvalidElement(f"operator for {omega!r} may be declared only once")
-            values = [parse_coefficient(p) for p in parts[2:]]
+            values = [parse_coefficient(p, at + "op entry") for p in parts[2:]]
             operators[omega] = tuple(tuple(values[r * dim:(r + 1) * dim]) for r in range(dim))
         else:
             raise InvalidElement(f"unrecognised line in algebra file: {line!r}")
@@ -526,11 +518,11 @@ def parse_map_text(text: str, dim: int) -> dict:
     """Parse a generator-image map: one ``<symbol> <basis index>`` per line.
     ``#`` comments and blank lines are ignored."""
     images = {}
-    for line in content_lines(text):
+    for number, line in content_lines(text):
         parts = line.split()
         if len(parts) != 2:
             raise InvalidElement(f"bad map line: {line!r}")
-        symbol, index = parts[0], _integer(parts[1], line)
+        symbol, index = parts[0], parse_integer(parts[1], f"line {number}: basis index")
         if not 0 <= index < dim:
             raise InvalidElement(f"basis index out of range: {line!r}")
         if symbol in images:

@@ -23,23 +23,23 @@ edges of basis trees carry ``IDENTITY``.
 from __future__ import annotations
 
 import re
-import sys
 from itertools import product
 from typing import Iterable, Optional
 
 from .errors import InfiniteSemigroup, InvalidElement, SemigroupViolation, shown
+from .rationals import digit_limit, parse_integer
 
 # the token rule of element names, decoration symbols and the term grammar
 TOKEN_RE = re.compile(r"[A-Za-z0-9_]+")
 
 
 def content_lines(text: str):
-    """The nonblank lines of a definition file, each stripped of its ``#``
-    comment and of surrounding whitespace."""
-    for raw in text.splitlines():
+    """The nonblank lines of a definition file, each numbered from 1 and stripped
+    of its ``#`` comment and of surrounding whitespace."""
+    for number, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            yield line
+            yield number, line
 
 
 class _Identity:
@@ -109,8 +109,7 @@ class Semigroup:
                     f"cyclic semigroup order must be an int, got {shown(order)}")
             if order < 1:
                 raise SemigroupViolation("cyclic semigroup needs order >= 1")
-            limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 where there is no limit
-            if limit and order >= 10 ** limit:
+            if (limit := digit_limit()) and order >= 10 ** limit:
                 raise SemigroupViolation(f"cyclic semigroup order has more than {limit} digits")
             self.order = order
         elif kind == "table":
@@ -266,20 +265,6 @@ class Semigroup:
         return f"Semigroup.table({list(self._elements)}, ...)"
 
 
-def cyclic_of_numeral(numeral: str, field: str) -> Semigroup:
-    """The cyclic semigroup whose order is the decimal ``numeral``, read for ``field``
-    (``order=`` in a config file, ``cyclic:<n>`` on the command line).  A non-numeral,
-    or a numeral longer than the int-to-str digit limit, is refused naming ``field``
-    before ``int()`` reads it."""
-    numeral = numeral.strip()
-    if not re.fullmatch(r"[+-]?[0-9]+", numeral):
-        raise SemigroupViolation(f"{field} must be an integer")
-    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 where there is no limit
-    if limit and len(numeral.lstrip("+-")) > limit:
-        raise SemigroupViolation(f"{field} has more than {limit} digits")
-    return Semigroup.cyclic(int(numeral))
-
-
 def from_config_text(text: str) -> Semigroup:
     """Parse the line-oriented semigroup config format.
 
@@ -288,16 +273,15 @@ def from_config_text(text: str) -> Semigroup:
     names.  Blank lines and ``#`` comments, also after content, are ignored;
     any other line is refused.
     """
-    lines = list(content_lines(text))
+    lines = [line for _, line in content_lines(text)]
     if not lines or not lines[0].startswith("kind="):
         raise SemigroupViolation("config must start with kind=free|cyclic|table")
     kind = lines[0][len("kind="):].strip()
     body = lines[1:]
     if kind in ("free", "cyclic"):  # the body is the one generators= or order= line
         key = "generators=" if kind == "free" else "order="
-        for ln in body:
-            if not ln.startswith(key):
-                raise SemigroupViolation(f"unrecognised line in semigroup config: {ln!r}")
+        if stray := [ln for ln in body if not ln.startswith(key)]:
+            raise SemigroupViolation(f"unrecognised line in semigroup config: {stray[0]!r}")
         if not body:
             raise SemigroupViolation(f"{kind} semigroup config needs {key}")
         if len(body) > 1:
@@ -305,7 +289,7 @@ def from_config_text(text: str) -> Semigroup:
         value = body[0][len(key):]
         if kind == "free":
             return Semigroup.free([g.strip() for g in value.split(",") if g.strip()])
-        return cyclic_of_numeral(value, key)
+        return Semigroup.cyclic(parse_integer(value, key, SemigroupViolation))
     if kind == "table":
         rows = [[cell.strip() for cell in ln.split(",")] for ln in body]
         if not rows or rows[0][0] != "":

@@ -25,7 +25,6 @@ also finds the subtrees they repeat, whose text alone the printer keeps.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from functools import partial
 from typing import Union
 
@@ -33,6 +32,7 @@ from . import pbtrees, schroder
 from .basis import LEAF, Alphabet, LinComb, ZERO_SPAN, normalize
 from .errors import TermSyntaxError
 from .pbtrees import BinNode, BinTree
+from .rationals import parse_coefficient
 from .schroder import SchNode, SchTree
 from .semigroups import IDENTITY, TOKEN_RE, Semigroup
 
@@ -129,18 +129,18 @@ class _Parser:
             return IDENTITY if token == "1" else token
         return token if self.semigroup.contains(token) else IDENTITY
 
-    def rational(self) -> Fraction:
-        negative = self.at_sym("-")
-        if negative:
-            self.pos += 1
-        word = self.expect_word("rational", str.isdigit, "expected integer digits, found {}")
-        numerator = -int(word) if negative else int(word)
+    def rational(self):
+        """``[-]p[/q]``, read by :mod:`rationals` and refused at its first token."""
+        offset, negative = self.peek()[2], self.at_sym("-")
+        self.pos += negative
+        text = "-" * negative + self.expect_word("rational")
         if self.at_sym("/"):
             self.pos += 1
-            den = self.expect_word("denominator", lambda d: d.isdigit() and int(d) != 0,
-                                   "bad denominator {}")
-            return Fraction(numerator, int(den))
-        return Fraction(numerator)
+            text += "/" + self.expect_word("denominator")
+        try:
+            return parse_coefficient(text)
+        except ValueError as exc:
+            self.raise_at(str(exc), offset)
 
     # -- trees -------------------------------------------------------------
 

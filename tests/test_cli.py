@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -27,6 +28,7 @@ RB_K3_PERTURBED = RB_K3.replace("op 0 -1 0 0", "op 0 -1 1 0")
 MAP_XY = "x 0\ny 1\n"
 
 DATA = Path(__file__).parent / "data"
+DIGITS = sys.get_int_max_str_digits()  # 4,300 by default, read when the tests start
 RB_HALF = str(DATA / "rb_weight_half.txt")
 MAP_HALF = str(DATA / "map_xy.txt")
 
@@ -162,7 +164,8 @@ def table_configs(draw):
 SEMIGROUP_CONFIGS = st.one_of(
     st.one_of(mutated_configs(), table_configs()).map(str.encode),
     st.builds(lambda digit, n: f"kind=cyclic\norder={digit * n}\n".encode(),
-              st.sampled_from("0159"), st.one_of(st.integers(1, 20), st.integers(4290, 4310))),
+              st.sampled_from("0159"), st.one_of(st.integers(1, 20),
+                                                 st.integers(DIGITS - 10, DIGITS + 10))),
     st.builds(lambda text, tail: text.encode() + b"\xff" + tail,
               st.sampled_from(VALID_CONFIGS), st.binary(max_size=8)),
 )
@@ -179,6 +182,7 @@ def test_semigroup_config_files_are_read_or_refused_cleanly(capsys, tmp_path, co
     code, out, err = run(capsys, "enumerate", "binary", "1", "--alphabet", "x",
                          "--semigroup", str(cfg))
     assert code in (0, 2) and "Traceback" not in out + err
+    assert "set_int_max_str_digits" not in err
     if code == 0:
         assert out.endswith("count=1\n")
     else:
@@ -576,9 +580,9 @@ def test_repeated_generator_image_is_a_config_error(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("algebra, images, field", [
-    (RB_K3, "x 0\ny one\n", "'one' in line 'y one'"),
-    (RB_K3.replace("sc 1 1 1 1", "sc 0 x 0 1"), MAP_XY, "'x' in line 'sc 0 x 0 1'"),
-    (RB_K3.replace("dim=3", "dim=two"), MAP_XY, "'two' in line 'dim=two'"),
+    (RB_K3, "x 0\ny one\n", "line 2: basis index"),
+    (RB_K3.replace("sc 1 1 1 1", "sc 0 x 0 1"), MAP_XY, "line 3: sc j"),
+    (RB_K3.replace("dim=3", "dim=two"), MAP_XY, "line 1: dim="),
 ])
 def test_a_non_numeral_integer_field_is_refused_naming_its_line(capsys, tmp_path, algebra,
                                                                  images, field):
@@ -590,12 +594,12 @@ def test_a_non_numeral_integer_field_is_refused_naming_its_line(capsys, tmp_path
                          "--semigroup", "cyclic:2", "--rb-file", str(rb), "--lambda", "1",
                          "--map-file", str(map_file), "B[x;1:|,1:|]")
     named = rb if algebra != RB_K3 else map_file
-    assert (code, out, err) == (2, "", f"error: {named}: bad integer {field}\n")
+    assert (code, out, err) == (2, "", f"error: {named}: {field} must be an integer\n")
 
 
 def test_operator_length_refusal_never_formats_dim_squared(capsys, tmp_path):
-    # dim^2 of a 3,000-digit dim has 6,000 digits, past the int-to-str limit
-    nines = "9" * 3000
+    # dim^2 of a dim with more than half the int-to-str limit's digits is past the limit
+    nines = "9" * (DIGITS // 2 + 1)
     path = tmp_path / "rb-huge.txt"
     path.write_text(f"dim={nines}\nsc 0 0 0 1\nop 0 -1\n")
     code, out, err = run(capsys, "check", "--suite", "rb", "--alphabet", "x",
@@ -622,9 +626,6 @@ def test_every_file_refusal_names_its_file(capsys, tmp_path, name, text, error):
     assert (code, out, err) == (2, "", f"error: {path}: {error}\n")
 
 
-DIGITS = sys.get_int_max_str_digits()  # 4,300 by default
-
-
 @pytest.mark.parametrize("argv, config, error", [
     (("--semigroup", "cyclic:abc"), None, "cyclic:<n> must be an integer"),
     (("--semigroup", "cyclic:" + "9" * 5000), None, f"cyclic:<n> has more than {DIGITS} digits"),
@@ -641,6 +642,84 @@ def test_a_cyclic_order_is_read_as_a_numeral_or_refused_naming_its_field(capsys,
         argv, error = ("--semigroup", str(cfg)), f"{cfg}: {error}"
     assert run(capsys, "enumerate", "binary", "1", "--alphabet", "x", *argv) == (
         2, "", f"error: {error}\n")
+
+
+RB_ONE = "dim=1\nsc 0 0 0 1\nop 0 -1\nop 1 -1\n"
+ENUMERATE = ("enumerate", "binary", "1", "--alphabet", "x", "--semigroup")
+CHECK_RB = ("check", "--suite", "rb", "--alphabet", "x", "--semigroup", "cyclic:2",
+            "--rb-file", "rb.txt")
+EXTEND = ("extend", "--functor", "eta", "--alphabet", "x", "--semigroup", "cyclic:2",
+          "--rb-file", "rb.txt", "--map-file", "map.txt", "B[x;1:|,1:|]")
+PRODUCT = ("product", "prec", "B[x;1:|,1:|]", "--alphabet", "x", "--semigroup", "cyclic:2",
+           "--omega", "0")
+# site -> (the command line, the file that holds the numeral and its text, or None, and the
+# field that the refusal names, with what it must be); "{}" is where the numeral goes
+NUMERAL_SITES = {
+    "cyclic": (ENUMERATE + ("cyclic:{}",), None, "cyclic:<n> must be an integer"),
+    "order": (ENUMERATE + ("sg.cfg",), ("sg.cfg", "kind=cyclic\norder={}\n"),
+              "order= must be an integer"),
+    "dim": (CHECK_RB, ("rb.txt", "dim={}\nsc 0 0 0 1\nop 0 -1\nop 1 -1\n"),
+            "line 1: dim= must be an integer"),
+    "sc-index": (CHECK_RB, ("rb.txt", "dim=1\nsc 0 {} 0 1\nop 0 -1\nop 1 -1\n"),
+                 "line 2: sc j must be an integer"),
+    "sc-coefficient": (CHECK_RB, ("rb.txt", "dim=1\nsc 0 0 0 {}\nop 0 -1\nop 1 -1\n"),
+                       "line 2: sc coefficient must be a rational"),
+    "op-entry": (CHECK_RB, ("rb.txt", "dim=1\nsc 0 0 0 1\nop 0 {}\nop 1 -1\n"),
+                 "line 3: op entry must be a rational"),
+    "map-index": (EXTEND, ("map.txt", "x {}\n"), "line 1: basis index must be an integer"),
+    "lambda": (CHECK_RB + ("--lambda", "{}"), None, "--lambda must be a rational"),
+    "numerator": (PRODUCT + ("{}*B[x;1:|,1:|]",), None,
+                  "coefficient must be a rational (line 1, column 1)"),
+    "denominator": (PRODUCT + ("1/{}*B[x;1:|,1:|]",), None,
+                    "coefficient must be a rational (line 1, column 1)"),
+}
+
+
+@pytest.mark.parametrize("numeral", ["\u0663", "1_0", "long"],
+                         ids=["arabic-indic", "underscore", "past-the-limit"])
+@pytest.mark.parametrize("site", list(NUMERAL_SITES))
+def test_every_numeral_site_refuses_the_same_numerals_naming_its_field(capsys, tmp_path, site,
+                                                                      numeral):
+    # one reader: int() and Fraction() took a non-ASCII digit and '_' in the files and in
+    # --lambda, and a numeral past the int-to-str limit got Python's own message or an echo
+    argv, holder, error = NUMERAL_SITES[site]
+    if numeral == "long":
+        numeral = "9" * (DIGITS + 1)
+        error = re.sub(r"must be an? \w+", f"has more than {DIGITS} digits", error)
+    elif numeral == "\u0663" and "column" in error:  # a character that no term token has
+        column = 3 if site == "denominator" else 1
+        error = f"unexpected character '\u0663' (line 1, column {column})"
+    files = {"rb.txt": RB_ONE, "map.txt": "x 0\n"}
+    if holder is not None:
+        files[holder[0]] = holder[1].format(numeral)
+        error = f"{tmp_path / holder[0]}: {error}"
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    argv = [str(tmp_path / a) if a in files else a.format(numeral) for a in argv]
+    assert run(capsys, *argv) == (2, "", f"error: {error}\n")
+
+
+# N with three quarters of the limit's digits: N and -N are read, N^2 cannot be printed
+N = "9" * (DIGITS * 3 // 4)
+
+
+@pytest.mark.parametrize("argv", [
+    ("product", "prec", f"{N}*B[x;1:|,1:|]", f"{N}*B[x;1:|,1:|]", "--semigroup", "trivial",
+     "--omega", "0"),
+    ("extend", "--functor", "eta", "B[y;0:B[x;0:B[x;1:|,1:|],1:|],1:|]", "--semigroup",
+     "cyclic:2", "--rb-file", "rb.txt", "--map-file", "map.txt", "--lambda", N),
+    ("check", "--suite", "rb", "--semigroup", "cyclic:2", "--rb-file", "rb.txt"),
+    ("check", "--suite", "tensor-rb", "--semigroup", "cyclic:2", "--rb-file", "rb.txt"),
+], ids=["product", "extend", "rb-counterexample", "tensor-rb-counterexample"])
+def test_a_result_number_past_the_int_to_str_limit_is_refused_unprinted(capsys, tmp_path, argv):
+    # N^2 is a coefficient of the product, a coordinate of the extend vector (P = -N at
+    # weight N on k^1) and the left side of the counterexample (weight 1); each exited 2
+    # with Python's advice to call sys.set_int_max_str_digits(), after the work was done
+    (tmp_path / "rb.txt").write_text(f"dim=1\nsc 0 0 0 1\nop 0 -{N}\nop 1 -{N}\n")
+    (tmp_path / "map.txt").write_text("x 0\ny 0\n")
+    argv = [str(tmp_path / a) if a in ("rb.txt", "map.txt") else a for a in argv]
+    assert run(capsys, *argv, "--alphabet", "x,y") == (
+        4, "", f"error: resources exhausted (a result number has more than {DIGITS} digits)\n")
 
 
 @pytest.mark.parametrize("bound", ["0", "-1"])
@@ -757,17 +836,23 @@ def test_non_associative_algebra_file_line(capsys, tmp_path, map_file, argv):
 VALID_ALGEBRAS = [RB_K3, (DATA / "rb_weight_half.txt").read_text(), RB_K3_PERTURBED,
                   RB_K3_NOT_ASSOCIATIVE, "dim=1\nsc 0 0 0 1\nop 0 -1\nop 1 -1\n",
                   "dim=2\nsc 0 0 0 1\nsc 1 1 1 1\n"]
-HUGE = st.one_of(st.integers(1, 20), st.integers(4290, 4310))  # digits, also past the limit
+HUGE = st.one_of(st.integers(1, 20), st.integers(DIGITS - 10, DIGITS + 10))  # also past the limit
 
 
 @st.composite
 def edited_algebras(draw):
-    # one sc or op line with a zero denominator, an entry too few or too many, or repeated
+    # one sc or op line with a zero denominator, an entry too few or too many, repeated, or
+    # with one numeral of many digits, also past the limit
     lines = draw(st.sampled_from(VALID_ALGEBRAS)).splitlines()
     i = draw(st.sampled_from([i for i, ln in enumerate(lines) if ln[:3] in ("sc ", "op ")]))
-    edit = draw(st.sampled_from(["zero", "short", "long", "repeat"]))
+    edit = draw(st.sampled_from(["zero", "short", "long", "repeat", "huge"]))
     if edit == "repeat":
         lines.insert(i, lines[i])
+    elif edit == "huge":
+        parts = lines[i].split()
+        parts[draw(st.integers(1 if parts[0] == "sc" else 2, len(parts) - 1))] = (
+            draw(st.sampled_from(["", "-", "1/"])) + "9" * draw(HUGE))
+        lines[i] = " ".join(parts)
     else:
         head, _, last = lines[i].rpartition(" ")
         lines[i] = {"zero": f"{head} {draw(st.integers(-2, 2))}/0", "short": head,
@@ -787,6 +872,7 @@ MAP_FILES = st.one_of(  # missing, repeated, out-of-range and extra symbols amon
               st.sampled_from(["x 0\n", "x 0\ny 1\nx 2\n", "x 0\ny 3\n", "x -1\ny 0\n",
                                "x 0\ny 1\nz 2\n", "", "x\ny 1\n"])).map(str.encode),
     st.builds(lambda tail: MAP_XY.encode() + b"\xff" + tail, st.binary(max_size=8)),
+    st.builds(lambda n: f"x 0\ny {'9' * n}\n".encode(), HUGE),
 )
 WEIGHTS = st.one_of(
     st.sampled_from(["1", "1/2"]), st.sampled_from(["-3/6", "0", "1/0", "1/3"]),
@@ -815,13 +901,17 @@ def test_algebra_and_map_files_are_read_or_refused_cleanly(capsys, tmp_path, com
     extra = ["--map-file", str(map_file)] if command[0] == "extend" else []
     code, out, err = run(capsys, *command, "--semigroup", "cyclic:2", "--rb-file", str(rb),
                          *([f"--lambda={weight}"] if joined else ["--lambda", weight]), *extra)
-    assert code in (0, 1, 2, 3) and "Traceback" not in out + err
+    assert code in (0, 1, 2, 3, 4) and "Traceback" not in out + err
+    assert "set_int_max_str_digits" not in err
     if code == 1:
         assert out.startswith(("counterexample suite=", "axiom failure: "))
         assert out.count("\n") == 1
     elif code in (2, 3):
         assert out == "" and err.startswith("error: ") and err.endswith("\n")
         assert err.count("\n") == 1
+    elif code == 4:  # a result with a number too long to print: never printed
+        assert out == "" and err == ("error: resources exhausted (a result number has more "
+                                     f"than {DIGITS} digits)\n")
 
 
 # cascading-sum families on k^3 of weight -1/2 and, checked at -1/2 to fail, of weight -1/4

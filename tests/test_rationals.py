@@ -1,10 +1,11 @@
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dendrifam.rationals import exact, parse_coefficient
+from dendrifam.rationals import exact, parse_coefficient, parse_integer
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
 
@@ -57,6 +58,48 @@ def test_format_parse_round_trip(a):
 def test_parse_rejects(text):
     with pytest.raises(ValueError):
         parse_coefficient(text)
+
+
+@pytest.mark.parametrize("text, value", [("7", 7), (" -12 ", -12), ("+3", 3), ("007", 7)])
+def test_parse_integer(text, value):
+    assert parse_integer(text, "n") == value
+
+
+@pytest.mark.parametrize("text", ["", "x", "1.5", "1_0", "1 0", "--1",
+                                  "\u0663", "\uff17", "\u00b2"])
+def test_parse_integer_takes_ascii_digits_only(text):
+    # int() takes '1_0' and the Arabic-Indic and fullwidth digits
+    with pytest.raises(ValueError, match="^n must be an integer$"):
+        parse_integer(text, "n")
+
+
+@pytest.mark.parametrize("text", ["\u0663", "1_0", "1/\u0663", "+1", "1 /2", "1/+2"])
+def test_parse_coefficient_takes_ascii_digits_only(text):
+    with pytest.raises(ValueError, match="^weight must be a rational$"):
+        parse_coefficient(text, "weight")
+
+
+def test_parse_coefficient_refuses_a_zero_denominator_naming_its_field():
+    with pytest.raises(ValueError, match="^coefficient has a zero denominator$"):
+        parse_coefficient("-3/000")
+
+
+def test_every_digit_run_is_checked_against_the_limit_read_at_the_call(monkeypatch):
+    # a run past the limit is refused before int() sees it, and never echoed
+    limit = sys.get_int_max_str_digits()
+    long = "9" * (limit + 1)
+    for text in (long, "-" + long, "1/" + long, long + "/2"):
+        with pytest.raises(ValueError, match=f"^c has more than {limit} digits$"):
+            parse_coefficient(text, "c")
+    with pytest.raises(ValueError, match=f"^n has more than {limit} digits$"):
+        parse_integer("+" + long, "n")
+    assert parse_integer("9" * limit, "n") == 10 ** limit - 1
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 3)
+    assert parse_coefficient("-999/999", "c") == -1
+    with pytest.raises(ValueError, match="^c has more than 3 digits$"):
+        parse_coefficient("1/1000", "c")
+    with pytest.raises(ValueError, match="^n has more than 3 digits$"):
+        parse_integer("1000", "n")
 
 
 @given(rationals)

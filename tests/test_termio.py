@@ -1,4 +1,5 @@
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -97,6 +98,31 @@ def test_syntax_errors_report_line_and_column(text, kind, message):
     with pytest.raises(TermSyntaxError) as info:
         parse_operand(text, kind, X, FREE)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1_0*B[x;1:|,1:|]", "coefficient must be a rational (line 1, column 1)"),
+    ("1*B[x;1:|,1:|] +\n - 3 / 0x*B[x;1:|,1:|]",
+     "coefficient must be a rational (line 2, column 2)"),
+    ("2/00*B[x;1:|,1:|]", "coefficient has a zero denominator (line 1, column 1)"),
+    ("-/2*B[x;1:|,1:|]", "expected rational, found '/' (line 1, column 2)"),
+])
+def test_coefficients_are_read_as_numerals_or_refused_at_their_first_token(text, message):
+    with pytest.raises(TermSyntaxError) as info:
+        parse_span(text, "binary", X, Z2)
+    assert str(info.value) == message
+
+
+def test_coefficient_digit_runs_past_the_limit_are_refused_unechoed():
+    # int() used to raise its own ValueError, with no line or column
+    limit = sys.get_int_max_str_digits()
+    for text in ("9" * (limit + 1), "1/" + "9" * (limit + 1)):
+        with pytest.raises(TermSyntaxError) as info:
+            parse_span(f"1*B[x;1:|,1:|] + -{text}*B[y;1:|,1:|]", "binary", X, Z2)
+        assert str(info.value) == f"coefficient has more than {limit} digits (line 1, column 18)"
+    n = "9" * limit  # within the limit: read
+    assert parse_span(f"{n}/{n}*B[x;1:|,1:|]", "binary", X, Z2).map == parse_span(
+        "1*B[x;1:|,1:|]", "binary", X, Z2).map
 
 
 def test_arity_mismatch_surfaces():
