@@ -189,7 +189,7 @@ def _load_rb(args):
     alphabet, semigroup = _config(args)
     if not args.rb_file:
         raise ValueError("this suite requires --rb-file")
-    algebra, operators = _parsed(parse_rb_text, args.rb_file)
+    algebra, operators = _parsed(parse_rb_text, args.rb_file, semigroup)
     algebra.validate()
     rb = RBFamily(algebra, parse_coefficient(args.weight, "--lambda"), operators)
     sample = sorted(operators, key=semigroup.element_key)

@@ -1,9 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how a refusal shows outside text."""
+
+SHOWN_MAX = 40  # the most characters of a repr that a refusal shows
 
 
 def shown(x) -> str:
-    """``x`` in an error message: a string's repr, else its type, never a deep repr."""
-    return repr(x) if type(x) is str else f"a {type(x).__name__}"
+    """``x`` in a refusal: a string whose repr fits in ``SHOWN_MAX`` characters as that repr
+    (``'ab'``; a repr is longer than its string, so the string's first ``SHOWN_MAX``
+    characters decide), a longer one as ``a string of N characters``, else its type."""
+    if type(x) is not str:
+        return f"a {type(x).__name__}"
+    text = repr(x[:SHOWN_MAX])
+    return text if len(text) <= SHOWN_MAX else f"a string of {len(x)} characters"
 
 
 class AlgebraError(Exception):

@@ -467,45 +467,48 @@ class TensorFamily(TensorSpans):
 
 # -- the definition file format ------------------------------------------
 
-def parse_rb_text(text: str):
+def parse_rb_text(text: str, semigroup: Semigroup):
     """Parse an algebra/operator definition file.
 
     Line format: ``dim=<d>``; structure constants ``sc i j k coeff`` (absent
     entries are zero); at least one operator matrix ``op <omega> v11 v12 ...``
-    with d*d rationals row-major.  ``#`` comments and blank lines are ignored.
-    Returns (FiniteAlgebra, {omega: matrix}).
+    with d*d rationals row-major, omega an element of ``semigroup``.  ``#``
+    comments and blank lines are ignored.  Returns (FiniteAlgebra, {omega: matrix}).
     """
     dim, constants, operators = None, {}, {}
-    for number, line in content_lines(text):
-        parts, at = line.split(), f"line {number}: "
+    for at, line in content_lines(text):
+        parts = line.split()
         if line.startswith("dim="):
             if dim is not None:
-                raise InvalidElement("dim= may be declared only once")
+                raise InvalidElement(f"{at}dim= may be declared only once")
             dim = parse_integer(line[len("dim="):], at + "dim=")
             if dim < 1:
-                raise InvalidElement("dim must be >= 1")
+                raise InvalidElement(f"{at}dim must be >= 1")
         elif parts[0] in ("sc", "op") and dim is None:
-            raise InvalidElement(f"dim= must precede {parts[0]} lines")
+            raise InvalidElement(f"{at}dim= must precede {parts[0]} lines")
         elif parts[0] == "sc":
             if len(parts) != 5:
-                raise InvalidElement(f"bad structure-constant line: {line!r}")
+                raise InvalidElement(f"{at}bad structure-constant line")
             i, j, k = (parse_integer(p, f"{at}sc {name}") for name, p in zip("ijk", parts[1:4]))
             if not all(0 <= v < dim for v in (i, j, k)):
-                raise InvalidElement(f"basis index out of range: {line!r}")
+                raise InvalidElement(f"{at}basis index out of range")
             if (i, j, k) in constants:
-                raise InvalidElement(f"structure constant {i} {j} {k} may be declared only once")
+                raise InvalidElement(
+                    f"{at}structure constant {i} {j} {k} may be declared only once")
             constants[(i, j, k)] = parse_coefficient(parts[4], at + "sc coefficient")
         elif parts[0] == "op":
             omega = parts[1] if len(parts) > 1 else ""
             if len(parts) != 2 + dim * dim:
-                raise InvalidElement(f"operator for {omega!r} needs {dim}x{dim} entries, "
-                                     f"got {len(parts) - 2}")
+                raise InvalidElement(f"{at}operator for {shown(omega)} needs {dim}x{dim} "
+                                     f"entries, got {len(parts) - 2}")
             if omega in operators:
-                raise InvalidElement(f"operator for {omega!r} may be declared only once")
+                raise InvalidElement(f"{at}operator for {shown(omega)} may be declared only once")
+            if not semigroup.contains(omega):
+                raise InvalidElement(f"{at}{shown(omega)} is not an element of the semigroup")
             values = [parse_coefficient(p, at + "op entry") for p in parts[2:]]
             operators[omega] = tuple(tuple(values[r * dim:(r + 1) * dim]) for r in range(dim))
         else:
-            raise InvalidElement(f"unrecognised line in algebra file: {line!r}")
+            raise InvalidElement(f"{at}unrecognised line in algebra file")
     if dim is None:
         raise InvalidElement("algebra file must declare dim=")
     if not operators:
@@ -518,15 +521,15 @@ def parse_map_text(text: str, dim: int) -> dict:
     """Parse a generator-image map: one ``<symbol> <basis index>`` per line.
     ``#`` comments and blank lines are ignored."""
     images = {}
-    for number, line in content_lines(text):
+    for at, line in content_lines(text):
         parts = line.split()
         if len(parts) != 2:
-            raise InvalidElement(f"bad map line: {line!r}")
-        symbol, index = parts[0], parse_integer(parts[1], f"line {number}: basis index")
+            raise InvalidElement(f"{at}bad map line")
+        symbol, index = parts[0], parse_integer(parts[1], at + "basis index")
         if not 0 <= index < dim:
-            raise InvalidElement(f"basis index out of range: {line!r}")
+            raise InvalidElement(f"{at}basis index out of range")
         if symbol in images:
-            raise InvalidElement(f"image of {symbol!r} may be declared only once")
+            raise InvalidElement(f"{at}image of {shown(symbol)} may be declared only once")
         images[symbol] = index
     if not images:
         raise InvalidElement("map file declares no generator images")

@@ -34,12 +34,12 @@ TOKEN_RE = re.compile(r"[A-Za-z0-9_]+")
 
 
 def content_lines(text: str):
-    """The nonblank lines of a definition file, each numbered from 1 and stripped
-    of its ``#`` comment and of surrounding whitespace."""
+    """The nonblank lines of a definition file, stripped of ``#`` comments and surrounding
+    whitespace, each after ``line N: `` (N from 1), which starts every refusal of it."""
     for number, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            yield number, line
+            yield f"line {number}: ", line
 
 
 class _Identity:
@@ -99,9 +99,8 @@ class Semigroup:
             if not gens or len(set(gens)) != len(gens):
                 raise SemigroupViolation("free semigroup needs distinct nonempty generators")
             if not _uniquely_decodable(gens):
-                raise SemigroupViolation(
-                    f"free generators {list(gens)} are not uniquely decodable: "
-                    "some word is a product of generators in two ways")
+                raise SemigroupViolation("free generators are not uniquely decodable: "
+                                         "some word is a product of generators in two ways")
             self.generators = gens
         elif kind == "cyclic":
             if type(order) is not int:
@@ -118,7 +117,7 @@ class Semigroup:
                 raise SemigroupViolation("Cayley table must have one row per element")
             for a, row in zip(elems, rows):
                 if len(row) != len(elems):
-                    raise SemigroupViolation(f"row for {a} has wrong length")
+                    raise SemigroupViolation(f"row for {shown(a)} has wrong length")
             elems = tuple(_check_token(e) for e in elems)
             if not elems or len(set(elems)) != len(elems):
                 raise SemigroupViolation("table semigroup needs distinct nonempty elements")
@@ -273,35 +272,32 @@ def from_config_text(text: str) -> Semigroup:
     names.  Blank lines and ``#`` comments, also after content, are ignored;
     any other line is refused.
     """
-    lines = [line for _, line in content_lines(text)]
-    if not lines or not lines[0].startswith("kind="):
+    (_, head), *body = list(content_lines(text)) or [("", "")]
+    if not head.startswith("kind="):
         raise SemigroupViolation("config must start with kind=free|cyclic|table")
-    kind = lines[0][len("kind="):].strip()
-    body = lines[1:]
+    kind = head[len("kind="):].strip()
     if kind in ("free", "cyclic"):  # the body is the one generators= or order= line
         key = "generators=" if kind == "free" else "order="
-        if stray := [ln for ln in body if not ln.startswith(key)]:
-            raise SemigroupViolation(f"unrecognised line in semigroup config: {stray[0]!r}")
+        if stray := [at for at, line in body if not line.startswith(key)]:
+            raise SemigroupViolation(f"{stray[0]}unrecognised line in semigroup config")
         if not body:
             raise SemigroupViolation(f"{kind} semigroup config needs {key}")
         if len(body) > 1:
-            raise SemigroupViolation(f"{key} may be declared only once")
-        value = body[0][len(key):]
+            raise SemigroupViolation(f"{body[1][0]}{key} may be declared only once")
+        at, value = body[0][0], body[0][1][len(key):]
         if kind == "free":
             return Semigroup.free([g.strip() for g in value.split(",") if g.strip()])
-        return Semigroup.cyclic(parse_integer(value, key, SemigroupViolation))
-    if kind == "table":
-        rows = [[cell.strip() for cell in ln.split(",")] for ln in body]
-        if not rows or rows[0][0] != "":
+        return Semigroup.cyclic(parse_integer(value, at + key, SemigroupViolation))
+    if kind == "table":  # a header row ",a,b", then one row "a,aa,ab" per element
+        if not body or not body[0][1].startswith(","):
             raise SemigroupViolation("Cayley table header row must start with an empty cell")
-        names = rows[0][1:]
-        data = []
-        for row in rows[1:]:
-            if not row or row[0] not in names:
-                raise SemigroupViolation(f"unexpected table row: {row!r}")
-            data.append((row[0], row[1:]))
-        by_name = dict(data)
-        if len(by_name) != len(names) or len(data) != len(names):  # a row missing or repeated
+        names, by_name = [cell.strip() for cell in body[0][1].split(",")[1:]], {}
+        for at, line in body[1:]:
+            name, *row = [cell.strip() for cell in line.split(",")]
+            if name not in names:
+                raise SemigroupViolation(f"{at}unexpected table row")
+            by_name[name] = row
+        if len(by_name) != len(names) or len(body) != len(names) + 1:  # a row missing or repeated
             raise SemigroupViolation("Cayley table rows do not match the header")
         return Semigroup.table(names, [by_name[n] for n in names])
-    raise SemigroupViolation(f"unknown semigroup kind: {kind!r}")
+    raise SemigroupViolation(f"unknown semigroup kind: {shown(kind)}")

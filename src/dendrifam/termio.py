@@ -30,7 +30,7 @@ from typing import Union
 
 from . import pbtrees, schroder
 from .basis import LEAF, Alphabet, LinComb, ZERO_SPAN, normalize
-from .errors import TermSyntaxError
+from .errors import TermSyntaxError, shown
 from .pbtrees import BinNode, BinTree
 from .rationals import parse_coefficient
 from .schroder import SchNode, SchTree
@@ -42,28 +42,19 @@ _SCANNER = re.compile(
     rf"\s*(?:(?P<sym>[][;:,*+/()|-])|(?P<word>{TOKEN_RE.pattern})|(?P<bad>\S))")
 
 
-def _position(text: str, offset: int):
-    """The line and column of ``offset`` in ``text``, both counted from 1."""
-    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
-
-
-def _tokenize(text: str):
-    """A ``(kind, value, offset)`` triple per token, then an ``end`` token."""
-    tokens = []
-    for match in _SCANNER.finditer(text):
-        kind = match.lastgroup
-        if kind == "bad":
-            raise TermSyntaxError(f"unexpected character {match[kind]!r}",
-                                  *_position(text, match.start(kind)))
-        tokens.append((kind, match[kind], match.start(kind)))
-    tokens.append(("end", "", len(text)))
-    return tokens
-
-
 class _Parser:
     def __init__(self, text: str, kind: str, alphabet: Alphabet, semigroup: Semigroup):
+        if kind not in ("binary", "schroder"):
+            raise ValueError(f"tree kind must be 'binary' or 'schroder', not {shown(kind)}")
         self.text = text
-        self.tokens = _tokenize(text)
+        # a (kind, value, offset) triple per token, then an end token
+        tokens = self.tokens = []
+        for match in _SCANNER.finditer(text):
+            group = match.lastgroup
+            if group == "bad":
+                self.raise_at(f"unexpected character {shown(match[group])}", match.start(group))
+            tokens.append((group, match[group], match.start(group)))
+        tokens.append(("end", "", len(text)))
         self.pos = 0
         self.alphabet = alphabet
         self.semigroup = semigroup
@@ -77,11 +68,14 @@ class _Parser:
         return self.tokens[self.pos]
 
     def raise_at(self, message, offset):
-        raise TermSyntaxError(message, *_position(self.text, offset))
+        """Refuse the text at ``offset``, named by its line and column, both from 1."""
+        text = self.text
+        raise TermSyntaxError(message, text.count("\n", 0, offset) + 1,
+                              offset - text.rfind("\n", 0, offset))
 
     def fail(self, message):
         _, value, offset = self.peek()
-        self.raise_at(f"{message}, found {value!r}" if value else message, offset)
+        self.raise_at(f"{message}, found {shown(value)}" if value else message, offset)
 
     def at_sym(self, symbol):
         # no word, and not the end token, equals a symbol character
@@ -89,17 +83,16 @@ class _Parser:
 
     def expect_sym(self, symbol):
         if not self.at_sym(symbol):
-            self.fail(f"expected {symbol!r}")
+            self.fail(f"expected {shown(symbol)}")
         self.pos += 1
 
     def expect_word(self, what, valid=None, rejection=""):
-        """The next word; ``rejection`` (a format of its repr) is raised at
-        the word when ``valid`` refuses it."""
+        """The next word, refused with ``rejection.format(shown(word))`` if not ``valid``."""
         kind, value, offset = self.peek()
         if kind != "word":
             self.fail(f"expected {what}")
         if valid is not None and not valid(value):
-            self.raise_at(rejection.format(repr(value)), offset)
+            self.raise_at(rejection.format(shown(value)), offset)
         self.pos += 1
         return value
 

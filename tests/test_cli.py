@@ -564,7 +564,7 @@ def test_operator_index_outside_the_semigroup_is_a_config_error(capsys, tmp_path
     code, out, err = run(capsys, "check", "--suite", suite, "--alphabet", "x",
                          "--semigroup", "cyclic:2", "--rb-file", str(path))
     assert (code, out) == (2, "")
-    assert err == "error: '2' is not an element of the semigroup\n"
+    assert err == f"error: {path}: line 3: '2' is not an element of the semigroup\n"
 
 
 def test_repeated_generator_image_is_a_config_error(capsys, tmp_path):
@@ -605,13 +605,13 @@ def test_operator_length_refusal_never_formats_dim_squared(capsys, tmp_path):
     code, out, err = run(capsys, "check", "--suite", "rb", "--alphabet", "x",
                          "--semigroup", "cyclic:2", "--rb-file", str(path))
     assert (code, out) == (2, "")
-    assert err == f"error: {path}: operator for '0' needs {nines}x{nines} entries, got 1\n"
+    assert err == f"error: {path}: line 3: operator for '0' needs {nines}x{nines} entries, got 1\n"
 
 
 @pytest.mark.parametrize("name, text, error", [
     ("sg.cfg", b"kind=ring\n", "unknown semigroup kind: 'ring'"),
-    ("rb.txt", b"dim=1\nsc 0 0 0 1\nop 0 -1\nbogus\n", "unrecognised line in algebra file: 'bogus'"),
-    ("map.txt", b"x 0\ny\n", "bad map line: 'y'"),
+    ("rb.txt", b"dim=1\nsc 0 0 0 1\nop 0 -1\nbogus\n", "line 4: unrecognised line in algebra file"),
+    ("map.txt", b"x 0\ny\n", "line 2: bad map line"),
     ("map.txt", b"x 0\n\xff\n", "'utf-8' codec can't decode byte 0xff in position 4: "
                                   "invalid start byte"),
 ], ids=["semigroup-config", "algebra", "map", "map-bytes"])
@@ -629,8 +629,9 @@ def test_every_file_refusal_names_its_file(capsys, tmp_path, name, text, error):
 @pytest.mark.parametrize("argv, config, error", [
     (("--semigroup", "cyclic:abc"), None, "cyclic:<n> must be an integer"),
     (("--semigroup", "cyclic:" + "9" * 5000), None, f"cyclic:<n> has more than {DIGITS} digits"),
-    ((), "kind=cyclic\norder=abc\n", "order= must be an integer"),
-    ((), "kind=cyclic\norder=" + "9" * 5000 + "\n", f"order= has more than {DIGITS} digits"),
+    ((), "kind=cyclic\norder=abc\n", "line 2: order= must be an integer"),
+    ((), "kind=cyclic\norder=" + "9" * 5000 + "\n",
+     f"line 2: order= has more than {DIGITS} digits"),
 ], ids=["option-word", "option-long", "config-word", "config-long"])
 def test_a_cyclic_order_is_read_as_a_numeral_or_refused_naming_its_field(capsys, tmp_path, argv,
                                                                          config, error):
@@ -657,7 +658,7 @@ PRODUCT = ("product", "prec", "B[x;1:|,1:|]", "--alphabet", "x", "--semigroup", 
 NUMERAL_SITES = {
     "cyclic": (ENUMERATE + ("cyclic:{}",), None, "cyclic:<n> must be an integer"),
     "order": (ENUMERATE + ("sg.cfg",), ("sg.cfg", "kind=cyclic\norder={}\n"),
-              "order= must be an integer"),
+              "line 2: order= must be an integer"),
     "dim": (CHECK_RB, ("rb.txt", "dim={}\nsc 0 0 0 1\nop 0 -1\nop 1 -1\n"),
             "line 1: dim= must be an integer"),
     "sc-index": (CHECK_RB, ("rb.txt", "dim=1\nsc 0 {} 0 1\nop 0 -1\nop 1 -1\n"),
@@ -720,6 +721,100 @@ def test_a_result_number_past_the_int_to_str_limit_is_refused_unprinted(capsys, 
     argv = [str(tmp_path / a) if a in ("rb.txt", "map.txt") else a for a in argv]
     assert run(capsys, *argv, "--alphabet", "x,y") == (
         4, "", f"error: resources exhausted (a result number has more than {DIGITS} digits)\n")
+
+
+TERM = ("product", "prec", "--alphabet", "x", "--semigroup", "cyclic:2", "--omega", "0")
+TREE = "B[x;1:|,1:|]"
+# site -> (the command line, the file that holds the text and its contents, or None, the
+# refused piece of text, and the refusal); "{}" is where the text goes, and the refusal
+# shows the piece in "{}" (a file refusal names its line instead); the text is nines, so
+# the algebra file's sc line is out of range before its coefficient is read
+TEXT_SITES = {
+    "term-word": (TERM + ("B[{};1:|,1:|]", TREE), None, "{}",
+                  "undeclared decoration symbol {} (line 1, column 3)"),
+    "edge-token": (TERM + ("B[x;{}:|,1:|]", TREE), None, "{}",
+                   "undeclared semigroup element {} (line 1, column 5)"),
+    "trailing-word": (TERM + (TREE + " {}", TREE), None, "{}",
+                      "unexpected trailing input, found {} (line 1, column 14)"),
+    "omega": (TERM[:-1] + ("{}", TREE, TREE), None, "{}",
+              "{} is not an element of the semigroup"),
+    "alphabet-symbol": (ENUMERATE[:-2] + ("{}-", "--semigroup", "cyclic:2"), None, "{}-",
+                        "bad decoration symbol: {}"),
+    "free-generator": (ENUMERATE + ("free:{}-", "--max-word", "1"), None, "{}-",
+                       "bad element token: {}"),
+    "sc-line": (CHECK_RB, ("rb.txt", "dim=1\nsc 0 5 0 {}\nop 0 -1\nop 1 -1\n"), None,
+                "line 2: basis index out of range"),
+    "algebra-line": (CHECK_RB, ("rb.txt", RB_ONE + "{}\n"), None,
+                     "line 5: unrecognised line in algebra file"),
+    "op-index": (CHECK_RB, ("rb.txt", RB_ONE + "op {} -1\n"), "{}",
+                 "line 5: {} is not an element of the semigroup"),
+    "map-line": (EXTEND, ("map.txt", "x 0 {}\n"), None, "line 1: bad map line"),
+    "config-line": (ENUMERATE + ("sg.cfg",), ("sg.cfg", "kind=cyclic\norder=2\n{}\n"), None,
+                    "line 3: unrecognised line in semigroup config"),
+    "table-row": (ENUMERATE + ("sg.cfg",), ("sg.cfg", "kind=table\n,e\ne,e\n{},e\n"), None,
+                  "line 4: unexpected table row"),
+}
+
+
+@pytest.mark.parametrize("size", [4, 10_000])
+@pytest.mark.parametrize("site", list(TEXT_SITES))
+def test_every_refusal_of_outside_text_shows_it_bounded(capsys, tmp_path, site, size):
+    # each refusal echoed the text whole, so an input of 10,000 characters wrote over 10,000
+    # bytes of stderr; a short piece is shown as before, and a file line is named by number
+    argv, holder, piece, error = TEXT_SITES[site]
+    text = "9" * size
+    if piece is not None:
+        piece = piece.format(text)
+        error = error.format(repr(piece) if size == 4 else f"a string of {len(piece)} characters")
+    files = {"rb.txt": RB_ONE, "map.txt": "x 0\n"}
+    prefix = ""
+    if holder is not None:
+        files[holder[0]] = holder[1].format(text)
+        prefix = f"{tmp_path / holder[0]}: "
+    for name, contents in files.items():
+        (tmp_path / name).write_text(contents)
+    argv = [str(tmp_path / a) if a in files else a.format(text) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {prefix}{error}\n")
+    assert len(err.encode()) <= 200 + len(prefix)
+
+
+def test_an_operator_index_is_refused_at_its_line_before_later_lines(capsys, tmp_path):
+    # the index was checked after the whole file was read, and its refusal named no file
+    path = tmp_path / "rb.txt"
+    path.write_text("dim=1\nsc 0 0 0 1\nop q -1\nbogus\n")
+    assert run(capsys, *CHECK_RB[:-1], str(path)) == (
+        2, "", f"error: {path}: line 3: 'q' is not an element of the semigroup\n")
+
+
+@pytest.mark.parametrize("argv, code, error", [
+    (("check", "--suite", "rb", "--alphabet", "x", "--semigroup", "cyclic:2", "--rb-file",
+      "rb.txt"), 2, "operator sample is not product-closed: 1*1 = 0 has no declared operator"),
+    (("check", "--suite", "dendriform", "--alphabet", "x", "--semigroup", "cyclic:2",
+      "--max-leaves", "1"), 2, "--max-leaves must be at least 2"),
+    (("extend", "--functor", "eta", "|", "--alphabet", "x", "--semigroup", "cyclic:2",
+      "--rb-file", RB_HALF, "--lambda", "1/2", "--map-file", "map.txt"), 3,
+     "the leaf has no image under the universal morphism"),
+    (("enumerate", "binary", "1", "--alphabet", ",", "--semigroup", "cyclic:2"), 2,
+     "alphabet must be nonempty"),
+    (("enumerate", "binary", "1", "--alphabet", "x,x", "--semigroup", "cyclic:2"), 2,
+     "alphabet symbols must be distinct"),
+    (("enumerate", "binary", "1", "--alphabet", "x", "--semigroup", "free:"), 2,
+     "free semigroup needs distinct nonempty generators"),
+    (("enumerate", "binary", "1", "--alphabet", "x", "--semigroup", "free:a,a"), 2,
+     "free semigroup needs distinct nonempty generators"),
+    (("enumerate", "binary", "1", "--alphabet", "x", "--semigroup", "free:a,aa",
+      "--max-word", "1"), 2,
+     "free generators are not uniquely decodable: some word is a product of generators in two "
+     "ways"),
+], ids=["sample-not-closed", "max-leaves", "extend-leaf", "empty-alphabet", "repeated-symbol",
+        "no-generators", "repeated-generator", "ambiguous-generators"])
+def test_command_refusals_exit_with_their_exact_message(capsys, tmp_path, argv, code, error):
+    # the operator for 1 alone: 1*1 = 0 in cyclic:2 has none
+    (tmp_path / "rb.txt").write_text("dim=1\nsc 0 0 0 1\nop 1 -1\n")
+    (tmp_path / "map.txt").write_text("x 0\n")
+    argv = [str(tmp_path / a) if a in ("rb.txt", "map.txt") else a for a in argv]
+    assert run(capsys, *argv) == (code, "", f"error: {error}\n")
 
 
 @pytest.mark.parametrize("bound", ["0", "-1"])

@@ -618,7 +618,7 @@ op 1 -1 0 -1 -1
 
 
 def test_parse_rb_text():
-    algebra, operators = parse_rb_text(RB_TEXT)
+    algebra, operators = parse_rb_text(RB_TEXT, Z2)
     assert algebra.dim == 2
     algebra.validate()
     assert operators["0"] == ((-ONE, Fraction(0)), (-ONE, -ONE))
@@ -641,7 +641,7 @@ def test_parse_rb_text():
 ])
 def test_parse_rb_rejects(text):
     with pytest.raises((InvalidElement, ValueError)):
-        parse_rb_text(text)
+        parse_rb_text(RB_TEXT.replace("op 1", "op 2"), Z2)
 
 
 def test_parse_map_text():
@@ -653,3 +653,9 @@ def test_parse_map_text():
         parse_map_text("", 3)
     with pytest.raises(InvalidElement, match="only once"):
         parse_map_text("x 0\ny 1\nx 2\n", 3)
+
+
+def test_parse_rb_text_refuses_an_operator_index_outside_the_semigroup_at_its_line():
+    # the index was checked only by the CLI, after the whole file was read
+    with pytest.raises(InvalidElement, match="^line 6: '2' is not an element of the semigroup$"):
+        parse_rb_text(RB_TEXT.replace("op 1", "op 2"), Z2)

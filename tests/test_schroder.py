@@ -114,6 +114,12 @@ def test_little_schroder_numbers():
         assert len(enumerate_sch(n, X1, TRIVIAL)) == expected
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_enumeration_below_two_leaves_is_refused(n):
+    with pytest.raises(ValueError, match="^basis trees need at least two leaves$"):
+        enumerate_sch(n, X1, TRIVIAL)
+
+
 @pytest.mark.parametrize("alphabet,semigroup", [(X1, TRIVIAL), (X2, Z2)])
 def test_enumerate_matches_shape_oracle(alphabet, semigroup):
     x, o = len(alphabet), len(semigroup.elements())

@@ -66,6 +66,19 @@ def test_undeclared_tokens_are_parse_errors():
         parse_tree("B[x;1:|,zz:B[y;1:|,1:|]]", "binary", X, FREE)
 
 
+@pytest.mark.parametrize("parse, text, kind", [
+    (parse_span, "1*S[x;1:|,1:|]", "bogus"),
+    (parse_operand, "B[x;1:|,1:|]", "Binary"),
+    (parse_tree, "|", ""),
+])
+def test_an_unknown_tree_kind_is_refused(parse, text, kind):
+    # any kind but "binary" was read as Schröder: the first parsed, the second failed with
+    # "expected a Schröder tree"
+    with pytest.raises(ValueError, match=f"^tree kind must be 'binary' or 'schroder', "
+                                         f"not '{kind}'$"):
+        parse(text, kind, X, FREE)
+
+
 def test_syntax_error_carries_position():
     with pytest.raises(TermSyntaxError) as info:
         parse_tree("B[x;1:|,1:|", "binary", X, FREE)

@@ -7,6 +7,7 @@ type, never by its repr, which is as deep as the value."""
 
 import copy
 import pickle
+import re
 import subprocess
 import sys
 from dataclasses import FrozenInstanceError
@@ -18,7 +19,7 @@ import pytest
 from dendrifam import exprs, pbtrees, schroder
 from dendrifam.basis import LEAF, Alphabet
 from dendrifam.dendriform import FreeDendriformFamily
-from dendrifam.errors import InvalidElement, SemigroupViolation
+from dendrifam.errors import InvalidElement, SemigroupViolation, shown
 from dendrifam.exprs import Dot, Gen, Prec, Succ
 from dendrifam.pbtrees import BinNode, graft_binary
 from dendrifam.rotabaxter import (FiniteAlgebra, RBFamily, TensorRB, cascading_sum_matrix, eta,
@@ -218,3 +219,17 @@ def test_a_string_is_still_named_by_its_repr():
         exprs.evaluate("x", eta(RB2), {}.get)
     with pytest.raises(InvalidElement, match="^no basis element e_2 in dimension 2$"):
         TensorRB(RB2, Z2).element(2, "0")
+
+
+@pytest.mark.parametrize("text, named", [
+    ("z" * 38, "'" + "z" * 38 + "'"),
+    ("z" * 39, "a string of 39 characters"),
+    ("\0" * 10, "a string of 10 characters"),  # a repr of 42 characters
+    ("\0" * 9, repr("\0" * 9)),
+    ("z" * 100_000, "a string of 100000 characters"),
+])
+def test_a_string_is_named_by_its_repr_only_while_it_fits(text, named):
+    # a string used to be shown by its whole repr, however long
+    assert shown(text) == named
+    with pytest.raises(InvalidElement, match=f"^{re.escape(named)} is not a declared"):
+        Alphabet(["x"]).index(text)
