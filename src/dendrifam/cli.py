@@ -22,7 +22,7 @@ from . import axioms
 from .basis import Alphabet
 from .dendriform import FreeDendriformFamily
 from .errors import (AlgebraError, AxiomFailure, IdentityMisuse, InvalidElement, LeafOperand,
-                     SemigroupViolation)
+                     SemigroupViolation, shown)
 from .pbtrees import enumerate_bin
 from .rationals import digit_limit, parse_coefficient, parse_integer
 from .rotabaxter import (EpsilonOps, EtaOps, RBFamily, TensorFamily, parse_map_text,
@@ -175,12 +175,12 @@ def _check_axioms(args, kind: str, tensor: bool):
         return total, None
     terms = [next(iter(failure[name].map)) for name in "xyz"]  # each operand's one term
     if tensor:
-        shown = " ".join(f"{name}={print_tree(t)}(x){w}" for name, (t, w) in zip("xyz", terms))
+        values = " ".join(f"{name}={print_tree(t)}(x){w}" for name, (t, w) in zip("xyz", terms))
     else:
-        shown = " ".join(f"{name}={print_tree(t)}" for name, t in zip("TUW", terms))
-        shown += (f" alpha={failure['alpha']} beta={failure['beta']} "
+        values = " ".join(f"{name}={print_tree(t)}" for name, t in zip("TUW", terms))
+        values += (f" alpha={failure['alpha']} beta={failure['beta']} "
                   f"residual={_span_text(failure['residual'])}")
-    return total, f"counterexample suite={args.suite} axiom={prefix}{failure['axiom']} {shown}"
+    return total, f"counterexample suite={args.suite} axiom={prefix}{failure['axiom']} {values}"
 
 
 def _load_rb(args):
@@ -200,10 +200,10 @@ def _load_rb(args):
     return alphabet, semigroup, rb, sample
 
 
-def _identity_line(suite: str, failure: dict, shown: str) -> str:
-    """The counterexample line of a failed Rota-Baxter identity, ``shown`` after its place."""
+def _identity_line(suite: str, failure: dict, values: str) -> str:
+    """The counterexample line of a failed Rota-Baxter identity, ``values`` after its place."""
     return (f"counterexample suite={suite} alpha={failure['alpha']} beta={failure['beta']} "
-            f"i={failure['i']} j={failure['j']} {shown}")
+            f"i={failure['i']} j={failure['j']} {values}")
 
 
 def _check_rb(args, counterexample, text):
@@ -256,7 +256,8 @@ def cmd_extend(args) -> int:
     images = _parsed(parse_map_text, args.map_file, rb.algebra.dim)
     missing = [x for x in alphabet if x not in images]
     if missing:
-        raise ValueError(f"map file has no image for generators: {missing}")
+        raise ValueError(f"map file has no image for {len(missing)} of {len(alphabet)} "
+                         f"generators, first {shown(missing[0])}")
     f = {x: rb.algebra.basis_vector(i) for x, i in images.items()}
     validate_rb = rb_family_counterexample(rb, semigroup, sample)
     if validate_rb is not None:

@@ -749,6 +749,8 @@ TEXT_SITES = {
     "op-index": (CHECK_RB, ("rb.txt", RB_ONE + "op {} -1\n"), "{}",
                  "line 5: {} is not an element of the semigroup"),
     "map-line": (EXTEND, ("map.txt", "x 0 {}\n"), None, "line 1: bad map line"),
+    "missing-image": (EXTEND[:4] + ("x,y{}",) + EXTEND[5:], None, "y{}",
+                      "map file has no image for 1 of 2 generators, first {}"),
     "config-line": (ENUMERATE + ("sg.cfg",), ("sg.cfg", "kind=cyclic\norder=2\n{}\n"), None,
                     "line 3: unrecognised line in semigroup config"),
     "table-row": (ENUMERATE + ("sg.cfg",), ("sg.cfg", "kind=table\n,e\ne,e\n{},e\n"), None,

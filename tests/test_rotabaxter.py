@@ -641,7 +641,7 @@ def test_parse_rb_text():
 ])
 def test_parse_rb_rejects(text):
     with pytest.raises((InvalidElement, ValueError)):
-        parse_rb_text(RB_TEXT.replace("op 1", "op 2"), Z2)
+        parse_rb_text(text, Z2)
 
 
 def test_parse_map_text():
